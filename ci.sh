@@ -9,6 +9,9 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> perfbench tests (passes repeat their simulated figures exactly; tracing leaves the simulation unchanged)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> psim-lint (static program verification gate)"
 cargo run -q --release -p psim-bench --bin psim_lint
 if base=$(git show HEAD:results/psim_lint.json 2>/dev/null); then

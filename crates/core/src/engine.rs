@@ -24,13 +24,14 @@
 //! register read otherwise (MRS is only legal with every bank idle).
 
 use crate::error::CoreError;
-use crate::isa::Program;
+use crate::isa::{Program, VerifiedProgram};
 use crate::memory::{BankMemory, Binding};
-use crate::pu::ProcessingUnit;
+use crate::pu::{bind_slots, ProcessingUnit, SlotBindings};
 use crate::stats::PuStats;
 use crate::trace::MetricsRegistry;
 use psim_dram::{ChannelStats, CmdKind, EnergyModel, EnergyStats, HbmConfig, Scope, Violation};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 mod channel;
 
@@ -243,8 +244,9 @@ pub struct Engine {
     cfg: EngineConfig,
     mems: Vec<BankMemory>,
     pus: Vec<ProcessingUnit>,
+    /// The loaded kernel; every PU holds a clone sharing its instructions.
     program: Option<Program>,
-    bindings: Vec<Option<Binding>>,
+    bindings: SlotBindings,
 }
 
 impl Engine {
@@ -257,7 +259,7 @@ impl Engine {
             mems: (0..banks).map(|_| BankMemory::new(row_bytes)).collect(),
             pus: (0..banks).map(|_| ProcessingUnit::new()).collect(),
             program: None,
-            bindings: Vec::new(),
+            bindings: Arc::new([]),
             cfg,
         }
     }
@@ -296,14 +298,16 @@ impl Engine {
         &mut self.pus[bank]
     }
 
-    /// Program the same kernel into every PU. Region ids are per-bank, so
-    /// every bank must have allocated its regions in the same order (the
+    /// Program the same raw kernel into every PU. Region ids are per-bank,
+    /// so every bank must have allocated its regions in the same order (the
     /// paper's equal-rows-per-bank layout).
     ///
     /// In validate mode the program must first pass psim-lint: an
     /// Error-level diagnostic (guaranteed hang, counter clobber, dead
     /// queue path, …) refuses the load before cycle 0 — on-PIM failures
-    /// are undebuggable from the host, so they must not start.
+    /// are undebuggable from the host, so they must not start. Programs
+    /// that are already verified load through [`Engine::load_verified`]
+    /// without a second lint.
     ///
     /// # Errors
     ///
@@ -316,12 +320,35 @@ impl Engine {
         bindings: Vec<Option<B>>,
     ) -> Result<(), CoreError> {
         if self.cfg.validate {
-            crate::isa::VerifiedProgram::new(program.clone())?;
+            VerifiedProgram::new(program.clone())?;
         }
-        let bindings: Vec<Option<Binding>> =
-            bindings.into_iter().map(|o| o.map(Into::into)).collect();
+        self.install(program, bindings)
+    }
+
+    /// Program a kernel that already passed psim-lint into every PU. The
+    /// PUs share the verified program and one binding table, so a load
+    /// costs one binding check whatever the bank count. Same layout
+    /// contract as [`Engine::load_kernel`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates binding validation failures.
+    pub fn load_verified<B: Into<Binding>>(
+        &mut self,
+        program: &VerifiedProgram,
+        bindings: Vec<Option<B>>,
+    ) -> Result<(), CoreError> {
+        self.install(program.program().clone(), bindings)
+    }
+
+    fn install<B: Into<Binding>>(
+        &mut self,
+        program: Program,
+        bindings: Vec<Option<B>>,
+    ) -> Result<(), CoreError> {
+        let bindings = bind_slots(&program, bindings)?;
         for pu in &mut self.pus {
-            pu.load_kernel(program.clone(), bindings.clone())?;
+            pu.load_shared(program.clone(), Arc::clone(&bindings));
         }
         self.program = Some(program);
         self.bindings = bindings;

@@ -559,6 +559,69 @@ fn validated_runs_are_protocol_clean_in_both_modes() {
 }
 
 #[test]
+fn verified_loads_share_one_program_and_match_raw_loads() {
+    // A verified program loads without a second lint and every PU shares
+    // it; the run is bit-identical to loading the raw program, which
+    // validation lints again.
+    let n = 16;
+    let x: Vec<f64> = (0..n).map(|i| 0.25 * i as f64).collect();
+    let verified = VerifiedProgram::new(assemble(SPMV_ASM).unwrap()).unwrap();
+    let mut runs = Vec::new();
+    for shared in [false, true] {
+        let mut cfg = small_cfg(ExecMode::AllBank);
+        cfg.validate = true;
+        let mut engine = Engine::new(cfg);
+        let nbanks = engine.num_banks();
+        let per_bank = per_bank_entries(nbanks, n);
+        let bindings = setup_spmv(&mut engine, &per_bank, &x, n);
+        if shared {
+            engine.load_verified(&verified, bindings.clone()).unwrap();
+            for b in 0..nbanks {
+                let program = engine.pu(b).program().expect("loaded");
+                assert!(
+                    std::ptr::eq(program.instructions(), verified.instructions()),
+                    "PU {b} holds a copy of the program"
+                );
+            }
+        } else {
+            engine
+                .load_kernel(assemble(SPMV_ASM).unwrap(), bindings.clone())
+                .unwrap();
+        }
+        let report = engine.run().unwrap();
+        assert_eq!(report.violation_count(), 0);
+        let ys: Vec<Vec<f64>> = (0..nbanks)
+            .map(|b| engine.mem(b).region(bindings[5].unwrap()).data().to_vec())
+            .collect();
+        runs.push((report, ys));
+    }
+    assert_eq!(runs[0], runs[1]);
+}
+
+#[test]
+fn validated_raw_loads_still_refuse_unverifiable_programs() {
+    // SpFW drains a queue nothing fills (PSL011): no verified form exists,
+    // and under validation the raw load is refused before cycle 0.
+    let bad = assemble("SPFW SPVQ0, FP64\nEXIT\n").unwrap();
+    assert!(VerifiedProgram::new(bad.clone()).is_err());
+    let mut cfg = small_cfg(ExecMode::AllBank);
+    cfg.validate = true;
+    let load = Engine::new(cfg).load_kernel(bad.clone(), vec![None::<Binding>; 2]);
+    assert!(matches!(load, Err(CoreError::Verify { .. })), "{load:?}");
+    // Without validation the raw program still loads.
+    let mut engine = Engine::new(small_cfg(ExecMode::AllBank));
+    let mut out = RegionId(0);
+    for b in 0..engine.num_banks() {
+        out = engine.mem_mut(b).alloc_zeroed("out", 8, 12);
+    }
+    assert!(engine.load_kernel(bad, vec![Some(out), None]).is_ok());
+    // Binding checks cover both load paths.
+    let verified = VerifiedProgram::new(assemble(SPMV_ASM).unwrap()).unwrap();
+    let unbound = engine.load_verified(&verified, vec![None::<Binding>; 8]);
+    assert!(matches!(unbound, Err(CoreError::Binding(_))), "{unbound:?}");
+}
+
+#[test]
 fn validation_defaults_off_and_reports_nothing() {
     let cfg = small_cfg(ExecMode::AllBank);
     assert!(!cfg.validate);

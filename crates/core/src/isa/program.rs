@@ -10,14 +10,18 @@
 use super::Instruction;
 use crate::error::CoreError;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Maximum instructions in the control register (Table VIII: 4 B × 32).
 pub const MAX_PROGRAM_LEN: usize = 32;
 
 /// A validated PIM kernel program.
+///
+/// Immutable once built, so clones share one instruction list: an engine
+/// hands the same program to every processing unit without copying it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Program {
-    instrs: Vec<Instruction>,
+    instrs: Arc<[Instruction]>,
 }
 
 impl Program {
@@ -57,7 +61,9 @@ impl Program {
                 "program has no EXIT/CEXIT/loop and fills the control register".to_string(),
             ));
         }
-        Ok(Program { instrs })
+        Ok(Program {
+            instrs: instrs.into(),
+        })
     }
 
     /// Number of instructions.

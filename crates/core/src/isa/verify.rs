@@ -268,10 +268,12 @@ impl Program {
 
 /// A program that passed verification with no Error-level diagnostics.
 ///
-/// The newtype is the API contract between the layers: kernel builders
-/// construct one in validate mode, the engine refuses to load anything
-/// that cannot become one, and the scheduler fails jobs whose programs
-/// cannot be verified.
+/// The newtype is the API contract between the layers: kernels fetch
+/// their programs already verified (once per process, from
+/// `psim_kernels::programs`), the engine loads one without linting it
+/// again and refuses any raw program that cannot become one under
+/// validation, and the scheduler fails jobs whose programs cannot be
+/// verified.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VerifiedProgram {
     program: Program,

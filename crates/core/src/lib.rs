@@ -46,7 +46,7 @@ pub use engine::{
 };
 pub use error::CoreError;
 pub use host::{ExternalBus, HostController};
-pub use memory::{BankMemory, Region, RegionId};
+pub use memory::{AllocMark, BankMemory, Region, RegionId};
 pub use pu::{ProcessingUnit, StepOutcome};
 pub use stats::{Histogram, PuStats};
 pub use trace::{Category, ChannelMetrics, CycleBreakdown, MetricsRegistry, StallEvent};

@@ -148,6 +148,14 @@ impl Region {
     }
 }
 
+/// A point in a bank's allocation history, taken with
+/// [`BankMemory::mark`] and rewound to with [`BankMemory::truncate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AllocMark {
+    regions: usize,
+    next_row: u32,
+}
+
 /// One bank's memory: a row-aligned arena of regions.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct BankMemory {
@@ -237,6 +245,33 @@ impl BankMemory {
     pub fn rows_used(&self) -> u32 {
         self.next_row
     }
+
+    /// The current end of the allocation history.
+    #[must_use]
+    pub fn mark(&self) -> AllocMark {
+        AllocMark {
+            regions: self.regions.len(),
+            next_row: self.next_row,
+        }
+    }
+
+    /// Free every region allocated since `mark` and rewind the row cursor,
+    /// so the next allocations reuse their rows and region ids. Ids handed
+    /// out after the mark are invalid afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` lies beyond the current allocation history.
+    pub fn truncate(&mut self, mark: AllocMark) {
+        assert!(
+            mark.regions <= self.regions.len() && mark.next_row <= self.next_row,
+            "allocation mark {mark:?} is beyond the bank's history ({} regions, {} rows)",
+            self.regions.len(),
+            self.next_row
+        );
+        self.regions.truncate(mark.regions);
+        self.next_row = mark.next_row;
+    }
 }
 
 #[cfg(test)]
@@ -278,6 +313,44 @@ mod tests {
         m.region_mut(id).set(99, 9.0); // dropped
         assert_eq!(m.region(id).get(0), 7.0);
         assert_eq!(m.region(id).len(), 2);
+    }
+
+    #[test]
+    fn truncate_rewinds_regions_and_rows_to_the_mark() {
+        let mut m = BankMemory::new(1024);
+        let keep = m.alloc("keep", 8, vec![1.0; 200]); // rows 0-1
+        let mark = m.mark();
+        assert_eq!(m.mark(), mark, "marking does not allocate");
+        let a = m.alloc("a", 8, vec![2.0; 10]); // row 2
+        let b = m.alloc("b", 8, vec![3.0; 300]); // rows 3-5
+        assert_eq!((m.num_regions(), m.rows_used()), (3, 6));
+        m.truncate(mark);
+        assert_eq!((m.num_regions(), m.rows_used()), (1, 2));
+        assert_eq!(
+            m.region(keep).data(),
+            &[1.0; 200][..],
+            "regions below the mark stay"
+        );
+        // The next allocation takes the freed id and rows.
+        let c = m.alloc("c", 8, vec![4.0; 5]);
+        assert_eq!(c, a);
+        assert_eq!(m.region(c).start_row(), 2);
+        assert_eq!(m.region(c).data(), &[4.0; 5][..]);
+        assert_ne!(c, b);
+        // Truncating to the current end changes nothing.
+        let end = m.mark();
+        m.truncate(end);
+        assert_eq!((m.num_regions(), m.rows_used()), (2, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the bank's history")]
+    fn truncate_past_the_history_panics() {
+        let mut m = BankMemory::new(64);
+        m.alloc("a", 8, vec![0.0; 4]);
+        let mark = m.mark();
+        m.truncate(BankMemory::new(64).mark());
+        m.truncate(mark);
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::memory::{BankMemory, Binding, SENTINEL};
 use crate::stats::PuStats;
 use psim_sparse::Precision;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// DRAM command-clock cycles per PU cycle (1 GHz DRAM / 250 MHz PU).
 pub const DRAM_CYCLES_PER_PU_CYCLE: u64 = 4;
@@ -59,12 +60,40 @@ pub struct StepReport {
     pub outcome: StepOutcome,
 }
 
+/// A kernel's region binding table: one entry per program slot, every
+/// memory slot bound. An engine builds it once per load and shares it
+/// (like the program) with every unit.
+pub(crate) type SlotBindings = Arc<[Option<Binding>]>;
+
+/// Check a kernel's bindings against its program and normalise them into
+/// a [`SlotBindings`] table.
+///
+/// # Errors
+///
+/// [`CoreError::Binding`] if a memory slot is unbound.
+pub(crate) fn bind_slots<B: Into<Binding>>(
+    program: &Program,
+    bindings: Vec<Option<B>>,
+) -> Result<SlotBindings, CoreError> {
+    let mut bindings: Vec<Option<Binding>> =
+        bindings.into_iter().map(|o| o.map(Into::into)).collect();
+    bindings.resize(program.len(), None);
+    for (slot, ins) in program.instructions().iter().enumerate() {
+        if ins.is_memory() && bindings[slot].is_none() {
+            return Err(CoreError::Binding(format!(
+                "memory instruction at slot {slot} has no bound region"
+            )));
+        }
+    }
+    Ok(bindings.into())
+}
+
 /// One pSyncPIM processing unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessingUnit {
     program: Option<Program>,
     /// Region binding (region, offset, stride) of each memory slot.
-    bindings: Vec<Option<Binding>>,
+    bindings: SlotBindings,
     /// Per-slot element cursor into the bound region.
     cursors: Vec<usize>,
     pc: usize,
@@ -89,7 +118,7 @@ impl ProcessingUnit {
     pub fn new() -> Self {
         ProcessingUnit {
             program: None,
-            bindings: Vec::new(),
+            bindings: Arc::new([]),
             cursors: Vec::new(),
             pc: 0,
             loop_counters: vec![0; 32],
@@ -113,19 +142,18 @@ impl ProcessingUnit {
         program: Program,
         bindings: Vec<Option<B>>,
     ) -> Result<(), CoreError> {
-        let mut bindings: Vec<Option<Binding>> =
-            bindings.into_iter().map(|o| o.map(Into::into)).collect();
-        bindings.resize(program.len(), None);
-        for (slot, ins) in program.instructions().iter().enumerate() {
-            if ins.is_memory() && bindings.get(slot).copied().flatten().is_none() {
-                return Err(CoreError::Binding(format!(
-                    "memory instruction at slot {slot} has no bound region"
-                )));
-            }
-        }
-        self.cursors = (0..program.len())
-            .map(|slot| bindings[slot].map_or(0, |b| b.offset))
-            .collect();
+        let bindings = bind_slots(&program, bindings)?;
+        self.load_shared(program, bindings);
+        Ok(())
+    }
+
+    /// Load a kernel whose bindings [`bind_slots`] already checked,
+    /// sharing the program's instructions and the binding table instead
+    /// of copying them.
+    pub(crate) fn load_shared(&mut self, program: Program, bindings: SlotBindings) {
+        self.cursors.clear();
+        self.cursors
+            .extend(bindings.iter().map(|b| b.map_or(0, |b| b.offset)));
         self.bindings = bindings;
         self.program = Some(program);
         self.pc = 0;
@@ -133,7 +161,12 @@ impl ProcessingUnit {
         self.exited = false;
         self.exit_armed = false;
         self.stats = PuStats::new();
-        Ok(())
+    }
+
+    /// The loaded program (tests check engines share one).
+    #[cfg(test)]
+    pub(crate) fn program(&self) -> Option<&Program> {
+        self.program.as_ref()
     }
 
     /// Set the scalar register (the host may seed α for AXPY-style kernels).

@@ -379,11 +379,14 @@ impl ProtocolChecker {
         }
 
         // Per-bank state + intra-bank timing.
-        let bank_indices: Vec<usize> = match scope {
-            Scope::OneBank { bg, ba } => vec![bg * self.banks_per_group + ba],
-            Scope::AllBanks => (0..self.banks.len()).collect(),
+        let banks = match scope {
+            Scope::OneBank { bg, ba } => {
+                let bi = bg * self.banks_per_group + ba;
+                bi..bi + 1
+            }
+            Scope::AllBanks => 0..self.banks.len(),
         };
-        for &bi in &bank_indices {
+        for bi in banks {
             self.check_bank(bi, cycle, scope, cmd);
         }
 
@@ -487,74 +490,54 @@ impl ProtocolChecker {
     fn check_bank(&mut self, bi: usize, cycle: u64, scope: Scope, cmd: CmdKind) {
         let t = self.timing;
         let at = cycle as i64;
-        let bg = bi / self.banks_per_group;
-        let ba = bi % self.banks_per_group;
-        let bank = (bg, ba);
-        // (rule, earliest legal cycle) pairs gathered per command, checked
-        // below; state errors short-circuit without mutating.
-        let mut bounds: Vec<(Rule, i64)> = Vec::new();
-        let open = self.banks[bi].open_row;
+        let bank = (bi / self.banks_per_group, bi % self.banks_per_group);
         let b = &self.banks[bi];
-        let state_err: Option<String> = match cmd {
-            CmdKind::Act { .. } => {
-                if let Some(row) = open {
-                    Some(format!("ACT while row {row} is open"))
-                } else {
-                    bounds.push((Rule::Trp, b.last_pre + t.t_rp as i64));
-                    bounds.push((Rule::Trfc, b.last_ref + t.t_rfc as i64));
-                    None
-                }
+        // The command's (rule, earliest legal cycle) bounds, at most three,
+        // checked in this order; a state error short-circuits without
+        // mutating.
+        let bounds: Result<[Option<(Rule, i64)>; 3], String> = match (cmd, b.open_row) {
+            (CmdKind::Act { .. } | CmdKind::Ref | CmdKind::Mrs, None) => Ok([
+                Some((Rule::Trp, b.last_pre + t.t_rp as i64)),
+                Some((Rule::Trfc, b.last_ref + t.t_rfc as i64)),
+                None,
+            ]),
+            (CmdKind::Rd { .. }, Some(_)) => Ok([
+                Some((Rule::Trcd, b.last_act + t.t_rcd as i64)),
+                Some((Rule::Twtr, b.last_wr + (t.wl + t.t_wtr) as i64)),
+                None,
+            ]),
+            (CmdKind::Wr { .. }, Some(_)) => Ok([
+                Some((Rule::Trcd, b.last_act + t.t_rcd as i64)),
+                Some((Rule::ReadToWrite, b.last_rd + t.rl as i64)),
+                None,
+            ]),
+            (CmdKind::Pre, Some(_)) => Ok([
+                Some((Rule::Tras, b.last_act + t.t_ras as i64)),
+                Some((Rule::Trtp, b.last_rd + t.t_rtp as i64)),
+                Some((Rule::Twr, b.last_wr + (t.wl + t.t_wr) as i64)),
+            ]),
+            (CmdKind::Act { .. } | CmdKind::Ref | CmdKind::Mrs, Some(row)) => {
+                Err(format!("{} while row {row} is open", cmd.mnemonic()))
             }
-            CmdKind::Rd { .. } => {
-                if open.is_none() {
-                    Some("RD with no open row".to_string())
-                } else {
-                    bounds.push((Rule::Trcd, b.last_act + t.t_rcd as i64));
-                    bounds.push((Rule::Twtr, b.last_wr + (t.wl + t.t_wtr) as i64));
-                    None
-                }
-            }
-            CmdKind::Wr { .. } => {
-                if open.is_none() {
-                    Some("WR with no open row".to_string())
-                } else {
-                    bounds.push((Rule::Trcd, b.last_act + t.t_rcd as i64));
-                    bounds.push((Rule::ReadToWrite, b.last_rd + t.rl as i64));
-                    None
-                }
-            }
-            CmdKind::Pre => {
-                if open.is_none() {
-                    Some("PRE with no open row".to_string())
-                } else {
-                    bounds.push((Rule::Tras, b.last_act + t.t_ras as i64));
-                    bounds.push((Rule::Trtp, b.last_rd + t.t_rtp as i64));
-                    bounds.push((Rule::Twr, b.last_wr + (t.wl + t.t_wr) as i64));
-                    None
-                }
-            }
-            CmdKind::Ref | CmdKind::Mrs => {
-                if let Some(row) = open {
-                    Some(format!("{} while row {row} is open", cmd.mnemonic()))
-                } else {
-                    bounds.push((Rule::Trp, b.last_pre + t.t_rp as i64));
-                    bounds.push((Rule::Trfc, b.last_ref + t.t_rfc as i64));
-                    None
-                }
+            (CmdKind::Rd { .. } | CmdKind::Wr { .. } | CmdKind::Pre, None) => {
+                Err(format!("{} with no open row", cmd.mnemonic()))
             }
         };
-        if let Some(msg) = state_err {
-            self.violate(
-                cycle,
-                Rule::BankState,
-                Some(cmd),
-                Some(scope),
-                Some(bank),
-                msg,
-            );
-            return;
-        }
-        for (rule, earliest) in bounds {
+        let bounds = match bounds {
+            Ok(bounds) => bounds,
+            Err(msg) => {
+                self.violate(
+                    cycle,
+                    Rule::BankState,
+                    Some(cmd),
+                    Some(scope),
+                    Some(bank),
+                    msg,
+                );
+                return;
+            }
+        };
+        for (rule, earliest) in bounds.into_iter().flatten() {
             if at < earliest {
                 self.violate(
                     cycle,

@@ -3,14 +3,13 @@
 //! Vectors are striped contiguously across banks (the application runtime
 //! keeps them resident in PIM memory, so Level-1 kernels run at internal
 //! bandwidth; only scalar results cross the external bus). Each kernel
-//! assembles its program from [`crate::programs`], lays out stripes,
-//! executes, and reads results back from bank memory.
+//! fetches its compiled program from [`crate::programs`], lays out
+//! stripes, executes, and reads results back from bank memory.
 
 use crate::device::{mode_cycle, KernelRun, PimDevice};
 use crate::programs;
 use psim_sparse::dense::SparseVec;
 use psim_sparse::Precision;
-use psyncpim_core::isa::assemble;
 use psyncpim_core::memory::SENTINEL;
 use psyncpim_core::{CoreError, Engine, RegionId};
 
@@ -103,11 +102,10 @@ impl Blas1Pim {
         bindings: Vec<Option<RegionId>>,
         srf: Option<f64>,
     ) -> Result<KernelRun, CoreError> {
-        let program = assemble(asm)?;
-        self.device.verify_program(&program)?;
+        let program = programs::compiled(asm)?;
         let mut host = self.device.make_host();
         mode_cycle(&mut host, program.len());
-        engine.load_kernel(program, bindings)?;
+        engine.load_verified(&program, bindings)?;
         if let Some(v) = srf {
             engine.set_srf_all(v);
         }

@@ -166,11 +166,12 @@ impl PimDevice {
         HostController::new(self.external_bw())
     }
 
-    /// Statically verify a kernel program with psim-lint before any
+    /// Statically verify a raw kernel program with psim-lint before any
     /// memory placement. In validate mode an Error-level diagnostic
     /// fails the kernel up front (the engine would also refuse it at
     /// `load_kernel`, but by then the host has already placed data);
-    /// with validation off this is free.
+    /// with validation off this is free. The kernels in this crate take
+    /// their programs already verified from [`crate::programs::compiled`].
     ///
     /// # Errors
     ///

@@ -16,7 +16,6 @@ use crate::programs;
 use crate::sptrsv::SptrsvPim;
 use psim_sparse::triangular::{Triangle, UnitTriangular};
 use psim_sparse::{Coo, Precision};
-use psyncpim_core::isa::assemble;
 use psyncpim_core::{CoreError, RegionId};
 
 /// Dense Level-2 kernel runner.
@@ -128,11 +127,10 @@ impl Gemv {
                 }
             }
             let asm = programs::dgemv(self.precision, rows_per_bank as u16, chunks as u16);
-            let program = assemble(&asm)?;
-            self.device.verify_program(&program)?;
+            let program = programs::compiled(&asm)?;
             let mut host = self.device.make_host();
             mode_cycle(&mut host, program.len());
-            engine.load_kernel(program, bindings.clone())?;
+            engine.load_verified(&program, bindings.clone())?;
             engine.set_srf_all(0.0);
             let report = engine.run()?;
             run.kernel_s += report.seconds;

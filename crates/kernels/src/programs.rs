@@ -1,11 +1,55 @@
 //! PIM assembly programs for every Table III kernel.
 //!
 //! Each builder returns assembly text parameterized by precision (and loop
-//! counts where the kernel is statically bounded); the kernels assemble it
-//! through [`psyncpim_core::isa::assemble`]. The sparse kernels follow the
+//! counts where the kernel is statically bounded); the kernels fetch it
+//! assembled and psim-linted through [`compiled`], which does that work
+//! once per distinct program and process. The sparse kernels follow the
 //! paper's Algorithm 2 shape: an unbounded loop closed by `CEXIT`.
 
 use psim_sparse::Precision;
+use psyncpim_core::isa::{assemble, VerifiedProgram};
+use psyncpim_core::CoreError;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
+/// Most programs [`compiled`] keeps. The text of a bounded dense kernel
+/// carries its loop counts, so a long-running service can meet many
+/// distinct programs; past the cap they still compile, just uncached.
+const COMPILED_CAP: usize = 4096;
+
+/// Assemble and psim-lint a kernel program once per process.
+///
+/// Every fetch of the same text returns the same shared program
+/// (`Arc::ptr_eq`), which the engine loads into all of its PUs without
+/// linting it again ([`psyncpim_core::Engine::load_verified`]). Builder
+/// programs are lint-clean by construction (the `psim_lint` gate sweeps
+/// them), so kernels take verified programs whether or not their device
+/// validates. Thread-safe: a program two threads compile at once is kept
+/// once, and both get the kept copy.
+///
+/// # Errors
+///
+/// Assembly errors, or [`CoreError::Verify`] carrying the Error-level
+/// diagnostics.
+pub fn compiled(text: &str) -> Result<Arc<VerifiedProgram>, CoreError> {
+    static CACHE: OnceLock<Mutex<HashMap<String, Arc<VerifiedProgram>>>> = OnceLock::new();
+    // A poisoned lock is safe to reuse: the map's only update is one
+    // insert of a finished entry, and compiling happens outside the lock.
+    let cache = CACHE.get_or_init(Mutex::default);
+    if let Some(program) = cache
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(text)
+    {
+        return Ok(Arc::clone(program));
+    }
+    let program = Arc::new(VerifiedProgram::new(assemble(text)?)?);
+    let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
+    if cache.len() >= COMPILED_CAP && !cache.contains_key(text) {
+        return Ok(program);
+    }
+    Ok(Arc::clone(cache.entry(text.to_owned()).or_insert(program)))
+}
 
 /// SpMV / SpTRSV-level inner loop (paper Algorithm 2): stream (row, col,
 /// val) triples, gather the dense operand at `col`, combine with `mul_op`,
@@ -286,25 +330,58 @@ EXIT
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psyncpim_core::isa::assemble;
 
     #[test]
     fn all_programs_assemble() {
+        // ... and pass psim-lint, fetched through the compiled cache.
         for p in [Precision::Fp64, Precision::Fp32, Precision::Int8] {
-            assert!(assemble(&sparse_stream(p, "ADD")).is_ok());
-            assert!(assemble(&sparse_stream(p, "RSUB")).is_ok());
-            assert!(assemble(&dcopy(p, 4)).is_ok());
-            assert!(assemble(&dswap(p, 4)).is_ok());
-            assert!(assemble(&dscal(p, 4)).is_ok());
-            assert!(assemble(&daxpy(p, 4)).is_ok());
-            assert!(assemble(&ddot(p, 4)).is_ok());
-            assert!(assemble(&dvdv(p, "MIN", 4)).is_ok());
-            assert!(assemble(&gather(p, 4)).is_ok());
-            assert!(assemble(&scatter(p)).is_ok());
-            assert!(assemble(&spaxpy(p)).is_ok());
-            assert!(assemble(&spdot(p)).is_ok());
-            assert!(assemble(&dgemv(p, 4, 4)).is_ok());
+            for text in [
+                sparse_stream(p, "ADD"),
+                sparse_stream(p, "RSUB"),
+                sparse_stream_batched(p, "MUL", "RSUB"),
+                spmm_stream(p, "ADD", "MIN"),
+                dcopy(p, 1),
+                dcopy(p, 4),
+                dswap(p, 4),
+                dscal(p, 4),
+                daxpy(p, 4),
+                ddot(p, 4),
+                dvdv(p, "MIN", 4),
+                gather(p, 4),
+                scatter(p),
+                spaxpy(p),
+                spdot(p),
+                dgemv(p, 4, 4),
+            ] {
+                let program = compiled(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+                assert_eq!(program.program(), &assemble(&text).unwrap());
+            }
         }
+    }
+
+    #[test]
+    fn compiled_programs_are_shared_per_text() {
+        let text = sparse_stream_batched(Precision::Fp64, "MUL", "ADD");
+        let a = compiled(&text).unwrap();
+        let b = compiled(&text).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "a second fetch must not compile again");
+        let rsub = compiled(&sparse_stream_batched(Precision::Fp64, "MUL", "RSUB")).unwrap();
+        assert!(!Arc::ptr_eq(&a, &rsub));
+        // Threads racing on a program nobody compiled yet all share one.
+        let fetched: Vec<Arc<VerifiedProgram>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| compiled(&dcopy(Precision::Fp32, 7)).unwrap()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(fetched.iter().all(|p| Arc::ptr_eq(p, &fetched[0])));
+    }
+
+    #[test]
+    fn compiled_refuses_unverifiable_text() {
+        let err = compiled("SPFW SPVQ0, FP64\nEXIT\n").unwrap_err();
+        assert!(matches!(err, CoreError::Verify { .. }), "{err}");
+        assert!(compiled("BOGUS X\n").is_err());
     }
 
     #[test]

@@ -31,7 +31,7 @@ use psim_sparse::partition::{
     BankPartition, DistPolicy, PartitionConfig, PartitionScheme, PartitionStats, SubMatrix,
 };
 use psim_sparse::{Coo, Layout, MatrixFormat, Precision};
-use psyncpim_core::isa::{assemble, BinaryOp};
+use psyncpim_core::isa::BinaryOp;
 use psyncpim_core::memory::Binding;
 use psyncpim_core::CoreError;
 
@@ -187,12 +187,11 @@ impl SpmmPim {
         let lanes = self.precision.lanes();
         let ebytes = self.precision.bytes();
         let banks_per_cube = self.device.hbm.total_banks();
-        let program = assemble(&programs::spmm_stream(
+        let program = programs::compiled(&programs::spmm_stream(
             self.precision,
             &self.mul.to_string(),
             &self.acc.to_string(),
         ))?;
-        self.device.verify_program(&program)?;
         let identity = self.acc.identity();
 
         let mut host = self.device.make_host();
@@ -267,7 +266,7 @@ impl SpmmPim {
                         bindings = batched_sparse_bindings(rt, rx, ry, lanes);
                     }
                 }
-                engine.load_kernel(program.clone(), bindings.clone())?;
+                engine.load_verified(&program, bindings.clone())?;
                 let report = engine.run()?;
                 wave_seconds = wave_seconds.max(report.seconds);
                 if report.dram_cycles > wave_cycles {

@@ -17,7 +17,7 @@ use psim_sparse::partition::{
     BankPartition, DistPolicy, PartitionConfig, PartitionScheme, PartitionStats, SubMatrix,
 };
 use psim_sparse::{Coo, Layout, MatrixFormat, Precision};
-use psyncpim_core::isa::{assemble, BinaryOp};
+use psyncpim_core::isa::BinaryOp;
 use psyncpim_core::memory::Binding;
 use psyncpim_core::CoreError;
 
@@ -163,12 +163,11 @@ impl SpmvPim {
         let lanes = self.precision.lanes();
         let ebytes = self.precision.bytes();
         let banks_per_cube = self.device.hbm.total_banks();
-        let program = assemble(&programs::sparse_stream_batched(
+        let program = programs::compiled(&programs::sparse_stream_batched(
             self.precision,
             &self.mul.to_string(),
             &self.acc.to_string(),
         ))?;
-        self.device.verify_program(&program)?;
         let identity = self.acc.identity();
 
         let mut host = self.device.make_host();
@@ -235,7 +234,7 @@ impl SpmvPim {
                         bindings = batched_sparse_bindings(rt, rx, ry, lanes);
                     }
                 }
-                engine.load_kernel(program.clone(), bindings.clone())?;
+                engine.load_verified(&program, bindings.clone())?;
                 let report = engine.run()?;
                 wave_seconds = wave_seconds.max(report.seconds);
                 // Cubes run in parallel within a wave: the wave's cycles

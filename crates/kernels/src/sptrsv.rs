@@ -26,7 +26,6 @@ use crate::programs;
 use crate::spmv::SpmvPim;
 use psim_sparse::triangular::UnitTriangular;
 use psim_sparse::{BlockPlan, BlockStep, LevelSchedule, Precision};
-use psyncpim_core::isa::assemble;
 use psyncpim_core::memory::Binding;
 use psyncpim_core::{CoreError, Engine, RegionId};
 
@@ -149,12 +148,11 @@ impl SptrsvPim {
         let stripe = m.div_ceil(nbanks).max(1);
         let lanes = self.precision.lanes();
         let ebytes = self.precision.bytes();
-        let program = assemble(&programs::sparse_stream_batched(
+        let program = programs::compiled(&programs::sparse_stream_batched(
             self.precision,
             "MUL",
             "RSUB",
         ))?;
-        self.device.verify_program(&program)?;
         let mut host = self.device.make_host();
 
         // One engine lives for the whole block: stripe regions persist
@@ -184,6 +182,15 @@ impl SptrsvPim {
 
         // Pre-bucket entries by column for fast per-level stream building.
         let csc = psim_sparse::Csc::from(block.strict());
+
+        // Each level batch allocates its triples and scales above this mark
+        // and releases them after its launch, so a bank holds its stripe
+        // plus one batch however many levels the block has. Every bank
+        // holds just its equal-length stripe here, so bank 0's mark is
+        // every bank's. Cycles do not depend on which rows a batch reuses:
+        // each launch replays on a fresh channel, which only compares row
+        // numbers within the launch.
+        let batch_mark = engine.mem(0).mark();
 
         let mut batches = 0u64;
         for level in sched.iter() {
@@ -220,20 +227,18 @@ impl SptrsvPim {
                 let mut bindings: Vec<Option<Binding>> = Vec::new();
                 for (bank, entries) in streams.iter().enumerate() {
                     let triples = pack_triples(entries, lanes, pairs, self.precision);
-                    let scales_padded: Vec<f64> = {
-                        let mut s = scales.clone();
-                        s.resize(chunk.len().max(1), 0.0);
-                        s
-                    };
                     let mem = engine.mem_mut(bank);
                     let rt = mem.alloc("triples", ebytes, triples);
-                    let rs = mem.alloc("scales", ebytes, scales_padded);
+                    let rs = mem.alloc("scales", ebytes, scales.clone());
                     if bank == 0 {
                         bindings = batched_sparse_bindings(rt, rs, stripe_region, lanes);
                     }
                 }
-                engine.load_kernel(program.clone(), bindings)?;
+                engine.load_verified(&program, bindings)?;
                 let report = engine.run()?;
+                for bank in 0..nbanks {
+                    engine.mem_mut(bank).truncate(batch_mark);
+                }
                 run.kernel_s += report.seconds;
                 run.dram_cycles += report.dram_cycles;
                 run.absorb_wall(&report);
@@ -339,6 +344,47 @@ mod tests {
         for (g, w) in res.x.iter().zip(&want) {
             assert!((g - w).abs() < 1e-9);
         }
+    }
+
+    /// FNV-1a over a vector's bit patterns.
+    fn fingerprint(x: &[f64]) -> u64 {
+        x.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn validated_multi_level_solve_is_clean_and_unchanged() {
+        // A banded factor solves in 32 level batches: every batch loads
+        // the one compiled program and reuses the rows the previous batch
+        // released. Validation replays every launch through the
+        // protocol checker without changing a value or a cycle, and the
+        // figures are pinned to the ones from before kernels shared one
+        // compiled program and released batch regions.
+        let a = gen::banded_fem(120, 4, 3, 31);
+        let t = unit_triangular_from(&a, Triangle::Lower).unwrap();
+        let b = gen::dense_vector(120, 8);
+        let plain = runner().run(&t, &b).unwrap();
+        let mut dev = PimDevice::tiny(2);
+        dev.validate = true;
+        let checked = SptrsvPim::new(dev).run(&t, &b).unwrap();
+        assert_eq!(checked.run.violations, 0);
+        assert_eq!(fingerprint(&checked.x), fingerprint(&plain.x));
+        assert_eq!(checked.run.dram_cycles, plain.run.dram_cycles);
+        assert_eq!(checked.run.commands, plain.run.commands);
+        let want = t.solve_colwise(&b).unwrap();
+        for (g, w) in checked.x.iter().zip(&want) {
+            assert!((g - w).abs() < 1e-9, "{g} vs {w}");
+        }
+        assert_eq!(
+            (
+                checked.level_batches,
+                checked.run.dram_cycles,
+                checked.run.commands,
+                fingerprint(&checked.x)
+            ),
+            (32, 7502, 4092, 10_732_686_434_722_218_344)
+        );
     }
 
     #[test]

@@ -134,6 +134,7 @@ mod tests {
     use super::*;
     use crate::job::{JobKind, JobSpec, JobValue};
     use psim_kernels::PimDevice;
+    use serde::Serialize;
     use std::sync::Arc;
 
     #[test]
@@ -172,6 +173,82 @@ mod tests {
         // Arrivals are honored: no wait can be negative, and the makespan
         // at least reaches the last arrival.
         assert!(report.stats.sim.makespan_s >= 15.0 * 1e-5);
+    }
+
+    /// FNV-1a over a drain's deterministic output: the simulated stats
+    /// plus every job's shard, service cycles, violations and value bits,
+    /// in job order.
+    fn drain_fingerprint(validate: bool) -> (u64, u64) {
+        let a = Arc::new(psim_sparse::gen::rmat(40, 3, 9));
+        let band = psim_sparse::gen::banded_fem(60, 3, 2, 5);
+        let t = Arc::new(
+            psim_sparse::triangular::unit_triangular_from(
+                &band,
+                psim_sparse::triangular::Triangle::Lower,
+            )
+            .unwrap(),
+        );
+        let queue = JobQueue::bounded(32);
+        for i in 0..8u64 {
+            let x: Vec<f64> = (0..40).map(|k| (i * 5 + k) as f64 * 0.5).collect();
+            queue
+                .submit(JobSpec::batch("t0", JobKind::spmv(Arc::clone(&a), x)))
+                .unwrap();
+            let b: Vec<f64> = (0..60).map(|k| 1.0 + ((i + k) % 7) as f64).collect();
+            queue
+                .submit(JobSpec::batch(
+                    "t1",
+                    JobKind::Sptrsv {
+                        t: Arc::clone(&t),
+                        b,
+                    },
+                ))
+                .unwrap();
+        }
+        queue
+            .submit(JobSpec::batch(
+                "t2",
+                JobKind::Dot {
+                    x: vec![1.5; 300],
+                    y: vec![2.0; 300],
+                },
+            ))
+            .unwrap();
+        queue.close();
+        let mut exec = ExecutorConfig::sharded(PimDevice::tiny(2), 2).with_fusion(4);
+        exec.validate = validate;
+        let svc = Service::new(ServiceConfig::new(exec)).unwrap();
+        let mut jobs = Vec::new();
+        let report = svc.run(&queue, &mut |job| jobs.push(job)).unwrap();
+        jobs.sort_by_key(|j| j.id);
+        let mut text = report.stats.sim.to_json();
+        let mut violations = 0;
+        for job in &jobs {
+            violations += job.run.violations;
+            text.push_str(&format!("|{}:{}:{}", job.id, job.shard, job.service_cycles));
+            match &job.value {
+                JobValue::Vector(v) => v
+                    .iter()
+                    .for_each(|x| text.push_str(&format!(",{:x}", x.to_bits()))),
+                JobValue::Scalar(x) => text.push_str(&format!(",{:x}", x.to_bits())),
+            }
+        }
+        let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        (hash, violations)
+    }
+
+    #[test]
+    fn validated_drain_matches_unvalidated_and_is_unchanged() {
+        // Validation lints each compiled program once and replays every
+        // launch through the protocol checker; neither may change a value,
+        // a cycle or a placement. Pinned to the drain from before kernels
+        // shared one compiled program per process.
+        let checked = drain_fingerprint(true);
+        assert_eq!(checked.1, 0, "a validated drain is protocol-clean");
+        assert_eq!(checked, drain_fingerprint(false));
+        assert_eq!(checked.0, 11_579_091_411_506_306_881);
     }
 
     #[test]
