@@ -38,21 +38,13 @@ cargo run -q --release -p psim-bench --bin psim_check
 echo "==> psim-trace (cycle-attribution conservation gate; writes results/BENCH_trace.json)"
 cargo run -q --release -p psim-bench --bin psim_trace
 
-echo "==> psim-fastpath (tick/event equivalence + speedup floor + cost-model calibration; writes results/BENCH_fastpath.json)"
-cargo run -q --release -p psim-bench --bin psim_fastpath
-test -s results/BENCH_fastpath.json || { echo "missing results/BENCH_fastpath.json" >&2; exit 1; }
-
 echo "==> psim-soak (service-mode fusion/steal soak, scaled down; writes results/BENCH_soak.json)"
 cargo run -q --release -p psim-bench --bin soak_sched -- --jobs 30000 --gate
 test -s results/BENCH_soak.json || { echo "missing results/BENCH_soak.json" >&2; exit 1; }
 
-echo "==> psim-autotune (layout autotuner gate: oracle both tiers, geomean win, rank agreement; writes results/BENCH_autotune.json)"
+echo "==> psim-autotune (layout autotuner gate: oracle, geomean win, rank agreement; writes results/BENCH_autotune.json)"
 cargo run -q --release -p psim-bench --bin ablation_autotune
 test -s results/BENCH_autotune.json || { echo "missing results/BENCH_autotune.json" >&2; exit 1; }
-
-echo "==> golden traces + protocol replay under the event engine tier (PSIM_ENGINE=event)"
-PSIM_ENGINE=event cargo test -q -p psyncpim --test golden_trace
-PSIM_ENGINE=event cargo run -q --release -p psim-bench --bin psim_check
 
 echo "==> cargo clippy --workspace --all-targets (deny warnings + pedantic subset)"
 cargo clippy --workspace --all-targets -- -D warnings \

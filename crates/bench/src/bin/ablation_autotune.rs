@@ -3,15 +3,13 @@
 //! Sweeps the benchmark suite (rmat, banded FEM, web hubs, layered DAG)
 //! plus the adversarial corpus across the fixed layout grid
 //! ([`psim_kernels::layout_grid`]) and the [`psim_tune::Autotuner`]'s
-//! per-matrix choice, with full cycle simulation under *both* engine
-//! tiers and validation on. Four gates:
+//! per-matrix choice, with full cycle simulation and validation on. Four
+//! gates:
 //!
 //! 1. **Oracle** — [`run_layout_oracle`] (every layout × adversarial
-//!    shape against the CPU reference) passes under the tick tier and
-//!    the event tier.
+//!    shape against the CPU reference) passes.
 //! 2. **Correctness per execution** — every simulated run here (fixed or
-//!    tuned) matches the CPU reference to 1e-9, passes [`audit_run`],
-//!    and produces bit-identical values and cycles on both tiers.
+//!    tuned) matches the CPU reference to 1e-9 and passes [`audit_run`].
 //! 3. **Tuning wins** — the geomean of the tuned choice's simulated
 //!    cycles over the whole corpus is no worse than the best *single*
 //!    fixed configuration.
@@ -26,7 +24,6 @@
 use psim_kernels::{audit_run, layout_grid, run_layout_oracle, CostModel, PimDevice, SpmvPim};
 use psim_sparse::{adversarial, gen, Coo, Layout, Precision};
 use psim_tune::Autotuner;
-use psyncpim_core::EngineTier;
 use serde::Serialize;
 
 use psim_bench::geomean;
@@ -77,8 +74,7 @@ struct AutotuneReport {
     rank_pairs: usize,
     rank_agreements: usize,
     rank_agreement: f64,
-    oracle_cases_tick: usize,
-    oracle_cases_event: usize,
+    oracle_cases: usize,
     violations: usize,
 }
 
@@ -97,7 +93,7 @@ fn corpus(n: usize) -> Vec<(String, Coo)> {
     out
 }
 
-/// Simulate one layout on both tiers, gate correctness, return cycles.
+/// Simulate one layout with validation, gate correctness, return cycles.
 fn simulate(
     device: &PimDevice,
     a: &Coo,
@@ -107,39 +103,26 @@ fn simulate(
     tag: &str,
     violations: &mut usize,
 ) -> u64 {
-    let mut runs = Vec::new();
-    for tier in [EngineTier::Tick, EngineTier::Event] {
-        let mut dev = device.clone();
-        dev.tier = tier;
-        dev.validate = true;
-        let r = SpmvPim::new(dev, Precision::Fp64)
-            .with_layout(layout)
-            .run(a, x)
-            .unwrap_or_else(|e| panic!("{tag}: simulation failed: {e}"));
-        for failure in audit_run(&r.run) {
-            println!("audit\tVIOLATION\t{tag}: {failure}");
-            *violations += 1;
-        }
-        let worst =
-            r.y.iter()
-                .zip(reference)
-                .map(|(got, want)| (got - want).abs() / want.abs().max(1.0))
-                .fold(0.0f64, f64::max);
-        if worst > 1e-9 {
-            println!("oracle\tVIOLATION\t{tag}: diff {worst:.2e} vs CPU reference");
-            *violations += 1;
-        }
-        runs.push(r);
-    }
-    let (tick, event) = (&runs[0], &runs[1]);
-    if tick.run.dram_cycles != event.run.dram_cycles || tick.y != event.y {
-        println!(
-            "tiers\tVIOLATION\t{tag}: tick {} vs event {} cycles",
-            tick.run.dram_cycles, event.run.dram_cycles
-        );
+    let mut dev = device.clone();
+    dev.validate = true;
+    let r = SpmvPim::new(dev, Precision::Fp64)
+        .with_layout(layout)
+        .run(a, x)
+        .unwrap_or_else(|e| panic!("{tag}: simulation failed: {e}"));
+    for failure in audit_run(&r.run) {
+        println!("audit\tVIOLATION\t{tag}: {failure}");
         *violations += 1;
     }
-    tick.run.dram_cycles
+    let worst =
+        r.y.iter()
+            .zip(reference)
+            .map(|(got, want)| (got - want).abs() / want.abs().max(1.0))
+            .fold(0.0f64, f64::max);
+    if worst > 1e-9 {
+        println!("oracle\tVIOLATION\t{tag}: diff {worst:.2e} vs CPU reference");
+        *violations += 1;
+    }
+    r.run.dram_cycles
 }
 
 fn main() {
@@ -147,32 +130,21 @@ fn main() {
     let device = PimDevice::tiny(2);
     let mut violations = 0usize;
 
-    // --- gate 1: the layout × adversarial-shape oracle, both tiers -----
-    let mut oracle_cases = [0usize; 2];
-    for (slot, tier) in [EngineTier::Tick, EngineTier::Event]
-        .into_iter()
-        .enumerate()
-    {
-        let mut dev = device.clone();
-        dev.tier = tier;
-        let report = run_layout_oracle(&dev, 48, 0xA070).expect("layout oracle must run");
-        oracle_cases[slot] = report.cases.len();
-        for case in report.cases.iter().filter(|c| !c.pass) {
-            println!(
-                "oracle\tVIOLATION\t{} {}: err {:.2e} (tol {:.0e}), audit: {}",
-                case.kernel,
-                case.matrix,
-                case.max_err,
-                case.tolerance,
-                case.audit.join("; ")
-            );
-            violations += 1;
-        }
+    // --- gate 1: the layout × adversarial-shape oracle ------------------
+    let oracle = run_layout_oracle(&device, 48, 0xA070).expect("layout oracle must run");
+    for case in oracle.cases.iter().filter(|c| !c.pass) {
+        println!(
+            "oracle\tVIOLATION\t{} {}: err {:.2e} (tol {:.0e}), audit: {}",
+            case.kernel,
+            case.matrix,
+            case.max_err,
+            case.tolerance,
+            case.audit.join("; ")
+        );
+        violations += 1;
     }
-    println!(
-        "oracle\t{} tick + {} event layout cases",
-        oracle_cases[0], oracle_cases[1]
-    );
+    let oracle_cases = oracle.cases.len();
+    println!("oracle\t{oracle_cases} layout cases");
 
     // --- gates 2-4: the ablation sweep ---------------------------------
     let grid = layout_grid();
@@ -300,8 +272,7 @@ fn main() {
         rank_pairs,
         rank_agreements,
         rank_agreement,
-        oracle_cases_tick: oracle_cases[0],
-        oracle_cases_event: oracle_cases[1],
+        oracle_cases,
         violations,
     };
     let json = report.to_json();
@@ -318,5 +289,5 @@ fn main() {
         eprintln!("ablation-autotune: {violations} gate violation(s)");
         std::process::exit(1);
     }
-    println!("ablation-autotune: tuned layouts win, every execution verified on both tiers");
+    println!("ablation-autotune: tuned layouts win, every execution verified");
 }

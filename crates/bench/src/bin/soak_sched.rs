@@ -3,8 +3,8 @@
 //!
 //! Replays a heavy-tailed multi-tenant open-arrival trace (Poisson
 //! background traffic plus same-matrix bursts) through the service
-//! front-end twice — fusion ON and fusion OFF — on the event-driven
-//! engine tier, and reports sustained jobs/sec, per-class p50/p99/p999
+//! front-end twice — fusion ON and fusion OFF — and reports sustained
+//! jobs/sec, per-class p50/p99/p999
 //! latency, fusion rate, steal counts and matrix-store evictions. The
 //! trace is generated by a single producer thread from a fixed seed, so
 //! both runs admit exactly the same job stream and the comparison is
@@ -30,7 +30,6 @@ use psim_sched::{
     ServiceConfig, ServiceStats,
 };
 use psim_sparse::gen;
-use psyncpim_core::EngineTier;
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -189,9 +188,7 @@ fn class_rows(stats: &ServiceStats) -> Vec<ClassRow> {
 /// drains it. Returns the service report plus store evictions.
 #[allow(clippy::cast_precision_loss)]
 fn run_soak(jobs: usize, fusion: usize) -> RunRow {
-    let mut device = PimDevice::tiny(SHARDS);
-    device.tier = EngineTier::Event;
-    let cfg = ExecutorConfig::sharded(device, SHARDS).with_fusion(fusion);
+    let cfg = ExecutorConfig::sharded(PimDevice::tiny(SHARDS), SHARDS).with_fusion(fusion);
     let svc = Service::new(ServiceConfig::new(cfg)).expect("shards divide channels");
     let queue = Arc::new(JobQueue::bounded(1024));
 

@@ -10,7 +10,7 @@
 //! worker threads, merging [`ChannelOutcome`]s in channel order so the
 //! result is bit-identical either way.
 
-use super::{EngineConfig, EngineTier, ExecMode, TraceEvent};
+use super::{EngineConfig, ExecMode, TraceEvent};
 use crate::error::CoreError;
 use crate::isa::Program;
 use crate::memory::{BankMemory, Binding};
@@ -103,15 +103,14 @@ impl Attr {
 
     /// Advance every cursor to `to` (all-bank lockstep spans): the bus
     /// gets `cat`; a PU that has already exited idles post-CEXIT instead.
-    ///
-    /// Exit state comes from the driver's consumed-offer flags, not the
-    /// units themselves: the event tier's interpreter runs ahead of the
-    /// timing loop, so `pus[i].exited()` may already be true for a unit
-    /// that (on the command timeline) has offers still in flight.
-    fn span_all(&mut self, to: u64, cat: Category, exited: &[bool]) {
+    fn span_all(&mut self, to: u64, cat: Category, pus: &[ProcessingUnit]) {
         self.bus_span(to, cat);
-        for (i, &ex) in exited.iter().enumerate() {
-            let c = if ex { Category::PostExitIdle } else { cat };
+        for (i, pu) in pus.iter().enumerate() {
+            let c = if pu.exited() {
+                Category::PostExitIdle
+            } else {
+                cat
+            };
             self.pu_span(i, to, c);
         }
     }
@@ -205,17 +204,6 @@ impl Attr {
     }
 }
 
-/// Build the outcome's attribution fields from a finished accumulator.
-fn finish_attr(attr: Option<Attr>, cycles: u64) -> (Option<ChannelMetrics>, Vec<StallEvent>, u64) {
-    match attr {
-        Some(a) => {
-            let (m, e, d) = a.finish(cycles);
-            (Some(m), e, d)
-        }
-        None => (None, Vec::new(), 0),
-    }
-}
-
 /// Bounded command-trace sink: records up to `limit` events and counts the
 /// overflow instead of growing without bound on long kernels.
 struct TraceBuf {
@@ -247,74 +235,109 @@ impl TraceBuf {
     }
 }
 
-/// The channel model behind a replay, selected by
-/// [`EngineConfig::tier`](super::EngineConfig): the tick tier's two-pass
-/// earliest+issue full channel, or the event tier's single-pass variants —
-/// the representative-bank [`AbChannel`] for all-bank lockstep, the full
-/// channel's fused `issue_earliest_fast` for per-bank scopes. All three
-/// pick identical cycles (cross-checked in `psim_dram::fastab`), so the
-/// command stream is tier-independent.
-enum Issuer {
-    Tick(Channel),
-    Fast(Channel),
-    FastAb(AbChannel),
+/// The DRAM channel model behind a replay: the representative-bank
+/// [`AbChannel`] for all-bank lockstep, the full [`Channel`] for per-bank
+/// scopes. Both pick the cycles the full channel's two-pass `earliest` +
+/// `issue` would (cross-checked in `psim_dram::fastab`).
+trait ChannelModel {
+    fn issue_earliest(
+        &mut self,
+        scope: Scope,
+        cmd: CmdKind,
+        from: u64,
+    ) -> Result<Issued, IssueError>;
+    fn stats(&self) -> &ChannelStats;
 }
 
-impl Issuer {
-    fn new(cfg: &EngineConfig) -> Self {
-        match (cfg.tier, cfg.mode) {
-            (EngineTier::Tick, _) => Issuer::Tick(Channel::new(&cfg.hbm)),
-            (EngineTier::Event, ExecMode::AllBank) => Issuer::FastAb(AbChannel::new(&cfg.hbm)),
-            (EngineTier::Event, ExecMode::PerBank) => Issuer::Fast(Channel::new(&cfg.hbm)),
-        }
-    }
-
+impl ChannelModel for Channel {
     fn issue_earliest(
         &mut self,
         scope: Scope,
         cmd: CmdKind,
         from: u64,
     ) -> Result<Issued, IssueError> {
-        match self {
-            Issuer::Tick(c) => c.issue_earliest(scope, cmd, from),
-            Issuer::Fast(c) => c.issue_earliest_fast(scope, cmd, from),
-            Issuer::FastAb(c) => {
-                debug_assert!(matches!(scope, Scope::AllBanks));
-                c.issue_earliest(cmd, from)
-            }
-        }
+        Channel::issue_earliest(self, scope, cmd, from)
     }
 
     fn stats(&self) -> &ChannelStats {
-        match self {
-            Issuer::Tick(c) | Issuer::Fast(c) => c.stats(),
-            Issuer::FastAb(c) => c.stats(),
-        }
+        Channel::stats(self)
     }
 }
 
-/// Issue a command, optionally recording it and feeding it to the
-/// independent protocol checker.
-fn issue_traced(
-    channel: &mut Issuer,
-    trace: &mut TraceBuf,
-    checker: &mut Option<ProtocolChecker>,
-    ch: usize,
-    scope: Scope,
-    cmd: CmdKind,
-    from: u64,
-) -> Result<psim_dram::Issued, IssueError> {
-    let issued = channel.issue_earliest(scope, cmd, from)?;
-    trace.record(TraceEvent {
-        channel: ch,
-        cycle: issued.issue_cycle,
-        scope,
-        cmd,
-    });
-    if let Some(c) = checker.as_mut() {
-        c.observe(issued.issue_cycle, scope, cmd);
+impl ChannelModel for AbChannel {
+    fn issue_earliest(
+        &mut self,
+        scope: Scope,
+        cmd: CmdKind,
+        from: u64,
+    ) -> Result<Issued, IssueError> {
+        debug_assert!(matches!(scope, Scope::AllBanks));
+        AbChannel::issue_earliest(self, cmd, from)
     }
-    Ok(issued)
+
+    fn stats(&self) -> &ChannelStats {
+        AbChannel::stats(self)
+    }
+}
+
+/// One channel's command port: every command issues through the channel
+/// model, then goes to the bounded trace and the independent checker.
+struct Port<M> {
+    channel: M,
+    ch: usize,
+    trace: TraceBuf,
+    checker: Option<ProtocolChecker>,
+}
+
+impl<M: ChannelModel> Port<M> {
+    fn new(channel: M, cfg: &EngineConfig, ch: usize) -> Self {
+        Port {
+            channel,
+            ch,
+            trace: TraceBuf::new(cfg),
+            checker: make_checker(cfg, ch),
+        }
+    }
+
+    /// Issue `cmd` at the earliest legal cycle at or after `from`.
+    fn issue(&mut self, scope: Scope, cmd: CmdKind, from: u64) -> Result<Issued, CoreError> {
+        let issued = self
+            .channel
+            .issue_earliest(scope, cmd, from)
+            .map_err(|e| CoreError::Execution(e.to_string()))?;
+        self.trace.record(TraceEvent {
+            channel: self.ch,
+            cycle: issued.issue_cycle,
+            scope,
+            cmd,
+        });
+        if let Some(c) = self.checker.as_mut() {
+            c.observe(issued.issue_cycle, scope, cmd);
+        }
+        Ok(issued)
+    }
+
+    /// Close the channel's books at its wall-clock `cycles`.
+    fn finish(self, cycles: u64, rounds: u64, attr: Option<Attr>) -> ChannelOutcome {
+        let (metrics, stall_events, stall_events_dropped) = match attr {
+            Some(a) => {
+                let (m, e, d) = a.finish(cycles);
+                (Some(m), e, d)
+            }
+            None => (None, Vec::new(), 0),
+        };
+        ChannelOutcome {
+            cycles,
+            stats: *self.channel.stats(),
+            rounds,
+            trace: self.trace.events,
+            trace_dropped: self.trace.dropped,
+            check: self.checker.map(|c| c.finish(cycles)),
+            metrics,
+            stall_events,
+            stall_events_dropped,
+        }
+    }
 }
 
 /// An independent checker for this channel when self-auditing is on. The
@@ -360,10 +383,9 @@ fn slot_advance(ins: &crate::isa::Instruction) -> (usize, usize) {
 }
 
 /// Resolve a slot's cursor to the DRAM row to open and the column within
-/// it. Shared by every replay path (tick/event × all-bank/per-bank) so the
-/// four formerly-duplicated decode sites cannot drift apart, and checked:
-/// a cursor that has run past the `u32` row space aborts the run instead
-/// of silently truncating into a bogus row.
+/// it. Shared by both replay paths so their decode cannot drift apart,
+/// and checked: a cursor that has run past the `u32` row space aborts the
+/// run instead of silently truncating into a bogus row.
 fn decode_slot_addr(
     start_row: u32,
     cursor: usize,
@@ -389,110 +411,74 @@ fn decode_slot_addr(
     Ok((want_row, col))
 }
 
-/// A parked-slot cache entry meaning "unknown / not parked": the next
-/// offer must go through the interpreter.
+/// A parked-slot cache entry meaning "not parked": the next offer must go
+/// through the interpreter.
 const NOT_PARKED: usize = usize::MAX;
 
-/// Tier-agnostic PU stepping front-end.
+/// PU stepping front-end with parked-slot predication.
 ///
-/// Under partially synchronous execution every offer a bank sees is
-/// determined by the fixed cyclic command schedule alone — the timing loop
-/// decides *when* commands issue, never *which* PU steps next. The tick
-/// tier steps the interpreter on every offer. The event tier skips it
-/// whenever the outcome is already known without running it:
-///
-/// * a live unit parked at memory slot `m` ([`ProcessingUnit::parked_memory_slot`])
-///   offered any `slot != m` only bumps `predicated_off` and reports
-///   `OutOfPhase` — synthesized here from the cached parked slot;
-/// * an exited unit only bumps `predicated_off` and reports `Exited`.
-///
-/// Everything else (the schedule reaching the parked slot) steps the
-/// alloc-free interpreter ([`ProcessingUnit::on_command_fast`]) and
-/// refreshes the cache. Most offers in a partially synchronous stream are
-/// predications — the whole point of the execution model — so this removes
-/// the interpreter from the common case entirely.
-///
-/// `exited`/`live` track exit state *as consumed by the timing loop* —
-/// exactly what `pus[i].exited()` reads as on the tick path — so round
-/// bookkeeping, attribution and loop termination are tier-independent.
+/// Under partially synchronous execution the timing loop decides *when*
+/// commands issue, never *which* PU steps next: every offer a bank sees is
+/// fixed by the cyclic command schedule. Most offers are predications, the
+/// point of the execution model (§IV-E): a live unit parked at memory slot
+/// `m` ([`ProcessingUnit::parked_memory_slot`]) offered any `slot != m`
+/// only bumps `predicated_off` and reports `OutOfPhase`. The driver caches
+/// each unit's parked slot and synthesizes that report; an offer that
+/// reaches the parked slot, or goes to a unit that is not parked, steps
+/// the interpreter, which then refreshes the cache.
 struct PuDriver<'a> {
     pus: &'a mut [ProcessingUnit],
     mems: &'a mut [BankMemory],
-    exited: Vec<bool>,
+    /// Units that have not exited.
     live: usize,
-    /// Event tier only: per-bank parked memory slot, [`NOT_PARKED`] when
-    /// the unit must be stepped through the interpreter.
-    parked: Option<Vec<usize>>,
+    /// Per-bank parked memory slot, [`NOT_PARKED`] when the next offer
+    /// must step the interpreter.
+    parked: Vec<usize>,
 }
 
 impl<'a> PuDriver<'a> {
-    fn new(tier: EngineTier, pus: &'a mut [ProcessingUnit], mems: &'a mut [BankMemory]) -> Self {
+    fn new(pus: &'a mut [ProcessingUnit], mems: &'a mut [BankMemory]) -> Self {
         let n = pus.len();
         PuDriver {
             pus,
             mems,
-            exited: vec![false; n],
             live: n,
-            parked: matches!(tier, EngineTier::Event).then(|| vec![NOT_PARKED; n]),
+            parked: vec![NOT_PARKED; n],
         }
     }
 
     /// Run every unit's free prelude (control/compute instructions before
-    /// the first memory slot) and record prelude exits.
+    /// the first memory slot) and count prelude exits.
     fn prelude(&mut self) {
         for b in 0..self.pus.len() {
             self.pus[b].run_free(&mut self.mems[b]);
             if self.pus[b].exited() {
-                self.exited[b] = true;
                 self.live -= 1;
-            } else if let Some(parked) = &mut self.parked {
-                parked[b] = self.pus[b].parked_memory_slot().unwrap_or(NOT_PARKED);
+            } else {
+                self.parked[b] = self.pus[b].parked_memory_slot().unwrap_or(NOT_PARKED);
             }
         }
     }
 
     /// Offer the command at `slot` to bank `b` and return its report.
-    /// Updates the consumed-offer exit flags; exit-*round* bookkeeping
-    /// stays with the caller (the two exec modes time-stamp it
-    /// differently).
+    /// Exit-*round* bookkeeping stays with the caller (the two exec modes
+    /// time-stamp it differently).
     fn step(&mut self, b: usize, slot: usize) -> StepReport {
-        let Some(parked) = &mut self.parked else {
-            let rep = self.pus[b].on_command(slot, &mut self.mems[b]);
-            if !self.exited[b] && self.pus[b].exited() {
-                self.exited[b] = true;
-                self.live -= 1;
-            }
-            return rep;
-        };
-        if self.exited[b] {
-            // Post-exit offers on the tick path still run the interpreter
-            // far enough to count a predication; reproduce the count.
-            self.pus[b].note_predicated_off(1);
-            return StepReport {
-                executed: false,
-                pu_cycles: 0,
-                outcome: StepOutcome::Exited,
-            };
-        }
-        let m = parked[b];
+        let m = self.parked[b];
         if m != NOT_PARKED && m != slot {
-            // Parked unit, foreign slot: a pure predication (see
-            // `parked_memory_slot`); the interpreter would change nothing
-            // but this counter.
-            self.pus[b].note_predicated_off(1);
+            self.pus[b].note_predicated_off();
             return StepReport {
                 executed: false,
                 pu_cycles: 0,
                 outcome: StepOutcome::OutOfPhase,
             };
         }
-        let rep = self.pus[b].on_command_fast(slot, &mut self.mems[b]);
-        if self.pus[b].exited() {
-            self.exited[b] = true;
+        let was_live = !self.pus[b].exited();
+        let rep = self.pus[b].on_command(slot, &mut self.mems[b]);
+        if was_live && self.pus[b].exited() {
             self.live -= 1;
-        } else {
-            parked[b] = self.pus[b].parked_memory_slot().unwrap_or(NOT_PARKED);
         }
+        self.parked[b] = self.pus[b].parked_memory_slot().unwrap_or(NOT_PARKED);
         rep
     }
 }
@@ -519,15 +505,14 @@ fn run_channel_allbank(
     pus: &mut [ProcessingUnit],
     mems: &mut [BankMemory],
 ) -> Result<ChannelOutcome, CoreError> {
+    const AB: Scope = Scope::AllBanks;
     let cfg = ctx.cfg;
     let program = ctx.program;
-    let mut channel = Issuer::new(cfg);
-    let mut trace = TraceBuf::new(cfg);
-    let mut checker = make_checker(cfg, ch);
+    let mut port = Port::new(AbChannel::new(&cfg.hbm), cfg, ch);
     let row_bytes = cfg.hbm.row_bytes();
     let col_bytes = cfg.hbm.col_bytes;
     let nbanks = pus.len();
-    let mut driver = PuDriver::new(cfg.tier, pus, mems);
+    let mut driver = PuDriver::new(pus, mems);
     let mut attr = cfg
         .attribute
         .then(|| Attr::new(ch, nbanks, cfg.event_limit));
@@ -537,20 +522,10 @@ fn run_channel_allbank(
     // Mode switching (SB→AB→AB-PIM) + CRF programming as MRS commands.
     let setup_cmds = 2 * psim_dram::mode::SWITCH_SEQUENCE_LEN + program.len();
     for _ in 0..setup_cmds {
-        now = issue_traced(
-            &mut channel,
-            &mut trace,
-            &mut checker,
-            ch,
-            Scope::AllBanks,
-            CmdKind::Mrs,
-            now,
-        )
-        .map_err(|e| CoreError::Execution(e.to_string()))?
-        .issue_cycle;
+        now = port.issue(AB, CmdKind::Mrs, now)?.issue_cycle;
     }
     if let Some(a) = attr.as_mut() {
-        a.span_all(now, Category::Setup, &driver.exited);
+        a.span_all(now, Category::Setup, driver.pus);
     }
 
     driver.prelude();
@@ -587,33 +562,13 @@ fn run_channel_allbank(
         for &slot in ctx.schedule {
             if cfg.refresh && now >= next_refresh {
                 if open_row.is_some() {
-                    now = issue_traced(
-                        &mut channel,
-                        &mut trace,
-                        &mut checker,
-                        ch,
-                        Scope::AllBanks,
-                        CmdKind::Pre,
-                        now,
-                    )
-                    .map_err(|e| CoreError::Execution(e.to_string()))?
-                    .issue_cycle;
+                    now = port.issue(AB, CmdKind::Pre, now)?.issue_cycle;
                     open_row = None;
                 }
-                now = issue_traced(
-                    &mut channel,
-                    &mut trace,
-                    &mut checker,
-                    ch,
-                    Scope::AllBanks,
-                    CmdKind::Ref,
-                    now,
-                )
-                .map_err(|e| CoreError::Execution(e.to_string()))?
-                .issue_cycle;
+                now = port.issue(AB, CmdKind::Ref, now)?.issue_cycle;
                 next_refresh = now + t_refi;
                 if let Some(a) = attr.as_mut() {
-                    a.span_all(now, Category::RefreshShadow, &driver.exited);
+                    a.span_all(now, Category::RefreshShadow, driver.pus);
                 }
             }
             let ins = &program[slot];
@@ -629,32 +584,14 @@ fn run_channel_allbank(
                 decode_slot_addr(start_row, cursors[slot], elem_bytes, row_bytes, col_bytes)?;
             if open_row != Some(want_row) {
                 if open_row.is_some() {
-                    now = issue_traced(
-                        &mut channel,
-                        &mut trace,
-                        &mut checker,
-                        ch,
-                        Scope::AllBanks,
-                        CmdKind::Pre,
-                        now,
-                    )
-                    .map_err(|e| CoreError::Execution(e.to_string()))?
-                    .issue_cycle;
+                    now = port.issue(AB, CmdKind::Pre, now)?.issue_cycle;
                 }
-                now = issue_traced(
-                    &mut channel,
-                    &mut trace,
-                    &mut checker,
-                    ch,
-                    Scope::AllBanks,
-                    CmdKind::Act { row: want_row },
-                    now,
-                )
-                .map_err(|e| CoreError::Execution(e.to_string()))?
-                .issue_cycle;
+                now = port
+                    .issue(AB, CmdKind::Act { row: want_row }, now)?
+                    .issue_cycle;
                 open_row = Some(want_row);
                 if let Some(a) = attr.as_mut() {
-                    a.span_all(now, Category::RowSwitchWait, &driver.exited);
+                    a.span_all(now, Category::RowSwitchWait, driver.pus);
                 }
             }
             let kind = if ins.writes_bank() {
@@ -662,16 +599,7 @@ fn run_channel_allbank(
             } else {
                 CmdKind::Rd { col }
             };
-            let issued = issue_traced(
-                &mut channel,
-                &mut trace,
-                &mut checker,
-                ch,
-                Scope::AllBanks,
-                kind,
-                now,
-            )
-            .map_err(|e| CoreError::Execution(e.to_string()))?;
+            let issued = port.issue(AB, kind, now)?;
             now = issued.issue_cycle;
 
             let mut max_busy = 0u64;
@@ -679,10 +607,10 @@ fn run_channel_allbank(
                 step_buf.clear();
             }
             for b in 0..nbanks {
-                let was_exited = driver.exited[b];
+                let was_exited = driver.pus[b].exited();
                 let rep = driver.step(b, slot);
                 max_busy = max_busy.max(rep.pu_cycles);
-                if !was_exited && driver.exited[b] {
+                if !was_exited && driver.pus[b].exited() {
                     driver.pus[b].mark_exit_round(rounds);
                 }
                 if attr.is_some() {
@@ -711,19 +639,9 @@ fn run_channel_allbank(
         } else {
             CmdKind::Mrs
         };
-        now = issue_traced(
-            &mut channel,
-            &mut trace,
-            &mut checker,
-            ch,
-            Scope::AllBanks,
-            poll,
-            now,
-        )
-        .map_err(|e| CoreError::Execution(e.to_string()))?
-        .issue_cycle;
+        now = port.issue(AB, poll, now)?.issue_cycle;
         if let Some(a) = attr.as_mut() {
-            a.span_all(now, Category::HostSync, &driver.exited);
+            a.span_all(now, Category::HostSync, driver.pus);
         }
     }
     // PUs that exited during the free prelude never went through the
@@ -734,49 +652,18 @@ fn run_channel_allbank(
         }
     }
     if open_row.is_some() {
-        now = issue_traced(
-            &mut channel,
-            &mut trace,
-            &mut checker,
-            ch,
-            Scope::AllBanks,
-            CmdKind::Pre,
-            now,
-        )
-        .map_err(|e| CoreError::Execution(e.to_string()))?
-        .issue_cycle;
+        now = port.issue(AB, CmdKind::Pre, now)?.issue_cycle;
     }
     // Switch back to SB mode.
     for _ in 0..2 * psim_dram::mode::SWITCH_SEQUENCE_LEN {
-        now = issue_traced(
-            &mut channel,
-            &mut trace,
-            &mut checker,
-            ch,
-            Scope::AllBanks,
-            CmdKind::Mrs,
-            now,
-        )
-        .map_err(|e| CoreError::Execution(e.to_string()))?
-        .issue_cycle;
+        now = port.issue(AB, CmdKind::Mrs, now)?.issue_cycle;
     }
     if let Some(a) = attr.as_mut() {
         // Teardown precharge + SB switch: bus does setup work, every PU
         // (all exited by now) idles post-CEXIT via span_all.
-        a.span_all(now, Category::Setup, &driver.exited);
+        a.span_all(now, Category::Setup, driver.pus);
     }
-    let (metrics, stall_events, stall_events_dropped) = finish_attr(attr, now);
-    Ok(ChannelOutcome {
-        cycles: now,
-        stats: *channel.stats(),
-        rounds,
-        trace: trace.events,
-        trace_dropped: trace.dropped,
-        check: checker.map(|c| c.finish(now)),
-        metrics,
-        stall_events,
-        stall_events_dropped,
-    })
+    Ok(port.finish(now, rounds, attr))
 }
 
 /// Per-bank round-robin issue state (one per bank of the channel).
@@ -798,14 +685,16 @@ fn run_channel_perbank(
     let cfg = ctx.cfg;
     let program = ctx.program;
     let schedule = ctx.schedule;
-    let mut channel = Issuer::new(cfg);
-    let mut trace = TraceBuf::new(cfg);
-    let mut checker = make_checker(cfg, ch);
+    let mut port = Port::new(Channel::new(&cfg.hbm), cfg, ch);
     let row_bytes = cfg.hbm.row_bytes();
     let col_bytes = cfg.hbm.col_bytes;
     let nbanks = pus.len();
     let banks_per_group = cfg.hbm.banks_per_group;
-    let mut driver = PuDriver::new(cfg.tier, pus, mems);
+    let bank_scope = |b: usize| Scope::OneBank {
+        bg: b / banks_per_group,
+        ba: b % banks_per_group,
+    };
+    let mut driver = PuDriver::new(pus, mems);
     let mut attr = cfg
         .attribute
         .then(|| Attr::new(ch, nbanks, cfg.event_limit));
@@ -814,25 +703,12 @@ fn run_channel_perbank(
     let mut now: u64 = 0;
     let setup_cmds = (2 * psim_dram::mode::SWITCH_SEQUENCE_LEN + program.len()) * nbanks;
     for i in 0..setup_cmds {
-        let b = i % nbanks;
-        let scope = Scope::OneBank {
-            bg: b / banks_per_group,
-            ba: b % banks_per_group,
-        };
-        now = issue_traced(
-            &mut channel,
-            &mut trace,
-            &mut checker,
-            ch,
-            scope,
-            CmdKind::Mrs,
-            now,
-        )
-        .map_err(|e| CoreError::Execution(e.to_string()))?
-        .issue_cycle;
+        now = port
+            .issue(bank_scope(i % nbanks), CmdKind::Mrs, now)?
+            .issue_cycle;
     }
     if let Some(a) = attr.as_mut() {
-        a.span_all(now, Category::Setup, &driver.exited);
+        a.span_all(now, Category::Setup, driver.pus);
     }
 
     let init_cursors: Vec<usize> = (0..program.len())
@@ -868,38 +744,17 @@ fn run_channel_perbank(
         if cfg.refresh && floor >= next_refresh {
             for (i, ctl) in ctls.iter_mut().enumerate() {
                 if ctl.open_row.is_some() {
-                    let scope = Scope::OneBank {
-                        bg: i / banks_per_group,
-                        ba: i % banks_per_group,
-                    };
-                    let from = ctl.ready.max(floor);
-                    let p = issue_traced(
-                        &mut channel,
-                        &mut trace,
-                        &mut checker,
-                        ch,
-                        scope,
-                        CmdKind::Pre,
-                        from,
-                    )
-                    .map_err(|e| CoreError::Execution(e.to_string()))?
-                    .issue_cycle;
+                    let p = port
+                        .issue(bank_scope(i), CmdKind::Pre, ctl.ready.max(floor))?
+                        .issue_cycle;
                     floor = floor.max(p);
                     ctl.open_row = None;
                     ctl.ready = ctl.ready.max(p);
                 }
             }
-            let r = issue_traced(
-                &mut channel,
-                &mut trace,
-                &mut checker,
-                ch,
-                Scope::AllBanks,
-                CmdKind::Ref,
-                floor,
-            )
-            .map_err(|e| CoreError::Execution(e.to_string()))?
-            .issue_cycle;
+            let r = port
+                .issue(Scope::AllBanks, CmdKind::Ref, floor)?
+                .issue_cycle;
             for ctl in &mut ctls {
                 ctl.ready = ctl.ready.max(r);
             }
@@ -908,7 +763,7 @@ fn run_channel_perbank(
             if let Some(a) = attr.as_mut() {
                 a.bus_span(floor, Category::RefreshShadow);
                 for (i, ctl) in ctls.iter().enumerate() {
-                    let c = if driver.exited[i] {
+                    let c = if driver.pus[i].exited() {
                         Category::PostExitIdle
                     } else {
                         Category::RefreshShadow
@@ -919,7 +774,7 @@ fn run_channel_perbank(
         }
         let mut any_active = false;
         for (i, ctl) in ctls.iter_mut().enumerate() {
-            if driver.exited[i] {
+            if driver.pus[i].exited() {
                 continue;
             }
             any_active = true;
@@ -943,10 +798,7 @@ fn run_channel_perbank(
                 row_bytes,
                 col_bytes,
             )?;
-            let scope = Scope::OneBank {
-                bg: i / banks_per_group,
-                ba: i % banks_per_group,
-            };
+            let scope = bank_scope(i);
             let mut t = ctl.ready.max(floor);
             if let Some(a) = attr.as_mut() {
                 // The bank waited for the shared command bus to reach it.
@@ -955,29 +807,11 @@ fn run_channel_perbank(
             let mut switched_at: Option<u64> = None;
             if ctl.open_row != Some(want_row) {
                 if ctl.open_row.is_some() {
-                    t = issue_traced(
-                        &mut channel,
-                        &mut trace,
-                        &mut checker,
-                        ch,
-                        scope,
-                        CmdKind::Pre,
-                        t,
-                    )
-                    .map_err(|e| CoreError::Execution(e.to_string()))?
-                    .issue_cycle;
+                    t = port.issue(scope, CmdKind::Pre, t)?.issue_cycle;
                 }
-                t = issue_traced(
-                    &mut channel,
-                    &mut trace,
-                    &mut checker,
-                    ch,
-                    scope,
-                    CmdKind::Act { row: want_row },
-                    t,
-                )
-                .map_err(|e| CoreError::Execution(e.to_string()))?
-                .issue_cycle;
+                t = port
+                    .issue(scope, CmdKind::Act { row: want_row }, t)?
+                    .issue_cycle;
                 ctl.open_row = Some(want_row);
                 switched_at = Some(t);
             }
@@ -986,8 +820,7 @@ fn run_channel_perbank(
             } else {
                 CmdKind::Rd { col }
             };
-            let issued = issue_traced(&mut channel, &mut trace, &mut checker, ch, scope, kind, t)
-                .map_err(|e| CoreError::Execution(e.to_string()))?;
+            let issued = port.issue(scope, kind, t)?;
             floor = floor.max(issued.issue_cycle);
 
             let rep = driver.step(i, slot);
@@ -1016,7 +849,7 @@ fn run_channel_perbank(
                 ctl.rounds += 1;
                 max_rounds = max_rounds.max(ctl.rounds);
             }
-            if driver.exited[i] {
+            if driver.pus[i].exited() {
                 driver.pus[i].mark_exit_round(ctl.rounds);
             }
         }
@@ -1038,16 +871,5 @@ fn run_channel_perbank(
         .max()
         .unwrap_or(floor)
         .max(floor);
-    let (metrics, stall_events, stall_events_dropped) = finish_attr(attr, end);
-    Ok(ChannelOutcome {
-        cycles: end,
-        stats: *channel.stats(),
-        rounds: max_rounds,
-        trace: trace.events,
-        trace_dropped: trace.dropped,
-        check: checker.map(|c| c.finish(end)),
-        metrics,
-        stall_events,
-        stall_events_dropped,
-    })
+    Ok(port.finish(end, max_rounds, attr))
 }

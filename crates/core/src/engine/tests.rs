@@ -306,10 +306,12 @@ fn trace_limit_caps_events_and_counts_drops() {
 
 #[test]
 fn parallel_run_is_bit_identical_to_serial() {
-    let run = |workers: usize, trace: bool| {
-        let mut cfg = small_cfg(ExecMode::AllBank);
-        cfg.record_trace = trace;
+    // Every auditing feature on, so nothing is compared away.
+    let run = |mode: ExecMode, workers: usize| {
+        let mut cfg = small_cfg(mode);
+        cfg.record_trace = true;
         cfg.attribute = true;
+        cfg.validate = true;
         let mut engine = Engine::new(cfg);
         let n = 16;
         let per_bank = per_bank_entries(engine.num_banks(), n);
@@ -328,11 +330,14 @@ fn parallel_run_is_bit_identical_to_serial() {
             .collect();
         (report, ys)
     };
-    let (serial, ys_serial) = run(1, true);
-    for workers in [2, 4, 7] {
-        let (parallel, ys_par) = run(workers, true);
-        assert_eq!(serial, parallel, "{workers} workers");
-        assert_eq!(ys_serial, ys_par, "{workers} workers");
+    for mode in [ExecMode::AllBank, ExecMode::PerBank] {
+        let (serial, ys_serial) = run(mode, 1);
+        assert_eq!(serial.violation_count(), 0, "{mode:?}");
+        for workers in [2, 4, 7] {
+            let (parallel, ys_par) = run(mode, workers);
+            assert_eq!(serial, parallel, "{mode:?}, {workers} workers");
+            assert_eq!(ys_serial, ys_par, "{mode:?}, {workers} workers");
+        }
     }
 }
 
@@ -686,53 +691,4 @@ fn pu_audit_flags_inconsistent_claims() {
         "{audit:?}"
     );
     assert!(audit.iter().any(|f| f.contains("bank bursts")), "{audit:?}");
-}
-
-#[test]
-fn event_tier_is_bit_identical_to_tick() {
-    // Full-report equality (cycles, commands, energy, trace, attribution,
-    // checker findings) plus final memory equality, across both exec
-    // modes and both serial and parallel execution, with every auditing
-    // feature enabled so nothing is compared away.
-    let run = |mode: ExecMode, tier: EngineTier, workers: usize| {
-        let mut cfg = small_cfg(mode);
-        cfg.record_trace = true;
-        cfg.attribute = true;
-        cfg.validate = true;
-        cfg.tier = tier;
-        let mut engine = Engine::new(cfg);
-        let n = 16;
-        let per_bank = per_bank_entries(engine.num_banks(), n);
-        let x: Vec<f64> = (0..n).map(|i| 0.25 + i as f64).collect();
-        let bindings = setup_spmv(&mut engine, &per_bank, &x, n);
-        engine
-            .load_kernel(assemble(SPMV_ASM).unwrap(), bindings.clone())
-            .unwrap();
-        let report = if workers == 1 {
-            engine.run().unwrap()
-        } else {
-            engine.run_parallel(workers).unwrap()
-        };
-        let ys: Vec<Vec<f64>> = (0..engine.num_banks())
-            .map(|b| engine.mem(b).region(bindings[5].unwrap()).data().to_vec())
-            .collect();
-        (report, ys)
-    };
-    for mode in [ExecMode::AllBank, ExecMode::PerBank] {
-        let (tick, ys_tick) = run(mode, EngineTier::Tick, 1);
-        assert_eq!(tick.violation_count(), 0, "{mode:?} tick must be clean");
-        for workers in [1usize, 3] {
-            let (event, ys_event) = run(mode, EngineTier::Event, workers);
-            assert_eq!(tick, event, "{mode:?}, {workers} workers");
-            assert_eq!(ys_tick, ys_event, "{mode:?}, {workers} workers");
-        }
-    }
-}
-
-#[test]
-fn engine_tier_from_env_defaults_to_tick() {
-    // Guard the default: an unset/garbage PSIM_ENGINE must leave the
-    // reference tier in charge (the fast path is opt-in).
-    assert_eq!(EngineTier::default(), EngineTier::Tick);
-    assert_eq!(EngineConfig::default().tier, EngineTier::Tick);
 }

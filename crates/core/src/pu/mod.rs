@@ -13,8 +13,13 @@
 //! command passes over the unit without effect — the predicated execution
 //! of §IV-E. A unit that has taken `CEXIT` ignores all further commands
 //! while the host keeps driving the remaining units (§IV-D).
+//!
+//! The interpreter allocates nothing per step: every DRF holds at most one
+//! datapath pass ([`MAX_LANES`] elements), so gather buffers, dense
+//! operands and merge windows live on the stack or update registers in
+//! place. An all-bank command steps every PU of a channel, so this is the
+//! simulator's innermost loop.
 
-mod fast;
 mod queue;
 
 pub use queue::SpQueue;
@@ -29,6 +34,19 @@ use std::sync::Arc;
 
 /// DRAM command-clock cycles per PU cycle (1 GHz DRAM / 250 MHz PU).
 pub const DRAM_CYCLES_PER_PU_CYCLE: u64 = 4;
+
+/// Stack-buffer width in elements: the widest precision's lane count
+/// (INT8, 32 lanes). Every DRF write is at most one pass of some
+/// precision, so no register, gather or merge window is ever longer.
+const MAX_LANES: usize = Precision::Int8.lanes();
+
+/// The DRF an operand names; non-DRF operands alias register 0.
+fn drf_idx(op: Operand) -> usize {
+    match op {
+        Operand::Drf(i) => i as usize,
+        _ => 0,
+    }
+}
 
 /// How a unit disposed of one column command — the discriminator the
 /// attribution layer (psim-trace) classifies stall cycles with.
@@ -337,6 +355,29 @@ impl ProcessingUnit {
         ins.is_memory().then_some(self.pc)
     }
 
+    /// The memory slot this live unit is parked at, if any.
+    ///
+    /// After [`ProcessingUnit::run_free`] or any [`ProcessingUnit::on_command`]
+    /// return, a live unit's `pc` rests on a memory instruction unless a
+    /// compute instruction stalled (free instructions run to quiescence
+    /// inside those calls). Offering any *other* slot to a parked unit is
+    /// a pure predication: [`ProcessingUnit::on_command`] would only bump
+    /// `predicated_off` and report `{executed: false, pu_cycles: 0,
+    /// OutOfPhase}`, so the engine synthesizes that report instead of
+    /// stepping the interpreter. `None` for an exited or stalled unit.
+    pub(crate) fn parked_memory_slot(&self) -> Option<usize> {
+        if self.exited {
+            return None;
+        }
+        self.pending_slot()
+    }
+
+    /// Count one offer the engine predicated off without stepping the
+    /// interpreter (see [`ProcessingUnit::parked_memory_slot`]).
+    pub(crate) fn note_predicated_off(&mut self) {
+        self.stats.predicated_off += 1;
+    }
+
     // ---- internals -----------------------------------------------------
 
     fn exec_free(&mut self, ins: &Instruction) -> ExecOutcome {
@@ -387,14 +428,16 @@ impl ProcessingUnit {
                 op,
                 precision,
             } => {
-                let k = self.drf_of(src).len();
+                let (d, s) = (drf_idx(dst), drf_idx(src));
                 let srf = self.srf;
-                let out: Vec<f64> = self
-                    .drf_of(src)
-                    .iter()
-                    .map(|&v| precision.quantize(op.apply(v, srf)))
-                    .collect();
-                *self.drf_of_mut(dst) = out;
+                let k = self.drf[s].len();
+                if d != s {
+                    self.drf[d].truncate(k);
+                    self.drf[d].resize(k, 0.0);
+                }
+                for i in 0..k {
+                    self.drf[d][i] = precision.quantize(op.apply(self.drf[s][i], srf));
+                }
                 self.stats.lane_ops += k as u64;
                 self.pc += 1;
                 ExecOutcome::Done(1)
@@ -406,12 +449,10 @@ impl ProcessingUnit {
                 precision,
             } => self.exec_sspv(dst, src, op, precision),
             Instruction::Reduce { src, op, precision } => {
-                let folded = self
-                    .drf_of(src)
-                    .iter()
-                    .fold(op.identity(), |acc, &v| op.apply(acc, v));
+                let s = &self.drf[drf_idx(src)];
+                let folded = s.iter().fold(op.identity(), |acc, &v| op.apply(acc, v));
+                self.stats.lane_ops += s.len() as u64;
                 self.srf = precision.quantize(op.apply(self.srf, folded));
-                self.stats.lane_ops += self.drf_of(src).len() as u64;
                 self.pc += 1;
                 ExecOutcome::Done(1)
             }
@@ -422,18 +463,17 @@ impl ProcessingUnit {
                 op,
                 precision,
             } => {
-                let a = self.drf_of(src0).clone();
-                let b = self.drf_of(src1).clone();
-                let k = a.len().max(b.len());
-                let out: Vec<f64> = (0..k)
-                    .map(|i| {
-                        precision.quantize(op.apply(
-                            a.get(i).copied().unwrap_or(0.0),
-                            b.get(i).copied().unwrap_or(0.0),
-                        ))
-                    })
-                    .collect();
-                *self.drf_of_mut(dst) = out;
+                let (d, s0, s1) = (drf_idx(dst), drf_idx(src0), drf_idx(src1));
+                let k = self.drf[s0].len().max(self.drf[s1].len());
+                let mut buf = [0.0f64; MAX_LANES];
+                for (i, out) in buf.iter_mut().enumerate().take(k) {
+                    let a = self.drf[s0].get(i).copied().unwrap_or(0.0);
+                    let b = self.drf[s1].get(i).copied().unwrap_or(0.0);
+                    *out = precision.quantize(op.apply(a, b));
+                }
+                let dv = &mut self.drf[d];
+                dv.clear();
+                dv.extend_from_slice(&buf[..k]);
                 self.stats.lane_ops += k as u64;
                 self.pc += 1;
                 ExecOutcome::Done(1)
@@ -461,14 +501,23 @@ impl ProcessingUnit {
     /// DMOV among registers (non-bank): DRF↔DRF copy, SRF broadcast to a
     /// DRF, or DRF lane 0 into SRF.
     fn exec_dmov_regs(&mut self, dst: Operand, src: Operand, precision: Precision) -> ExecOutcome {
-        let lanes = precision.lanes();
         match (dst, src) {
             (Operand::Drf(d), Operand::Drf(s)) => {
-                let v = self.drf[s as usize].clone();
-                self.drf[d as usize] = v;
+                let (d, s) = (d as usize, s as usize);
+                if d != s {
+                    let (lo, hi) = self.drf.split_at_mut(d.max(s));
+                    let (dv, sv) = if d < s {
+                        (&mut lo[d], &hi[0])
+                    } else {
+                        (&mut hi[0], &lo[s])
+                    };
+                    dv.clone_from(sv);
+                }
             }
             (Operand::Drf(d), Operand::Srf) => {
-                self.drf[d as usize] = vec![self.srf; lanes];
+                let dv = &mut self.drf[d as usize];
+                dv.clear();
+                dv.resize(precision.lanes(), self.srf);
             }
             (Operand::Srf, Operand::Drf(s)) => {
                 self.srf = self.drf[s as usize].first().copied().unwrap_or(0.0);
@@ -531,17 +580,21 @@ impl ProcessingUnit {
         if k > 0 && !self.queues[d as usize].can_push(k, elem_bytes) {
             return ExecOutcome::Stall;
         }
-        let dense: Vec<f64> = match src1 {
-            Operand::Drf(i) => self.drf[i as usize].clone(),
-            Operand::Srf => vec![self.srf; lanes],
-            _ => vec![0.0; lanes],
-        };
-        for i in 0..k {
+        // The dense operand; lanes past a short register read as 0.0.
+        let mut dense = [0.0f64; MAX_LANES];
+        match src1 {
+            Operand::Drf(i) => {
+                let dv = &self.drf[i as usize];
+                dense[..dv.len()].copy_from_slice(dv);
+            }
+            Operand::Srf => dense[..lanes].fill(self.srf),
+            _ => {}
+        }
+        for &b in &dense[..k] {
             let (r, c, v) = self.queues[s as usize].pop().expect("len checked");
             if r == SENTINEL || c == SENTINEL {
                 continue; // index calculator skips padding
             }
-            let b = dense.get(i).copied().unwrap_or(0.0);
             let nv = precision.quantize(op.apply(v, b));
             self.queues[d as usize].push(r, c, nv);
         }
@@ -572,63 +625,58 @@ impl ProcessingUnit {
         if (ka + kb > 0) && !self.queues[d as usize].can_push(ka + kb, elem_bytes) {
             return ExecOutcome::Stall;
         }
-        let mut wa: Vec<(f64, f64, f64)> = (0..ka)
-            .map(|_| self.queues[a as usize].pop().expect("len checked"))
-            .collect();
-        let mut wb: Vec<(f64, f64, f64)> = (0..kb)
-            .map(|_| self.queues[b as usize].pop().expect("len checked"))
-            .collect();
-        wa.retain(|&(r, c, _)| r != SENTINEL && c != SENTINEL);
-        wb.retain(|&(r, c, _)| r != SENTINEL && c != SENTINEL);
-        let (mut i, mut j) = (0usize, 0usize);
-        let push = |q: &mut SpQueue, r: f64, c: f64, v: f64| {
-            q.push(r, c, precision.quantize(v));
+        // Pop both windows, dropping sentinel padding.
+        let mut pop_window = |q: usize, k: usize| {
+            let mut w = [(0.0f64, 0.0f64, 0.0f64); MAX_LANES];
+            let mut n = 0usize;
+            for _ in 0..k {
+                let (r, c, v) = self.queues[q].pop().expect("len checked");
+                if r != SENTINEL && c != SENTINEL {
+                    w[n] = (r, c, v);
+                    n += 1;
+                }
+            }
+            (w, n)
         };
-        while i < wa.len() || j < wb.len() {
+        let (wa, na) = pop_window(a as usize, ka);
+        let (wb, nb) = pop_window(b as usize, kb);
+        let (wa, wb) = (&wa[..na], &wb[..nb]);
+        let out = &mut self.queues[d as usize];
+        let union = set == SetMode::Union;
+        let (mut i, mut j) = (0usize, 0usize);
+        loop {
             match (wa.get(i), wb.get(j)) {
                 (Some(&(ra, ca, va)), Some(&(rb, cb, vb))) => {
                     use std::cmp::Ordering;
-                    let ka = (ra, ca);
-                    let kb2 = (rb, cb);
-                    match ka.partial_cmp(&kb2).unwrap_or(Ordering::Equal) {
+                    match (ra, ca).partial_cmp(&(rb, cb)).unwrap_or(Ordering::Equal) {
                         Ordering::Equal => {
-                            push(&mut self.queues[d as usize], ra, ca, op.apply(va, vb));
+                            out.push(ra, ca, precision.quantize(op.apply(va, vb)));
                             i += 1;
                             j += 1;
                         }
                         Ordering::Less => {
-                            if set == SetMode::Union {
-                                push(
-                                    &mut self.queues[d as usize],
-                                    ra,
-                                    ca,
-                                    op.apply(va, op.identity()),
-                                );
+                            if union {
+                                out.push(ra, ca, precision.quantize(op.apply(va, op.identity())));
                             }
                             i += 1;
                         }
                         Ordering::Greater => {
-                            if set == SetMode::Union {
-                                push(
-                                    &mut self.queues[d as usize],
-                                    rb,
-                                    cb,
-                                    op.apply(op.identity(), vb),
-                                );
+                            if union {
+                                out.push(rb, cb, precision.quantize(op.apply(op.identity(), vb)));
                             }
                             j += 1;
                         }
                     }
                 }
                 (Some(&(ra, ca, va)), None) => {
-                    if set == SetMode::Union {
-                        push(&mut self.queues[d as usize], ra, ca, va);
+                    if union {
+                        out.push(ra, ca, precision.quantize(va));
                     }
                     i += 1;
                 }
                 (None, Some(&(rb, cb, vb))) => {
-                    if set == SetMode::Union {
-                        push(&mut self.queues[d as usize], rb, cb, vb);
+                    if union {
+                        out.push(rb, cb, precision.quantize(vb));
                     }
                     j += 1;
                 }
@@ -654,7 +702,9 @@ impl ProcessingUnit {
                 match (dst, src) {
                     (Operand::Drf(d), Operand::Bank) => {
                         let r = mem.region(region);
-                        self.drf[d as usize] = (0..lanes).map(|i| r.get(cur + i)).collect();
+                        let dv = &mut self.drf[d as usize];
+                        dv.clear();
+                        dv.extend((0..lanes).map(|i| r.get(cur + i)));
                         self.cursors[slot] += binding.stride.unwrap_or(lanes);
                     }
                     (Operand::Srf, Operand::Bank) => {
@@ -662,9 +712,8 @@ impl ProcessingUnit {
                         self.cursors[slot] += binding.stride.unwrap_or(1);
                     }
                     (Operand::Bank, Operand::Drf(d)) => {
-                        let vals = self.drf[d as usize].clone();
                         let r = mem.region_mut(region);
-                        for (i, v) in vals.iter().enumerate().take(lanes) {
+                        for (i, v) in self.drf[d as usize].iter().enumerate().take(lanes) {
                             r.set(cur + i, precision.quantize(*v));
                         }
                         self.cursors[slot] += binding.stride.unwrap_or(lanes);
@@ -689,26 +738,27 @@ impl ProcessingUnit {
                 idx_queue,
                 precision,
             } => {
-                let lanes = precision.lanes();
-                let q = &self.queues[idx_queue as usize];
-                let cols = q.peek_cols(lanes);
+                let mut cols = [0.0f64; MAX_LANES];
+                let k =
+                    self.queues[idx_queue as usize].peek_cols_into(precision.lanes(), &mut cols);
                 let r = mem.region(region);
-                let gathered: Vec<f64> = cols
-                    .iter()
-                    .map(|&c| {
-                        if c == SENTINEL {
-                            0.0
-                        } else {
-                            r.get(c as usize)
-                        }
-                    })
-                    .collect();
-                let k = gathered.len() as u64;
+                let gather = |c: f64| {
+                    if c == SENTINEL {
+                        0.0
+                    } else {
+                        r.get(c as usize)
+                    }
+                };
                 match dst {
-                    Operand::Drf(d) => self.drf[d as usize] = gathered,
-                    Operand::Srf => self.srf = gathered.first().copied().unwrap_or(0.0),
+                    Operand::Drf(d) => {
+                        let dv = &mut self.drf[d as usize];
+                        dv.clear();
+                        dv.extend(cols[..k].iter().map(|&c| gather(c)));
+                    }
+                    Operand::Srf => self.srf = cols[..k].first().map_or(0.0, |&c| gather(c)),
                     _ => {}
                 }
+                let k = k as u64;
                 self.stats.lane_ops += k;
                 if k == 0 {
                     ExecOutcome::DoneEmpty(1)
@@ -786,13 +836,13 @@ impl ProcessingUnit {
                     return ExecOutcome::Stall;
                 }
                 let cur = self.cursors[slot];
-                let dense: Vec<f64> = {
-                    let r = mem.region(region);
-                    (0..k).map(|i| r.get(cur + i)).collect()
-                };
+                let mut dense = [0.0f64; MAX_LANES];
+                let r = mem.region(region);
+                for (i, dv) in dense.iter_mut().enumerate().take(k) {
+                    *dv = r.get(cur + i);
+                }
                 self.cursors[slot] += binding.stride.unwrap_or(lanes);
-                for (i, b) in dense.into_iter().enumerate() {
-                    let _ = i;
+                for &b in &dense[..k] {
                     let (r, c, v) = self.queues[s as usize].pop().expect("len checked");
                     if r == SENTINEL || c == SENTINEL {
                         continue;
@@ -934,20 +984,6 @@ impl ProcessingUnit {
                 }
             }
             _ => ExecOutcome::Done(1),
-        }
-    }
-
-    fn drf_of(&self, op: Operand) -> &Vec<f64> {
-        match op {
-            Operand::Drf(i) => &self.drf[i as usize],
-            _ => &self.drf[0],
-        }
-    }
-
-    fn drf_of_mut(&mut self, op: Operand) -> &mut Vec<f64> {
-        match op {
-            Operand::Drf(i) => &mut self.drf[i as usize],
-            _ => &mut self.drf[0],
         }
     }
 }

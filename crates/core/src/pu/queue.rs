@@ -103,15 +103,9 @@ impl SpQueue {
         }
     }
 
-    /// The frontmost `k` column indices without consuming them (the
-    /// IndMOV gather addresses).
-    #[must_use]
-    pub fn peek_cols(&self, k: usize) -> Vec<f64> {
-        self.col.iter().take(k.min(self.len())).copied().collect()
-    }
-
-    /// [`SpQueue::peek_cols`] into a caller-provided buffer: same
-    /// complete-triple bound, no allocation. Returns the number of
+    /// The frontmost `k` column indices (the IndMOV gather addresses),
+    /// copied into `out` without consuming them. Only complete triples
+    /// count, and at most `out.len()` are written. Returns the number of
     /// addresses written.
     pub fn peek_cols_into(&self, k: usize, out: &mut [f64]) -> usize {
         let n = k.min(self.len()).min(out.len());
@@ -192,12 +186,16 @@ mod tests {
         q.push_sub(SubQueue::Col, 10.0);
         q.push_sub(SubQueue::Col, 20.0);
         q.push_sub(SubQueue::Col, 30.0);
-        assert_eq!(q.peek_cols(4), Vec::<f64>::new());
+        let mut out = [0.0; 4];
+        assert_eq!(q.peek_cols_into(4, &mut out), 0);
         q.push_sub(SubQueue::Row, 0.0);
         q.push_sub(SubQueue::Val, 1.0);
-        assert_eq!(q.peek_cols(4), vec![10.0]);
+        assert_eq!(q.peek_cols_into(4, &mut out), 1);
+        assert_eq!(out[0], 10.0);
         // The peek never consumes, even repeated mid-burst.
-        assert_eq!(q.peek_cols(4), vec![10.0]);
+        out = [0.0; 4];
+        assert_eq!(q.peek_cols_into(4, &mut out), 1);
+        assert_eq!(out[0], 10.0);
         assert_eq!(q.len(), 1);
     }
 
@@ -222,7 +220,13 @@ mod tests {
         let mut q = SpQueue::new();
         q.push(0.0, 10.0, 1.0);
         q.push(0.0, 20.0, 2.0);
-        assert_eq!(q.peek_cols(4), vec![10.0, 20.0]);
+        let mut out = [0.0; 4];
+        assert_eq!(q.peek_cols_into(4, &mut out), 2);
+        assert_eq!(out[..2], [10.0, 20.0]);
         assert_eq!(q.len(), 2);
+        // The buffer bounds the copy as well as `k`.
+        let mut one = [0.0; 1];
+        assert_eq!(q.peek_cols_into(4, &mut one), 1);
+        assert_eq!(one, [10.0]);
     }
 }

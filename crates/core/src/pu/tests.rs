@@ -528,3 +528,227 @@ EXIT
         &[11.0, 22.0, 33.0, 44.0, 55.0, 66.0, 77.0, 88.0]
     );
 }
+
+// ---- frozen interpreter references ------------------------------------
+//
+// Three programs that together cover every instruction arm, replayed
+// offer by offer along their command schedules. The expected memories,
+// counters and per-offer outcomes were recorded from the original
+// allocating interpreter, so the stack-buffer arms are pinned against
+// that reference rather than against themselves.
+
+/// The final state of one reference replay.
+#[derive(Debug, PartialEq)]
+struct Replay {
+    /// Every region's contents, in allocation order.
+    regions: Vec<Vec<f64>>,
+    stats: PuStats,
+    srf: f64,
+    /// One letter per offer: `E` executed, `e` executed empty, `o` out of
+    /// phase, `f` queue full, `x` exited.
+    outcomes: String,
+}
+
+/// Load `asm` over regions holding `data`, seed the scalar register, run
+/// the free prelude, then offer up to `offers` commands in schedule order
+/// (stopping at exit), as the engine does.
+fn replay(asm: &str, data: &[&[f64]], bindings: Vec<Option<Binding>>, srf: f64) -> Replay {
+    let program = assemble(asm).unwrap();
+    let schedule = program.command_schedule().unwrap();
+    let mut mem = BankMemory::new(1024);
+    for (i, d) in data.iter().enumerate() {
+        mem.alloc(format!("r{i}"), 8, d.to_vec());
+    }
+    let mut pu = ProcessingUnit::new();
+    pu.load_kernel(program, bindings).unwrap();
+    pu.set_srf(srf);
+    pu.run_free(&mut mem);
+    let mut outcomes = String::new();
+    for &slot in schedule.iter().cycle().take(64) {
+        let rep = pu.on_command(slot, &mut mem);
+        outcomes.push(match rep.outcome {
+            StepOutcome::Executed => 'E',
+            StepOutcome::ExecutedEmpty => 'e',
+            StepOutcome::OutOfPhase => 'o',
+            StepOutcome::QueueFull => 'f',
+            StepOutcome::Exited => 'x',
+        });
+        if pu.exited() {
+            break;
+        }
+    }
+    Replay {
+        regions: (0..data.len())
+            .map(|i| mem.region(RegionId(i)).data().to_vec())
+            .collect(),
+        stats: *pu.stats(),
+        srf: pu.srf(),
+        outcomes,
+    }
+}
+
+#[test]
+fn sparse_stream_matches_frozen_reference() {
+    // The SpMV inner loop: SPMOV row/col/val, INDMOV gather, SpVDV
+    // against a dense register, SpVDV accumulate into the bank,
+    // CEXIT + JUMP — every gather and stream arm in one program.
+    let s = SENTINEL;
+    let triples = [
+        0.0, 1.0, 2.0, 3.0, 0.0, 1.0, 2.0, 0.0, 2.0, 3.0, 4.0, 5.0, s, s, s, s, s, s, s, s, 0.0,
+        0.0, 0.0, 0.0,
+    ];
+    let (t, x, y) = (RegionId(0), RegionId(1), RegionId(2));
+    let got = replay(
+        SPMV_ASM,
+        &[&triples, &[1.0, 10.0, 100.0, 1000.0], &[0.0; 8]],
+        vec![
+            Some(Binding::strided(t, 0, 12)),
+            Some(Binding::strided(t, 4, 12)),
+            Some(Binding::strided(t, 8, 12)),
+            Some(Binding::new(x)),
+            None,
+            Some(Binding::new(y)),
+            None,
+            None,
+        ],
+        0.0,
+    );
+    let want = Replay {
+        regions: vec![
+            triples.to_vec(),
+            vec![1.0, 10.0, 100.0, 1000.0],
+            vec![2.0, 30.0, 400.0, 5.0, 0.0, 0.0, 0.0, 0.0],
+        ],
+        stats: PuStats {
+            instructions: 15,
+            mem_ops: 10,
+            predicated_off: 0,
+            lane_ops: 20,
+            busy_cycles: 23,
+            exit_round: u64::MAX,
+            instructions_at_exit: 0,
+        },
+        srf: 0.0,
+        outcomes: "EEEEEEEEEex".to_string(),
+    };
+    assert_eq!(got, want);
+}
+
+#[test]
+fn blas1_register_ops_match_frozen_reference() {
+    // DMOV bank<->DRF, SDV, DVDV, SRF broadcast, REDUCE and a counted
+    // JUMP: the dense BLAS-1 shapes (AXPY/DOT) plus the register moves.
+    let asm = "\
+DMOV   DRF0, BANK, FP64
+DMOV   DRF1, BANK, FP64
+SDV    DRF0, DRF0, MUL, FP64
+DVDV   DRF1, DRF0, DRF1, ADD, FP64
+DMOV   BANK, DRF1, FP64
+DMOV   DRF2, SRF, FP64
+REDUCE DRF1, ADD, FP64
+JUMP   0, 1, 3
+EXIT
+";
+    let x_data = [
+        1.5, -2.0, 3.25, 4.0, 0.5, 6.0, -7.5, 8.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0,
+    ];
+    let y_data = [
+        0.5, 1.0, -1.0, 2.0, 3.0, -3.0, 4.0, 0.25, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0,
+    ];
+    let (x, y) = (RegionId(0), RegionId(1));
+    let got = replay(
+        asm,
+        &[&x_data, &y_data],
+        vec![
+            Some(Binding::new(x)),
+            Some(Binding::new(y)),
+            None,
+            None,
+            Some(Binding::new(y)),
+            None,
+            None,
+            None,
+            None,
+        ],
+        1.25,
+    );
+    let want = Replay {
+        regions: vec![
+            x_data.to_vec(),
+            vec![
+                2.375, -1.5, 3.0625, 7.0, 9.09375, 70.125, -87.40625, 97.75, 110.75, 211.5, 312.25,
+                413.0, 5751.25, 6899.5, 8047.75, 9196.0,
+            ],
+        ],
+        stats: PuStats {
+            instructions: 33,
+            mem_ops: 12,
+            predicated_off: 0,
+            lane_ops: 48,
+            busy_cycles: 33,
+            exit_round: u64::MAX,
+            instructions_at_exit: 0,
+        },
+        srf: 31043.75,
+        outcomes: "EEEEEEEEEEEEx".to_string(),
+    };
+    assert_eq!(got, want);
+}
+
+#[test]
+fn gather_scatter_and_spvspv_match_frozen_reference() {
+    // GTHSCT gathers of two dense regions, an SpVSpV union merge and an
+    // SpFW flush, looping until the gathers drain.
+    let asm = "\
+GTHSCT SPVQ0, BANK, ZERO, FP64
+GTHSCT SPVQ1, BANK, ZERO, FP64
+SPVSPV SPVQ2, SPVQ0, SPVQ1, ADD, UNION, FP64
+SPFW   SPVQ2, FP64
+CEXIT  SPVQ0
+JUMP   0, 0, 0
+";
+    let a_data = [0.0, 2.0, 0.0, 4.0, 5.0, 0.0, 0.0, 8.0];
+    let b_data = [1.0, 0.0, 3.0, 4.0, 0.0, 6.0, 0.0, 0.0];
+    let (a, b, out) = (RegionId(0), RegionId(1), RegionId(2));
+    let got = replay(
+        asm,
+        &[&a_data, &b_data, &[0.0; 48]],
+        vec![
+            Some(Binding::new(a)),
+            Some(Binding::new(b)),
+            None,
+            Some(Binding::new(out)),
+            None,
+            None,
+        ],
+        0.0,
+    );
+    // SpFW flushes (row, col, value) triples of the union.
+    let mut flushed = vec![
+        0.0, 0.0, 1.0, 0.0, 1.0, 2.0, 0.0, 2.0, 3.0, 0.0, 3.0, 8.0, 0.0, 4.0, 5.0, 0.0, 5.0, 6.0,
+        0.0, 7.0, 8.0,
+    ];
+    flushed.resize(48, 0.0);
+    let want = Replay {
+        regions: vec![a_data.to_vec(), b_data.to_vec(), flushed],
+        stats: PuStats {
+            instructions: 17,
+            mem_ops: 9,
+            predicated_off: 0,
+            lane_ops: 16,
+            busy_cycles: 17,
+            exit_round: u64::MAX,
+            instructions_at_exit: 0,
+        },
+        srf: 0.0,
+        outcomes: "EEEEEEeeex".to_string(),
+    };
+    assert_eq!(got, want);
+}
+
+#[test]
+fn every_precision_fits_the_stack_buffers() {
+    for p in Precision::ALL {
+        assert!(p.lanes() <= MAX_LANES, "{p:?} runs {} lanes", p.lanes());
+    }
+}

@@ -289,34 +289,15 @@ impl Channel {
         Ok(self.apply_at(scope, cmd, at))
     }
 
-    /// Convenience: issue at the earliest legal cycle ≥ `from`.
+    /// Issue `cmd` at the earliest legal cycle ≥ `from`: one constraint
+    /// evaluation, then commit. Same cycle as [`Channel::earliest`]
+    /// followed by [`Channel::issue`] (`earliest(from) ≥ earliest(0)`, so
+    /// the second pass's re-check could never fire).
     ///
     /// # Errors
     ///
     /// [`IssueError::IllegalState`] if the command cannot issue at all.
     pub fn issue_earliest(
-        &mut self,
-        scope: Scope,
-        cmd: CmdKind,
-        from: u64,
-    ) -> Result<Issued, IssueError> {
-        let e = self.earliest(scope, cmd, from);
-        if e == u64::MAX {
-            return Err(IssueError::IllegalState(format!("{cmd} with {scope}")));
-        }
-        self.issue(scope, cmd, e)
-    }
-
-    /// Single-pass [`Channel::issue_earliest`]: one constraint evaluation,
-    /// then commit. Produces identical results — `issue_earliest` computes
-    /// `e = earliest(from) ≥ earliest(0)`, so the re-check inside `issue`
-    /// never fires; this variant just skips it. The event-driven engine
-    /// tier uses it on its per-bank hot path.
-    ///
-    /// # Errors
-    ///
-    /// [`IssueError::IllegalState`] if the command cannot issue at all.
-    pub fn issue_earliest_fast(
         &mut self,
         scope: Scope,
         cmd: CmdKind,

@@ -7,8 +7,7 @@
 //! are never consulted. [`AbChannel`] exploits that: one [`Bank`], the
 //! channel-wide column cursor, and the 2-slot bus — a drop-in replacement
 //! for [`Channel`](crate::Channel) restricted to [`Scope::AllBanks`],
-//! proven equivalent by the exhaustive cross-check tests below and by the
-//! engine's golden-trace equivalence gate.
+//! cross-checked below against the full channel's two-pass issue.
 
 use crate::bank::Bank;
 use crate::channel::{IssueError, Issued};
@@ -58,9 +57,8 @@ impl AbChannel {
     ///
     /// # Errors
     ///
-    /// [`IssueError::IllegalState`] if the command cannot issue at all —
-    /// same message the full channel produces, so engine error paths are
-    /// tier-independent.
+    /// [`IssueError::IllegalState`] if the command cannot issue at all,
+    /// with the message the full channel produces.
     pub fn issue_earliest(&mut self, cmd: CmdKind, from: u64) -> Result<Issued, IssueError> {
         let t = &self.timing;
         let mut e = from as i64;
@@ -119,9 +117,16 @@ mod tests {
     use super::*;
     use crate::channel::Channel;
 
+    /// The reference issue: the full channel's two passes, `earliest`
+    /// then `issue` at that cycle.
+    fn two_pass(c: &mut Channel, scope: Scope, cmd: CmdKind, from: u64) -> Issued {
+        let e = c.earliest(scope, cmd, from);
+        c.issue(scope, cmd, e).unwrap()
+    }
+
     /// Drive the same pseudo-random all-bank command stream through the
-    /// full channel and the representative-bank channel; every issue
-    /// result and the final stats must agree exactly.
+    /// full channel's two-pass issue and the representative-bank channel;
+    /// every issue result and the final stats must agree exactly.
     #[test]
     fn matches_full_channel_on_random_allbank_streams() {
         let cfg = HbmConfig::default();
@@ -163,7 +168,7 @@ mod tests {
                     CmdKind::Pre => open = false,
                     _ => {}
                 }
-                let a = full.issue_earliest(Scope::AllBanks, cmd, from).unwrap();
+                let a = two_pass(&mut full, Scope::AllBanks, cmd, from);
                 let b = fast.issue_earliest(cmd, from).unwrap();
                 assert_eq!(a, b, "seed {seed}: {cmd:?} from {from}");
                 // Exercise both from == issue and from behind the bus.
@@ -186,10 +191,9 @@ mod tests {
     }
 
     #[test]
-    fn single_pass_issue_earliest_fast_matches_two_pass() {
-        // The tick path's two-pass earliest+issue and the event path's
-        // single-pass variant must pick the same cycles on the full
-        // channel too (per-bank scopes included).
+    fn single_pass_issue_earliest_matches_two_pass() {
+        // The full channel's single-pass issue must pick the two-pass
+        // cycles on per-bank scopes too.
         let cfg = HbmConfig::default();
         let mut two = Channel::new(&cfg);
         let mut one = Channel::new(&cfg);
@@ -204,10 +208,11 @@ mod tests {
         ];
         let mut from = 0;
         for (scope, cmd) in seq {
-            let a = two.issue_earliest(scope, cmd, from).unwrap();
-            let b = one.issue_earliest_fast(scope, cmd, from).unwrap();
+            let a = two_pass(&mut two, scope, cmd, from);
+            let b = one.issue_earliest(scope, cmd, from).unwrap();
             assert_eq!(a, b, "{cmd:?}");
             from = a.issue_cycle;
         }
+        assert_eq!(two.stats(), one.stats());
     }
 }

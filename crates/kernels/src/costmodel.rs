@@ -18,10 +18,9 @@
 //! Everything the model reads (partition shapes, level schedules, stream
 //! lengths) is O(nnz) to compute, so estimating a kernel costs about as
 //! much as *placing* it — orders of magnitude less than cycle-walking it.
-//! The constants below are calibrated against the cycle engine by the
-//! `psim_fastpath` harness, which reports per-kernel error into
-//! `results/BENCH_fastpath.json` and fails CI when the error drifts past
-//! its bound.
+//! The constants below are calibrated against the cycle engine; the
+//! `calibration` test (`crates/kernels/tests/calibration.rs`) fails when
+//! any kernel's mean absolute percentage error drifts past its bound.
 
 use crate::device::{triple_pairs, PimDevice};
 use psim_sparse::partition::{BankPartition, DistPolicy, PartitionConfig, PartitionScheme};

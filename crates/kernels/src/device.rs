@@ -31,8 +31,8 @@ pub struct PimDevice {
     /// Stall-event buffer capacity per engine phase when tracing
     /// (overflow is counted, never silently truncated).
     pub trace_events: usize,
-    /// Engine tier: the cycle-stepping reference loop or the bit-identical
-    /// event-driven fast path. Constructors honor `PSIM_ENGINE=event`.
+    /// The engine's replay implementation, as a provenance label (there is
+    /// one; nothing selects on it).
     pub tier: EngineTier,
 }
 
@@ -47,7 +47,7 @@ impl PimDevice {
             validate: false,
             trace: false,
             trace_events: DEFAULT_TRACE_EVENTS,
-            tier: EngineTier::from_env(),
+            tier: EngineTier::Event,
         }
     }
 
@@ -61,7 +61,7 @@ impl PimDevice {
             validate: false,
             trace: false,
             trace_events: DEFAULT_TRACE_EVENTS,
-            tier: EngineTier::from_env(),
+            tier: EngineTier::Event,
         }
     }
 
@@ -75,7 +75,7 @@ impl PimDevice {
             validate: false,
             trace: false,
             trace_events: DEFAULT_TRACE_EVENTS,
-            tier: EngineTier::from_env(),
+            tier: EngineTier::Event,
         }
     }
 
@@ -96,7 +96,7 @@ impl PimDevice {
             validate: false,
             trace: false,
             trace_events: DEFAULT_TRACE_EVENTS,
-            tier: EngineTier::from_env(),
+            tier: EngineTier::Event,
         }
     }
 
@@ -136,7 +136,7 @@ impl PimDevice {
             validate: self.validate,
             trace: self.trace,
             trace_events: self.trace_events,
-            tier: self.tier,
+            tier: EngineTier::Event,
         })
     }
 
@@ -155,7 +155,6 @@ impl PimDevice {
             validate: self.validate,
             attribute: self.trace,
             event_limit: self.trace_events,
-            tier: self.tier,
             ..Default::default()
         })
     }

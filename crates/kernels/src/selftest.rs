@@ -200,16 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn battery_passes_on_event_tier() {
-        // The event-driven engine tier must sustain the full battery,
-        // protocol checker included (selftest forces validation on).
-        let mut device = PimDevice::tiny(2);
-        device.tier = psyncpim_core::EngineTier::Event;
-        let results = selftest(&device).expect("simulator ok");
-        assert!(all_pass(&results), "{results:?}");
-    }
-
-    #[test]
     fn battery_passes_on_nonstandard_row_size() {
         let mut device = PimDevice::tiny(1);
         device.hbm.num_cols = 32; // 512 B rows

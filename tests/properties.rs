@@ -522,48 +522,24 @@ proptest! {
     // Full engine runs per case; keep the case count moderate.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The event-driven engine tier must be bit-identical to the tick
-    /// tier: same results, same cycle count, same command accounting, on
-    /// random matrices.
-    #[test]
-    fn engine_tiers_agree_on_random_matrices(a in arb_coo(80, 250), seed in 0u64..100) {
-        use psyncpim::core::EngineTier;
-        let x = psyncpim::sparse::gen::dense_vector(a.ncols(), seed);
-        let run = |tier: EngineTier| {
-            let mut dev = PimDevice::tiny(1);
-            dev.tier = tier;
-            SpmvPim::new(dev, Precision::Fp64).run(&a, &x).expect("spmv")
-        };
-        let t = run(EngineTier::Tick);
-        let e = run(EngineTier::Event);
-        prop_assert_eq!(&t.y, &e.y);
-        prop_assert_eq!(t.run.dram_cycles, e.run.dram_cycles);
-        prop_assert_eq!(t.run.commands, e.run.commands);
-        prop_assert_eq!(t.run.rounds, e.run.rounds);
-        prop_assert_eq!(t.run.mem_ops, e.run.mem_ops);
-        prop_assert_eq!(t.run.energy_j, e.run.energy_j);
-    }
-
     /// Regression for the engine's `saturating_sub` ready/bus accounting:
     /// the command-bus cursor and the per-bank ready cursors only ever
     /// move forward, so the issued command stream of each channel is
     /// monotone non-decreasing in cycle — under randomly skewed per-bank
-    /// loads, in both exec modes and both engine tiers. (A cursor that
+    /// loads, in both exec modes. (A cursor that
     /// stepped backwards — e.g. a PU-backpressure term underflowing past
     /// the pipeline depth — would reorder the trace.)
     #[test]
     fn trace_cycles_monotone_under_random_streams(
         loads in prop::collection::vec(prop::collection::vec((0u32..12, 0u32..12, -4.0f64..4.0), 0..10), 8..9),
         mode_sel in 0usize..2,
-        tier_sel in 0usize..2,
     ) {
-        use psyncpim::core::engine::{Engine, EngineConfig, EngineTier, ExecMode};
+        use psyncpim::core::engine::{Engine, EngineConfig, ExecMode};
         use psyncpim::core::isa::assemble;
         use psyncpim::core::memory::SENTINEL;
         use psyncpim::dram::HbmConfig;
 
         let mode = [ExecMode::AllBank, ExecMode::PerBank][mode_sel];
-        let tier = [EngineTier::Tick, EngineTier::Event][tier_sel];
         let hbm = HbmConfig {
             num_bankgroups: 2,
             banks_per_group: 2,
@@ -573,7 +549,6 @@ proptest! {
         let cfg = EngineConfig {
             hbm,
             mode,
-            tier,
             record_trace: true,
             ..Default::default()
         };
