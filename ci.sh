@@ -38,9 +38,9 @@ cargo run -q --release -p psim-bench --bin psim_check
 echo "==> psim-trace (cycle-attribution conservation gate; writes results/BENCH_trace.json)"
 cargo run -q --release -p psim-bench --bin psim_trace
 
-echo "==> psim-soak (service-mode fusion/steal soak, scaled down; writes results/BENCH_soak.json)"
+echo "==> psim-soak (service-mode fusion/steal soak, scaled down; writes target/BENCH_soak_gate.json)"
 cargo run -q --release -p psim-bench --bin soak_sched -- --jobs 30000 --gate
-test -s results/BENCH_soak.json || { echo "missing results/BENCH_soak.json" >&2; exit 1; }
+test -s target/BENCH_soak_gate.json || { echo "missing target/BENCH_soak_gate.json" >&2; exit 1; }
 
 echo "==> psim-autotune (layout autotuner gate: oracle, geomean win, rank agreement; writes results/BENCH_autotune.json)"
 cargo run -q --release -p psim-bench --bin ablation_autotune

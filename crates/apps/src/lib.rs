@@ -13,9 +13,7 @@ pub mod cc;
 pub mod cg;
 pub mod pagerank;
 pub mod runtime;
-pub mod sched_runtime;
 pub mod sssp;
 pub mod tc;
 
 pub use runtime::{AppRun, Breakdown, GpuRuntime, GpuStack, PimRuntime, Runtime};
-pub use sched_runtime::SchedRuntime;

@@ -15,7 +15,9 @@
 //! fusion's amortization of per-launch fixed costs (mode switches, CRF
 //! programming, result collection) shows up directly as jobs/sec.
 //!
-//! Writes `results/BENCH_soak.json`. Gates:
+//! Writes `results/BENCH_soak.json`, or `target/BENCH_soak_gate.json` in
+//! `--gate` mode so a CI run never replaces the committed full-size
+//! report. Gates:
 //!
 //! * full runs (≥ [`FULL_RUN_JOBS`] jobs): fused throughput must be at
 //!   least [`SPEEDUP_FLOOR`]× unfused;
@@ -360,9 +362,13 @@ fn main() {
         violations,
     };
     let json = report.to_json();
-    let path = "results/BENCH_soak.json";
+    let (dir, path) = if gate {
+        ("target", "target/BENCH_soak_gate.json")
+    } else {
+        ("results", "results/BENCH_soak.json")
+    };
     if let Err(e) =
-        std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, format!("{json}\n")))
+        std::fs::create_dir_all(dir).and_then(|()| std::fs::write(path, format!("{json}\n")))
     {
         eprintln!("soak_sched: cannot write {path}: {e}");
         std::process::exit(1);

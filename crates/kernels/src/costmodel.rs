@@ -23,7 +23,7 @@
 //! any kernel's mean absolute percentage error drifts past its bound.
 
 use crate::device::{triple_pairs, PimDevice};
-use psim_sparse::partition::{BankPartition, DistPolicy, PartitionConfig, PartitionScheme};
+use psim_sparse::partition::{BankPartition, PartitionConfig};
 use psim_sparse::triangular::UnitTriangular;
 use psim_sparse::{BlockPlan, BlockStep, Coo, Csc, Layout, LevelSchedule, Precision};
 
@@ -245,19 +245,7 @@ impl CostModel {
     /// cost each wave by its slowest cube.
     #[must_use]
     pub fn spmv(&self, a: &Coo, precision: Precision) -> CostEstimate {
-        self.spmv_with(a, precision, DistPolicy::RoundRobin, true)
-    }
-
-    /// [`CostModel::spmv`] with explicit placement policy and compression.
-    #[must_use]
-    pub fn spmv_with(
-        &self,
-        a: &Coo,
-        precision: Precision,
-        policy: DistPolicy,
-        compress: bool,
-    ) -> CostEstimate {
-        self.batched_walk(a, 1, precision, policy, compress, PartitionScheme::Row1D)
+        self.spmv_layout(a, precision, Layout::baseline())
     }
 
     /// SpMV from an explicit [`Layout`]: the format's execution stream
@@ -270,36 +258,6 @@ impl CostModel {
     pub fn spmv_layout(&self, a: &Coo, precision: Precision, layout: Layout) -> CostEstimate {
         let expanded = layout.format.expand(a);
         let a = expanded.as_ref().unwrap_or(a);
-        self.batched_walk(a, 1, precision, layout.policy, true, layout.scheme)
-    }
-
-    /// SpMM from an explicit [`Layout`] over `width` fused vectors.
-    #[must_use]
-    pub fn spmm_layout(
-        &self,
-        a: &Coo,
-        width: usize,
-        precision: Precision,
-        layout: Layout,
-    ) -> CostEstimate {
-        assert!(width >= 1, "spmm width must be at least 1");
-        let expanded = layout.format.expand(a);
-        let a = expanded.as_ref().unwrap_or(a);
-        self.batched_walk(a, width, precision, layout.policy, true, layout.scheme)
-    }
-
-    /// The shared batched-stream walk: partition exactly as the kernels
-    /// do, then cost each wave by its slowest cube, with each bank stream
-    /// block-diagonally expanded `width` times (width 1 = plain SpMV).
-    fn batched_walk(
-        &self,
-        a: &Coo,
-        width: usize,
-        precision: Precision,
-        policy: DistPolicy,
-        compress: bool,
-        scheme: PartitionScheme,
-    ) -> CostEstimate {
         let nbanks = self.banks_per_cube * self.cubes;
         let part = BankPartition::build(
             a,
@@ -307,9 +265,9 @@ impl CostModel {
                 num_banks: nbanks,
                 row_bytes: self.row_bytes,
                 precision,
-                policy,
-                compress,
-                scheme,
+                policy: layout.policy,
+                compress: true,
+                scheme: layout.scheme,
             },
         );
         // Per-bank nnz queues; wave w takes each bank's w-th submatrix.
@@ -332,7 +290,7 @@ impl CostModel {
                 if max_nnz == 0 {
                     continue;
                 }
-                let rounds = Self::batched_rounds(width * max_nnz, lanes);
+                let rounds = Self::batched_rounds(max_nnz, lanes);
                 // Cubes run in parallel within a wave.
                 wave_cycles = wave_cycles.max(self.phase_cycles(&BATCHED_SPARSE, rounds));
             }
@@ -341,37 +299,6 @@ impl CostModel {
             }
         }
         est
-    }
-
-    /// SpMM `Y = A X` over `width` fused vectors: same partition walk as
-    /// [`CostModel::spmv`], but every bank stream is the *block-diagonal
-    /// expansion* (`width × max_nnz` entries through one launch), exactly
-    /// as [`crate::SpmmPim`] lays it out. Width 1 is identical to
-    /// [`CostModel::spmv`].
-    #[must_use]
-    pub fn spmm(&self, a: &Coo, width: usize, precision: Precision) -> CostEstimate {
-        self.spmm_with(a, width, precision, DistPolicy::RoundRobin, true)
-    }
-
-    /// [`CostModel::spmm`] with explicit placement policy and compression.
-    #[must_use]
-    pub fn spmm_with(
-        &self,
-        a: &Coo,
-        width: usize,
-        precision: Precision,
-        policy: DistPolicy,
-        compress: bool,
-    ) -> CostEstimate {
-        assert!(width >= 1, "spmm width must be at least 1");
-        self.batched_walk(
-            a,
-            width,
-            precision,
-            policy,
-            compress,
-            PartitionScheme::Row1D,
-        )
     }
 
     /// SpTRSV `T x = b`: walk the same block plan and level schedule as
@@ -561,43 +488,29 @@ mod tests {
     }
 
     #[test]
-    fn spmm_estimate_tracks_fusion_economics() {
-        // Width 1 must collapse to the SpMV estimate, and a fused pass of
-        // width w must cost less than w independent SpMV passes (the fixed
-        // setup/teardown is paid once) while still growing with w.
-        let device = PimDevice::tiny(2);
-        let model = CostModel::new(&device);
-        let a = gen::rmat(128, 4, 21);
-        let spmv = model.spmv(&a, Precision::Fp64);
-        assert_eq!(model.spmm(&a, 1, Precision::Fp64), spmv);
-        let w = 8usize;
-        let fused = model.spmm(&a, w, Precision::Fp64);
-        assert!(fused.cycles > spmv.cycles);
+    fn sptrsv_estimate_sees_level_serialization() {
+        // Two SpTRSV operands with identical nnz: a pure dependency chain
+        // (n levels, one launch each) and a star (every row depends only
+        // on x[0] — one level, one launch). An operand-size proxy prices
+        // them identically; the model walks the level schedule and must
+        // see the chain's serialization.
+        use psim_sparse::triangular::Triangle;
+        let n = 64usize;
+        let mut chain = Coo::new(n, n);
+        let mut star = Coo::new(n, n);
+        for i in 1..n {
+            chain.push(i as u32, i as u32 - 1, 0.5);
+            star.push(i as u32, 0, 0.5);
+        }
+        let model = CostModel::new(&PimDevice::tiny(2));
+        let cycles = |strict: Coo| {
+            let t = UnitTriangular::from_strict(Triangle::Lower, strict).unwrap();
+            model.sptrsv(&t, Precision::Fp64).cycles
+        };
+        let (c, s) = (cycles(chain), cycles(star));
         assert!(
-            fused.cycles < w as u64 * spmv.cycles,
-            "fused {} must beat {w} solo passes {}",
-            fused.cycles,
-            w as u64 * spmv.cycles
-        );
-        assert_eq!(fused.phases, spmv.phases);
-    }
-
-    #[test]
-    fn spmm_estimate_tracks_engine_within_factor_two() {
-        let device = PimDevice::tiny(2);
-        let model = CostModel::new(&device);
-        let a = gen::rmat(128, 4, 21);
-        let xs: Vec<Vec<f64>> = (0..6).map(|v| gen::dense_vector(128, v)).collect();
-        let actual = crate::SpmmPim::new(device, Precision::Fp64)
-            .run(&a, &xs)
-            .unwrap()
-            .run
-            .dram_cycles;
-        let est = model.spmm(&a, xs.len(), Precision::Fp64).cycles;
-        let ratio = est as f64 / actual as f64;
-        assert!(
-            (0.5..2.0).contains(&ratio),
-            "est {est} vs actual {actual} (ratio {ratio:.2})"
+            c > s * 10,
+            "the model must punish level serialization: chain {c} vs star {s}"
         );
     }
 

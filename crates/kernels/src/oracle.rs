@@ -180,12 +180,12 @@ pub fn run_oracle(device: &PimDevice, cases: usize, seed: u64) -> Result<OracleR
             let xs: Vec<Vec<f64>> = (0..width)
                 .map(|_| gen::dense_vector(n, splitmix(&mut rng)))
                 .collect();
-            let spmm = crate::spmm::SpmmPim::new(device.clone(), Precision::Fp64);
-            let r = spmm.run(&a, &xs)?;
+            let spmv = SpmvPim::new(device.clone(), Precision::Fp64);
+            let r = spmv.run_fused(&a, &xs.iter().map(Vec::as_slice).collect::<Vec<_>>())?;
             let mut max_err = 0.0f64;
             let mut exact = true;
             for (v, x) in xs.iter().enumerate() {
-                let solo = spmm.as_spmv().run(&a, x)?;
+                let solo = spmv.run(&a, x)?;
                 for (g, s) in r.ys[v].iter().zip(&solo.y) {
                     max_err = max_err.max((g - s).abs());
                     exact &= g.to_bits() == s.to_bits();
@@ -313,13 +313,11 @@ pub fn run_layout_oracle(
             let xs: Vec<Vec<f64>> = (0..2)
                 .map(|_| gen::dense_vector(a.ncols(), splitmix(&mut rng)))
                 .collect();
-            let spmm =
-                crate::spmm::SpmmPim::new(device.clone(), Precision::Fp64).with_layout(layout);
-            let r = spmm.run(&a, &xs)?;
+            let r = spmv.run_fused(&a, &[&xs[0], &xs[1]])?;
             let mut max_err = 0.0f64;
             let mut exact = true;
             for (v, x) in xs.iter().enumerate() {
-                let solo = spmm.as_spmv().run(&a, x)?;
+                let solo = spmv.run(&a, x)?;
                 for (g, s) in r.ys[v].iter().zip(&solo.y) {
                     max_err = max_err.max((g - s).abs());
                     exact &= g.to_bits() == s.to_bits();

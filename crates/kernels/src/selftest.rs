@@ -57,12 +57,13 @@ pub fn selftest(device: &PimDevice) -> Result<Vec<CheckResult>, psyncpim_core::C
     }
     // SpMM (fused 3-vector SpMV): must be bit-exact vs per-vector SpMV.
     {
-        let xs = vec![x.clone(), y.clone(), gen::dense_vector(n, 6)];
-        let spmm = crate::spmm::SpmmPim::new(device.clone(), Precision::Fp64);
-        let r = spmm.run(&a, &xs)?;
+        let z = gen::dense_vector(n, 6);
+        let xs = [x.as_slice(), y.as_slice(), z.as_slice()];
+        let spmv = SpmvPim::new(device.clone(), Precision::Fp64);
+        let r = spmv.run_fused(&a, &xs)?;
         let mut max_err = 0.0f64;
         for (v, xv) in xs.iter().enumerate() {
-            let solo = spmm.as_spmv().run(&a, xv)?;
+            let solo = spmv.run(&a, xv)?;
             for (g, s) in r.ys[v].iter().zip(&solo.y) {
                 if g.to_bits() != s.to_bits() {
                     max_err = max_err.max((g - s).abs()).max(f64::MIN_POSITIVE);

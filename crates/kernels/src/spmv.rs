@@ -1,4 +1,4 @@
-//! SpMV on pSyncPIM (paper §V).
+//! SpMV on pSyncPIM (paper §V), and SpMM as its fused multi-vector form.
 //!
 //! The matrix is compressed and distributed with
 //! [`psim_sparse::partition::BankPartition`]; each bank may receive several
@@ -8,11 +8,17 @@
 //! whose stream is shorter pad with the −1 sentinel and exit early via
 //! CEXIT. The host replicates compacted input-vector slices and accumulates
 //! non-zero partial outputs over the external bus.
+//!
+//! [`SpmvPim::run_fused`] runs up to [`MAX_SPMM_WIDTH`] vectors through one
+//! traversal by block-diagonal expansion (see [`crate::spmm`]), and
+//! [`SpmvPim::run`] is its width-1 pass: one wave loop serves SpMV and
+//! fused SpMM alike.
 
 use crate::device::{
     batched_sparse_bindings, mode_cycle, pack_triples, triple_pairs, KernelRun, PimDevice,
 };
 use crate::programs;
+use crate::spmm::{SpmmResult, MAX_SPMM_WIDTH};
 use psim_sparse::partition::{
     BankPartition, DistPolicy, PartitionConfig, PartitionScheme, PartitionStats, SubMatrix,
 };
@@ -43,7 +49,7 @@ pub struct SpmvPim {
     /// Storage format the matrix executes from. Element formats (COO/CSR)
     /// stream the true non-zeros; blocked formats (BCSR/BCOO) stream
     /// their tiles with fill zeros — sound only for the arithmetic
-    /// semiring, which [`SpmvPim::run`] asserts.
+    /// semiring, which [`SpmvPim::run_fused`] asserts.
     pub format: MatrixFormat,
     /// Partition scheme (1D row strips or a 2D column-blocked variant).
     pub scheme: PartitionScheme,
@@ -88,14 +94,9 @@ impl SpmvPim {
         acc: BinaryOp,
     ) -> Self {
         SpmvPim {
-            device,
-            precision,
-            policy: DistPolicy::RoundRobin,
             mul,
             acc,
-            compress: true,
-            format: MatrixFormat::Coo,
-            scheme: PartitionScheme::Row1D,
+            ..SpmvPim::new(device, precision)
         }
     }
 
@@ -118,7 +119,8 @@ impl SpmvPim {
         }
     }
 
-    /// Compute `y = A x` on the PIM device.
+    /// Compute `y = A x` on the PIM device: the width-1
+    /// [`SpmvPim::run_fused`] pass.
     ///
     /// # Errors
     ///
@@ -128,7 +130,39 @@ impl SpmvPim {
     ///
     /// Panics if `x.len() != a.ncols()`.
     pub fn run(&self, a: &Coo, x: &[f64]) -> Result<SpmvResult, CoreError> {
-        assert_eq!(x.len(), a.ncols(), "spmv operand length mismatch");
+        let SpmmResult {
+            mut ys,
+            run,
+            stats,
+            waves,
+        } = self.run_fused(a, &[x])?;
+        Ok(SpmvResult {
+            y: ys.pop().expect("one product per vector"),
+            run,
+            stats,
+            waves,
+        })
+    }
+
+    /// Compute `y_v = A x_v` for every vector of `xs` in one traversal.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine/program failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `xs` is empty, wider than [`MAX_SPMM_WIDTH`], or any
+    /// vector's length differs from `a.ncols()`.
+    pub fn run_fused(&self, a: &Coo, xs: &[&[f64]]) -> Result<SpmmResult, CoreError> {
+        let width = xs.len();
+        assert!(
+            (1..=MAX_SPMM_WIDTH).contains(&width),
+            "spmm width {width} outside 1..={MAX_SPMM_WIDTH}"
+        );
+        for x in xs {
+            assert_eq!(x.len(), a.ncols(), "spmv operand length mismatch");
+        }
         // Blocked fill zeros are inert only when 0·x is the accumulator
         // identity — the arithmetic semiring. Min/Max accumulation would
         // absorb the fill, so refuse rather than corrupt.
@@ -172,14 +206,16 @@ impl SpmvPim {
 
         let mut host = self.device.make_host();
         let mut run = KernelRun::default();
-        let mut y = vec![identity; a.nrows()];
+        let mut ys = vec![vec![identity; a.nrows()]; width];
 
         for wave in 0..waves {
-            // Broadcast this wave's gathered input slices.
+            // Broadcast this wave's gathered input slices — one slice per
+            // fused vector per bank (the matrix-side traversal is shared;
+            // the vector-side traffic still scales with the width).
             let bcast: usize = per_bank
                 .iter()
                 .filter_map(|q| q.get(wave))
-                .map(|s| s.input_len() * ebytes)
+                .map(|s| s.input_len() * ebytes * width)
                 .sum();
             host.broadcast(bcast);
             mode_cycle(&mut host, program.len());
@@ -199,7 +235,9 @@ impl SpmvPim {
                 if max_nnz == 0 {
                     continue;
                 }
-                let pairs = triple_pairs(max_nnz, lanes);
+                // The block-diagonal stream is `width` copies of the
+                // longest bank stream; the sentinel pair still closes it.
+                let pairs = triple_pairs(width * max_nnz, lanes);
                 let max_in = (0..banks_per_cube)
                     .filter_map(|b| per_bank[lo + b].get(wave))
                     .map(|s| s.input_len())
@@ -218,18 +256,23 @@ impl SpmvPim {
                 for b in 0..banks_per_cube {
                     let sub = per_bank[lo + b].get(wave);
                     let mut entries: Vec<(u32, u32, f64)> = Vec::new();
-                    let mut xg = vec![0.0; max_in];
+                    let mut xg = vec![0.0; width * max_in];
                     if let Some(s) = sub {
-                        entries = s.entries.iter().map(|e| (e.row, e.col, e.val)).collect();
-                        for (i, &c) in s.cols.iter().enumerate() {
-                            xg[i] = self.precision.quantize(x[c as usize]);
+                        entries.reserve(width * s.entries.len());
+                        for (v, x) in xs.iter().enumerate() {
+                            let (dr, dc) = ((v * max_out) as u32, (v * max_in) as u32);
+                            entries
+                                .extend(s.entries.iter().map(|e| (e.row + dr, e.col + dc, e.val)));
+                            for (i, &c) in s.cols.iter().enumerate() {
+                                xg[v * max_in + i] = self.precision.quantize(x[c as usize]);
+                            }
                         }
                     }
                     let triples = pack_triples(&entries, lanes, pairs, self.precision);
                     let mem = engine.mem_mut(b);
                     let rt = mem.alloc("triples", ebytes, triples);
                     let rx = mem.alloc("x", ebytes, xg);
-                    let ry = mem.alloc("y", ebytes, vec![identity; max_out]);
+                    let ry = mem.alloc("y", ebytes, vec![identity; width * max_out]);
                     if b == 0 {
                         bindings = batched_sparse_bindings(rt, rx, ry, lanes);
                     }
@@ -248,7 +291,8 @@ impl SpmvPim {
                 }
                 run.absorb_engine(&report);
 
-                // Host accumulates only rows that received partial sums.
+                // Host accumulates only the rows that received partial
+                // sums, for every fused vector.
                 let y_region = bindings[10].expect("output bound").region;
                 for b in 0..banks_per_cube {
                     if let Some(s) = per_bank[lo + b].get(wave) {
@@ -256,11 +300,13 @@ impl SpmvPim {
                         let mut touched: Vec<u32> = s.entries.iter().map(|e| e.row).collect();
                         touched.sort_unstable();
                         touched.dedup();
-                        for &lr in &touched {
-                            let g = s.row_lo + lr as usize;
-                            y[g] = self.acc.apply(data[lr as usize], y[g]);
+                        for (v, y) in ys.iter_mut().enumerate() {
+                            for &lr in &touched {
+                                let g = s.row_lo + lr as usize;
+                                y[g] = self.acc.apply(data[v * max_out + lr as usize], y[g]);
+                            }
                         }
-                        collect_bytes += touched.len() * (ebytes + 4);
+                        collect_bytes += width * touched.len() * (ebytes + 4);
                     }
                 }
             }
@@ -272,8 +318,8 @@ impl SpmvPim {
         }
         run.absorb_host(&host);
 
-        Ok(SpmvResult {
-            y,
+        Ok(SpmmResult {
+            ys,
             run,
             stats,
             waves,

@@ -1,9 +1,8 @@
 //! Cost-model calibration: the O(nnz) analytical [`CostModel`] against
 //! the cycle engine.
 //!
-//! The autotuner and the scheduler's analytical placement rank by the
-//! model's estimates, so it has to stay close to what the engine
-//! simulates. A fixed grid of kernel × matrix-class points (R-MAT and
+//! The autotuner ranks layouts by the model's estimates, so it has to
+//! stay close to what the engine simulates. A fixed grid of kernel × matrix-class points (R-MAT and
 //! banded-FEM SpMV at several scales, lower-triangular SpTRSV on both
 //! classes, dense BLAS-1 at two sizes) runs through both; each kernel's
 //! mean absolute percentage error must stay under [`MAPE_BOUND_PCT`].

@@ -9,17 +9,27 @@
 //! service time of every job it runs, and the batch's makespan is the
 //! latest lane finish instead of the serial sum.
 //!
-//! Two service-mode optimizations live here:
+//! Three service-mode optimizations live here:
 //!
 //! * **Fusion** — same-matrix SpMV jobs (same semiring, precision, class)
 //!   arriving in one admission batch coalesce into a single
-//!   [`psim_kernels::SpmmPim`] pass of up to [`ExecutorConfig::fusion`]
+//!   [`SpmvPim::run_fused`] pass of up to [`ExecutorConfig::fusion`]
 //!   vectors. The fused kernel's per-vector results are bit-identical to
 //!   per-job SpMV (see `spmm.rs`), so fusion changes *when* jobs finish,
 //!   never *what* they compute. The first member of a group is the
 //!   *leader* and carries the real [`KernelRun`]; followers carry zeroed
 //!   accounting (cycle conservation holds batch-wide) but the group's
 //!   service time (their latency is real).
+//! * **Layout tuning** — every SpMV group, of any width, runs from the
+//!   layout (storage format, partition scheme, placement policy)
+//!   [`psim_tune::Autotuner`] picks for its matrix on the shard device,
+//!   decided once per live matrix while the batch is planned (see
+//!   [`LayoutMemo`]). Semirings other than `(Mul, Add)` keep the tuned
+//!   scheme and policy but run the element format: blocked zero-fill is
+//!   only sound under the arithmetic semiring. Every layout computes the
+//!   same product; tuned results agree with the baseline layout to
+//!   floating-point summation order (the differential oracle bounds the
+//!   drift at 1e-9).
 //! * **Work stealing** — jobs are dealt to per-lane deques by projected
 //!   finish time; whenever a lane's deque runs dry it steals the *back*
 //!   of the most-loaded lane. All steal decisions are planned
@@ -35,12 +45,11 @@
 //! [`SimStats`] JSON and job values.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-use psim_conc::Mutex;
 use psim_kernels::blas1::Blas1Pim;
-use psim_kernels::{CostModel, KernelRun, PimDevice, SpmmPim, SpmvPim, SptrsvPim, MAX_SPMM_WIDTH};
+use psim_kernels::{KernelRun, PimDevice, SpmvPim, SptrsvPim, MAX_SPMM_WIDTH};
 use psim_sparse::{Coo, Layout, MatrixFormat, Precision};
 use psim_tune::Autotuner;
 use psyncpim_core::isa::BinaryOp;
@@ -84,24 +93,6 @@ impl std::fmt::Display for SchedError {
 
 impl std::error::Error for SchedError {}
 
-/// How the executor estimates a job's cost for shard placement.
-///
-/// Placement never affects job *results*, only which shard serves which
-/// job (and therefore simulated waiting time), so both tiers are safe —
-/// they trade placement quality against estimation cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostTier {
-    /// Operand-size proxy (`nnz + len`): free, but blind to skew, waves
-    /// and level-schedule serialization.
-    #[default]
-    Heuristic,
-    /// The O(nnz) analytical model ([`psim_kernels::CostModel`]):
-    /// predicts DRAM cycles from partition shape and level structure, so
-    /// a skewed SpMV or a chain-like SpTRSV weighs what it will actually
-    /// cost.
-    Analytical,
-}
-
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
@@ -123,23 +114,11 @@ pub struct ExecutorConfig {
     /// category, and [`SimStats`] aggregates the batch-wide breakdown.
     /// Off by default (tracing is cheap but not free).
     pub trace: bool,
-    /// Cost estimator for shard placement. Heuristic by default.
-    pub cost_tier: CostTier,
     /// Fusion window width: up to this many same-matrix SpMV jobs (same
     /// semiring, precision and class) from one admission batch coalesce
     /// into a single SpMM pass. `1` (the constructors' default) disables
     /// fusion; values above [`MAX_SPMM_WIDTH`] are clamped.
     pub fusion: usize,
-    /// Autotune each SpMV/SpMM matrix's execution layout (storage format,
-    /// partition scheme, placement policy) with [`psim_tune::Autotuner`]
-    /// at its first job, memoized by matrix identity so store-resident
-    /// operands are analyzed once. Off by default: the baseline layout
-    /// keeps results and schedules bit-identical to the pre-tuner
-    /// executor. Every layout computes the same product — tuned results
-    /// agree with the baseline to floating-point summation order (the
-    /// differential oracle bounds the drift at 1e-9) — so tuning changes
-    /// cycle accounting and placement, never what a job means.
-    pub autotune: bool,
 }
 
 impl ExecutorConfig {
@@ -152,9 +131,7 @@ impl ExecutorConfig {
             host_threads: 1,
             validate: true,
             trace: false,
-            cost_tier: CostTier::default(),
             fusion: 1,
-            autotune: false,
         }
     }
 
@@ -167,30 +144,14 @@ impl ExecutorConfig {
             host_threads: shards,
             validate: true,
             trace: false,
-            cost_tier: CostTier::default(),
             fusion: 1,
-            autotune: false,
         }
-    }
-
-    /// Same configuration under a different placement cost tier.
-    #[must_use]
-    pub fn with_cost_tier(mut self, tier: CostTier) -> Self {
-        self.cost_tier = tier;
-        self
     }
 
     /// Same configuration with an SpMV→SpMM fusion window of `width`.
     #[must_use]
     pub fn with_fusion(mut self, width: usize) -> Self {
         self.fusion = width;
-        self
-    }
-
-    /// Same configuration with per-matrix layout autotuning switched on.
-    #[must_use]
-    pub fn with_autotune(mut self) -> Self {
-        self.autotune = true;
         self
     }
 }
@@ -256,12 +217,6 @@ impl BatchReport {
 pub struct ShardExecutor {
     cfg: ExecutorConfig,
     shard_device: PimDevice,
-    /// Tuned-layout memo, keyed by matrix identity (`Arc` pointer — the
-    /// same key fusion uses): a [`MatrixStore`](crate::MatrixStore)-
-    /// resident matrix is analyzed once, at its first job, and every
-    /// later job against the same handle reuses the decision. Shared
-    /// across clones so a service front-end and its workers agree.
-    tuned: Arc<Mutex<HashMap<usize, Layout>>>,
 }
 
 impl ShardExecutor {
@@ -281,11 +236,7 @@ impl ShardExecutor {
             })?;
         shard_device.validate = cfg.validate;
         shard_device.trace = cfg.trace;
-        Ok(ShardExecutor {
-            cfg,
-            shard_device,
-            tuned: Arc::new(Mutex::labeled("sched.tune", HashMap::new())),
-        })
+        Ok(ShardExecutor { cfg, shard_device })
     }
 
     /// The configuration.
@@ -298,77 +249,6 @@ impl ShardExecutor {
     #[must_use]
     pub fn shard_device(&self) -> &PimDevice {
         &self.shard_device
-    }
-
-    /// The layout this executor runs matrix `a` from.
-    ///
-    /// With autotuning off this is the baseline layout — identical to the
-    /// kernels' own defaults, so existing configurations stay bit-exact.
-    /// With it on, the first job naming `a` pays one O(nnz)
-    /// [`Autotuner::decide`] pass against the shard device and the choice
-    /// is memoized by `Arc` identity. Non-arithmetic semirings keep the
-    /// tuned scheme and policy but fall back to the element format:
-    /// blocked zero-fill is only sound under `(Mul, Add)`.
-    #[must_use]
-    pub fn tuned_layout(
-        &self,
-        a: &Arc<Coo>,
-        precision: Precision,
-        mul: BinaryOp,
-        acc: BinaryOp,
-    ) -> Layout {
-        if !self.cfg.autotune {
-            return Layout::baseline();
-        }
-        let key = Arc::as_ptr(a) as usize;
-        let cached = self.tuned.lock().get(&key).copied();
-        let mut layout = cached.unwrap_or_else(|| {
-            // Decide outside the lock (the pass walks all of `a`), then
-            // keep whichever decision reached the memo first — decide()
-            // is deterministic, so racers agree anyway.
-            let choice = Autotuner::new(&self.shard_device)
-                .decide(a, precision)
-                .choice;
-            *self.tuned.lock().entry(key).or_insert(choice)
-        });
-        if !(mul == BinaryOp::Mul && acc == BinaryOp::Add) {
-            layout.format = MatrixFormat::Coo;
-        }
-        layout
-    }
-
-    /// The placement cost of one job under the configured [`CostTier`].
-    ///
-    /// Heuristic: the operand-size proxy from [`Job::cost_estimate`].
-    /// Analytical: predicted DRAM cycles on the *shard* device (jobs run
-    /// on shard slices, so the slice geometry is what placement should
-    /// weigh).
-    #[must_use]
-    pub fn job_cost(&self, job: &Job) -> u64 {
-        match self.cfg.cost_tier {
-            CostTier::Heuristic => job.cost_estimate(),
-            CostTier::Analytical => {
-                let model = CostModel::new(&self.shard_device);
-                let p = job.spec.precision;
-                let cycles = match &job.spec.kind {
-                    JobKind::Spmv { a, mul, acc, .. } => {
-                        if self.cfg.autotune {
-                            let layout = self.tuned_layout(a, p, *mul, *acc);
-                            model.spmv_layout(a, p, layout).cycles
-                        } else {
-                            model.spmv(a, p).cycles
-                        }
-                    }
-                    JobKind::Sptrsv { t, .. } => model.sptrsv(t, p).cycles,
-                    JobKind::Axpy { x, .. } => model.axpy(x.len(), p).cycles,
-                    JobKind::Scal { x, .. } => model.scal(x.len(), p).cycles,
-                    JobKind::Vv { x, .. } => model.vv(x.len(), p).cycles,
-                    JobKind::Dot { x, .. } => model.dot(x.len(), p).cycles,
-                    JobKind::Norm2 { x } => model.norm2(x.len(), p).cycles,
-                };
-                cycles.max(1)
-            }
-        }
     }
 
     /// Drain every job currently queued (in the queue's fairness order)
@@ -427,8 +307,7 @@ impl ShardExecutor {
                         .position(|&gi| fusion_key(&groups[gi].jobs[0]) == Some(key))
                     {
                         let gi = open[pos];
-                        groups[gi].arrival_s = groups[gi].arrival_s.max(job.spec.arrival_s);
-                        groups[gi].jobs.push(job);
+                        groups[gi].push(job);
                         if groups[gi].jobs.len() >= width {
                             open.remove(pos);
                         }
@@ -441,80 +320,17 @@ impl ShardExecutor {
             }
             groups.push(Group::singleton(job));
         }
-        for g in &mut groups {
-            g.cost = self.group_cost(g);
-        }
         groups
     }
 
-    /// Placement cost of one execution group.
-    fn group_cost(&self, group: &Group) -> u64 {
-        if group.jobs.len() == 1 {
-            return self.job_cost(&group.jobs[0]);
-        }
-        match self.cfg.cost_tier {
-            // The proxy just sums members: blind to traversal sharing but
-            // monotone in group size, which is all placement needs.
-            CostTier::Heuristic => group
-                .jobs
-                .iter()
-                .map(Job::cost_estimate)
-                .sum::<u64>()
-                .max(1),
-            CostTier::Analytical => {
-                let JobKind::Spmv { a, mul, acc, .. } = &group.jobs[0].spec.kind else {
-                    unreachable!("fused groups are SpMV by construction")
-                };
-                let p = group.jobs[0].spec.precision;
-                let model = CostModel::new(&self.shard_device);
-                let est = if self.cfg.autotune {
-                    let layout = self.tuned_layout(a, p, *mul, *acc);
-                    model.spmm_layout(a, group.jobs.len(), p, layout)
-                } else {
-                    model.spmm(a, group.jobs.len(), p)
-                };
-                est.cycles.max(1)
-            }
-        }
-    }
-
-    /// Execute one group on the shard device: the fused SpMM pass for
-    /// multi-member groups, the job's own kernel for singletons. Returns
-    /// one value per member (member order) plus the group's [`KernelRun`].
+    /// Execute one group on the shard device. Returns one value per
+    /// member (member order) plus the group's [`KernelRun`].
     fn run_group(&self, group: &Group) -> Result<(Vec<JobValue>, KernelRun), SchedError> {
-        let leader = &group.jobs[0];
         let fail = |e: String| SchedError::JobFailed {
-            id: leader.id,
+            id: group.jobs[0].id,
             error: e,
         };
-        let (values, run) = if group.jobs.len() == 1 {
-            let (value, run) = self.run_kernel(leader).map_err(|e| fail(e.to_string()))?;
-            (vec![value], run)
-        } else {
-            let JobKind::Spmv { a, mul, acc, .. } = &leader.spec.kind else {
-                unreachable!("fused groups are SpMV by construction")
-            };
-            let xs: Vec<Vec<f64>> = group
-                .jobs
-                .iter()
-                .map(|j| {
-                    let JobKind::Spmv { x, .. } = &j.spec.kind else {
-                        unreachable!("fused groups are SpMV by construction")
-                    };
-                    x.clone()
-                })
-                .collect();
-            let layout = self.tuned_layout(a, leader.spec.precision, *mul, *acc);
-            let spmm = SpmmPim::with_semiring(
-                self.shard_device.clone(),
-                leader.spec.precision,
-                *mul,
-                *acc,
-            )
-            .with_layout(layout);
-            let r = spmm.run(a, &xs).map_err(|e| fail(e.to_string()))?;
-            (r.ys.into_iter().map(JobValue::Vector).collect(), r.run)
-        };
+        let (values, run) = self.run_kernel(group).map_err(|e| fail(e.to_string()))?;
         if run.violations > 0 {
             return Err(fail(format!(
                 "protocol validation failed: {} violation(s) in the command stream",
@@ -524,46 +340,59 @@ impl ShardExecutor {
         Ok((values, run))
     }
 
-    /// Dispatch one job's kernel on the shard device.
-    fn run_kernel(&self, job: &Job) -> Result<(JobValue, KernelRun), CoreError> {
+    /// Dispatch one group's kernel on the shard device: an SpMV group of
+    /// any width is one fused pass on the group's layout; every other
+    /// kind is a singleton running its own kernel.
+    fn run_kernel(&self, group: &Group) -> Result<(Vec<JobValue>, KernelRun), CoreError> {
+        let job = &group.jobs[0];
         let dev = self.shard_device.clone();
         let precision = job.spec.precision;
         let blas = || Blas1Pim::new(self.shard_device.clone(), precision);
-        match &job.spec.kind {
-            JobKind::Spmv { a, x, mul, acc } => {
-                let layout = self.tuned_layout(a, precision, *mul, *acc);
+        let (value, run) = match &job.spec.kind {
+            JobKind::Spmv { a, mul, acc, .. } => {
+                let xs: Vec<&[f64]> = group
+                    .jobs
+                    .iter()
+                    .map(|j| {
+                        let JobKind::Spmv { x, .. } = &j.spec.kind else {
+                            unreachable!("fused groups are SpMV by construction")
+                        };
+                        x.as_slice()
+                    })
+                    .collect();
                 let r = SpmvPim::with_semiring(dev, precision, *mul, *acc)
-                    .with_layout(layout)
-                    .run(a, x)?;
-                Ok((JobValue::Vector(r.y), r.run))
+                    .with_layout(group.layout)
+                    .run_fused(a, &xs)?;
+                return Ok((r.ys.into_iter().map(JobValue::Vector).collect(), r.run));
             }
             JobKind::Sptrsv { t, b } => {
                 let mut solver = SptrsvPim::new(dev);
                 solver.precision = precision;
                 let r = solver.run(t, b)?;
-                Ok((JobValue::Vector(r.x), r.run))
+                (JobValue::Vector(r.x), r.run)
             }
             JobKind::Axpy { alpha, x, y } => {
                 let r = blas().daxpy(*alpha, x, y)?;
-                Ok((JobValue::Vector(r.v), r.run))
+                (JobValue::Vector(r.v), r.run)
             }
             JobKind::Scal { alpha, x } => {
                 let r = blas().dscal(*alpha, x)?;
-                Ok((JobValue::Vector(r.v), r.run))
+                (JobValue::Vector(r.v), r.run)
             }
             JobKind::Vv { x, y, op } => {
                 let r = blas().dvdv(x, y, *op)?;
-                Ok((JobValue::Vector(r.v), r.run))
+                (JobValue::Vector(r.v), r.run)
             }
             JobKind::Dot { x, y } => {
                 let r = blas().ddot(x, y)?;
-                Ok((JobValue::Scalar(r.s), r.run))
+                (JobValue::Scalar(r.s), r.run)
             }
             JobKind::Norm2 { x } => {
                 let r = blas().dnrm2(x)?;
-                Ok((JobValue::Scalar(r.s), r.run))
+                (JobValue::Scalar(r.s), r.run)
             }
-        }
+        };
+        Ok((vec![value], run))
     }
 }
 
@@ -596,8 +425,12 @@ fn fusion_key(job: &Job) -> Option<FusionKey> {
 struct Group {
     /// Members in admission order; `jobs[0]` is the leader.
     jobs: Vec<Job>,
-    /// Placement cost estimate (configured [`CostTier`] units).
+    /// Placement cost: the members' summed [`Job::cost_estimate`], an
+    /// operand-size proxy (`nnz + len`).
     cost: u64,
+    /// The layout an SpMV group runs from, set when the group is dealt
+    /// (the baseline for every other kind).
+    layout: Layout,
     /// The group becomes runnable when its latest member has arrived.
     arrival_s: f64,
 }
@@ -606,9 +439,68 @@ impl Group {
     fn singleton(job: Job) -> Self {
         Group {
             arrival_s: job.spec.arrival_s,
-            cost: 0,
+            cost: job.cost_estimate(),
+            layout: Layout::baseline(),
             jobs: vec![job],
         }
+    }
+
+    fn push(&mut self, job: Job) {
+        self.arrival_s = self.arrival_s.max(job.spec.arrival_s);
+        self.cost += job.cost_estimate();
+        self.jobs.push(job);
+    }
+}
+
+/// Tuned-layout memo: one [`Autotuner::decide`] per live matrix and
+/// precision, so a [`MatrixStore`](crate::MatrixStore)-resident matrix is
+/// analyzed at its first job and every later job against the same handle
+/// reuses the decision.
+///
+/// Entries are keyed by matrix address (the identity fusion uses) and
+/// hold a [`Weak`] handle: its weak count keeps the allocation, so no
+/// later matrix can be allocated at a remembered address while the entry
+/// exists. An entry whose matrix has been dropped is a miss, and
+/// [`LayoutMemo::prune`] forgets it, so the memo holds only matrices that
+/// were alive at the last admission batch. It lives in the
+/// single-threaded planner ([`LaneEngine`]) and needs no lock.
+#[derive(Debug, Default)]
+struct LayoutMemo {
+    entries: HashMap<(usize, Precision), (Weak<Coo>, Layout)>,
+}
+
+impl LayoutMemo {
+    /// The layout an SpMV job on `a` runs from on `device`: the tuner's
+    /// choice, in the element format for semirings other than
+    /// `(Mul, Add)` (blocked zero-fill is only sound under the arithmetic
+    /// semiring).
+    fn layout(
+        &mut self,
+        device: &PimDevice,
+        a: &Arc<Coo>,
+        precision: Precision,
+        mul: BinaryOp,
+        acc: BinaryOp,
+    ) -> Layout {
+        let key = (Arc::as_ptr(a) as usize, precision);
+        let mut layout = match self.entries.get(&key) {
+            Some((matrix, layout)) if matrix.strong_count() > 0 => *layout,
+            _ => {
+                let choice = Autotuner::new(device).decide(a, precision).choice;
+                self.entries.insert(key, (Arc::downgrade(a), choice));
+                choice
+            }
+        };
+        if (mul, acc) != (BinaryOp::Mul, BinaryOp::Add) {
+            layout.format = MatrixFormat::Coo;
+        }
+        layout
+    }
+
+    /// Forget every entry whose matrix has been dropped.
+    fn prune(&mut self) {
+        self.entries
+            .retain(|_, (matrix, _)| matrix.strong_count() > 0);
     }
 }
 
@@ -645,6 +537,8 @@ pub(crate) struct LaneEngine {
     /// Calibration: observed service seconds per executed cost unit.
     total_service_s: f64,
     total_cost: f64,
+    /// Tuned layouts of the SpMV matrices seen so far.
+    layouts: LayoutMemo,
 }
 
 impl LaneEngine {
@@ -656,6 +550,7 @@ impl LaneEngine {
             steals: 0,
             total_service_s: 0.0,
             total_cost: 0.0,
+            layouts: LayoutMemo::default(),
         }
     }
 
@@ -675,10 +570,18 @@ impl LaneEngine {
         self.clocks[lane] + self.remaining[lane] as f64 * scale
     }
 
-    /// Fuse and deal one admission batch onto the lanes.
+    /// Fuse one admission batch, decide each SpMV group's layout, and
+    /// deal the groups onto the lanes.
     pub(crate) fn feed(&mut self, exec: &ShardExecutor, jobs: Vec<Job>) {
+        self.layouts.prune();
         let scale = self.scale();
-        for group in exec.fuse_batch(jobs) {
+        for mut group in exec.fuse_batch(jobs) {
+            let leader = &group.jobs[0].spec;
+            if let JobKind::Spmv { a, mul, acc, .. } = &leader.kind {
+                group.layout =
+                    self.layouts
+                        .layout(&exec.shard_device, a, leader.precision, *mul, *acc);
+            }
             let lane = (0..self.lanes.len())
                 .min_by(|&a, &b| {
                     self.projected_finish(a, scale)
@@ -1021,81 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn analytical_tier_sees_serialization_the_heuristic_misses() {
-        // Two SpTRSV jobs with identical nnz: a pure dependency chain
-        // (n levels, one launch each) and a star (every row depends only
-        // on x[0] — one level, one launch). The heuristic proxy
-        // (nnz + len) prices them identically; the analytical tier walks
-        // the level schedule and must see the chain's serialization.
-        use psim_sparse::triangular::{Triangle, UnitTriangular};
-        let n = 64usize;
-        let mut chain = psim_sparse::Coo::new(n, n);
-        let mut star = psim_sparse::Coo::new(n, n);
-        for i in 1..n {
-            chain.push(i as u32, i as u32 - 1, 0.5);
-            star.push(i as u32, 0, 0.5);
-        }
-        let b = vec![1.0; n];
-        let job = |s: psim_sparse::Coo| Job {
-            id: 0,
-            spec: JobSpec::batch(
-                "t",
-                JobKind::Sptrsv {
-                    t: Arc::new(UnitTriangular::from_strict(Triangle::Lower, s).unwrap()),
-                    b: b.clone(),
-                },
-            ),
-        };
-        let (chain, star) = (job(chain), job(star));
-        // The heuristic proxy is identical by construction.
-        assert_eq!(chain.cost_estimate(), star.cost_estimate());
-        let cfg = ExecutorConfig::serial(PimDevice::tiny(2)).with_cost_tier(CostTier::Analytical);
-        let exec = ShardExecutor::new(cfg).unwrap();
-        let (c, s) = (exec.job_cost(&chain), exec.job_cost(&star));
-        assert!(
-            c > s * 10,
-            "analytical cost must punish level serialization: chain {c} vs star {s}"
-        );
-    }
-
-    #[test]
-    fn analytical_placement_preserves_results() {
-        // Placement tier changes *which shard* serves a job, never the
-        // job's value: the same batch under both tiers returns the same
-        // numbers.
-        let a = Arc::new(psim_sparse::gen::rmat(48, 4, 9));
-        let x: Vec<f64> = (0..48).map(|i| 0.5 + i as f64).collect();
-        let run = |tier: CostTier| {
-            let queue = JobQueue::bounded(8);
-            let spmv = queue
-                .submit(JobSpec::batch(
-                    "t0",
-                    JobKind::spmv(Arc::clone(&a), x.clone()),
-                ))
-                .unwrap();
-            let dot = queue
-                .submit(JobSpec::batch(
-                    "t1",
-                    JobKind::Dot {
-                        x: x.clone(),
-                        y: x.clone(),
-                    },
-                ))
-                .unwrap();
-            let exec = ShardExecutor::new(
-                ExecutorConfig::sharded(PimDevice::tiny(2), 2).with_cost_tier(tier),
-            )
-            .unwrap();
-            let report = exec.drain_and_run(&queue).unwrap();
-            (
-                report.job(spmv).unwrap().value.clone(),
-                report.job(dot).unwrap().value.clone(),
-            )
-        };
-        assert_eq!(run(CostTier::Heuristic), run(CostTier::Analytical));
-    }
-
-    #[test]
     fn executes_jobs_and_preserves_values() {
         let queue = JobQueue::bounded(16);
         let a = Arc::new(psim_sparse::gen::rmat(32, 2, 3));
@@ -1130,22 +958,12 @@ mod tests {
         assert!(report.stats.host.walltime_s > 0.0);
     }
 
-    /// Tuned and untuned runs compute the same product; layouts reorder
-    /// floating-point accumulation, so compare to the oracle tolerance.
-    fn assert_values_close(base: &[JobValue], tuned: &[JobValue]) {
-        assert_eq!(base.len(), tuned.len());
-        for (b, t) in base.iter().zip(tuned) {
-            match (b, t) {
-                (JobValue::Vector(b), JobValue::Vector(t)) => {
-                    for (bv, tv) in b.iter().zip(t) {
-                        assert!((bv - tv).abs() <= 1e-9 * bv.abs().max(1.0), "{bv} vs {tv}");
-                    }
-                }
-                (JobValue::Scalar(b), JobValue::Scalar(t)) => {
-                    assert!((b - t).abs() <= 1e-9 * b.abs().max(1.0));
-                }
-                _ => panic!("value kinds diverged"),
-            }
+    /// An SpMV job on `a` against a deterministic operand.
+    fn spmv_job(id: JobId, a: &Arc<Coo>) -> Job {
+        let x: Vec<f64> = (0..a.ncols()).map(|i| 1.0 + (i % 7) as f64).collect();
+        Job {
+            id,
+            spec: JobSpec::batch("t0", JobKind::spmv(Arc::clone(a), x)),
         }
     }
 
@@ -1153,53 +971,49 @@ mod tests {
     fn autotuned_executor_preserves_values_and_memoizes() {
         // Adversarial shapes that exercise non-baseline tuner choices:
         // hub rows (balancing rules) and near-dense blocks (blocked
-        // candidates). The tuned executor must return the same values as
-        // the untuned one — layouts change the schedule, not the
-        // product — and tune each Arc-identical matrix only once.
+        // candidates). Tuned jobs must return the baseline layout's
+        // values — layouts change the schedule, not the product — and
+        // each Arc-identical matrix is tuned only once.
         let hubs = Arc::new(psim_sparse::adversarial::power_law_hubs(96, 800, 3, 5));
         let blocks = Arc::new(psim_sparse::adversarial::near_dense_blocks(64, 8, 4, 5));
-        let run = |autotune: bool| {
-            let queue = JobQueue::bounded(16);
-            for a in [&hubs, &blocks] {
-                let x: Vec<f64> = (0..a.ncols()).map(|i| 1.0 + i as f64).collect();
-                for _ in 0..2 {
-                    queue
-                        .submit(JobSpec::batch(
-                            "t0",
-                            JobKind::spmv(Arc::clone(a), x.clone()),
-                        ))
-                        .unwrap();
-                }
-            }
-            let mut cfg =
-                ExecutorConfig::sharded(PimDevice::tiny(2), 2).with_cost_tier(CostTier::Analytical);
-            if autotune {
-                cfg = cfg.with_autotune();
-            }
-            let exec = ShardExecutor::new(cfg).unwrap();
-            let report = exec.drain_and_run(&queue).unwrap();
-            let values: Vec<JobValue> = report.jobs.iter().map(|j| j.value.clone()).collect();
-            (exec, values)
+        let jobs = || -> Vec<Job> {
+            (0..4u64)
+                .map(|id| spmv_job(id, if id < 2 { &hubs } else { &blocks }))
+                .collect()
         };
-        let (exec_off, base) = run(false);
-        let (exec_on, tuned) = run(true);
-        assert_values_close(&base, &tuned);
-        assert_eq!(exec_off.tuned.lock().len(), 0, "off: no decisions made");
+        let exec = ShardExecutor::new(ExecutorConfig::sharded(PimDevice::tiny(2), 2)).unwrap();
+        let mut engine = LaneEngine::new(2);
+        engine.feed(&exec, jobs());
         assert_eq!(
-            exec_on.tuned.lock().len(),
+            engine.layouts.entries.len(),
             2,
             "one memoized decision per distinct matrix handle"
         );
-        // The tuner actually moved off the baseline for the skewed matrix.
-        let l = exec_on.tuned_layout(&hubs, Precision::Fp64, BinaryOp::Mul, BinaryOp::Add);
+        let l = engine.layouts.layout(
+            exec.shard_device(),
+            &hubs,
+            Precision::Fp64,
+            BinaryOp::Mul,
+            BinaryOp::Add,
+        );
         assert_ne!(
             l,
             Layout::baseline(),
             "hub rows must tune away from baseline"
         );
-        // And with tuning off, every matrix reports the baseline layout.
-        let l = exec_off.tuned_layout(&hubs, Precision::Fp64, BinaryOp::Mul, BinaryOp::Add);
-        assert_eq!(l, Layout::baseline());
+
+        let report = exec.run_jobs(jobs()).unwrap();
+        let baseline = SpmvPim::new(exec.shard_device().clone(), Precision::Fp64);
+        for (job, want) in report.jobs.iter().zip(jobs()) {
+            let JobKind::Spmv { a, x, .. } = &want.spec.kind else {
+                unreachable!()
+            };
+            let want = baseline.run(a, x).unwrap().y;
+            let got = job.value.as_vector().unwrap();
+            for (g, w) in got.iter().zip(&want) {
+                assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{g} vs {w}");
+            }
+        }
     }
 
     #[test]
@@ -1213,39 +1027,31 @@ mod tests {
         // any memoized layout.
         let a = Arc::new(psim_sparse::adversarial::near_dense_blocks(64, 8, 4, 11));
         let x: Vec<f64> = (0..64).map(|i| (i % 7) as f64).collect();
-        let tropical = |a: &Arc<Coo>, x: &[f64]| JobKind::Spmv {
-            a: Arc::clone(a),
-            x: x.to_vec(),
-            mul: BinaryOp::Add,
-            acc: BinaryOp::Min,
-        };
         let blocked = Layout {
             format: MatrixFormat::Bcsr { block: 4 },
             scheme: psim_sparse::PartitionScheme::Balanced2D { col_blocks: 2 },
             policy: psim_sparse::DistPolicy::LeastLoaded,
         };
-        let run = |autotune: bool| {
-            let queue = JobQueue::bounded(4);
-            queue
-                .submit(JobSpec::batch("t0", tropical(&a, &x)))
-                .unwrap();
-            let mut cfg = ExecutorConfig::serial(PimDevice::tiny(2));
-            if autotune {
-                cfg = cfg.with_autotune();
-            }
-            let exec = ShardExecutor::new(cfg).unwrap();
-            if autotune {
-                exec.tuned.lock().insert(Arc::as_ptr(&a) as usize, blocked);
-            }
-            let report = exec.drain_and_run(&queue).unwrap();
-            (exec, report.jobs[0].value.clone())
+        let exec = ShardExecutor::new(ExecutorConfig::serial(PimDevice::tiny(2))).unwrap();
+        let mut engine = LaneEngine::new(1);
+        engine.layouts.entries.insert(
+            (Arc::as_ptr(&a) as usize, Precision::Fp64),
+            (Arc::downgrade(&a), blocked),
+        );
+        let tropical = JobKind::Spmv {
+            a: Arc::clone(&a),
+            x: x.clone(),
+            mul: BinaryOp::Add,
+            acc: BinaryOp::Min,
         };
-        let (_, base) = run(false);
-        let (exec, tuned) = run(true);
-        // min-accumulation is order-insensitive and per-entry Add is
-        // exact, so the demoted layout's values match bit-for-bit.
-        assert_eq!(base, tuned, "semiring values must survive tuning");
-        let l = exec.tuned_layout(&a, Precision::Fp64, BinaryOp::Add, BinaryOp::Min);
+        engine.feed(
+            &exec,
+            vec![Job {
+                id: 0,
+                spec: JobSpec::batch("t0", tropical),
+            }],
+        );
+        let l = engine.lanes[0][0].layout;
         assert!(
             !l.format.is_blocked(),
             "non-arithmetic semirings must not execute from a zero-filled blocked stream: {}",
@@ -1254,14 +1060,69 @@ mod tests {
         assert_eq!(l.scheme, blocked.scheme, "the tuned scheme survives");
         assert_eq!(l.policy, blocked.policy, "the tuned policy survives");
         // The arithmetic view of the same memo entry stays blocked.
-        let arith = exec.tuned_layout(&a, Precision::Fp64, BinaryOp::Mul, BinaryOp::Add);
+        let arith = engine.layouts.layout(
+            exec.shard_device(),
+            &a,
+            Precision::Fp64,
+            BinaryOp::Mul,
+            BinaryOp::Add,
+        );
         assert_eq!(arith, blocked);
+        // min-accumulation is order-insensitive and per-entry Add is
+        // exact, so the demoted layout's values match the baseline
+        // bit-for-bit.
+        let mut done = Vec::new();
+        engine
+            .run_until_dry(&exec, &mut |job| done.push(job))
+            .unwrap();
+        let want = SpmvPim::with_semiring(
+            exec.shard_device().clone(),
+            Precision::Fp64,
+            BinaryOp::Add,
+            BinaryOp::Min,
+        )
+        .run(&a, &x)
+        .unwrap()
+        .y;
+        assert_eq!(done[0].value, JobValue::Vector(want));
+    }
+
+    #[test]
+    fn layout_memo_forgets_dropped_matrices() {
+        // Tune a matrix, drop it, tune another: the memo must hold only
+        // the live matrix, and the new one must get the tuner's own
+        // choice — never a dead matrix's layout found at a reused
+        // address, which would make simulated cycles depend on the heap.
+        let exec = ShardExecutor::new(ExecutorConfig::serial(PimDevice::tiny(2))).unwrap();
+        let decide = |a: &Coo| {
+            Autotuner::new(exec.shard_device())
+                .decide(a, Precision::Fp64)
+                .choice
+        };
+        let mut engine = LaneEngine::new(1);
+        let hubs = Arc::new(psim_sparse::adversarial::power_law_hubs(96, 800, 3, 5));
+        engine.feed(&exec, vec![spmv_job(0, &hubs)]);
+        engine.run_until_dry(&exec, &mut |_| {}).unwrap();
+        let hubs_choice = decide(&hubs);
+        drop(hubs);
+
+        let blocks = Arc::new(psim_sparse::adversarial::near_dense_blocks(64, 8, 4, 5));
+        let blocks_choice = decide(&blocks);
+        assert_ne!(hubs_choice, blocks_choice, "the two matrices tune apart");
+        engine.feed(&exec, vec![spmv_job(1, &blocks)]);
+        assert_eq!(engine.lanes[0][0].layout, blocks_choice);
+        let keys: Vec<usize> = engine.layouts.entries.keys().map(|k| k.0).collect();
+        assert_eq!(
+            keys,
+            vec![Arc::as_ptr(&blocks) as usize],
+            "only live matrices stay memoized"
+        );
     }
 
     #[test]
     fn autotuned_fusion_stays_bit_identical_to_solo_jobs() {
-        // Fusion under a tuned layout: the fused SpMM pass adopts the
-        // same layout as solo SpMV jobs, so per-vector results stay
+        // Fusion under a tuned layout: the fused pass adopts the same
+        // layout as solo SpMV jobs, so per-vector results stay
         // bit-identical whether the batch fuses or not.
         let a = Arc::new(psim_sparse::adversarial::power_law_hubs(80, 600, 2, 9));
         let xs: Vec<Vec<f64>> = (0..3)
@@ -1277,9 +1138,7 @@ mod tests {
                     ))
                     .unwrap();
             }
-            let cfg = ExecutorConfig::serial(PimDevice::tiny(2))
-                .with_fusion(fusion)
-                .with_autotune();
+            let cfg = ExecutorConfig::serial(PimDevice::tiny(2)).with_fusion(fusion);
             let exec = ShardExecutor::new(cfg).unwrap();
             let report = exec.drain_and_run(&queue).unwrap();
             report

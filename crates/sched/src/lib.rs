@@ -49,9 +49,7 @@ pub mod queue;
 pub mod service;
 pub mod stats;
 
-pub use executor::{
-    BatchReport, CompletedJob, CostTier, ExecutorConfig, SchedError, ShardExecutor,
-};
+pub use executor::{BatchReport, CompletedJob, ExecutorConfig, SchedError, ShardExecutor};
 pub use job::{Job, JobClass, JobId, JobKind, JobSpec, JobValue, MatrixStore};
 pub use queue::{JobQueue, SubmitError};
 pub use service::{Service, ServiceConfig, ServiceReport};

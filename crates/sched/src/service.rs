@@ -34,7 +34,7 @@ use crate::stats::{HostStats, ServiceStats, SimAcc};
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// The executor the admission loop drives (shards, fusion window
-    /// width, validation, cost tier).
+    /// width, validation, tracing).
     pub exec: ExecutorConfig,
     /// Jobs admitted per wakeup — the fusion stage scans one admission
     /// window at a time, so this bounds how far apart two SpMV jobs can
@@ -243,12 +243,12 @@ mod tests {
     fn validated_drain_matches_unvalidated_and_is_unchanged() {
         // Validation lints each compiled program once and replays every
         // launch through the protocol checker; neither may change a value,
-        // a cycle or a placement. Pinned to the drain from before kernels
-        // shared one compiled program per process.
+        // a cycle or a placement. Pinned to the drain with every SpMV
+        // group running its tuned layout.
         let checked = drain_fingerprint(true);
         assert_eq!(checked.1, 0, "a validated drain is protocol-clean");
         assert_eq!(checked, drain_fingerprint(false));
-        assert_eq!(checked.0, 11_579_091_411_506_306_881);
+        assert_eq!(checked.0, 4_934_843_193_405_915_810);
     }
 
     #[test]

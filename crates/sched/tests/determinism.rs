@@ -29,9 +29,7 @@ fn run_with_fusion(specs: &[JobSpec], shards: usize, threads: usize, fusion: usi
         // below covers the per-category service attribution, and the
         // proptest compares each job's full metrics registry.
         trace: true,
-        cost_tier: psim_sched::CostTier::default(),
         fusion,
-        autotune: false,
     })
     .unwrap();
     exec.drain_and_run(&queue).unwrap()

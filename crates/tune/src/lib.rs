@@ -17,14 +17,14 @@
 //!    the tuner can never do worse than the paper's fixed choice *by its
 //!    own estimate*.
 //! 2. **Analytical scoring**: every candidate is costed by
-//!    [`psim_kernels::CostModel::spmv_layout`] — the same O(nnz) model the
-//!    scheduler's `CostTier::Analytical` uses — and the lowest predicted
-//!    cycle count wins; storage bytes break ties, shortlist order breaks
-//!    exact ties (keeping decisions deterministic).
+//!    [`psim_kernels::CostModel::spmv_layout`] — an O(nnz) model of the
+//!    kernels' own partition walk — and the lowest predicted cycle count
+//!    wins; storage bytes break ties, shortlist order breaks exact ties
+//!    (keeping decisions deterministic).
 //!
 //! The tuner never runs the cycle engine: tuning a matrix costs a few
 //! partition walks, which is why the scheduler can afford to tune every
-//! `MatrixStore`-resident matrix once at admission.
+//! SpMV matrix once, when its first job is planned.
 
 use psim_kernels::{CostModel, PimDevice};
 use psim_sparse::blocked::block_fill_ratio;

@@ -13,6 +13,13 @@
 //! and issued through every bank, before that engine was removed: the
 //! replay is checked against it, not against itself.
 //!
+//! The same three devices also pin fused SpMM, several vectors sharing
+//! one matrix traversal, at widths 2 and [`MAX_SPMM_WIDTH`] under the
+//! arithmetic and the min-plus semiring, against
+//! `tests/goldens/spmm_fingerprints.json`. That golden was blessed on
+//! the standalone SpMM runner before its wave loop was merged into
+//! [`SpmvPim`].
+//!
 //! Regenerating after an intentional change:
 //!
 //! ```text
@@ -23,7 +30,7 @@ use psyncpim::core::isa::BinaryOp;
 use psyncpim::core::ExecMode;
 use psyncpim::kernels::blas1::Blas1Pim;
 use psyncpim::kernels::gemv::Gemv;
-use psyncpim::kernels::{KernelRun, PimDevice, SpmvPim, SptrsvPim};
+use psyncpim::kernels::{KernelRun, PimDevice, SpmvPim, SptrsvPim, MAX_SPMM_WIDTH};
 use psyncpim::sparse::dense::SparseVec;
 use psyncpim::sparse::triangular::{unit_triangular_from, Triangle, UnitTriangular};
 use psyncpim::sparse::{gen, Coo, Precision};
@@ -117,9 +124,18 @@ fn battery(device: &PimDevice, inp: &Inputs) -> Vec<(&'static str, KernelRun, Ve
 #[derive(Serialize)]
 struct Fingerprint {
     device: &'static str,
-    kernel: &'static str,
+    kernel: String,
     run: KernelRun,
     bits: String,
+}
+
+/// Comma-separated bit patterns of `values`.
+fn bit_string(values: &[f64]) -> String {
+    let bits: Vec<String> = values
+        .iter()
+        .map(|v| format!("{:x}", v.to_bits()))
+        .collect();
+    bits.join(",")
 }
 
 /// The three pinned devices: the full cube validated, and a tiny device
@@ -148,31 +164,90 @@ fn fingerprints() -> Vec<Fingerprint> {
                 run.violations, 0,
                 "{device}/{kernel}: a validated run must be protocol-clean"
             );
-            let bits: Vec<String> = outputs
-                .iter()
-                .map(|v| format!("{:x}", v.to_bits()))
-                .collect();
             out.push(Fingerprint {
                 device,
-                kernel,
+                kernel: kernel.to_string(),
                 run,
-                bits: bits.join(","),
+                bits: bit_string(&outputs),
             });
         }
     }
     out
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/engine_fingerprints.json")
+/// One fused pass of `xs` over `a` through the SpMM data path: the
+/// pass's run report and every vector's product, in input order.
+fn fused(
+    device: &PimDevice,
+    mul: BinaryOp,
+    acc: BinaryOp,
+    a: &Coo,
+    xs: &[Vec<f64>],
+) -> (KernelRun, Vec<Vec<f64>>) {
+    let xs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
+    let r = SpmvPim::with_semiring(device.clone(), Precision::Fp64, mul, acc)
+        .run_fused(a, &xs)
+        .unwrap();
+    (r.run, r.ys)
+}
+
+/// Fused SpMM at widths 2 and [`MAX_SPMM_WIDTH`], arithmetic and
+/// min-plus, on every pinned device. Each line's bits list the fused
+/// vectors' products one after another, separated by `;`.
+fn spmm_fingerprints() -> Vec<Fingerprint> {
+    let a = gen::rmat(64, 4, 0x5EED);
+    let mut out = Vec::new();
+    for (device, dev) in devices() {
+        for (semiring, mul, acc) in [
+            ("arith", BinaryOp::Mul, BinaryOp::Add),
+            ("min_plus", BinaryOp::Add, BinaryOp::Min),
+        ] {
+            for width in [2, MAX_SPMM_WIDTH] {
+                let xs: Vec<Vec<f64>> = (0..width)
+                    .map(|v| gen::dense_vector(a.ncols(), 10 + v as u64))
+                    .collect();
+                let (run, ys) = fused(&dev, mul, acc, &a, &xs);
+                let kernel = format!("SpMM/{semiring}/w{width}");
+                assert_eq!(
+                    run.violations, 0,
+                    "{device}/{kernel}: a validated run must be protocol-clean"
+                );
+                assert_eq!(ys.len(), width, "{device}/{kernel}");
+                let bits: Vec<String> = ys.iter().map(|y| bit_string(y)).collect();
+                out.push(Fingerprint {
+                    device,
+                    kernel,
+                    run,
+                    bits: bits.join(";"),
+                });
+            }
+        }
+    }
+    out
+}
+
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/goldens")
+        .join(name)
 }
 
 #[test]
 fn battery_fingerprints_match_golden() {
-    let prints = fingerprints();
+    check_golden("engine_fingerprints.json", &fingerprints());
+}
+
+#[test]
+fn fused_spmm_fingerprints_match_golden() {
+    check_golden("spmm_fingerprints.json", &spmm_fingerprints());
+}
+
+/// Compare `prints` line by line with the golden `name`, or rewrite the
+/// golden under `PSIM_BLESS=1`.
+fn check_golden(name: &str, prints: &[Fingerprint]) {
     let lines: Vec<String> = prints.iter().map(Serialize::to_json).collect();
     let actual = format!("[\n{}\n]\n", lines.join(",\n"));
-    let path = golden_path();
+    let path = golden_path(name);
     if std::env::var_os("PSIM_BLESS").is_some() {
         std::fs::write(&path, &actual).expect("write golden");
         return;
