@@ -1,4 +1,4 @@
-//! psim-model: the concurrency verification gate for CI.
+//! psim-model: the concurrency verification gate.
 //!
 //! The fourth leg of the verification stack (lint → check → trace →
 //! **model**): where psim-lint proves things about PIM *programs*, this
@@ -21,10 +21,8 @@
 //!    violations (`PSL014`–`PSL016` mutants of the shipped stream
 //!    kernels) must each be *caught*. A checker that cannot catch its
 //!    own mutants proves nothing, so a missed catch fails the gate too.
-//!
-//! Writes `results/psim_model.json`. Usage: `psim_model [--budget N]`
-//! (N bounds executions per scenario; CI uses a scaled-down budget).
 
+use crate::{Ctx, Output};
 use psim_conc::{model, order, Condvar, Mutex};
 use psim_kernels::{programs, PimDevice};
 use psim_sched::{
@@ -36,8 +34,9 @@ use psyncpim_core::isa::{assemble, LintCode};
 use serde::Serialize;
 use std::sync::Arc;
 
-/// Default per-scenario execution budget (`--budget` overrides).
-const DEFAULT_BUDGET: usize = 20_000;
+/// Executions explored per scenario (the service-driving scenarios get a
+/// reduced share: they simulate kernels on every execution).
+const BUDGET: usize = 4_000;
 
 #[derive(Serialize)]
 struct ScenarioRow {
@@ -88,17 +87,6 @@ fn row(name: &str, report: &model::Report) -> ScenarioRow {
         .as_ref()
         .map(ToString::to_string)
         .unwrap_or_default();
-    println!(
-        "model\t{name}\texecutions={}\tdecisions={}\tcomplete={}\t{}",
-        report.executions,
-        report.decision_points,
-        report.complete,
-        if failure.is_empty() {
-            "ok"
-        } else {
-            failure.as_str()
-        }
-    );
     ScenarioRow {
         name: name.to_string(),
         executions: report.executions,
@@ -255,10 +243,6 @@ fn scenario_fusion_equivalence(budget: usize) -> ScenarioRow {
 // ---- section 3a: model-checker mutation self-tests ---------------------
 
 fn mutation(name: &str, caught: bool, detail: String) -> MutationRow {
-    println!(
-        "model\tmutation\t{name}\t{}\t{detail}",
-        if caught { "CAUGHT" } else { "MISSED" }
-    );
     MutationRow {
         name: name.to_string(),
         caught,
@@ -360,48 +344,22 @@ fn psync_lints() -> Vec<LintRow> {
             "SPMOV SPVQ0, BANK, ROW, FP64\nCEXIT SPVQ0\nJUMP 0, 0, 0\n".to_string(),
         ),
     ];
-    mutants
-        .into_iter()
-        .map(|(code, mutant)| {
-            let corpus_clean = corpus.iter().all(|asm| !has_code(asm, code));
-            let mutant_caught = has_code(&mutant, code);
-            println!(
-                "model\tlint\t{}\tcorpus_clean={corpus_clean}\tmutant_caught={mutant_caught}",
-                code.code()
-            );
-            LintRow {
-                code: code.code().to_string(),
-                corpus_clean,
-                mutant_caught,
-            }
-        })
-        .collect()
+    let row = |(code, mutant): (LintCode, String)| LintRow {
+        code: code.code().to_string(),
+        corpus_clean: corpus.iter().all(|asm| !has_code(asm, code)),
+        mutant_caught: has_code(&mutant, code),
+    };
+    mutants.into_iter().map(row).collect()
 }
 
-fn parse_budget() -> usize {
-    let mut budget = DEFAULT_BUDGET;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--budget" => {
-                budget = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--budget takes an execution count");
-            }
-            other => panic!("unknown argument {other:?} (usage: psim_model [--budget N])"),
-        }
-    }
-    budget.max(1)
-}
-
-fn main() {
-    let budget = parse_budget();
-    println!("# psim_model: scheduler scenarios at budget {budget}, then mutation self-checks");
+/// Run the three sections at [`BUDGET`] executions per scenario; every
+/// failed scenario, cyclic lock order, missed mutant or lint miss is a
+/// violation.
+pub fn psim_model(_: &Ctx, _: f64) -> Output {
+    let budget = BUDGET;
     order::reset();
 
-    // Section 1: real-scheduler scenarios. The service-driving ones
-    // simulate kernels on every execution, so they get a reduced budget.
+    // Section 1: real-scheduler scenarios.
     let scenarios = vec![
         scenario_admission_backpressure(budget),
         scenario_close_blocked_waiters(budget.saturating_mul(3)),
@@ -416,10 +374,6 @@ fn main() {
         .map(|(a, b)| (a.to_string(), b.to_string()))
         .collect();
     let lock_order_acyclic = order::find_cycle().is_none();
-    println!(
-        "model\tlock-order\tedges={}\tacyclic={lock_order_acyclic}",
-        lock_order_edges.len()
-    );
 
     // Section 3: the checker must catch its own seeded bugs.
     let mutations = vec![
@@ -429,13 +383,34 @@ fn main() {
     ];
     let lints = psync_lints();
 
-    let scenarios_ok = scenarios
-        .iter()
-        .all(|s| s.failure.is_empty() && s.executions > 0);
-    let mutations_ok = mutations.iter().all(|m| m.caught);
-    let lints_ok = lints.iter().all(|l| l.corpus_clean && l.mutant_caught);
-    let pass = scenarios_ok && lock_order_acyclic && mutations_ok && lints_ok;
-
+    let failed = |what: &str, name: &str, detail: &str| format!("model {what} {name}: {detail}");
+    let mut violations: Vec<String> = (scenarios.iter())
+        .filter(|s| !s.failure.is_empty() || s.executions == 0)
+        .map(|s| failed("scenario", &s.name, &s.failure))
+        .chain(
+            (mutations.iter().filter(|m| !m.caught))
+                .map(|m| failed("mutant missed", &m.name, &m.detail)),
+        )
+        .chain(
+            (lints
+                .iter()
+                .filter(|l| !(l.corpus_clean && l.mutant_caught)))
+            .map(|l| {
+                let detail = format!(
+                    "corpus_clean={} mutant_caught={}",
+                    l.corpus_clean, l.mutant_caught
+                );
+                failed("lint", &l.code, &detail)
+            }),
+        )
+        .collect();
+    if !lock_order_acyclic {
+        violations.push(failed(
+            "lock order",
+            "cycle",
+            &format!("{lock_order_edges:?}"),
+        ));
+    }
     let report = ModelReport {
         budget,
         scenarios,
@@ -443,24 +418,7 @@ fn main() {
         lock_order_acyclic,
         mutations,
         lints,
-        pass,
+        pass: violations.is_empty(),
     };
-    let json = report.to_json();
-    let path = "results/psim_model.json";
-    if let Err(e) =
-        std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, format!("{json}\n")))
-    {
-        eprintln!("psim_model: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("psim_model: wrote {path}");
-
-    if !pass {
-        eprintln!(
-            "psim_model: GATE FAILED (scenarios_ok={scenarios_ok} acyclic={lock_order_acyclic} \
-             mutations_ok={mutations_ok} lints_ok={lints_ok})"
-        );
-        std::process::exit(1);
-    }
-    println!("psim_model: every schedule explored clean, every mutant caught");
+    Output::json(&report, violations)
 }

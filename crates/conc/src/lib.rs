@@ -25,10 +25,10 @@
 //!   detection ([`order::find_cycle`]) gating CI against lock-order
 //!   inversions that no explored schedule happened to trip.
 //!
-//! The `psim_model` bin (crates/bench) sweeps the scheduler's queue /
-//! service / store scenarios plus seeded mutation self-tests into
-//! `results/psim_model.json`; see DESIGN.md §16 for what the layer does
-//! and does not prove.
+//! The `psim_model` entry of the results runner (crates/bench) sweeps
+//! the scheduler's queue / service / store scenarios plus seeded mutation
+//! self-tests into `results/psim_model.json`; see DESIGN.md §16 for what
+//! the layer does and does not prove.
 //!
 //! # Example
 //!

@@ -15,17 +15,18 @@
 //! * **PU back-pressure** — VALU work per round in DRAM cycles; a round
 //!   costs the slower of the bus and the PU.
 //!
-//! Everything the model reads (partition shapes, level schedules, stream
-//! lengths) is O(nnz) to compute, so estimating a kernel costs about as
-//! much as *placing* it — orders of magnitude less than cycle-walking it.
-//! The constants below are calibrated against the cycle engine; the
-//! `calibration` test (`crates/kernels/tests/calibration.rs`) fails when
-//! any kernel's mean absolute percentage error drifts past its bound.
+//! Everything the model reads (partition shapes, stream lengths) is
+//! O(nnz) to compute, so estimating a kernel costs about as much as
+//! *placing* it — orders of magnitude less than cycle-walking it. SpMV is
+//! the one kernel it models: the layout tuner ranks its candidates with
+//! [`CostModel::spmv_layout`]. The constants below are calibrated against
+//! the cycle engine; the `calibration` test
+//! (`crates/kernels/tests/calibration.rs`) fails when the estimate's mean
+//! absolute percentage error drifts past its bound.
 
 use crate::device::{triple_pairs, PimDevice};
 use psim_sparse::partition::{BankPartition, PartitionConfig};
-use psim_sparse::triangular::UnitTriangular;
-use psim_sparse::{BlockPlan, BlockStep, Coo, Csc, Layout, LevelSchedule, Precision};
+use psim_sparse::{Coo, Layout, Precision};
 
 /// Estimated cost of one kernel invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -40,11 +41,6 @@ impl CostEstimate {
     fn add_phase(&mut self, cycles: u64) {
         self.cycles += cycles;
         self.phases += 1;
-    }
-
-    fn merge(&mut self, other: CostEstimate) {
-        self.cycles += other.cycles;
-        self.phases += other.phases;
     }
 }
 
@@ -78,10 +74,6 @@ struct PhaseShape {
     /// The memory commands of one schedule pass, in issue order (the host
     /// completion poll — a read of whatever row is open — is implicit).
     ops: &'static [Op],
-    /// Row crossings per pass *within* a region (a single-region shape
-    /// never precharges at pass boundaries, but streaming through a region
-    /// crosses to a new row every `row_bytes / stride` passes).
-    row_crossings_per_round: f64,
     /// PU busy cycles per schedule pass on the slowest bank (lockstep
     /// approximation), in PU cycles. The pass costs the slower of the bus
     /// micro-simulation and this VALU term.
@@ -108,16 +100,8 @@ const BATCHED_SPARSE: PhaseShape = PhaseShape {
         wr(2),
         wr(2),
     ],
-    row_crossings_per_round: 0.0,
     pu_round_cycles: 46,
 };
-
-/// Dense BLAS-1 pass shapes (see the `CostModel` wrappers for the slot
-/// layouts they mirror).
-const OPS_AXPY: &[Op] = &[rd(0), rd(1), wr(1)];
-const OPS_SCAL: &[Op] = &[rd(0), wr(0)];
-const OPS_VV: &[Op] = &[rd(0), rd(1), wr(2)];
-const OPS_DOT: &[Op] = &[rd(0), rd(1)];
 
 /// DRAM cycles per PU cycle (the PU runs at 250 MHz against the 1 GHz
 /// command clock) — mirrors the engine's constant.
@@ -220,10 +204,7 @@ impl CostModel {
         let setup =
             (2 * psim_dram::mode::SWITCH_SEQUENCE_LEN as u64 + shape.program_len).div_ceil(2);
         let teardown = (2 * psim_dram::mode::SWITCH_SEQUENCE_LEN as u64).div_ceil(2) + t.t_rp;
-        // Amortized in-region row crossings (single-region streams only):
-        // the write tail, precharge and re-activation replace one tCCD gap.
-        let crossing = (t.wl + t.t_wr + t.t_rp + t.t_rcd).saturating_sub(t.t_ccd_l) as f64;
-        let bus = self.round_period(shape) + shape.row_crossings_per_round * crossing;
+        let bus = self.round_period(shape);
         // Lockstep back-pressure: the slowest PU's VALU time per pass; the
         // pass costs the slower of the bus and the PU.
         let per_round = bus.max((shape.pu_round_cycles * DRAM_CYCLES_PER_PU_CYCLE) as f64);
@@ -300,152 +281,6 @@ impl CostModel {
         }
         est
     }
-
-    /// SpTRSV `T x = b`: walk the same block plan and level schedule as
-    /// [`crate::SptrsvPim`], costing each level batch as one launch of the
-    /// batched stream and each off-diagonal update as an SpMV.
-    #[must_use]
-    pub fn sptrsv(&self, t: &UnitTriangular, precision: Precision) -> CostEstimate {
-        let per_bank_row = self.row_bytes / precision.bytes();
-        let max_block = per_bank_row * self.banks_per_cube;
-        let level_chunk = per_bank_row;
-        let plan = BlockPlan::build(t.triangle(), t.dim(), max_block);
-        let lanes = precision.lanes();
-        let nbanks = self.banks_per_cube;
-
-        let mut est = CostEstimate::default();
-        for step in plan.steps() {
-            match *step {
-                BlockStep::Solve { lo, hi } => {
-                    let m = hi - lo;
-                    let block = t.diagonal_block(lo, hi);
-                    let sched = LevelSchedule::analyze(&block);
-                    let stripe = m.div_ceil(nbanks).max(1);
-                    let csc = Csc::from(block.strict());
-                    // Per-bank stream lengths, rebuilt per level batch
-                    // exactly as the solver buckets entries by owner row.
-                    let mut bank_nnz = vec![0usize; nbanks];
-                    for level in sched.iter() {
-                        for chunk in level.chunks(level_chunk) {
-                            bank_nnz.iter_mut().for_each(|v| *v = 0);
-                            for &c in chunk {
-                                for (r, _) in csc.col(c) {
-                                    bank_nnz[r / stripe] += 1;
-                                }
-                            }
-                            let max_nnz = bank_nnz.iter().copied().max().unwrap_or(0);
-                            if max_nnz == 0 {
-                                continue;
-                            }
-                            let rounds = Self::batched_rounds(max_nnz, lanes);
-                            est.add_phase(self.phase_cycles(&BATCHED_SPARSE, rounds));
-                        }
-                    }
-                }
-                BlockStep::Update {
-                    row_lo,
-                    row_hi,
-                    col_lo,
-                    col_hi,
-                } => {
-                    let m = t.strict().submatrix(row_lo, row_hi, col_lo, col_hi);
-                    if m.nnz() == 0 {
-                        continue;
-                    }
-                    est.merge(self.spmv(&m, precision));
-                }
-            }
-        }
-        est
-    }
-
-    /// Dense BLAS-1 stripe kernel of `n` elements with the given schedule
-    /// shape (see the `kind`-specific wrappers below).
-    fn blas1(&self, shape: PhaseShape, n: usize, precision: Precision) -> CostEstimate {
-        let lanes = precision.lanes();
-        let sl = n
-            .div_ceil(self.banks_per_cube * self.cubes)
-            .div_ceil(lanes)
-            .max(1)
-            * lanes;
-        let rounds = (sl / lanes) as f64;
-        let mut est = CostEstimate::default();
-        est.add_phase(self.phase_cycles(&shape, rounds));
-        est
-    }
-
-    /// DAXPY `y ← αx + y`.
-    #[must_use]
-    pub fn axpy(&self, n: usize, precision: Precision) -> CostEstimate {
-        // Slots 0 (x read), 1 (y read), 4 (y write): the store lands in
-        // the already-open y row, so two activations per pass.
-        self.blas1(
-            PhaseShape {
-                program_len: 6,
-                ops: OPS_AXPY,
-                row_crossings_per_round: 0.0,
-                pu_round_cycles: 8,
-            },
-            n,
-            precision,
-        )
-    }
-
-    /// DSCAL `x ← αx`.
-    #[must_use]
-    pub fn scal(&self, n: usize, precision: Precision) -> CostEstimate {
-        // Slots 0/2 share the x region: the row stays open across passes,
-        // precharging only when the stream crosses into the next row.
-        let per_row = (self.row_bytes / (precision.lanes() * precision.bytes())).max(1);
-        self.blas1(
-            PhaseShape {
-                program_len: 4,
-                ops: OPS_SCAL,
-                row_crossings_per_round: 1.0 / per_row as f64,
-                pu_round_cycles: 6,
-            },
-            n,
-            precision,
-        )
-    }
-
-    /// Element-wise `z = x (op) y`.
-    #[must_use]
-    pub fn vv(&self, n: usize, precision: Precision) -> CostEstimate {
-        // Slots 0 (x), 1 (y), 3 (z): three regions per pass.
-        self.blas1(
-            PhaseShape {
-                program_len: 6,
-                ops: OPS_VV,
-                row_crossings_per_round: 0.0,
-                pu_round_cycles: 8,
-            },
-            n,
-            precision,
-        )
-    }
-
-    /// DDOT `x · y` (SRF-accumulated; host reduces per-bank partials).
-    #[must_use]
-    pub fn dot(&self, n: usize, precision: Precision) -> CostEstimate {
-        // Slots 0 (x), 1 (y): one hop out, one hop back per pass.
-        self.blas1(
-            PhaseShape {
-                program_len: 6,
-                ops: OPS_DOT,
-                row_crossings_per_round: 0.0,
-                pu_round_cycles: 8,
-            },
-            n,
-            precision,
-        )
-    }
-
-    /// DNRM2 — the DDOT program against a single operand region.
-    #[must_use]
-    pub fn norm2(&self, n: usize, precision: Precision) -> CostEstimate {
-        self.dot(n, precision)
-    }
 }
 
 #[cfg(test)]
@@ -461,7 +296,6 @@ mod tests {
         let large = model.spmv(&gen::rmat(512, 8, 7), Precision::Fp64);
         assert!(small.cycles > 0);
         assert!(large.cycles > small.cycles);
-        assert!(model.axpy(4096, Precision::Fp64).cycles > model.axpy(64, Precision::Fp64).cycles);
     }
 
     #[test]
@@ -485,33 +319,6 @@ mod tests {
                 "rmat({n},{deg}): est {est} vs actual {actual} (ratio {ratio:.2})"
             );
         }
-    }
-
-    #[test]
-    fn sptrsv_estimate_sees_level_serialization() {
-        // Two SpTRSV operands with identical nnz: a pure dependency chain
-        // (n levels, one launch each) and a star (every row depends only
-        // on x[0] — one level, one launch). An operand-size proxy prices
-        // them identically; the model walks the level schedule and must
-        // see the chain's serialization.
-        use psim_sparse::triangular::Triangle;
-        let n = 64usize;
-        let mut chain = Coo::new(n, n);
-        let mut star = Coo::new(n, n);
-        for i in 1..n {
-            chain.push(i as u32, i as u32 - 1, 0.5);
-            star.push(i as u32, 0, 0.5);
-        }
-        let model = CostModel::new(&PimDevice::tiny(2));
-        let cycles = |strict: Coo| {
-            let t = UnitTriangular::from_strict(Triangle::Lower, strict).unwrap();
-            model.sptrsv(&t, Precision::Fp64).cycles
-        };
-        let (c, s) = (cycles(chain), cycles(star));
-        assert!(
-            c > s * 10,
-            "the model must punish level serialization: chain {c} vs star {s}"
-        );
     }
 
     #[test]

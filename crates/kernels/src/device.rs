@@ -302,19 +302,6 @@ impl KernelRun {
         }
     }
 
-    /// Fold one sequential engine phase plus its host activity into the
-    /// run.
-    pub fn absorb_phase(&mut self, report: &RunReport, host: &HostController) {
-        self.kernel_s += report.seconds;
-        self.dram_cycles += report.dram_cycles;
-        self.absorb_wall(report);
-        self.absorb_engine(report);
-        self.phases += 1;
-        // Host time is absorbed once at the end via absorb_host; nothing
-        // per-phase here beyond what the report carries.
-        let _ = host;
-    }
-
     /// Fold the host controller's accumulated report.
     pub fn absorb_host(&mut self, host: &HostController) {
         let r = host.report();
