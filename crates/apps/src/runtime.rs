@@ -379,11 +379,7 @@ mod pim_app_tests {
         let mut pim = PimRuntime::new(PimDevice::tiny(1), Precision::Fp64);
         let (r1, _) = pagerank::pagerank(&mut gpu, &g, 1e-9, 60);
         let (r2, run) = pagerank::pagerank(&mut pim, &g, 1e-9, 60);
-        let drift = r1
-            .iter()
-            .zip(&r2)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
+        let drift = psim_kernels::oracle::max_abs_err(&r2, &r1);
         assert!(drift < 1e-7, "rank drift {drift}");
         assert!(run.breakdown.spmv_s > 0.0 && run.breakdown.vector_s > 0.0);
     }

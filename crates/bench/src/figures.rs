@@ -8,6 +8,7 @@ use psim_baselines::{GpuModel, SpaceAModel, SpgemmAccel};
 use psim_dram::HbmConfig;
 use psim_kernels::blas1::Blas1Pim;
 use psim_kernels::gemv::Gemv;
+use psim_kernels::oracle::max_rel_err;
 use psim_kernels::spmv::SpmvResult;
 use psim_kernels::{PimDevice, SpmvPim, SptrsvPim};
 use psim_sparse::level::reorder_to_lower;
@@ -227,10 +228,11 @@ pub fn fig09(ctx: &Ctx, scale: f64) -> Output {
                 .run(&reordered, &pb)
                 .expect("simulated SpTRSV");
             let want = t.solve_colwise(&b).expect("reference solve");
-            let off = |(new, &old): (usize, &usize)| {
-                (res.x[new] - want[old]).abs() >= 1e-6 * want[old].abs().max(1.0)
-            };
-            if perm.iter().enumerate().any(off) {
+            let mut x = vec![0.0; t.dim()];
+            for (new, &old) in perm.iter().enumerate() {
+                x[old] = res.x[new];
+            }
+            if max_rel_err(&x, &want) >= 1e-6 {
                 let name = spec.name;
                 violations.push(format!(
                     "fig09 {name} {label}: differs from the reference solve"

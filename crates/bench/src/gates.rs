@@ -3,25 +3,17 @@
 //! `ablation_autotune` (layout tuner). Each returns its JSON report (when
 //! it has one) and every failed condition as a violation.
 
-use crate::{geomean, Ctx, Output};
+use crate::{Ctx, Output};
 use psim_kernels::blas1::Blas1Pim;
 use psim_kernels::{
-    audit_run, layout_grid, programs, run_layout_oracle, run_oracle, selftest, CostModel,
-    PimDevice, SpmvPim, SptrsvPim,
+    programs, run_layout_oracle, run_oracle, selftest, PimDevice, SpmvPim, SptrsvPim,
 };
 use psim_sparse::triangular::{unit_triangular_from, Triangle};
-use psim_sparse::{adversarial, gen, Coo, Precision};
-use psim_tune::Autotuner;
+use psim_sparse::{gen, Precision};
+use psim_tune::fidelity::{self, ConfigGeomean, MatrixRow};
 use psyncpim_core::isa::{assemble, Diagnostic, Severity, ALL_LINT_CODES};
 use psyncpim_core::{CycleBreakdown, ExecMode};
 use serde::Serialize;
-
-/// Binary ops accepted by the assembler's semiring slots.
-const OPS: [&str; 6] = ["ADD", "SUB", "MUL", "MIN", "MAX", "RSUB"];
-
-/// Chunk counts exercising the degenerate (NOP) loop, a small loop, and
-/// the largest count that fits the 10-bit JUMP immediate.
-const CHUNKS: [u16; 3] = [1, 4, 1023];
 
 #[derive(Serialize)]
 struct LintRecord {
@@ -54,67 +46,18 @@ struct LintSummary {
     records: Vec<LintRecord>,
 }
 
-/// psim-lint: assemble every shipped program builder in
-/// `psim_kernels::programs` across the full precision × semiring-op sweep
-/// and run each through the `psyncpim_core::isa` analyzer (CFG checks +
-/// abstract interpretation). An Error-severity diagnostic — an
-/// out-of-range jump, a reused loop ORDER, a statically guaranteed queue
-/// underflow/overflow — or an assemble failure is a violation.
+/// psim-lint: assemble every program of the builder sweep
+/// ([`programs::builder_sweep`]: each builder across the full precision ×
+/// semiring-op × loop-count envelope) and run each through the
+/// `psyncpim_core::isa` analyzer (CFG checks + abstract interpretation).
+/// An Error-severity diagnostic — an out-of-range jump, a reused loop
+/// ORDER, a statically guaranteed queue underflow/overflow — or an
+/// assemble failure is a violation.
 ///
 /// The JSON carries totals, the verdict, per-code counts over the whole
 /// corpus (zero counts included) and one record per non-clean program.
 pub fn psim_lint(_: &Ctx, _: f64) -> Output {
-    // (builder, variant, precision, assembly)
-    let mut corpus: Vec<(&str, String, Precision, String)> = Vec::new();
-    for &p in &Precision::ALL {
-        let mut add = |builder, variant: String, asm| corpus.push((builder, variant, p, asm));
-        // Sparse streams over the full semiring op cross.
-        for mul in OPS {
-            for acc in OPS {
-                let v = format!("{mul}x{acc}");
-                add(
-                    "sparse_stream_semiring",
-                    v.clone(),
-                    programs::sparse_stream_semiring(p, mul, acc),
-                );
-                add(
-                    "sparse_stream_batched",
-                    v.clone(),
-                    programs::sparse_stream_batched(p, mul, acc),
-                );
-                add("spmm_stream", v, programs::spmm_stream(p, mul, acc));
-            }
-        }
-        for acc in OPS {
-            add(
-                "sparse_stream",
-                acc.to_string(),
-                programs::sparse_stream(p, acc),
-            );
-        }
-        // Dense BLAS-1 across the chunk-count envelope.
-        for c in CHUNKS {
-            let cv = format!("chunks={c}");
-            add("dcopy", cv.clone(), programs::dcopy(p, c));
-            add("dswap", cv.clone(), programs::dswap(p, c));
-            add("dscal", cv.clone(), programs::dscal(p, c));
-            add("daxpy", cv.clone(), programs::daxpy(p, c));
-            add("ddot", cv.clone(), programs::ddot(p, c));
-            add("gather", cv.clone(), programs::gather(p, c));
-            for op in OPS {
-                add("dvdv", format!("{op},{cv}"), programs::dvdv(p, op, c));
-            }
-        }
-        add("scatter", "-".to_string(), programs::scatter(p));
-        add("spaxpy", "-".to_string(), programs::spaxpy(p));
-        add("spdot", "-".to_string(), programs::spdot(p));
-        // Dense Level-2 across the loop-nest envelope.
-        for (rows, chunks) in [(1u16, 1u16), (4, 8), (1023, 1023)] {
-            let v = format!("rows={rows},chunks={chunks}");
-            add("dgemv", v, programs::dgemv(p, rows, chunks));
-        }
-    }
-
+    let corpus = programs::builder_sweep();
     let per_code = ALL_LINT_CODES.iter().map(|c| CodeRow {
         code: c.code().to_string(),
         severity: c.severity().to_string(),
@@ -130,9 +73,9 @@ pub fn psim_lint(_: &Ctx, _: f64) -> Output {
         records: Vec::new(),
     };
     let mut violations = Vec::new();
-    for (builder, variant, precision, asm) in corpus {
-        let at = format!("lint {builder} {variant} {precision}");
-        let diagnostics = match assemble(&asm) {
+    for p in corpus {
+        let at = format!("lint {} {} {}", p.builder, p.variant, p.precision);
+        let diagnostics = match assemble(&p.text) {
             Ok(program) => program.verify(),
             Err(e) => {
                 violations.push(format!("{at}: assemble failed: {e}"));
@@ -158,9 +101,9 @@ pub fn psim_lint(_: &Ctx, _: f64) -> Output {
             sum.clean += 1;
         } else {
             sum.records.push(LintRecord {
-                builder: builder.to_string(),
-                variant,
-                precision: precision.to_string(),
+                builder: p.builder.to_string(),
+                variant: p.variant,
+                precision: p.precision.to_string(),
                 errors,
                 warnings: diagnostics.len() - errors,
                 diagnostics,
@@ -325,41 +268,6 @@ pub fn psim_trace(_: &Ctx, _: f64) -> Output {
     Output::json(&report, violations)
 }
 
-/// Pairs closer than this (relative simulated-cycle gap) are ties the
-/// model is free to order either way.
-const RANK_SEPARATION: f64 = 0.05;
-
-/// Minimum pairwise rank agreement between analytical and simulated
-/// cycles on separated pairs.
-const RANK_AGREEMENT_FLOOR: f64 = 0.90;
-
-/// One layout's outcome on one matrix.
-#[derive(Serialize)]
-struct LayoutCell {
-    label: String,
-    sim_cycles: u64,
-    model_cycles: u64,
-}
-
-/// One corpus matrix with its sweep.
-#[derive(Serialize)]
-struct MatrixRow {
-    name: String,
-    n: usize,
-    nnz: usize,
-    tuned_label: String,
-    tuned_cycles: u64,
-    best_fixed_cycles: u64,
-    fixed: Vec<LayoutCell>,
-}
-
-/// Geomean of one fixed configuration over the corpus.
-#[derive(Serialize)]
-struct ConfigGeomean {
-    label: String,
-    geomean_cycles: f64,
-}
-
 #[derive(Serialize)]
 struct AutotuneReport {
     corpus: Vec<MatrixRow>,
@@ -375,37 +283,17 @@ struct AutotuneReport {
     violations: usize,
 }
 
-/// The corpus: the benchmark suite's four pattern families at a bench
-/// scale plus every adversarial shape.
-fn corpus(n: usize) -> Vec<(String, Coo)> {
-    let families = [
-        ("rmat", gen::rmat(n, 4, 1)),
-        ("banded_fem", gen::banded_fem(n, 8, 5, 2)),
-        ("web_hubs", gen::web_hubs(n, n * 4, 3)),
-        ("layered_dag", gen::layered_dag(n, 4, 6, 4)),
-    ];
-    (families.into_iter().chain(adversarial::suite(n, 7)))
-        .map(|(name, a)| (name.to_string(), a))
-        .collect()
-}
-
-/// ablation-autotune: sweep the benchmark families plus the adversarial
-/// corpus across the fixed layout grid ([`layout_grid`]) and the
-/// [`Autotuner`]'s per-matrix choice, with full cycle simulation and
-/// validation on. Four gates:
+/// ablation-autotune: the layout oracle plus the tuner fidelity sweep at
+/// n = 96 ([`fidelity::sweep`]: the benchmark families and the
+/// adversarial corpus across the fixed layout grid and the tuner's
+/// per-matrix pick, simulated with validation on). Violations:
 ///
 /// 1. **Oracle** — [`run_layout_oracle`] (every layout × adversarial
-///    shape against the CPU reference) passes.
-/// 2. **Correctness per execution** — every simulated run here (fixed or
-///    tuned) matches the CPU reference to 1e-9 and passes [`audit_run`].
-/// 3. **Tuning wins** — the geomean of the tuned choice's simulated
-///    cycles over the corpus is no worse than the best *single* fixed
-///    configuration.
-/// 4. **Model fidelity** — on layout pairs the simulator separates by at
-///    least [`RANK_SEPARATION`], the analytical model orders them as the
-///    simulator does at least [`RANK_AGREEMENT_FLOOR`] of the time.
+///    shape against the CPU reference) fails a case.
+/// 2. **The sweep's conditions** — a run off the CPU reference or failing
+///    its audit, a tuned geomean worse than the best single fixed layout,
+///    or model/simulator rank agreement below the floor.
 pub fn ablation_autotune(_: &Ctx, _: f64) -> Output {
-    let n = 96usize;
     let device = PimDevice::tiny(2);
     let mut violations = Vec::new();
 
@@ -421,114 +309,18 @@ pub fn ablation_autotune(_: &Ctx, _: f64) -> Output {
         ));
     }
 
-    let grid = layout_grid();
-    let validated = PimDevice {
-        validate: true,
-        ..device.clone()
-    };
-    let model = CostModel::new(&device);
-    let tuner = Autotuner::new(&device);
-    let mut rows = Vec::new();
-    let (mut rank_pairs, mut rank_agreements) = (0usize, 0usize);
-    for (name, a) in corpus(n) {
-        let x = gen::dense_vector(a.ncols(), 11);
-        let reference = a.spmv(&x);
-        // Simulate one layout with validation on; a failed audit or a
-        // result off the CPU reference is a violation.
-        let mut sim = |layout, tag: String| {
-            let r = SpmvPim::new(validated.clone(), Precision::Fp64)
-                .with_layout(layout)
-                .run(&a, &x)
-                .unwrap_or_else(|e| panic!("{tag}: simulation failed: {e}"));
-            violations.extend(
-                audit_run(&r.run)
-                    .iter()
-                    .map(|f| format!("audit {tag}: {f}")),
-            );
-            let worst = (r.y.iter().zip(&reference))
-                .map(|(got, want)| (got - want).abs() / want.abs().max(1.0))
-                .fold(0.0f64, f64::max);
-            if worst > 1e-9 {
-                violations.push(format!("oracle {tag}: diff {worst:.2e} vs CPU reference"));
-            }
-            r.run.dram_cycles
-        };
-        let fixed: Vec<LayoutCell> = grid
-            .iter()
-            .map(|&layout| LayoutCell {
-                label: layout.label(),
-                sim_cycles: sim(layout, format!("{name} {}", layout.label())),
-                model_cycles: model.spmv_layout(&a, Precision::Fp64, layout).cycles,
-            })
-            .collect();
-        let decision = tuner.decide(&a, Precision::Fp64);
-        let tuned_cycles = sim(decision.choice, format!("{name} tuned:{}", decision.label));
-        // Pairwise rank agreement on separated pairs.
-        for (i, ci) in fixed.iter().enumerate() {
-            for cj in &fixed[i + 1..] {
-                let (si, sj) = (ci.sim_cycles as f64, cj.sim_cycles as f64);
-                if (si - sj).abs() / si.min(sj).max(1.0) < RANK_SEPARATION {
-                    continue;
-                }
-                rank_pairs += 1;
-                rank_agreements += usize::from((si < sj) == (ci.model_cycles < cj.model_cycles));
-            }
-        }
-        rows.push(MatrixRow {
-            name,
-            n: a.nrows(),
-            nnz: a.nnz(),
-            tuned_label: decision.label,
-            tuned_cycles,
-            best_fixed_cycles: fixed.iter().map(|c| c.sim_cycles).min().unwrap_or(0),
-            fixed,
-        });
-    }
-
-    let fixed_geo: Vec<ConfigGeomean> = grid
-        .iter()
-        .enumerate()
-        .map(|(i, layout)| ConfigGeomean {
-            label: layout.label(),
-            geomean_cycles: geomean(rows.iter().map(|r| r.fixed[i].sim_cycles as f64)),
-        })
-        .collect();
-    let tuned_geomean = geomean(rows.iter().map(|r| r.tuned_cycles as f64));
-    let best = fixed_geo
-        .iter()
-        .min_by(|a, b| a.geomean_cycles.total_cmp(&b.geomean_cycles))
-        .expect("non-empty grid");
-    let (best_fixed_label, best_fixed_geomean) = (best.label.clone(), best.geomean_cycles);
-    // The tuner may tie the best fixed config (up to floating-point
-    // geomean noise) but must never lose to it.
-    if tuned_geomean > best_fixed_geomean * (1.0 + 1e-9) {
-        violations.push(format!(
-            "tune: tuned geomean {tuned_geomean:.1} worse than fixed {best_fixed_label} {best_fixed_geomean:.1}"
-        ));
-    }
-    let rank_agreement = if rank_pairs == 0 {
-        1.0
-    } else {
-        rank_agreements as f64 / rank_pairs as f64
-    };
-    if rank_agreement < RANK_AGREEMENT_FLOOR {
-        violations.push(format!(
-            "rank: analytical/simulated rank agreement {:.1}% below {:.0}%",
-            rank_agreement * 100.0,
-            RANK_AGREEMENT_FLOOR * 100.0
-        ));
-    }
-
+    let sweep = fidelity::sweep(&device, 96);
+    violations.extend(sweep.violations);
     let report = AutotuneReport {
-        corpus: rows,
-        fixed: fixed_geo,
-        best_fixed_label,
-        best_fixed_geomean,
-        tuned_geomean,
-        tuned_vs_best_fixed: tuned_geomean / best_fixed_geomean,
-        rank_pairs,
-        rank_agreements,
-        rank_agreement,
+        corpus: sweep.corpus,
+        fixed: sweep.fixed,
+        best_fixed_label: sweep.best_fixed_label,
+        best_fixed_geomean: sweep.best_fixed_geomean,
+        tuned_geomean: sweep.tuned_geomean,
+        tuned_vs_best_fixed: sweep.tuned_geomean / sweep.best_fixed_geomean,
+        rank_pairs: sweep.rank_pairs,
+        rank_agreements: sweep.rank_agreements,
+        rank_agreement: sweep.rank_agreement,
         oracle_cases: oracle.cases.len(),
         violations: violations.len(),
     };

@@ -785,3 +785,71 @@ impl Explorer {
         }
     }
 }
+
+/// Seeded concurrency bugs, one per class the explorer claims to catch.
+/// A checker that cannot catch its own mutants proves nothing, so the
+/// `psim_model` gate and this crate's tests both explore each one with
+/// their own budget and require the matching [`Failure`].
+pub mod mutants {
+    use super::{spawn, Explorer, Report};
+    use crate::{Condvar, Mutex};
+    use std::sync::Arc;
+
+    /// A thread re-locks `mut.double`, which it already holds. Caught as
+    /// [`Failure::DoubleLock`](super::Failure::DoubleLock).
+    #[must_use]
+    pub fn double_lock(budget: usize) -> Report {
+        Explorer::new(budget).explore(|| {
+            let m = Mutex::labeled("mut.double", 0u32);
+            let g1 = m.lock();
+            let g2 = m.lock(); // seeded bug: self-deadlock
+            drop(g2);
+            drop(g1);
+        })
+    }
+
+    /// A producer stores a value but never notifies the consumer waiting
+    /// for it. The model condvar has no spurious wakeups, so every
+    /// schedule where the consumer parks first is caught as a
+    /// [`Failure::Deadlock`](super::Failure::Deadlock) naming the condvar.
+    #[must_use]
+    pub fn dropped_notify(budget: usize) -> Report {
+        Explorer::new(budget).explore(|| {
+            let ch = Arc::new((Mutex::labeled("mut.notify", None::<u32>), Condvar::new()));
+            let tx = Arc::clone(&ch);
+            let producer = spawn(move || {
+                *tx.0.lock() = Some(7); // seeded bug: no notify
+            });
+            let mut g = ch.0.lock();
+            while g.is_none() {
+                g = ch.1.wait(g);
+            }
+            drop(g);
+            producer.join();
+        })
+    }
+
+    /// One thread takes `mut.order.a` then `mut.order.b`, the other the
+    /// reverse. Caught as a [`Failure::Deadlock`](super::Failure::Deadlock),
+    /// and the lock-order graph ([`crate::order`]) records both edges, a
+    /// cycle.
+    #[must_use]
+    pub fn swapped_lock_order(budget: usize) -> Report {
+        Explorer::new(budget).explore(|| {
+            let a = Arc::new(Mutex::labeled("mut.order.a", ()));
+            let b = Arc::new(Mutex::labeled("mut.order.b", ()));
+            let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
+            let t = spawn(move || {
+                let ga = a2.lock();
+                let gb = b2.lock();
+                drop(gb);
+                drop(ga);
+            });
+            let gb = b.lock(); // seeded bug: inverted order
+            let ga = a.lock();
+            drop(ga);
+            drop(gb);
+            t.join();
+        })
+    }
+}

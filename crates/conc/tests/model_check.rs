@@ -1,10 +1,11 @@
 //! Self-tests for the model checker: each class of concurrency bug the
-//! layer claims to catch is seeded here as a minimal mutant, and the
-//! explorer must produce the matching counterexample. Plus coverage
-//! properties (all interleavings of a store-buffer-like scenario are
-//! observed) and the passthrough backend's poison-recovery semantics.
+//! layer claims to catch is a seeded mutant ([`psim_conc::model::mutants`],
+//! which the `psim_model` gate runs too), and the explorer must produce
+//! the matching counterexample. Plus coverage properties (all
+//! interleavings of a store-buffer-like scenario are observed) and the
+//! passthrough backend's poison-recovery semantics.
 
-use psim_conc::{model, order, Condvar, Mutex};
+use psim_conc::{model, order, Mutex};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex as StdMutex};
 
@@ -46,24 +47,7 @@ fn explores_all_lock_interleavings() {
 
 #[test]
 fn mutation_dropped_notify_is_caught_as_deadlock() {
-    // Producer stores the value but "forgets" the notify. With no
-    // spurious wakeups in the model, the consumer can never resume:
-    // every schedule where the consumer parks first must deadlock.
-    let report = model::Explorer::new(10_000).explore(|| {
-        let ch = Arc::new((Mutex::labeled("mut.notify.m", None::<u32>), Condvar::new()));
-        let tx = Arc::clone(&ch);
-        let producer = model::spawn(move || {
-            *tx.0.lock() = Some(7);
-            // BUG: no tx.1.notify_one()
-        });
-        let mut g = ch.0.lock();
-        while g.is_none() {
-            g = ch.1.wait(g);
-        }
-        drop(g);
-        producer.join();
-    });
-    match report.failure {
+    match model::mutants::dropped_notify(10_000).failure {
         Some(model::Failure::Deadlock { ref detail }) => {
             assert!(
                 detail.contains("condvar"),
@@ -76,14 +60,7 @@ fn mutation_dropped_notify_is_caught_as_deadlock() {
 
 #[test]
 fn mutation_double_lock_is_caught() {
-    let report = model::Explorer::new(100).explore(|| {
-        let m = Mutex::labeled("mut.double", 0u32);
-        let g1 = m.lock();
-        let g2 = m.lock(); // BUG: self-deadlock
-        drop(g2);
-        drop(g1);
-    });
-    match report.failure {
+    match model::mutants::double_lock(100).failure {
         Some(model::Failure::DoubleLock { label }) => assert_eq!(label, "mut.double"),
         ref other => panic!("double lock must be caught, got {other:?}"),
     }
@@ -91,24 +68,9 @@ fn mutation_double_lock_is_caught() {
 
 #[test]
 fn mutation_swapped_lock_order_deadlocks_and_cycles() {
-    // T1 takes A then B; T2 takes B then A. The explorer must find the
-    // wedged schedule, and the order graph must record the inversion.
-    let report = model::Explorer::new(10_000).explore(|| {
-        let a = Arc::new(Mutex::labeled("mut.order.a", ()));
-        let b = Arc::new(Mutex::labeled("mut.order.b", ()));
-        let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
-        let t1 = model::spawn(move || {
-            let ga = a2.lock();
-            let gb = b2.lock();
-            drop(gb);
-            drop(ga);
-        });
-        let gb = b.lock();
-        let ga = a.lock();
-        drop(ga);
-        drop(gb);
-        t1.join();
-    });
+    // The explorer must find the wedged schedule, and the order graph
+    // must record the inversion.
+    let report = model::mutants::swapped_lock_order(10_000);
     assert!(
         matches!(report.failure, Some(model::Failure::Deadlock { .. })),
         "AB/BA must deadlock in some schedule, got {:?}",

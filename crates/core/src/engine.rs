@@ -13,15 +13,14 @@
 //!
 //! Channels execute independently; the cube's wall-clock is the slowest
 //! channel. Per-channel replay lives in [`channel`] as a pure function over
-//! the loaded program and the channel's own bank slice, which lets
-//! [`Engine::run_parallel`] fan channels out across host threads while
-//! staying bit-identical to the serial [`Engine::run`] (outcomes are merged
-//! in channel order). Modeling notes (see DESIGN.md §8): the engine tracks
-//! open rows with its own non-stalling cursor per program slot (banks that
-//! predicate off catch up within later iterations of the same rows), and
-//! host completion detection is modeled as one status poll per iteration —
-//! a column read of the status location while a row is open, an MRS
-//! register read otherwise (MRS is only legal with every bank idle).
+//! the loaded program and the channel's own bank slice; [`Engine::run`]
+//! replays the channels in order and merges their outcomes. Modeling notes
+//! (see DESIGN.md §8): the engine tracks open rows with its own
+//! non-stalling cursor per program slot (banks that predicate off catch up
+//! within later iterations of the same rows), and host completion
+//! detection is modeled as one status poll per iteration — a column read
+//! of the status location while a row is open, an MRS register read
+//! otherwise (MRS is only legal with every bank idle).
 
 use crate::error::CoreError;
 use crate::isa::{Program, VerifiedProgram};
@@ -29,13 +28,13 @@ use crate::memory::{BankMemory, Binding};
 use crate::pu::{bind_slots, ProcessingUnit, SlotBindings};
 use crate::stats::PuStats;
 use crate::trace::MetricsRegistry;
-use psim_dram::{ChannelStats, CmdKind, EnergyModel, EnergyStats, HbmConfig, Scope, Violation};
+use psim_dram::{ChannelStats, EnergyModel, EnergyStats, HbmConfig, Violation};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 mod channel;
 
-use channel::{run_channel, ChannelCtx, ChannelOutcome};
+use channel::{run_channel, ChannelCtx};
 
 /// All-bank (pSyncPIM) vs per-bank (PB baseline) execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -68,13 +67,6 @@ pub struct EngineConfig {
     pub energy: EnergyModel,
     /// Safety bound on kernel loop iterations per channel.
     pub max_rounds: u64,
-    /// Record every issued DRAM command into [`RunReport::trace`]
-    /// (debug/visualization; memory-hungry on long kernels).
-    pub record_trace: bool,
-    /// Cap on recorded trace events *per channel*; commands beyond the cap
-    /// are counted in [`RunReport::trace_dropped`] instead of growing the
-    /// trace without bound on long kernels.
-    pub trace_limit: usize,
     /// Model periodic refresh: every tREFI the engine precharges, issues
     /// an all-bank REF and reopens lazily — the bandwidth tax real DRAM
     /// pays. On by default; a kernel that runs refresh-free silently
@@ -90,9 +82,9 @@ pub struct EngineConfig {
     /// events, surfacing a [`MetricsRegistry`] in [`RunReport::metrics`].
     /// Off by default; a disabled run pays only one branch per command.
     pub attribute: bool,
-    /// Cap on recorded [`crate::trace::StallEvent`]s *per channel* (the
-    /// `trace_limit` idiom — overflow is counted in the registry's
-    /// `events_dropped`, never silently truncated).
+    /// Cap on recorded [`crate::trace::StallEvent`]s *per channel*;
+    /// overflow is counted in the registry's `events_dropped`, never
+    /// silently truncated.
     pub event_limit: usize,
 }
 
@@ -103,28 +95,12 @@ impl Default for EngineConfig {
             mode: ExecMode::AllBank,
             energy: EnergyModel::default(),
             max_rounds: 50_000_000,
-            record_trace: false,
-            trace_limit: 1 << 22,
             refresh: true,
             validate: false,
             attribute: false,
             event_limit: 4096,
         }
     }
-}
-
-/// One issued DRAM command, as recorded when
-/// [`EngineConfig::record_trace`] is set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceEvent {
-    /// Pseudo-channel the command went to.
-    pub channel: usize,
-    /// Issue cycle (channel-local DRAM command clock).
-    pub cycle: u64,
-    /// Command scope.
-    pub scope: Scope,
-    /// The command.
-    pub cmd: CmdKind,
 }
 
 /// Result of one kernel execution.
@@ -146,11 +122,6 @@ pub struct RunReport {
     pub per_channel_cycles: Vec<u64>,
     /// Number of PUs that performed at least one productive memory op.
     pub active_pus: usize,
-    /// Issued-command trace (empty unless [`EngineConfig::record_trace`]).
-    pub trace: Vec<TraceEvent>,
-    /// Commands not recorded because a channel hit
-    /// [`EngineConfig::trace_limit`].
-    pub trace_dropped: u64,
     /// Protocol violations found by the independent checker (empty unless
     /// [`EngineConfig::validate`]; a non-empty list means the timing model
     /// issued an illegal stream and the run's numbers are suspect).
@@ -161,8 +132,7 @@ pub struct RunReport {
     pub pu_audit: Vec<String>,
     /// psim-trace cycle attribution (`Some` only when
     /// [`EngineConfig::attribute`] is set): per-channel, per-PU breakdowns
-    /// plus the bounded stall-event stream, assembled in channel order so
-    /// parallel runs stay bit-identical to serial ones.
+    /// plus the bounded stall-event stream, assembled in channel order.
     pub metrics: Option<MetricsRegistry>,
 }
 
@@ -208,8 +178,8 @@ impl RunReport {
 static ENGINE_WALL_NANOS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Drain the process-wide engine wall-clock accumulator: returns the
-/// seconds spent inside [`Engine::run`]/[`Engine::run_parallel`] since the
-/// last call, and resets it to zero.
+/// seconds spent inside [`Engine::run`] since the last call, and resets it
+/// to zero.
 #[must_use]
 pub fn take_engine_wall_s() -> f64 {
     ENGINE_WALL_NANOS.swap(0, std::sync::atomic::Ordering::Relaxed) as f64 * 1e-9
@@ -339,33 +309,16 @@ impl Engine {
         }
     }
 
-    /// Execute the loaded kernel to completion, replaying channels
-    /// serially.
+    /// Execute the loaded kernel to completion, replaying channels in
+    /// order.
     ///
     /// # Errors
     ///
     /// [`CoreError::Execution`] if no kernel is loaded or the round bound
     /// is exceeded (kernel never exits).
     pub fn run(&mut self) -> Result<RunReport, CoreError> {
-        self.run_with_workers(1)
-    }
-
-    /// Execute the loaded kernel with up to `workers` host threads, one
-    /// channel per thread at a time. Channels are simulated-independent, so
-    /// the report is **bit-identical** to [`Engine::run`] for any worker
-    /// count — outcomes are merged in channel order regardless of host
-    /// completion order.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Engine::run`].
-    pub fn run_parallel(&mut self, workers: usize) -> Result<RunReport, CoreError> {
-        self.run_with_workers(workers)
-    }
-
-    fn run_with_workers(&mut self, workers: usize) -> Result<RunReport, CoreError> {
         let wall_start = std::time::Instant::now();
-        let result = self.run_with_workers_inner(workers);
+        let result = self.replay();
         ENGINE_WALL_NANOS.fetch_add(
             wall_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
             std::sync::atomic::Ordering::Relaxed,
@@ -373,7 +326,7 @@ impl Engine {
         result
     }
 
-    fn run_with_workers_inner(&mut self, workers: usize) -> Result<RunReport, CoreError> {
+    fn replay(&mut self) -> Result<RunReport, CoreError> {
         let program = self
             .program
             .clone()
@@ -388,55 +341,23 @@ impl Engine {
             bindings: &self.bindings,
         };
 
-        // One outcome slot per channel, written by whichever worker runs
-        // that channel and always merged below in channel order.
-        let mut results: Vec<Option<Result<ChannelOutcome, CoreError>>> =
-            (0..channels).map(|_| None).collect();
-        let nworkers = workers.max(1).min(channels.max(1));
-        let work = self
-            .pus
-            .chunks_mut(banks_per_channel)
-            .zip(self.mems.chunks_mut(banks_per_channel))
-            .zip(results.iter_mut())
-            .enumerate();
-        if nworkers <= 1 {
-            for (ch, ((pus, mems), slot)) in work {
-                *slot = Some(run_channel(&ctx, ch, pus, mems));
-            }
-        } else {
-            let mut buckets: Vec<Vec<_>> = (0..nworkers).map(|_| Vec::new()).collect();
-            for (ch, ((pus, mems), slot)) in work {
-                buckets[ch % nworkers].push((ch, pus, mems, slot));
-            }
-            std::thread::scope(|s| {
-                for bucket in buckets {
-                    let ctx = &ctx;
-                    s.spawn(move || {
-                        for (ch, pus, mems, slot) in bucket {
-                            *slot = Some(run_channel(ctx, ch, pus, mems));
-                        }
-                    });
-                }
-            });
-        }
-
         let mut per_channel_cycles = Vec::with_capacity(channels);
         let mut commands = ChannelStats::default();
         let mut max_rounds_seen = 0u64;
-        let mut trace: Vec<TraceEvent> = Vec::new();
-        let mut trace_dropped = 0u64;
         let mut check = psim_dram::CheckReport::default();
         let mut metrics = self
             .cfg
             .attribute
             .then(|| MetricsRegistry::new(self.cfg.event_limit));
-        for slot in results {
-            let outcome = slot.expect("every channel executed")?;
+        let banks = self
+            .pus
+            .chunks_mut(banks_per_channel)
+            .zip(self.mems.chunks_mut(banks_per_channel));
+        for (ch, (pus, mems)) in banks.enumerate() {
+            let outcome = run_channel(&ctx, ch, pus, mems)?;
             per_channel_cycles.push(outcome.cycles);
             commands.merge(&outcome.stats);
             max_rounds_seen = max_rounds_seen.max(outcome.rounds);
-            trace.extend(outcome.trace);
-            trace_dropped += outcome.trace_dropped;
             if let Some(c) = outcome.check {
                 check.merge(&c);
             }
@@ -487,8 +408,6 @@ impl Engine {
             energy,
             per_channel_cycles,
             active_pus,
-            trace,
-            trace_dropped,
             violations: check.violations,
             violations_suppressed: check.suppressed,
             pu_audit,

@@ -5,12 +5,11 @@
 //! function over `(&Program, channel state)`: shared read-only inputs in
 //! [`ChannelCtx`] plus this channel's disjoint `&mut` slices of processing
 //! units and bank memories. [`Engine::run`](super::Engine::run) replays
-//! channels serially; [`Engine::run_parallel`](super::Engine::run_parallel)
-//! and the `psim-sched` executor fan the same function out across scoped
-//! worker threads, merging [`ChannelOutcome`]s in channel order so the
-//! result is bit-identical either way.
+//! the channels in order and merges their [`ChannelOutcome`]s. Host
+//! parallelism lives a level up: the `psim-sched` executor runs whole
+//! lanes (device shards) on separate threads, each with its own engine.
 
-use super::{EngineConfig, ExecMode, TraceEvent};
+use super::{EngineConfig, ExecMode};
 use crate::error::CoreError;
 use crate::isa::Program;
 use crate::memory::{BankMemory, Binding};
@@ -42,11 +41,6 @@ pub(super) struct ChannelOutcome {
     pub stats: ChannelStats,
     /// Kernel loop iterations.
     pub rounds: u64,
-    /// Recorded commands (empty unless tracing).
-    pub trace: Vec<TraceEvent>,
-    /// Commands not recorded because the trace hit
-    /// [`EngineConfig::trace_limit`].
-    pub trace_dropped: u64,
     /// Independent protocol-checker verdict (`Some` only when
     /// [`EngineConfig::validate`] is set).
     pub check: Option<CheckReport>,
@@ -204,37 +198,6 @@ impl Attr {
     }
 }
 
-/// Bounded command-trace sink: records up to `limit` events and counts the
-/// overflow instead of growing without bound on long kernels.
-struct TraceBuf {
-    events: Vec<TraceEvent>,
-    limit: usize,
-    dropped: u64,
-    enabled: bool,
-}
-
-impl TraceBuf {
-    fn new(cfg: &EngineConfig) -> Self {
-        TraceBuf {
-            events: Vec::new(),
-            limit: cfg.trace_limit,
-            dropped: 0,
-            enabled: cfg.record_trace,
-        }
-    }
-
-    fn record(&mut self, ev: TraceEvent) {
-        if !self.enabled {
-            return;
-        }
-        if self.events.len() < self.limit {
-            self.events.push(ev);
-        } else {
-            self.dropped += 1;
-        }
-    }
-}
-
 /// The DRAM channel model behind a replay: the representative-bank
 /// [`AbChannel`] for all-bank lockstep, the full [`Channel`] for per-bank
 /// scopes. Both pick the cycles the full channel's two-pass `earliest` +
@@ -281,11 +244,9 @@ impl ChannelModel for AbChannel {
 }
 
 /// One channel's command port: every command issues through the channel
-/// model, then goes to the bounded trace and the independent checker.
+/// model, then goes to the independent checker.
 struct Port<M> {
     channel: M,
-    ch: usize,
-    trace: TraceBuf,
     checker: Option<ProtocolChecker>,
 }
 
@@ -293,8 +254,6 @@ impl<M: ChannelModel> Port<M> {
     fn new(channel: M, cfg: &EngineConfig, ch: usize) -> Self {
         Port {
             channel,
-            ch,
-            trace: TraceBuf::new(cfg),
             checker: make_checker(cfg, ch),
         }
     }
@@ -305,12 +264,6 @@ impl<M: ChannelModel> Port<M> {
             .channel
             .issue_earliest(scope, cmd, from)
             .map_err(|e| CoreError::Execution(e.to_string()))?;
-        self.trace.record(TraceEvent {
-            channel: self.ch,
-            cycle: issued.issue_cycle,
-            scope,
-            cmd,
-        });
         if let Some(c) = self.checker.as_mut() {
             c.observe(issued.issue_cycle, scope, cmd);
         }
@@ -330,8 +283,6 @@ impl<M: ChannelModel> Port<M> {
             cycles,
             stats: *self.channel.stats(),
             rounds,
-            trace: self.trace.events,
-            trace_dropped: self.trace.dropped,
             check: self.checker.map(|c| c.finish(cycles)),
             metrics,
             stall_events,

@@ -242,106 +242,6 @@ fn active_pus_counts_working_banks() {
 }
 
 #[test]
-fn trace_records_ordered_commands_when_enabled() {
-    let mut cfg = small_cfg(ExecMode::AllBank);
-    cfg.record_trace = true;
-    let mut engine = Engine::new(cfg);
-    let n = 8;
-    let nbanks = engine.num_banks();
-    let x = vec![1.0; n];
-    let per_bank = per_bank_entries(nbanks, n);
-    let bindings = setup_spmv(&mut engine, &per_bank, &x, n);
-    engine
-        .load_kernel(assemble(SPMV_ASM).unwrap(), bindings)
-        .unwrap();
-    let report = engine.run().unwrap();
-    assert!(!report.trace.is_empty());
-    assert_eq!(report.trace.len() as u64, report.commands.total_commands());
-    // Per channel, cycles are non-decreasing and the stream starts with the
-    // MRS setup sequence.
-    for ch in 0..2 {
-        let evs: Vec<_> = report.trace.iter().filter(|e| e.channel == ch).collect();
-        assert!(evs.windows(2).all(|w| w[0].cycle <= w[1].cycle));
-        assert!(matches!(evs[0].cmd, psim_dram::CmdKind::Mrs));
-        // An ACT precedes the first RD.
-        let first_rd = evs
-            .iter()
-            .position(|e| matches!(e.cmd, psim_dram::CmdKind::Rd { .. }));
-        let first_act = evs
-            .iter()
-            .position(|e| matches!(e.cmd, psim_dram::CmdKind::Act { .. }));
-        assert!(first_act.unwrap() < first_rd.unwrap());
-    }
-    // Default config records nothing.
-    let mut engine2 = Engine::new(small_cfg(ExecMode::AllBank));
-    let bindings2 = setup_spmv(&mut engine2, &per_bank, &x, n);
-    engine2
-        .load_kernel(assemble(SPMV_ASM).unwrap(), bindings2)
-        .unwrap();
-    assert!(engine2.run().unwrap().trace.is_empty());
-}
-
-#[test]
-fn trace_limit_caps_events_and_counts_drops() {
-    let mut cfg = small_cfg(ExecMode::AllBank);
-    cfg.record_trace = true;
-    cfg.trace_limit = 10;
-    let mut engine = Engine::new(cfg);
-    let n = 8;
-    let per_bank = per_bank_entries(engine.num_banks(), n);
-    let x = vec![1.0; n];
-    let bindings = setup_spmv(&mut engine, &per_bank, &x, n);
-    engine
-        .load_kernel(assemble(SPMV_ASM).unwrap(), bindings)
-        .unwrap();
-    let report = engine.run().unwrap();
-    // 10 per channel × 2 channels recorded; the rest counted, not stored.
-    assert_eq!(report.trace.len(), 20);
-    assert!(report.trace_dropped > 0);
-    assert_eq!(
-        report.trace.len() as u64 + report.trace_dropped,
-        report.commands.total_commands()
-    );
-}
-
-#[test]
-fn parallel_run_is_bit_identical_to_serial() {
-    // Every auditing feature on, so nothing is compared away.
-    let run = |mode: ExecMode, workers: usize| {
-        let mut cfg = small_cfg(mode);
-        cfg.record_trace = true;
-        cfg.attribute = true;
-        cfg.validate = true;
-        let mut engine = Engine::new(cfg);
-        let n = 16;
-        let per_bank = per_bank_entries(engine.num_banks(), n);
-        let x: Vec<f64> = (0..n).map(|i| 0.25 + i as f64).collect();
-        let bindings = setup_spmv(&mut engine, &per_bank, &x, n);
-        engine
-            .load_kernel(assemble(SPMV_ASM).unwrap(), bindings.clone())
-            .unwrap();
-        let report = if workers == 1 {
-            engine.run().unwrap()
-        } else {
-            engine.run_parallel(workers).unwrap()
-        };
-        let ys: Vec<Vec<f64>> = (0..engine.num_banks())
-            .map(|b| engine.mem(b).region(bindings[5].unwrap()).data().to_vec())
-            .collect();
-        (report, ys)
-    };
-    for mode in [ExecMode::AllBank, ExecMode::PerBank] {
-        let (serial, ys_serial) = run(mode, 1);
-        assert_eq!(serial.violation_count(), 0, "{mode:?}");
-        for workers in [2, 4, 7] {
-            let (parallel, ys_par) = run(mode, workers);
-            assert_eq!(serial, parallel, "{mode:?}, {workers} workers");
-            assert_eq!(ys_serial, ys_par, "{mode:?}, {workers} workers");
-        }
-    }
-}
-
-#[test]
 fn attribution_conserves_cycles_in_both_modes() {
     for mode in [ExecMode::AllBank, ExecMode::PerBank] {
         let mut cfg = small_cfg(mode);

@@ -41,9 +41,7 @@ pub mod pu;
 pub mod stats;
 pub mod trace;
 
-pub use engine::{
-    take_engine_wall_s, Engine, EngineConfig, EngineTier, ExecMode, RunReport, TraceEvent,
-};
+pub use engine::{take_engine_wall_s, Engine, EngineConfig, EngineTier, ExecMode, RunReport};
 pub use error::CoreError;
 pub use host::{ExternalBus, HostController};
 pub use memory::{AllocMark, BankMemory, Region, RegionId};

@@ -13,9 +13,9 @@
 //! `validate` and `attribute` are set.
 //!
 //! Alongside the counters, interesting stalls (queue-full, queue-empty)
-//! are recorded as [`StallEvent`]s into a bounded buffer per channel —
-//! the `trace_limit` idiom: up to `event_limit` events are kept and the
-//! overflow is *counted* in `events_dropped`, never silently truncated.
+//! are recorded as [`StallEvent`]s into a bounded buffer per channel: up
+//! to `event_limit` events are kept and the overflow is *counted* in
+//! `events_dropped`, never silently truncated.
 
 use serde::{Deserialize, Serialize};
 

@@ -339,6 +339,41 @@ pub fn run_layout_oracle(
     Ok(report)
 }
 
+/// The largest elementwise error `|g - w|` of `got` against the reference
+/// `want`. Exactly equal elements count zero, equal infinities included.
+/// A NaN on either side, or a length mismatch, counts as an infinite
+/// error, so every tolerance check fails it (`fold(0.0, f64::max)` would
+/// drop the NaN and pass).
+#[must_use]
+pub fn max_abs_err(got: &[f64], want: &[f64]) -> f64 {
+    max_err(got, want, |_| 1.0)
+}
+
+/// [`max_abs_err`] with each error relative to `max(|w|, 1)`.
+#[must_use]
+pub fn max_rel_err(got: &[f64], want: &[f64]) -> f64 {
+    max_err(got, want, |w| w.abs().max(1.0))
+}
+
+fn max_err(got: &[f64], want: &[f64], scale: impl Fn(f64) -> f64) -> f64 {
+    if got.len() != want.len() {
+        return f64::INFINITY;
+    }
+    (got.iter().zip(want))
+        .map(|(&g, &w)| {
+            if g == w {
+                return 0.0;
+            }
+            let err = (g - w).abs() / scale(w);
+            if err.is_nan() {
+                f64::INFINITY
+            } else {
+                err
+            }
+        })
+        .fold(0.0, f64::max)
+}
+
 fn diff(
     kernel: &'static str,
     matrix: &str,
@@ -348,11 +383,7 @@ fn diff(
     tolerance: f64,
     run: &KernelRun,
 ) -> OracleCase {
-    let max_err = got
-        .iter()
-        .zip(want)
-        .map(|(g, w)| (g - w).abs())
-        .fold(0.0f64, f64::max);
+    let max_err = max_abs_err(got, want);
     let audit = audit_run(run);
     OracleCase {
         kernel,
@@ -361,7 +392,7 @@ fn diff(
         nnz: a.nnz(),
         max_err,
         tolerance,
-        pass: got.len() == want.len() && max_err <= tolerance && audit.is_empty(),
+        pass: max_err <= tolerance && audit.is_empty(),
         audit,
     }
 }
@@ -397,6 +428,24 @@ mod tests {
     }
 
     #[test]
+    fn reference_comparison_fails_on_nan() {
+        // A NaN output must fail, wherever it sits; f64::max would drop it.
+        assert!(max_abs_err(&[1.0, f64::NAN], &[1.0, 2.0]) > 1e-9);
+        assert!(max_abs_err(&[f64::NAN, 2.0], &[1.0, 2.0]) > 1e-9);
+        assert!(max_rel_err(&[1.0, 2.0], &[1.0, f64::NAN]) > 1e-9);
+        assert!(max_abs_err(&[f64::NAN], &[f64::NAN]) > 1e-9);
+        // So do an infinity off its reference and a length mismatch.
+        assert!(max_rel_err(&[1.0], &[f64::INFINITY]) > 1e-9);
+        assert!(max_abs_err(&[1.0], &[1.0, 2.0]) > 1e-9);
+        // Equal values pass, equal infinities included.
+        let inf = [f64::INFINITY, f64::NEG_INFINITY, 3.0];
+        assert_eq!(max_abs_err(&inf, &inf), 0.0);
+        assert_eq!(max_rel_err(&inf, &inf), 0.0);
+        assert_eq!(max_abs_err(&[1.5, 3.0], &[1.0, 2.0]), 1.0);
+        assert_eq!(max_rel_err(&[1.5, 3.0], &[1.0, 2.0]), 0.5);
+    }
+
+    #[test]
     fn audit_flags_inconsistent_runs() {
         let mut run = KernelRun {
             commands: 10,
@@ -428,13 +477,7 @@ mod tests {
             let mut dev = PimDevice::tiny(2);
             dev.validate = true;
             let r = SpmvPim::new(dev, Precision::Fp64).run(&a, &x).unwrap();
-            let want = a.spmv(&x);
-            let max_err = r
-                .y
-                .iter()
-                .zip(&want)
-                .map(|(g, w)| (g - w).abs())
-                .fold(0.0f64, f64::max);
+            let max_err = max_abs_err(&r.y, &a.spmv(&x));
             prop_assert!(max_err <= 1e-9, "max_err {}", max_err);
             prop_assert_eq!(r.run.violations, 0);
             prop_assert!(r.run.mem_ops <= r.run.bank_bursts);

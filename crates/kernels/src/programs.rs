@@ -327,6 +327,75 @@ EXIT
     )
 }
 
+/// One program of [`builder_sweep`]: the builder that wrote it, the
+/// arguments it was given and its text.
+#[derive(Debug, Clone)]
+pub struct SweepProgram {
+    /// Builder function name.
+    pub builder: &'static str,
+    /// The builder's non-precision arguments (`MULxADD`, `chunks=4`, ...).
+    pub variant: String,
+    /// Element precision.
+    pub precision: Precision,
+    /// Assembly text.
+    pub text: String,
+}
+
+/// Every builder across its argument envelope: each precision, the full
+/// cross of the six semiring ops, chunk counts from the degenerate (NOP)
+/// loop to the largest the 10-bit JUMP immediate holds, and the dense
+/// Level-2 loop nests — 1,092 programs. The `psim_lint` gate lints each
+/// one; this module's tests compile each one.
+#[must_use]
+pub fn builder_sweep() -> Vec<SweepProgram> {
+    const OPS: [&str; 6] = ["ADD", "SUB", "MUL", "MIN", "MAX", "RSUB"];
+    const CHUNKS: [u16; 3] = [1, 4, 1023];
+    let mut sweep = Vec::new();
+    for &p in &Precision::ALL {
+        let mut add = |builder, variant: String, text| {
+            sweep.push(SweepProgram {
+                builder,
+                variant,
+                precision: p,
+                text,
+            });
+        };
+        for mul in OPS {
+            for acc in OPS {
+                let v = format!("{mul}x{acc}");
+                let semiring = sparse_stream_semiring(p, mul, acc);
+                add("sparse_stream_semiring", v.clone(), semiring);
+                let batched = sparse_stream_batched(p, mul, acc);
+                add("sparse_stream_batched", v.clone(), batched);
+                add("spmm_stream", v, spmm_stream(p, mul, acc));
+            }
+        }
+        for acc in OPS {
+            add("sparse_stream", acc.to_string(), sparse_stream(p, acc));
+        }
+        for c in CHUNKS {
+            let cv = format!("chunks={c}");
+            add("dcopy", cv.clone(), dcopy(p, c));
+            add("dswap", cv.clone(), dswap(p, c));
+            add("dscal", cv.clone(), dscal(p, c));
+            add("daxpy", cv.clone(), daxpy(p, c));
+            add("ddot", cv.clone(), ddot(p, c));
+            add("gather", cv.clone(), gather(p, c));
+            for op in OPS {
+                add("dvdv", format!("{op},{cv}"), dvdv(p, op, c));
+            }
+        }
+        add("scatter", "-".to_string(), scatter(p));
+        add("spaxpy", "-".to_string(), spaxpy(p));
+        add("spdot", "-".to_string(), spdot(p));
+        for (rows, chunks) in [(1u16, 1u16), (4, 8), (1023, 1023)] {
+            let v = format!("rows={rows},chunks={chunks}");
+            add("dgemv", v, dgemv(p, rows, chunks));
+        }
+    }
+    sweep
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,28 +403,11 @@ mod tests {
     #[test]
     fn all_programs_assemble() {
         // ... and pass psim-lint, fetched through the compiled cache.
-        for p in [Precision::Fp64, Precision::Fp32, Precision::Int8] {
-            for text in [
-                sparse_stream(p, "ADD"),
-                sparse_stream(p, "RSUB"),
-                sparse_stream_batched(p, "MUL", "RSUB"),
-                spmm_stream(p, "ADD", "MIN"),
-                dcopy(p, 1),
-                dcopy(p, 4),
-                dswap(p, 4),
-                dscal(p, 4),
-                daxpy(p, 4),
-                ddot(p, 4),
-                dvdv(p, "MIN", 4),
-                gather(p, 4),
-                scatter(p),
-                spaxpy(p),
-                spdot(p),
-                dgemv(p, 4, 4),
-            ] {
-                let program = compiled(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
-                assert_eq!(program.program(), &assemble(&text).unwrap());
-            }
+        let sweep = builder_sweep();
+        assert_eq!(sweep.len(), 1092);
+        for p in &sweep {
+            let program = compiled(&p.text).unwrap_or_else(|e| panic!("{e}\n{}", p.text));
+            assert_eq!(program.program(), &assemble(&p.text).unwrap());
         }
     }
 

@@ -9,6 +9,7 @@
 use crate::blas1::Blas1Pim;
 use crate::device::PimDevice;
 use crate::gemv::Gemv;
+use crate::oracle::max_abs_err;
 use crate::spmv::SpmvPim;
 use crate::sptrsv::SptrsvPim;
 use psim_sparse::dense::{self, SparseVec};
@@ -162,15 +163,11 @@ pub fn all_pass(results: &[CheckResult]) -> bool {
 }
 
 fn check(kernel: &'static str, got: &[f64], want: &[f64], tol: f64) -> CheckResult {
-    let max_err = got
-        .iter()
-        .zip(want)
-        .map(|(g, w)| (g - w).abs())
-        .fold(0.0f64, f64::max);
+    let max_err = max_abs_err(got, want);
     CheckResult {
         kernel,
         max_err,
-        pass: got.len() == want.len() && max_err <= tol.max(f64::EPSILON * 64.0),
+        pass: max_err <= tol.max(f64::EPSILON * 64.0),
     }
 }
 
@@ -198,6 +195,12 @@ mod tests {
         let protocol = results.last().unwrap();
         assert_eq!(protocol.kernel, "protocol");
         assert_eq!(protocol.max_err, 0.0, "checker found violations");
+    }
+
+    #[test]
+    fn a_nan_output_fails_its_check() {
+        assert!(!check("SpMV", &[1.0, f64::NAN], &[1.0, 2.0], 1e-9).pass);
+        assert!(check("SpMV", &[1.0, f64::INFINITY], &[1.0, f64::INFINITY], 0.0).pass);
     }
 
     #[test]

@@ -24,6 +24,9 @@
 //!   end-to-end latency histograms (p50/p95/p99 via
 //!   [`psyncpim_core::Histogram`]), simulated makespan and jobs/s, split
 //!   into a deterministic simulated half and a host-walltime half.
+//! * [`scenarios`] — the queue, store and service scenarios the
+//!   interleaving explorer checks, shared by the `psim_model` gate and
+//!   this crate's tests.
 //!
 //! # Example
 //!
@@ -46,6 +49,7 @@
 pub mod executor;
 pub mod job;
 pub mod queue;
+pub mod scenarios;
 pub mod service;
 pub mod stats;
 

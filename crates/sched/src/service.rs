@@ -18,11 +18,11 @@
 //!
 //! Concurrency verification: the service's only synchronization is the
 //! queue's shim-backed locks (`psim_conc`), and the lane path degrades
-//! to serial under the interleaving explorer — so the model scenarios
-//! (`tests/model_shutdown.rs`, the `psim_model` gate) cover close
-//! racing an in-flight fusion window, blocked `pop_wait_batch` waiters,
-//! and fused-vs-unfused value equivalence across every explored
-//! schedule. See DESIGN.md §16.
+//! to serial under the interleaving explorer — so the scenarios in
+//! [`crate::scenarios`] (run by `tests/model_shutdown.rs` and the
+//! `psim_model` gate) cover close racing an in-flight fusion window,
+//! blocked `pop_wait_batch` waiters, and fused-vs-unfused value
+//! equivalence across every explored schedule. See DESIGN.md §16.
 
 use std::time::Instant;
 

@@ -1,189 +1,54 @@
-//! Shutdown-path scenarios under the interleaving explorer.
+//! The scheduler's interleaving scenarios ([`psim_sched::scenarios`]) at
+//! test budgets.
 //!
-//! The service's close protocol has three racy windows that unit tests
-//! exercise only under one OS schedule each: a producer closing the queue
-//! while the admission loop is mid-window, waiters blocked in
-//! `pop_wait_batch` when the close lands, and the shared `MatrixStore`
-//! evicting under concurrent insert/get. Each scenario here runs under
-//! [`psim_conc::model::Explorer`], so *every* schedule distinguishable
-//! through the sync shim is checked for deadlock-freedom, lost wakeups
-//! and the stated invariants — and a failing schedule comes back as a
-//! deterministic repro trail.
+//! The service's close protocol has racy windows that unit tests
+//! exercise only under one OS schedule each: producers blocked on a full
+//! queue, a producer closing the queue while the admission loop is
+//! mid-window, waiters blocked in `pop_wait_batch` when the close lands,
+//! and the shared `MatrixStore` evicting under concurrent insert/get.
+//! Each scenario runs under the interleaving explorer, so every schedule
+//! distinguishable through the sync shim is checked for deadlock-freedom,
+//! lost wakeups and the scenario's invariants, and a failing schedule
+//! comes back as a deterministic repro trail. The `psim_model` gate runs
+//! the same functions at its committed budgets, so a gate failure
+//! reproduces here.
 
-use psim_conc::model;
-use psim_kernels::PimDevice;
-use psim_sched::{
-    ExecutorConfig, JobKind, JobQueue, JobSpec, JobValue, MatrixStore, Service, ServiceConfig,
-    ShardExecutor,
-};
-use std::sync::{Arc, Mutex as StdMutex};
+use psim_sched::scenarios;
 
-fn spmv_spec(a: &Arc<psim_sparse::Coo>, i: u64) -> JobSpec {
-    let n = a.ncols();
-    let x: Vec<f64> = (0..n as u64)
-        .map(|k| (i * 7 + k + 1) as f64 * 0.5)
-        .collect();
-    JobSpec::batch("t0", JobKind::spmv(Arc::clone(a), x))
+#[test]
+fn admission_backpressure_delivers_every_job_once() {
+    let report = scenarios::admission_backpressure(1_000);
+    report.assert_ok("admission under full backpressure");
+    assert!(report.executions > 1, "the producers must actually race");
 }
 
 #[test]
 fn close_during_inflight_fusion_window_loses_no_jobs() {
-    // The producer submits three same-matrix SpMV jobs and closes while
-    // the service admits fusion windows. Whatever the interleaving —
-    // close landing before, inside, or after a window — every submitted
-    // job must complete exactly once and the run must terminate.
-    let a = Arc::new(psim_sparse::gen::rmat(16, 2, 1));
-    let report = model::Explorer::new(5_000).explore(move || {
-        let queue = Arc::new(JobQueue::bounded(4));
-        let producer = {
-            let queue = Arc::clone(&queue);
-            let a = Arc::clone(&a);
-            model::spawn(move || {
-                for i in 0..3u64 {
-                    queue.submit(spmv_spec(&a, i)).expect("queue open");
-                }
-                queue.close();
-            })
-        };
-        let svc = Service::new(ServiceConfig::new(
-            ExecutorConfig::sharded(PimDevice::tiny(2), 1).with_fusion(2),
-        ))
-        .expect("shards divide channels");
-        let mut seen = Vec::new();
-        let stats = svc
-            .run(&queue, &mut |job| seen.push(job.id))
-            .expect("jobs execute")
-            .stats;
-        producer.join();
-        seen.sort_unstable();
-        assert_eq!(
-            seen,
-            vec![0, 1, 2],
-            "every admitted job completes exactly once"
-        );
-        assert_eq!(stats.sim.jobs, 3);
-    });
+    let report = scenarios::close_during_fusion_window(5_000);
     report.assert_ok("close during in-flight fusion window");
     assert!(report.executions > 1, "the close race must actually branch");
 }
 
 #[test]
 fn close_releases_blocked_batch_waiters() {
-    // Two consumers block in pop_wait_batch on a near-empty queue while
-    // one job is submitted and the queue closes. In every schedule both
-    // waiters must return (no lost wakeup: notify_all on close has to
-    // reach both) and the single job is delivered to exactly one of them.
-    let report = model::Explorer::new(60_000).explore(|| {
-        let queue = Arc::new(JobQueue::bounded(2));
-        let waiters: Vec<_> = (0..2)
-            .map(|_| {
-                let queue = Arc::clone(&queue);
-                model::spawn(move || queue.pop_wait_batch(2).len())
-            })
-            .collect();
-        let a = Arc::new(psim_sparse::gen::rmat(8, 2, 2));
-        queue.submit(spmv_spec(&a, 0)).expect("queue open");
-        queue.close();
-        let got: usize = waiters.into_iter().map(model::JoinHandle::join).sum();
-        assert_eq!(got, 1, "the one job goes to exactly one waiter, none hang");
-        assert!(queue.pop_wait_batch(2).is_empty(), "closed and drained");
-    });
+    let report = scenarios::close_blocked_waiters(60_000);
     report.assert_ok("close with blocked pop_wait_batch waiters");
     assert!(report.complete, "queue-only scenario must be exhaustible");
 }
 
 #[test]
 fn matrix_store_eviction_race_keeps_lru_invariants() {
-    // Two threads insert/get through a store whose budget holds only one
-    // of the two matrices, so every schedule churns the LRU eviction
-    // path. After both finish, the store's internal accounting must
-    // audit clean and a hit must return the correct matrix.
-    let m0 = psim_sparse::gen::rmat(16, 2, 3);
-    let m1 = psim_sparse::gen::rmat(16, 2, 4);
-    let budget = {
-        let probe = MatrixStore::new();
-        probe.insert("m0", m0.clone());
-        probe.resident_bytes() * 3 / 2
-    };
-    let report = model::Explorer::new(10_000).explore(move || {
-        let store = Arc::new(MatrixStore::with_budget(budget));
-        let threads: Vec<_> = [m0.clone(), m1.clone()]
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let store = Arc::clone(&store);
-                model::spawn(move || {
-                    let name = if i == 0 { "m0" } else { "m1" };
-                    let a = store.insert(name, m);
-                    assert_eq!(a.nnz(), store.get(name).map_or(a.nnz(), |g| g.nnz()));
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join();
-        }
-        store.audit();
-        assert!(store.len() <= 2, "never more resident than inserted");
-        assert!(
-            store.get("m0").is_some() || store.get("m1").is_some(),
-            "the most recent insert survives its own eviction pass"
-        );
-        store.audit();
-    });
+    let report = scenarios::store_eviction_race(10_000);
     report.assert_ok("MatrixStore concurrent insert/evict");
     assert!(report.complete, "store scenario must be exhaustible");
 }
 
 #[test]
 fn fused_results_match_unfused_golden_under_every_admission_schedule() {
-    // Golden values from the unfused batch executor (no concurrency at
-    // all), then the fused service under the explorer with a racing
-    // producer: per-job values must be bit-identical in every schedule —
-    // fusion and admission timing change scheduling, never numerics.
-    let a = Arc::new(psim_sparse::gen::rmat(16, 2, 5));
-    let golden: Vec<(u64, JobValue)> = {
-        let queue = JobQueue::bounded(8);
-        for i in 0..3u64 {
-            queue.submit(spmv_spec(&a, i)).expect("queue open");
-        }
-        let exec = ShardExecutor::new(ExecutorConfig::sharded(PimDevice::tiny(2), 1)).unwrap();
-        let mut jobs = exec.drain_and_run(&queue).expect("golden run").jobs;
-        jobs.sort_by_key(|j| j.id);
-        jobs.into_iter().map(|j| (j.id, j.value)).collect()
-    };
-    let golden = Arc::new(golden);
-    let worst: Arc<StdMutex<usize>> = Arc::new(StdMutex::new(0));
-    let worst2 = Arc::clone(&worst);
-    let report = model::Explorer::new(5_000).explore(move || {
-        let queue = Arc::new(JobQueue::bounded(2));
-        let producer = {
-            let queue = Arc::clone(&queue);
-            let a = Arc::clone(&a);
-            model::spawn(move || {
-                for i in 0..3u64 {
-                    queue.submit(spmv_spec(&a, i)).expect("queue open");
-                }
-                queue.close();
-            })
-        };
-        let svc = Service::new(ServiceConfig::new(
-            ExecutorConfig::sharded(PimDevice::tiny(2), 1).with_fusion(2),
-        ))
-        .unwrap();
-        let mut got: Vec<(u64, JobValue)> = Vec::new();
-        svc.run(&queue, &mut |job| got.push((job.id, job.value)))
-            .expect("jobs execute");
-        producer.join();
-        got.sort_by_key(|(id, _)| *id);
-        assert_eq!(
-            got, *golden,
-            "fused values must match the unfused golden run"
-        );
-        *worst2.lock().unwrap() += 1;
-    });
+    let report = scenarios::fusion_equivalence(5_000);
     report.assert_ok("fused vs unfused equivalence");
     assert!(
-        *worst.lock().unwrap() > 1,
+        report.executions > 1,
         "equivalence must hold across schedules"
     );
 }

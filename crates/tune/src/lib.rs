@@ -24,7 +24,11 @@
 //!
 //! The tuner never runs the cycle engine: tuning a matrix costs a few
 //! partition walks, which is why the scheduler can afford to tune every
-//! SpMV matrix once, when its first job is planned.
+//! SpMV matrix once, when its first job is planned. [`fidelity`] checks
+//! against the cycle engine that the model's ranking, and so the tuner's
+//! pick, holds up.
+
+pub mod fidelity;
 
 use psim_kernels::{CostModel, PimDevice};
 use psim_sparse::blocked::block_fill_ratio;
@@ -101,10 +105,9 @@ pub struct Autotuner {
     total_banks: usize,
 }
 
-/// Rule thresholds. Calibrated on the ablation grid (see the
-/// `ablation_autotune` bench): chosen so each rule fires on the shape
-/// family it targets and stays quiet on the benchmark suite's even
-/// matrices.
+/// Rule thresholds. Calibrated on the ablation grid (see [`fidelity`]):
+/// chosen so each rule fires on the shape family it targets and stays
+/// quiet on the benchmark suite's even matrices.
 const SKEW_THRESHOLD: f64 = 3.0;
 const FILL_THRESHOLD: f64 = 0.5;
 const HUB_COL_THRESHOLD: f64 = 4.0;

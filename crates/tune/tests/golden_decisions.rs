@@ -1,4 +1,5 @@
-//! Golden snapshot of the autotuner's decisions over the ablation corpus.
+//! Golden snapshot of the autotuner's decisions over the ablation corpus
+//! ([`psim_tune::fidelity::corpus`] at the gate's n = 96).
 //!
 //! The tuner is deterministic, so its choices are a behavioural contract:
 //! a cost-model retune or a rule edit that silently flips a layout
@@ -12,8 +13,8 @@
 use std::path::PathBuf;
 
 use psim_kernels::PimDevice;
-use psim_sparse::{adversarial, gen, Coo, Precision};
-use psim_tune::Autotuner;
+use psim_sparse::Precision;
+use psim_tune::{fidelity, Autotuner};
 use serde::Serialize;
 
 /// One matrix's decision, reduced to the fields worth pinning (estimated
@@ -34,20 +35,6 @@ struct GoldenReport {
     decisions: Vec<GoldenDecision>,
 }
 
-/// The same corpus the `ablation_autotune` gate sweeps.
-fn corpus(n: usize) -> Vec<(String, Coo)> {
-    let mut out = vec![
-        ("rmat".to_string(), gen::rmat(n, 4, 1)),
-        ("banded_fem".to_string(), gen::banded_fem(n, 8, 5, 2)),
-        ("web_hubs".to_string(), gen::web_hubs(n, n * 4, 3)),
-        ("layered_dag".to_string(), gen::layered_dag(n, 4, 6, 4)),
-    ];
-    for (name, a) in adversarial::suite(n, 7) {
-        out.push((name.to_string(), a));
-    }
-    out
-}
-
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/goldens")
@@ -57,7 +44,7 @@ fn golden_path(name: &str) -> PathBuf {
 #[test]
 fn tuner_decisions_match_golden() {
     let tuner = Autotuner::new(&PimDevice::tiny(2));
-    let decisions = corpus(96)
+    let decisions = fidelity::corpus(96)
         .into_iter()
         .map(|(matrix, a)| {
             let d = tuner.decide(&a, Precision::Fp64);

@@ -1,108 +1,31 @@
 //! Model-fidelity contract: the tuner's tie-breaker is the analytical
 //! cost model, so the model's layout *ordering* must track the cycle
-//! engine's. This is the test-suite twin of the `ablation_autotune` CI
-//! gate, scaled down: a small corpus, the fixed layout grid, pairwise
-//! rank agreement on separated pairs, and the tuned pick never losing
-//! the corpus geomean to any single fixed configuration.
+//! engine's. This runs the `ablation_autotune` gate's fidelity sweep
+//! ([`psim_tune::fidelity::sweep`]) at n = 64 instead of 96, so a gate
+//! failure reproduces here.
 
-use psim_kernels::{layout_grid, PimDevice, SpmvPim};
-use psim_sparse::{adversarial, gen, Coo, Precision};
-use psim_tune::Autotuner;
-
-/// Pairs the simulator separates by less than this are ties the model
-/// may order either way.
-const RANK_SEPARATION: f64 = 0.05;
-
-/// Minimum pairwise agreement on separated pairs.
-const RANK_AGREEMENT_FLOOR: f64 = 0.90;
-
-fn corpus(n: usize) -> Vec<(String, Coo)> {
-    let mut out = vec![
-        ("rmat".to_string(), gen::rmat(n, 4, 1)),
-        ("banded_fem".to_string(), gen::banded_fem(n, 8, 5, 2)),
-    ];
-    for (name, a) in adversarial::suite(n, 7) {
-        out.push((name.to_string(), a));
-    }
-    out
-}
-
-fn geomean(xs: &[f64]) -> f64 {
-    (xs.iter().map(|x| x.max(1.0).ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-fn sim_cycles(device: &PimDevice, a: &Coo, x: &[f64], layout: psim_sparse::Layout) -> u64 {
-    SpmvPim::new(device.clone(), Precision::Fp64)
-        .with_layout(layout)
-        .run(a, x)
-        .expect("simulation")
-        .run
-        .dram_cycles
-}
+use psim_kernels::PimDevice;
+use psim_tune::fidelity;
 
 #[test]
 fn model_ranking_tracks_simulation_and_tuner_wins_geomean() {
-    let device = PimDevice::tiny(2);
-    let tuner = Autotuner::new(&device);
-    let grid = layout_grid();
-
-    let (mut pairs, mut agreements) = (0usize, 0usize);
-    let mut tuned_cycles = Vec::new();
-    let mut fixed_cycles = vec![Vec::new(); grid.len()];
-    for (name, a) in corpus(64) {
-        let x = gen::dense_vector(a.ncols(), 11);
-        let sims: Vec<u64> = grid
-            .iter()
-            .map(|&layout| sim_cycles(&device, &a, &x, layout))
-            .collect();
-        let models: Vec<u64> = grid
-            .iter()
-            .map(|&layout| {
-                tuner
-                    .model()
-                    .spmv_layout(&a, Precision::Fp64, layout)
-                    .cycles
-            })
-            .collect();
-        for (i, &si) in sims.iter().enumerate() {
-            fixed_cycles[i].push(si as f64);
-            for j in i + 1..sims.len() {
-                let (si, sj) = (si as f64, sims[j] as f64);
-                if (si - sj).abs() / si.min(sj).max(1.0) < RANK_SEPARATION {
-                    continue;
-                }
-                pairs += 1;
-                if (si < sj) == (models[i] < models[j]) {
-                    agreements += 1;
-                }
-            }
-        }
-        let decision = tuner.decide(&a, Precision::Fp64);
-        let tuned = sim_cycles(&device, &a, &x, decision.choice);
+    let sweep = fidelity::sweep(&PimDevice::tiny(2), 64);
+    assert!(
+        sweep.violations.is_empty(),
+        "fidelity sweep at n = 64: {:#?}",
+        sweep.violations
+    );
+    assert!(
+        sweep.rank_pairs > 0,
+        "separation threshold left no rankable pairs"
+    );
+    for row in &sweep.corpus {
+        let worst = row.fixed.iter().map(|c| c.sim_cycles).max();
         assert!(
-            tuned <= *sims.iter().max().expect("non-empty grid"),
-            "{name}: tuned {} worse than the worst fixed layout",
-            decision.label
+            Some(row.tuned_cycles) <= worst,
+            "{}: tuned {} worse than the worst fixed layout",
+            row.name,
+            row.tuned_label
         );
-        tuned_cycles.push(tuned as f64);
     }
-
-    assert!(pairs > 0, "separation threshold left no rankable pairs");
-    let agreement = agreements as f64 / pairs as f64;
-    assert!(
-        agreement >= RANK_AGREEMENT_FLOOR,
-        "model/simulator rank agreement {agreements}/{pairs} = {:.1}% below floor {:.0}%",
-        agreement * 100.0,
-        RANK_AGREEMENT_FLOOR * 100.0
-    );
-
-    let tuned_geo = geomean(&tuned_cycles);
-    let best_fixed_geo = fixed_cycles
-        .iter()
-        .map(|c| geomean(c))
-        .fold(f64::INFINITY, f64::min);
-    assert!(
-        tuned_geo <= best_fixed_geo * (1.0 + 1e-9),
-        "tuned geomean {tuned_geo:.1} loses to the best fixed configuration {best_fixed_geo:.1}"
-    );
 }

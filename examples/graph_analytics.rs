@@ -72,5 +72,8 @@ fn main() {
             b.fractions()[2] * 100.0,
         );
     }
-    println!("\n(PIM device here is a scaled-down test cube; run the fig11 binary for paper-scale speedups)");
+    println!(
+        "\n(PIM device here is a scaled-down test cube; for Figure 11's speedups run \
+         `cargo run --release -p psim-bench -- --only fig11_apps`)"
+    );
 }

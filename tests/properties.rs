@@ -526,9 +526,11 @@ proptest! {
     /// the command-bus cursor and the per-bank ready cursors only ever
     /// move forward, so the issued command stream of each channel is
     /// monotone non-decreasing in cycle — under randomly skewed per-bank
-    /// loads, in both exec modes. (A cursor that
-    /// stepped backwards — e.g. a PU-backpressure term underflowing past
-    /// the pipeline depth — would reorder the trace.)
+    /// loads, in both exec modes. The independent protocol checker sees
+    /// every issued command: a cursor that stepped backwards (e.g. a
+    /// PU-backpressure term underflowing past the pipeline depth) is its
+    /// `NonMonotonic` violation, and an illegal bank transition its
+    /// `BankState` one.
     #[test]
     fn trace_cycles_monotone_under_random_streams(
         loads in prop::collection::vec(prop::collection::vec((0u32..12, 0u32..12, -4.0f64..4.0), 0..10), 8..9),
@@ -549,7 +551,7 @@ proptest! {
         let cfg = EngineConfig {
             hbm,
             mode,
-            record_trace: true,
+            validate: true,
             ..Default::default()
         };
         let mut engine = Engine::new(cfg);
@@ -592,14 +594,9 @@ proptest! {
         ).expect("canonical spmv");
         engine.load_kernel(program, bindings).expect("bindings valid");
         let report = engine.run().expect("run");
-        prop_assert!(report.trace_dropped == 0, "trace must be complete for the check");
-        let mut last = [0u64; 2];
-        for ev in &report.trace {
-            prop_assert!(
-                ev.cycle >= last[ev.channel],
-                "channel {} went backwards: {} after {}", ev.channel, ev.cycle, last[ev.channel]
-            );
-            last[ev.channel] = ev.cycle;
-        }
+        prop_assert!(
+            report.violation_count() == 0,
+            "{:?} {:?}", report.violations, report.pu_audit
+        );
     }
 }
