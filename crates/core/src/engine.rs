@@ -14,7 +14,10 @@
 //! Channels execute independently; the cube's wall-clock is the slowest
 //! channel. Per-channel replay lives in [`channel`] as a pure function over
 //! the loaded program and the channel's own bank slice; [`Engine::run`]
-//! replays the channels in order and merges their outcomes. Modeling notes
+//! replays the channels in order and merges their outcomes. A plain
+//! all-bank run skips the replay of a channel whose inputs equal, bit for
+//! bit, those of an earlier channel that wrote no bank element, and takes
+//! that channel's outcome instead ([`twins`], DESIGN.md §14). Modeling notes
 //! (see DESIGN.md §8): the engine tracks open rows with its own
 //! non-stalling cursor per program slot (banks that predicate off catch up
 //! within later iterations of the same rows), and host completion
@@ -33,8 +36,10 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 mod channel;
+mod twins;
 
 use channel::{run_channel, ChannelCtx};
+use twins::Twins;
 
 /// All-bank (pSyncPIM) vs per-bank (PB baseline) execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -193,7 +198,10 @@ pub struct Engine {
     pus: Vec<ProcessingUnit>,
     /// The loaded kernel; every PU holds a clone sharing its instructions.
     program: Option<Program>,
+    /// The loaded kernel's per-iteration command schedule.
+    schedule: Vec<usize>,
     bindings: SlotBindings,
+    twins: Twins,
 }
 
 impl Engine {
@@ -206,7 +214,9 @@ impl Engine {
             mems: (0..banks).map(|_| BankMemory::new(row_bytes)).collect(),
             pus: (0..banks).map(|_| ProcessingUnit::new()).collect(),
             program: None,
+            schedule: Vec::new(),
             bindings: Arc::new([]),
+            twins: Twins::default(),
             cfg,
         }
     }
@@ -294,6 +304,7 @@ impl Engine {
         bindings: Vec<Option<B>>,
     ) -> Result<(), CoreError> {
         let bindings = bind_slots(&program, bindings)?;
+        self.schedule = program.command_schedule()?;
         for pu in &mut self.pus {
             pu.load_shared(program.clone(), Arc::clone(&bindings));
         }
@@ -329,17 +340,19 @@ impl Engine {
     fn replay(&mut self) -> Result<RunReport, CoreError> {
         let program = self
             .program
-            .clone()
+            .as_ref()
             .ok_or_else(|| CoreError::Execution("no kernel loaded".to_string()))?;
-        let schedule = program.command_schedule()?;
         let banks_per_channel = self.cfg.hbm.banks_per_channel();
         let channels = self.cfg.hbm.num_pseudo_channels;
         let ctx = ChannelCtx {
             cfg: &self.cfg,
-            program: &program,
-            schedule: &schedule,
+            program,
+            schedule: &self.schedule,
             bindings: &self.bindings,
         };
+        let reuse = self.cfg.mode == ExecMode::AllBank && !self.cfg.validate && !self.cfg.attribute;
+        self.twins
+            .classify(reuse, banks_per_channel, &self.pus, &self.mems);
 
         let mut per_channel_cycles = Vec::with_capacity(channels);
         let mut commands = ChannelStats::default();
@@ -349,12 +362,18 @@ impl Engine {
             .cfg
             .attribute
             .then(|| MetricsRegistry::new(self.cfg.event_limit));
-        let banks = self
-            .pus
-            .chunks_mut(banks_per_channel)
-            .zip(self.mems.chunks_mut(banks_per_channel));
-        for (ch, (pus, mems)) in banks.enumerate() {
-            let outcome = run_channel(&ctx, ch, pus, mems)?;
+        for ch in 0..channels {
+            let outcome = match self.twins.witness_for(ch, &self.mems) {
+                Some(w) => self.twins.take(w, ch, &mut self.pus),
+                None => {
+                    let banks = ch * banks_per_channel..(ch + 1) * banks_per_channel;
+                    let mems = &mut self.mems[banks.clone()];
+                    mems.iter_mut().for_each(BankMemory::clear_accesses);
+                    let outcome = run_channel(&ctx, ch, &mut self.pus[banks], mems)?;
+                    self.twins.record(ch, mems, &outcome);
+                    outcome
+                }
+            };
             per_channel_cycles.push(outcome.cycles);
             commands.merge(&outcome.stats);
             max_rounds_seen = max_rounds_seen.max(outcome.rounds);
@@ -413,6 +432,13 @@ impl Engine {
             pu_audit,
             metrics,
         })
+    }
+
+    /// Channels of the last run that took a twin's outcome instead of
+    /// replaying.
+    #[cfg(test)]
+    pub(crate) fn reused_channels(&self) -> usize {
+        self.twins.reused
     }
 
     /// Cross-check the PU-level invariants of a completed run: every PU

@@ -5,9 +5,15 @@
 //! function over `(&Program, channel state)`: shared read-only inputs in
 //! [`ChannelCtx`] plus this channel's disjoint `&mut` slices of processing
 //! units and bank memories. [`Engine::run`](super::Engine::run) replays
-//! the channels in order and merges their [`ChannelOutcome`]s. Host
-//! parallelism lives a level up: the `psim-sched` executor runs whole
-//! lanes (device shards) on separate threads, each with its own engine.
+//! the channels in order and merges their [`ChannelOutcome`]s. Because a
+//! replay depends on nothing else, a plain all-bank run hands a channel
+//! whose inputs equal an earlier, non-writing channel's that channel's
+//! outcome instead of replaying it ([`super::twins`]). The processing
+//! units reach bank data only through the logging
+//! [`BankMemory`] accessors; the replay itself reads bank 0's region
+//! layout for row decode. Host parallelism lives a level up: the
+//! `psim-sched` executor runs whole lanes (device shards) on separate
+//! threads, each with its own engine.
 
 use super::{EngineConfig, ExecMode};
 use crate::error::CoreError;

@@ -62,11 +62,11 @@ fn setup_spmv(
             vals[i] = v;
         }
         let mem = engine.mem_mut(b);
-        let r0 = mem.alloc("rows", 8, rows);
-        let r1 = mem.alloc("cols", 8, cols);
-        let r2 = mem.alloc("vals", 8, vals);
-        let r3 = mem.alloc("x", 8, x.to_vec());
-        let r4 = mem.alloc_zeroed("y", 8, n);
+        let r0 = mem.alloc(8, rows);
+        let r1 = mem.alloc(8, cols);
+        let r2 = mem.alloc(8, vals);
+        let r3 = mem.alloc(8, x.to_vec());
+        let r4 = mem.alloc_zeroed(8, n);
         if b == 0 {
             bindings = vec![
                 Some(r0),
@@ -339,8 +339,8 @@ EXIT
     for b in 0..nbanks {
         let src: Vec<f64> = (0..64).map(|i| (b * 100 + i) as f64).collect();
         let mem = engine.mem_mut(b);
-        let rs = mem.alloc("src", 8, src);
-        let rd = mem.alloc_zeroed("dst", 8, 64);
+        let rs = mem.alloc(8, src);
+        let rd = mem.alloc_zeroed(8, 64);
         if b == 0 {
             bindings = vec![Some(rs), Some(rd), None, None];
         }
@@ -517,7 +517,7 @@ fn validated_raw_loads_still_refuse_unverifiable_programs() {
     let mut engine = Engine::new(small_cfg(ExecMode::AllBank));
     let mut out = RegionId(0);
     for b in 0..engine.num_banks() {
-        out = engine.mem_mut(b).alloc_zeroed("out", 8, 12);
+        out = engine.mem_mut(b).alloc_zeroed(8, 12);
     }
     assert!(engine.load_kernel(bad, vec![Some(out), None]).is_ok());
     // Binding checks cover both load paths.
@@ -591,4 +591,191 @@ fn pu_audit_flags_inconsistent_claims() {
         "{audit:?}"
     );
     assert!(audit.iter().any(|f| f.contains("bank bursts")), "{audit:?}");
+}
+
+/// A three-channel cube of four banks each: big enough for a busy
+/// channel, a witness and a twin, small enough to build launches by hand.
+fn twin_cfg(validate: bool) -> EngineConfig {
+    let mut cfg = small_cfg(ExecMode::AllBank);
+    cfg.hbm.num_pseudo_channels = 3;
+    cfg.validate = validate;
+    cfg
+}
+
+/// First bank of channel 2, the channel that may take channel 1's outcome.
+const TWIN: usize = 8;
+
+/// The SpMV regions of [`setup_spmv`]: index columns, values, `x`, `y`.
+const COLS: RegionId = RegionId(1);
+const VALS: RegionId = RegionId(2);
+const X: RegionId = RegionId(3);
+const Y: RegionId = RegionId(4);
+
+/// SpMV entries for a twin launch: channel 0 holds real work, so every
+/// index stream is padded to its length; channels 1 and 2 hold only the
+/// sentinel padding.
+fn twin_entries() -> Vec<Vec<(u32, u32, f64)>> {
+    let mut per_bank: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); 12];
+    for (b, entries) in per_bank.iter_mut().enumerate().take(4) {
+        *entries = (0..=2 * b)
+            .map(|i| ((i % 8) as u32, ((b + i) % 8) as u32, 1.0 + i as f64))
+            .collect();
+    }
+    per_bank
+}
+
+/// Place `per_bank`, load the SpMV kernel, let `tweak` edit the loaded
+/// cube, and run it.
+fn twin_run(
+    validate: bool,
+    per_bank: &[Vec<(u32, u32, f64)>],
+    tweak: &dyn Fn(&mut Engine),
+) -> (Engine, RunReport) {
+    let mut engine = Engine::new(twin_cfg(validate));
+    let x: Vec<f64> = (0..8).map(|i| 0.5 + f64::from(i)).collect();
+    let bindings = setup_spmv(&mut engine, per_bank, &x, 8);
+    engine
+        .load_kernel(assemble(SPMV_ASM).unwrap(), bindings)
+        .unwrap();
+    tweak(&mut engine);
+    let report = engine.run().unwrap();
+    (engine, report)
+}
+
+/// Everything a run leaves behind: the report, every PU state and every
+/// bank region. Printed with `{:?}`, whose `f64` form is the shortest text
+/// that parses back to the same bits, so equal lines mean equal bits
+/// (`-0.0` and `0.0` print differently).
+fn run_bits(engine: &Engine, report: &RunReport) -> Vec<String> {
+    let mut lines = vec![format!("{report:?}")];
+    for b in 0..engine.num_banks() {
+        lines.push(format!("PU {b}: {:?}", engine.pu(b)));
+        let mem = engine.mem(b);
+        lines.extend(
+            (0..mem.num_regions()).map(|i| format!("bank {b}: {:?}", mem.region(RegionId(i)))),
+        );
+    }
+    lines
+}
+
+/// Run a twin launch plainly and under validation, which replays every
+/// channel, check that both leave the same bits, and return how many
+/// channels the plain run took from a twin.
+fn reuse_matching_full_replay(
+    per_bank: &[Vec<(u32, u32, f64)>],
+    tweak: &dyn Fn(&mut Engine),
+) -> usize {
+    let (plain, plain_report) = twin_run(false, per_bank, tweak);
+    let (full, full_report) = twin_run(true, per_bank, tweak);
+    assert_eq!(
+        full.reused_channels(),
+        0,
+        "validated runs replay every channel"
+    );
+    assert_eq!(full_report.violation_count(), 0);
+    let (got, want) = (
+        run_bits(&plain, &plain_report),
+        run_bits(&full, &full_report),
+    );
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g, w, "the plain run differs from the full replay");
+    }
+    plain.reused_channels()
+}
+
+/// Set DRF1, which the SpMV kernel never touches, to `v` on every PU.
+fn set_drf1(engine: &mut Engine, v: f64) {
+    for b in 0..engine.num_banks() {
+        *engine.pu_mut(b).drf_mut(1) = vec![v];
+    }
+}
+
+/// Give bank `b` a real column index (row and value stay padding): its
+/// gather reads `x`, but nothing reaches the output.
+fn gather_only(engine: &mut Engine, b: usize) {
+    engine.mem_mut(b).region_mut(COLS).set(0, 3.0);
+}
+
+#[test]
+fn exact_twin_channels_take_the_witness_outcome() {
+    // (a) Channels 1 and 2 hold the same padding and start in the same PU
+    // states. Channel 1 replays and writes nothing, so channel 2 takes
+    // its outcome and end states; the full replay agrees bit for bit.
+    let per_bank = twin_entries();
+    assert_eq!(reuse_matching_full_replay(&per_bank, &|_| {}), 1);
+    // A register the program never touches is part of the start state,
+    // and the copied end states carry it; so is a gather that reads `x`
+    // without writing.
+    let drf = |e: &mut Engine| set_drf1(e, 0.5);
+    assert_eq!(reuse_matching_full_replay(&per_bank, &drf), 1);
+    let gathers = |e: &mut Engine| {
+        gather_only(e, 6);
+        gather_only(e, TWIN + 2);
+    };
+    assert_eq!(reuse_matching_full_replay(&per_bank, &gathers), 1);
+    // Padding-only launches: the first channel is the witness.
+    let idle = vec![Vec::new(); 12];
+    assert_eq!(reuse_matching_full_replay(&idle, &|_| {}), 2);
+}
+
+#[test]
+fn near_twin_channels_replay() {
+    // (b) Channel 2 differs from the witness, channel 1, in exactly one
+    // input the replay reads; it must replay, and match the full replay.
+    let per_bank = twin_entries();
+    let one_drf_bit = |e: &mut Engine| {
+        set_drf1(e, 0.5);
+        *e.pu_mut(TWIN + 1).drf_mut(1) = vec![f64::from_bits(0.5f64.to_bits() ^ 1)];
+    };
+    let one_element = |e: &mut Engine| gather_only(e, TWIN + 2);
+    let negative_zero = |e: &mut Engine| e.mem_mut(TWIN).region_mut(VALS).set(1, -0.0);
+    // Both channels gather x[3] in their third bank; channel 2's differs.
+    let gathered_element = |e: &mut Engine| {
+        gather_only(e, 6);
+        gather_only(e, TWIN + 2);
+        e.mem_mut(TWIN + 2).region_mut(X).set(3, -1.5);
+    };
+    let start_row = |e: &mut Engine| {
+        let mem = e.mem_mut(TWIN + 3);
+        let row = mem.region(Y).start_row();
+        mem.set_start_row(Y, row + 1);
+    };
+    for tweak in [
+        &one_drf_bit as &dyn Fn(&mut Engine),
+        &one_element,
+        &negative_zero,
+        &gathered_element,
+        &start_row,
+    ] {
+        assert_eq!(reuse_matching_full_replay(&per_bank, tweak), 0);
+    }
+}
+
+#[test]
+fn a_channel_that_writes_is_no_witness() {
+    // (c) Channels 1 and 2 are exact twins, but one bank of each stores
+    // an element, so channel 1 is no witness and channel 2 replays.
+    let mut per_bank = twin_entries();
+    per_bank[5] = vec![(2, 3, 4.0)];
+    per_bank[TWIN + 1] = vec![(2, 3, 4.0)];
+    assert_eq!(reuse_matching_full_replay(&per_bank, &|_| {}), 0);
+}
+
+#[test]
+fn traced_and_per_bank_runs_replay_every_channel() {
+    let per_bank = vec![Vec::new(); 12];
+    let x = vec![1.0; 8];
+    for (mode, attribute) in [(ExecMode::AllBank, true), (ExecMode::PerBank, false)] {
+        let mut cfg = twin_cfg(false);
+        cfg.mode = mode;
+        cfg.attribute = attribute;
+        let mut engine = Engine::new(cfg);
+        let bindings = setup_spmv(&mut engine, &per_bank, &x, 8);
+        engine
+            .load_kernel(assemble(SPMV_ASM).unwrap(), bindings)
+            .unwrap();
+        engine.run().unwrap();
+        assert_eq!(engine.reused_channels(), 0, "{mode:?}");
+    }
 }

@@ -27,6 +27,9 @@ pub enum CoreError {
     Binding(String),
     /// The engine detected an inconsistency (e.g. kernel never exits).
     Execution(String),
+    /// A kernel operand does not fit the matrix it is applied to (e.g. a
+    /// vector whose length differs from the dimension it multiplies).
+    Operand(String),
     /// psim-lint found Error-level diagnostics (see `isa::verify`).
     Verify {
         /// The Error-level findings, ordered by slot.
@@ -48,6 +51,7 @@ impl fmt::Display for CoreError {
             CoreError::Asm { line, msg } => write!(f, "asm error at line {line}: {msg}"),
             CoreError::Binding(msg) => write!(f, "binding error: {msg}"),
             CoreError::Execution(msg) => write!(f, "execution error: {msg}"),
+            CoreError::Operand(msg) => write!(f, "operand error: {msg}"),
             CoreError::Verify { diagnostics } => {
                 write!(f, "program failed verification: ")?;
                 for (i, d) in diagnostics.iter().enumerate() {

@@ -26,7 +26,7 @@ pub use queue::SpQueue;
 
 use crate::error::CoreError;
 use crate::isa::{BinaryOp, Identity, Instruction, Operand, Program, SetMode, SubQueue};
-use crate::memory::{BankMemory, Binding, SENTINEL};
+use crate::memory::{same_bits, BankMemory, Binding, SENTINEL};
 use crate::stats::PuStats;
 use psim_sparse::Precision;
 use serde::{Deserialize, Serialize};
@@ -39,6 +39,15 @@ pub const DRAM_CYCLES_PER_PU_CYCLE: u64 = 4;
 /// (INT8, 32 lanes). Every DRF write is at most one pass of some
 /// precision, so no register, gather or merge window is ever longer.
 const MAX_LANES: usize = Precision::Int8.lanes();
+
+/// Whether two units hold the same program, by identity.
+fn same_program(a: Option<&Program>, b: Option<&Program>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => std::ptr::eq(a.instructions(), b.instructions()),
+        (None, None) => true,
+        _ => false,
+    }
+}
 
 /// The DRF an operand names; non-DRF operands alias register 0.
 fn drf_idx(op: Operand) -> usize {
@@ -185,6 +194,12 @@ impl ProcessingUnit {
     #[cfg(test)]
     pub(crate) fn program(&self) -> Option<&Program> {
         self.program.as_ref()
+    }
+
+    /// A dense register, mutably (tests set up register states).
+    #[cfg(test)]
+    pub(crate) fn drf_mut(&mut self, i: usize) -> &mut Vec<f64> {
+        &mut self.drf[i]
     }
 
     /// Set the scalar register (the host may seed α for AXPY-style kernels).
@@ -376,6 +391,55 @@ impl ProcessingUnit {
     /// interpreter (see [`ProcessingUnit::parked_memory_slot`]).
     pub(crate) fn note_predicated_off(&mut self) {
         self.stats.predicated_off += 1;
+    }
+
+    /// Whether both units hold the same state bit for bit: the program
+    /// and binding table by identity, every register, queue, cursor and
+    /// counter by bit pattern.
+    pub(crate) fn same_state(&self, other: &ProcessingUnit) -> bool {
+        self.pc == other.pc
+            && self.exited == other.exited
+            && self.exit_armed == other.exit_armed
+            && self.srf.to_bits() == other.srf.to_bits()
+            && self.stats == other.stats
+            && self.cursors == other.cursors
+            && self.loop_counters == other.loop_counters
+            && same_program(self.program.as_ref(), other.program.as_ref())
+            && Arc::ptr_eq(&self.bindings, &other.bindings)
+            && self
+                .drf
+                .iter()
+                .zip(&other.drf)
+                .all(|(a, b)| same_bits(a, b))
+            && self
+                .queues
+                .iter()
+                .zip(&other.queues)
+                .all(|(a, b)| a.same_bits(b))
+    }
+
+    /// Make this unit's state equal to `src`'s, reusing its own buffers
+    /// (no allocation once they have grown to `src`'s sizes).
+    pub(crate) fn copy_state_from(&mut self, src: &ProcessingUnit) {
+        if !same_program(self.program.as_ref(), src.program.as_ref()) {
+            self.program.clone_from(&src.program);
+        }
+        if !Arc::ptr_eq(&self.bindings, &src.bindings) {
+            self.bindings = Arc::clone(&src.bindings);
+        }
+        self.cursors.clone_from(&src.cursors);
+        self.pc = src.pc;
+        self.loop_counters.clone_from(&src.loop_counters);
+        self.srf = src.srf;
+        for (d, s) in self.drf.iter_mut().zip(&src.drf) {
+            d.clone_from(s);
+        }
+        for (d, s) in self.queues.iter_mut().zip(&src.queues) {
+            d.copy_from(s);
+        }
+        self.exited = src.exited;
+        self.exit_armed = src.exit_armed;
+        self.stats = src.stats;
     }
 
     // ---- internals -----------------------------------------------------
@@ -701,26 +765,25 @@ impl ProcessingUnit {
                 let cur = self.cursors[slot];
                 match (dst, src) {
                     (Operand::Drf(d), Operand::Bank) => {
-                        let r = mem.region(region);
+                        let r = mem.read(region, cur..cur + lanes);
                         let dv = &mut self.drf[d as usize];
                         dv.clear();
                         dv.extend((0..lanes).map(|i| r.get(cur + i)));
                         self.cursors[slot] += binding.stride.unwrap_or(lanes);
                     }
                     (Operand::Srf, Operand::Bank) => {
-                        self.srf = mem.region(region).get(cur);
+                        self.srf = mem.read(region, cur..cur + 1).get(cur);
                         self.cursors[slot] += binding.stride.unwrap_or(1);
                     }
                     (Operand::Bank, Operand::Drf(d)) => {
-                        let r = mem.region_mut(region);
+                        let r = mem.write(region);
                         for (i, v) in self.drf[d as usize].iter().enumerate().take(lanes) {
                             r.set(cur + i, precision.quantize(*v));
                         }
                         self.cursors[slot] += binding.stride.unwrap_or(lanes);
                     }
                     (Operand::Bank, Operand::Srf) => {
-                        mem.region_mut(region)
-                            .set(cur, precision.quantize(self.srf));
+                        mem.write(region).set(cur, precision.quantize(self.srf));
                         self.cursors[slot] += binding.stride.unwrap_or(1);
                     }
                     _ => unreachable!("non-bank DMOV routed to exec_free"),
@@ -741,13 +804,18 @@ impl ProcessingUnit {
                 let mut cols = [0.0f64; MAX_LANES];
                 let k =
                     self.queues[idx_queue as usize].peek_cols_into(precision.lanes(), &mut cols);
-                let r = mem.region(region);
-                let gather = |c: f64| {
-                    if c == SENTINEL {
-                        0.0
-                    } else {
-                        r.get(c as usize)
-                    }
+                // Sentinel lanes gather 0.0 without touching the bank, so
+                // a padding-only gather reads nothing.
+                let (lo, hi) = cols[..k]
+                    .iter()
+                    .filter(|&&c| c != SENTINEL)
+                    .fold((usize::MAX, 0), |(lo, hi), &c| {
+                        (lo.min(c as usize), hi.max(c as usize + 1))
+                    });
+                let r = (lo < hi).then(|| mem.read(region, lo..hi));
+                let gather = |c: f64| match r {
+                    Some(r) if c != SENTINEL => r.get(c as usize),
+                    _ => 0.0,
                 };
                 match dst {
                     Operand::Drf(d) => {
@@ -770,7 +838,7 @@ impl ProcessingUnit {
                 let mut cur = self.cursors[slot];
                 let start = cur;
                 while let Some((r, c, v)) = self.queues[src as usize].pop() {
-                    let reg = mem.region_mut(region);
+                    let reg = mem.write(region);
                     reg.set(cur, r);
                     reg.set(cur + 1, c);
                     reg.set(cur + 2, precision.quantize(v));
@@ -798,19 +866,26 @@ impl ProcessingUnit {
             } => {
                 // Scatter-accumulate into the open output row at each
                 // element's row index (the SpMV/SpTRSV write-back).
+                // The output row is fetched only when the burst holds a
+                // real element, so a burst of padding stores nothing.
                 let lanes = precision.lanes();
                 let k = self.queues[s as usize].len().min(lanes);
-                let reg = mem.region_mut(region);
+                let mut out = self.queues[s as usize]
+                    .front_rows(k)
+                    .any(|r| r != SENTINEL)
+                    .then(|| mem.write(region));
                 let mut touched = 0u64;
                 for _ in 0..k {
                     let (r, _c, v) = self.queues[s as usize].pop().expect("len checked");
-                    if r == SENTINEL {
-                        continue;
+                    match out.as_mut() {
+                        Some(reg) if r != SENTINEL => {
+                            let idx = r as usize;
+                            let old = reg.get(idx);
+                            reg.set(idx, precision.quantize(op.apply(v, old)));
+                            touched += 1;
+                        }
+                        _ => {}
                     }
-                    let idx = r as usize;
-                    let old = reg.get(idx);
-                    reg.set(idx, precision.quantize(op.apply(v, old)));
-                    touched += 1;
                 }
                 self.stats.lane_ops += touched;
                 if k == 0 {
@@ -837,7 +912,7 @@ impl ProcessingUnit {
                 }
                 let cur = self.cursors[slot];
                 let mut dense = [0.0f64; MAX_LANES];
-                let r = mem.region(region);
+                let r = mem.read(region, cur..cur + k);
                 for (i, dv) in dense.iter_mut().enumerate().take(k) {
                     *dv = r.get(cur + i);
                 }
@@ -879,7 +954,7 @@ impl ProcessingUnit {
         match (dst, src) {
             (Operand::SpVq(q), Operand::Bank) => {
                 let cur = self.cursors[slot];
-                let r = mem.region(region);
+                let r = mem.read(region, cur..cur + lanes);
                 if cur >= r.len() {
                     // Region drained: arm the conditional exit, consume the
                     // command as a no-op.
@@ -910,7 +985,7 @@ impl ProcessingUnit {
                     let Some(v) = self.queues[q as usize].pop_sub(sub) else {
                         break;
                     };
-                    mem.region_mut(region).set(cur, precision.quantize(v));
+                    mem.write(region).set(cur, precision.quantize(v));
                     cur += 1;
                 }
                 self.cursors[slot] = cur;
@@ -941,7 +1016,7 @@ impl ProcessingUnit {
             // Gather: dense region -> sparse queue.
             (Operand::SpVq(q), Operand::Bank) => {
                 let cur = self.cursors[slot];
-                let r = mem.region(region);
+                let r = mem.read(region, cur..cur + lanes);
                 if cur >= r.len() {
                     self.exit_armed = true;
                     return ExecOutcome::DoneEmpty(1);
@@ -973,8 +1048,7 @@ impl ProcessingUnit {
                     if c == SENTINEL {
                         continue;
                     }
-                    mem.region_mut(region)
-                        .set(c as usize, precision.quantize(v));
+                    mem.write(region).set(c as usize, precision.quantize(v));
                     self.stats.lane_ops += 1;
                 }
                 if popped == 0 {

@@ -103,6 +103,33 @@ impl SpQueue {
         }
     }
 
+    /// The row indices of the frontmost `k` complete triples.
+    pub(crate) fn front_rows(&self, k: usize) -> impl Iterator<Item = f64> + '_ {
+        self.row.iter().take(k.min(self.len())).copied()
+    }
+
+    /// Whether both queues hold the same sub-queue contents bit for bit.
+    pub(crate) fn same_bits(&self, other: &SpQueue) -> bool {
+        fn same(a: &VecDeque<f64>, b: &VecDeque<f64>) -> bool {
+            a.len() == b.len()
+                && (a.is_empty() || a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()))
+        }
+        same(&self.row, &other.row) && same(&self.col, &other.col) && same(&self.val, &other.val)
+    }
+
+    /// Make this queue's contents equal to `src`'s in its own buffers.
+    pub(crate) fn copy_from(&mut self, src: &SpQueue) {
+        fn copy(dst: &mut VecDeque<f64>, src: &VecDeque<f64>) {
+            // Drained queues are the common case; skip the copy machinery.
+            if !(dst.is_empty() && src.is_empty()) {
+                dst.clone_from(src);
+            }
+        }
+        copy(&mut self.row, &src.row);
+        copy(&mut self.col, &src.col);
+        copy(&mut self.val, &src.val);
+    }
+
     /// The frontmost `k` column indices (the IndMOV gather addresses),
     /// copied into `out` without consuming them. Only complete triples
     /// count, and at most `out.len()` are written. Returns the number of

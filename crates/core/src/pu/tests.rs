@@ -37,11 +37,11 @@ fn setup_bank(
         vals[i] = v;
     }
     let mut mem = BankMemory::new(1024);
-    let r_rows = mem.alloc("rows", 8, rows);
-    let r_cols = mem.alloc("cols", 8, cols);
-    let r_vals = mem.alloc("vals", 8, vals);
-    let r_x = mem.alloc("x", 8, x.to_vec());
-    let r_y = mem.alloc_zeroed("y", 8, n);
+    let r_rows = mem.alloc(8, rows);
+    let r_cols = mem.alloc(8, cols);
+    let r_vals = mem.alloc(8, vals);
+    let r_x = mem.alloc(8, x.to_vec());
+    let r_y = mem.alloc_zeroed(8, n);
     let bindings = vec![
         Some(r_rows),
         Some(r_cols),
@@ -213,8 +213,8 @@ EXIT
 
     let mut mem = BankMemory::new(1024);
     let src: Vec<f64> = (0..16).map(f64::from).collect();
-    let r_src = mem.alloc("src", 8, src.clone());
-    let r_dst = mem.alloc_zeroed("dst", 8, 16);
+    let r_src = mem.alloc(8, src.clone());
+    let r_dst = mem.alloc_zeroed(8, 16);
     let mut pu = ProcessingUnit::new();
     pu.load_kernel(program, vec![Some(r_src), Some(r_dst), None, None])
         .unwrap();
@@ -243,8 +243,8 @@ EXIT
     let x: Vec<f64> = (0..8).map(|i| f64::from(i) + 1.0).collect();
     let y: Vec<f64> = (0..8).map(|i| 2.0 * f64::from(i) - 3.0).collect();
     let mut mem = BankMemory::new(1024);
-    let rx = mem.alloc("x", 8, x.clone());
-    let ry = mem.alloc("y", 8, y.clone());
+    let rx = mem.alloc(8, x.clone());
+    let ry = mem.alloc(8, y.clone());
     let mut pu = ProcessingUnit::new();
     pu.load_kernel(program, vec![Some(rx), Some(ry), None, None, None, None])
         .unwrap();
@@ -269,8 +269,8 @@ EXIT
     let schedule = program.command_schedule().unwrap();
     let src: Vec<f64> = (0..32).map(|i| f64::from(i) - 8.0).collect();
     let mut mem = BankMemory::new(1024);
-    let rs = mem.alloc("src", 1, src.clone());
-    let rd = mem.alloc_zeroed("dst", 1, 32);
+    let rs = mem.alloc(1, src.clone());
+    let rd = mem.alloc_zeroed(1, 32);
     let mut pu = ProcessingUnit::new();
     pu.load_kernel(program, vec![Some(rs), None, Some(rd), None])
         .unwrap();
@@ -298,8 +298,8 @@ EXIT
     let schedule = program.command_schedule().unwrap();
     let dense = vec![0.0, 5.0, 0.0, -2.0, 1.0, 0.0, 0.0, 9.0];
     let mut mem = BankMemory::new(1024);
-    let rs = mem.alloc("dense", 8, dense.clone());
-    let rd = mem.alloc_zeroed("out", 8, 8);
+    let rs = mem.alloc(8, dense.clone());
+    let rd = mem.alloc_zeroed(8, 8);
     let mut pu = ProcessingUnit::new();
     pu.load_kernel(program, vec![Some(rs), Some(rd), None, None])
         .unwrap();
@@ -338,8 +338,8 @@ EXIT
 
     let mut mem = BankMemory::new(1024);
     let src: Vec<f64> = (0..12).map(|i| f64::from(i) + 1.0).collect();
-    let rs = mem.alloc("src", 8, src.clone());
-    let rd = mem.alloc_zeroed("dst", 8, 12);
+    let rs = mem.alloc(8, src.clone());
+    let rd = mem.alloc_zeroed(8, 12);
     let mut pu = ProcessingUnit::new();
     pu.load_kernel(program, vec![Some(rs), None, None, Some(rd), None, None])
         .unwrap();
@@ -365,7 +365,7 @@ EXIT
 ";
     let program = assemble(asm).unwrap();
     let mut mem = BankMemory::new(1024);
-    let rs = mem.alloc("vals", 8, (0..16).map(f64::from).collect());
+    let rs = mem.alloc(8, (0..16).map(f64::from).collect());
     let mut pu = ProcessingUnit::new();
     pu.load_kernel(program, vec![Some(rs), Some(rs), Some(rs), None])
         .unwrap();
@@ -402,13 +402,13 @@ EXIT
     let b_rows = vec![0.0, 0.0, SENTINEL, SENTINEL];
     let b_cols = vec![2.0, 3.0, SENTINEL, SENTINEL];
     let b_vals = vec![10.0, 20.0, 0.0, 0.0];
-    let r0 = mem.alloc("ar", 8, a_rows);
-    let r1 = mem.alloc("ac", 8, a_cols);
-    let r2 = mem.alloc("av", 8, a_vals);
-    let r3 = mem.alloc("br", 8, b_rows);
-    let r4 = mem.alloc("bc", 8, b_cols);
-    let r5 = mem.alloc("bv", 8, b_vals);
-    let out = mem.alloc_zeroed("out", 8, 24);
+    let r0 = mem.alloc(8, a_rows);
+    let r1 = mem.alloc(8, a_cols);
+    let r2 = mem.alloc(8, a_vals);
+    let r3 = mem.alloc(8, b_rows);
+    let r4 = mem.alloc(8, b_cols);
+    let r5 = mem.alloc(8, b_vals);
+    let out = mem.alloc_zeroed(8, 24);
     let mut pu = ProcessingUnit::new();
     pu.load_kernel(
         program.clone(),
@@ -449,10 +449,10 @@ EXIT
 ";
     let program = assemble(asm).unwrap();
     let mut mem = BankMemory::new(1024);
-    let rows = mem.alloc("r", 8, vec![0.0, 1.0, SENTINEL, SENTINEL]);
-    let cols = mem.alloc("c", 8, vec![3.0, 1.0, SENTINEL, SENTINEL]);
-    let vals = mem.alloc("v", 8, vec![1.0, 1.0, 0.0, 0.0]);
-    let vecr = mem.alloc("x", 8, vec![10.0, 20.0, 30.0, 40.0]);
+    let rows = mem.alloc(8, vec![0.0, 1.0, SENTINEL, SENTINEL]);
+    let cols = mem.alloc(8, vec![3.0, 1.0, SENTINEL, SENTINEL]);
+    let vals = mem.alloc(8, vec![1.0, 1.0, 0.0, 0.0]);
+    let vecr = mem.alloc(8, vec![10.0, 20.0, 30.0, 40.0]);
     let mut pu = ProcessingUnit::new();
     pu.load_kernel(
         program.clone(),
@@ -476,8 +476,8 @@ EXIT
     let program = assemble(asm).unwrap();
     let mut mem = BankMemory::new(1024);
     let v = 1.0 + 1e-12; // not representable in f32
-    let rs = mem.alloc("src", 4, vec![v; 8]);
-    let rd = mem.alloc_zeroed("dst", 4, 8);
+    let rs = mem.alloc(4, vec![v; 8]);
+    let rd = mem.alloc_zeroed(4, 8);
     let mut pu = ProcessingUnit::new();
     pu.load_kernel(program, vec![Some(rs), Some(rd), None])
         .unwrap();
@@ -505,8 +505,8 @@ EXIT
     let data = vec![
         1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0, 5.0, 6.0, 7.0, 8.0, 50.0, 60.0, 70.0, 80.0,
     ];
-    let r = mem.alloc("pairs", 8, data);
-    let out = mem.alloc_zeroed("out", 8, 8);
+    let r = mem.alloc(8, data);
+    let out = mem.alloc_zeroed(8, 8);
     let mut pu = ProcessingUnit::new();
     pu.load_kernel(
         program.clone(),
@@ -556,8 +556,8 @@ fn replay(asm: &str, data: &[&[f64]], bindings: Vec<Option<Binding>>, srf: f64) 
     let program = assemble(asm).unwrap();
     let schedule = program.command_schedule().unwrap();
     let mut mem = BankMemory::new(1024);
-    for (i, d) in data.iter().enumerate() {
-        mem.alloc(format!("r{i}"), 8, d.to_vec());
+    for d in data {
+        mem.alloc(8, d.to_vec());
     }
     let mut pu = ProcessingUnit::new();
     pu.load_kernel(program, bindings).unwrap();

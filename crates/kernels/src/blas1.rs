@@ -64,7 +64,7 @@ impl Blas1Pim {
     /// Lay a dense vector out as per-bank stripe regions (one region per
     /// call, same id on every bank). Returns the region id and stripe
     /// length.
-    fn alloc_stripes(&self, engine: &mut Engine, name: &str, v: &[f64]) -> (RegionId, usize) {
+    fn alloc_stripes(&self, engine: &mut Engine, v: &[f64]) -> (RegionId, usize) {
         let nbanks = self.nbanks();
         let sl = stripe_len(v.len(), nbanks, self.lanes());
         let mut id = RegionId(0);
@@ -75,7 +75,7 @@ impl Blas1Pim {
                         .map_or(0.0, |&x| self.precision.quantize(x))
                 })
                 .collect();
-            id = engine.mem_mut(b).alloc(name, self.precision.bytes(), data);
+            id = engine.mem_mut(b).alloc(self.precision.bytes(), data);
         }
         (id, sl)
     }
@@ -127,8 +127,8 @@ impl Blas1Pim {
     /// Propagates engine failures.
     pub fn dcopy(&self, x: &[f64]) -> Result<VecRun, CoreError> {
         let mut engine = self.device.make_engine();
-        let (rx, sl) = self.alloc_stripes(&mut engine, "x", x);
-        let (ry, _) = self.alloc_stripes(&mut engine, "y", &vec![0.0; x.len()]);
+        let (rx, sl) = self.alloc_stripes(&mut engine, x);
+        let (ry, _) = self.alloc_stripes(&mut engine, &vec![0.0; x.len()]);
         let chunks = (sl / self.lanes()) as u16;
         let run = self.execute(
             &mut engine,
@@ -154,8 +154,8 @@ impl Blas1Pim {
     pub fn dswap(&self, x: &[f64], y: &[f64]) -> Result<(VecRun, Vec<f64>), CoreError> {
         assert_eq!(x.len(), y.len(), "dswap length mismatch");
         let mut engine = self.device.make_engine();
-        let (rx, sl) = self.alloc_stripes(&mut engine, "x", x);
-        let (ry, _) = self.alloc_stripes(&mut engine, "y", y);
+        let (rx, sl) = self.alloc_stripes(&mut engine, x);
+        let (ry, _) = self.alloc_stripes(&mut engine, y);
         let chunks = (sl / self.lanes()) as u16;
         // Slots: 0 load x, 1 load y, 2 store x->y region, 3 store y->x.
         let run = self.execute(
@@ -176,7 +176,7 @@ impl Blas1Pim {
     /// Propagates engine failures.
     pub fn dscal(&self, a: f64, x: &[f64]) -> Result<VecRun, CoreError> {
         let mut engine = self.device.make_engine();
-        let (rx, sl) = self.alloc_stripes(&mut engine, "x", x);
+        let (rx, sl) = self.alloc_stripes(&mut engine, x);
         let chunks = (sl / self.lanes()) as u16;
         let run = self.execute(
             &mut engine,
@@ -202,8 +202,8 @@ impl Blas1Pim {
     pub fn daxpy(&self, a: f64, x: &[f64], y: &[f64]) -> Result<VecRun, CoreError> {
         assert_eq!(x.len(), y.len(), "daxpy length mismatch");
         let mut engine = self.device.make_engine();
-        let (rx, sl) = self.alloc_stripes(&mut engine, "x", x);
-        let (ry, _) = self.alloc_stripes(&mut engine, "y", y);
+        let (rx, sl) = self.alloc_stripes(&mut engine, x);
+        let (ry, _) = self.alloc_stripes(&mut engine, y);
         let chunks = (sl / self.lanes()) as u16;
         let run = self.execute(
             &mut engine,
@@ -235,9 +235,9 @@ impl Blas1Pim {
     ) -> Result<VecRun, CoreError> {
         assert_eq!(x.len(), y.len(), "dvdv length mismatch");
         let mut engine = self.device.make_engine();
-        let (rx, sl) = self.alloc_stripes(&mut engine, "x", x);
-        let (ry, _) = self.alloc_stripes(&mut engine, "y", y);
-        let (rz, _) = self.alloc_stripes(&mut engine, "z", &vec![0.0; x.len()]);
+        let (rx, sl) = self.alloc_stripes(&mut engine, x);
+        let (ry, _) = self.alloc_stripes(&mut engine, y);
+        let (rz, _) = self.alloc_stripes(&mut engine, &vec![0.0; x.len()]);
         let chunks = (sl / self.lanes()) as u16;
         let run = self.execute(
             &mut engine,
@@ -264,8 +264,8 @@ impl Blas1Pim {
     pub fn ddot(&self, x: &[f64], y: &[f64]) -> Result<ScalarRun, CoreError> {
         assert_eq!(x.len(), y.len(), "ddot length mismatch");
         let mut engine = self.device.make_engine();
-        let (rx, sl) = self.alloc_stripes(&mut engine, "x", x);
-        let (ry, _) = self.alloc_stripes(&mut engine, "y", y);
+        let (rx, sl) = self.alloc_stripes(&mut engine, x);
+        let (ry, _) = self.alloc_stripes(&mut engine, y);
         let chunks = (sl / self.lanes()) as u16;
         let mut run = self.execute(
             &mut engine,
@@ -298,7 +298,7 @@ impl Blas1Pim {
     /// Propagates engine failures.
     pub fn gather(&self, y: &[f64]) -> Result<(SparseVec, KernelRun), CoreError> {
         let mut engine = self.device.make_engine();
-        let (ry, sl) = self.alloc_stripes(&mut engine, "y", y);
+        let (ry, sl) = self.alloc_stripes(&mut engine, y);
         // Output: (row, col, val) triples via SpFW; worst case every
         // element is non-zero.
         let nbanks = self.nbanks();
@@ -306,7 +306,7 @@ impl Blas1Pim {
         for b in 0..nbanks {
             rout = engine
                 .mem_mut(b)
-                .alloc_zeroed("triples", self.precision.bytes(), 3 * sl);
+                .alloc_zeroed(self.precision.bytes(), 3 * sl);
         }
         let chunks = (sl / self.lanes()) as u16;
         let run = self.execute(
@@ -339,7 +339,7 @@ impl Blas1Pim {
     pub fn scatter(&self, x_sp: &SparseVec, y: &[f64]) -> Result<VecRun, CoreError> {
         assert_eq!(x_sp.dim(), y.len(), "scatter length mismatch");
         let mut engine = self.device.make_engine();
-        let (ry, sl) = self.alloc_stripes(&mut engine, "y", y);
+        let (ry, sl) = self.alloc_stripes(&mut engine, y);
         let (r0, r1, r2) = self.alloc_triple_streams(&mut engine, x_sp, sl);
         let run = self.execute(
             &mut engine,
@@ -361,7 +361,7 @@ impl Blas1Pim {
     pub fn spaxpy(&self, a: f64, x_sp: &SparseVec, y: &[f64]) -> Result<VecRun, CoreError> {
         assert_eq!(x_sp.dim(), y.len(), "spaxpy length mismatch");
         let mut engine = self.device.make_engine();
-        let (ry, sl) = self.alloc_stripes(&mut engine, "y", y);
+        let (ry, sl) = self.alloc_stripes(&mut engine, y);
         let (r0, r1, r2) = self.alloc_triple_streams(&mut engine, x_sp, sl);
         let run = self.execute(
             &mut engine,
@@ -383,7 +383,7 @@ impl Blas1Pim {
     pub fn spdot(&self, x_sp: &SparseVec, y: &[f64]) -> Result<ScalarRun, CoreError> {
         assert_eq!(x_sp.dim(), y.len(), "spdot length mismatch");
         let mut engine = self.device.make_engine();
-        let (ry, sl) = self.alloc_stripes(&mut engine, "y", y);
+        let (ry, sl) = self.alloc_stripes(&mut engine, y);
         let (r0, r1, r2) = self.alloc_triple_streams(&mut engine, x_sp, sl);
         // Products land in a per-bank staging region; the host reduces.
         let nbanks = self.nbanks();
@@ -391,11 +391,9 @@ impl Blas1Pim {
         let mut rprod = RegionId(0);
         for b in 0..nbanks {
             // SpFW writes (row, col, value) triples: three slots per product.
-            rprod = engine.mem_mut(b).alloc_zeroed(
-                "products",
-                self.precision.bytes(),
-                3 * max_nnz.max(1),
-            );
+            rprod = engine
+                .mem_mut(b)
+                .alloc_zeroed(self.precision.bytes(), 3 * max_nnz.max(1));
         }
         let mut run = self.execute(
             &mut engine,
@@ -462,9 +460,9 @@ impl Blas1Pim {
                 vals[i] = self.precision.quantize(v);
             }
             let mem = engine.mem_mut(b);
-            let r0 = mem.alloc("sp-rows", self.precision.bytes(), rows);
-            let r1 = mem.alloc("sp-cols", self.precision.bytes(), cols);
-            let r2 = mem.alloc("sp-vals", self.precision.bytes(), vals);
+            let r0 = mem.alloc(self.precision.bytes(), rows);
+            let r1 = mem.alloc(self.precision.bytes(), cols);
+            let r2 = mem.alloc(self.precision.bytes(), vals);
             ids = (r0, r1, r2);
         }
         ids

@@ -369,6 +369,19 @@ pub fn pack_triples(
             }
         }
     }
+    write_triples(&mut data, entries, lanes, precision);
+    data
+}
+
+/// Write `entries` over the front of a sentinel-padded triples image (as
+/// [`pack_triples`] builds with no entries): the result equals
+/// `pack_triples(entries, ..)` for the image's pair count.
+pub fn write_triples(
+    data: &mut [f64],
+    entries: &[(u32, u32, f64)],
+    lanes: usize,
+    precision: Precision,
+) {
     for (k, &(r, c, v)) in entries.iter().enumerate() {
         let chunk = k / lanes;
         let lane = k % lanes;
@@ -377,7 +390,6 @@ pub fn pack_triples(
         data[base + lanes + lane] = f64::from(c);
         data[base + 2 * lanes + lane] = precision.quantize(v);
     }
-    data
 }
 
 /// Chunk pairs needed for `n` entries (at least one, and one extra pair of

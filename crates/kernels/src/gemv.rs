@@ -108,9 +108,9 @@ impl Gemv {
                     }
                 }
                 let mem = engine.mem_mut(b);
-                let ra = mem.alloc("a-stripe", ebytes, astripe);
-                let rx = mem.alloc("x-rep", ebytes, xrep);
-                let ry = mem.alloc_zeroed("y-stripe", ebytes, rows_per_bank);
+                let ra = mem.alloc(ebytes, astripe);
+                let rx = mem.alloc(ebytes, xrep);
+                let ry = mem.alloc_zeroed(ebytes, rows_per_bank);
                 if b == 0 {
                     bindings = vec![
                         Some(ra),

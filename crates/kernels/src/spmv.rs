@@ -124,11 +124,8 @@ impl SpmvPim {
     ///
     /// # Errors
     ///
-    /// Propagates engine/program failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != a.ncols()`.
+    /// [`CoreError::Operand`] if `x.len() != a.ncols()`; otherwise
+    /// propagates engine/program failures.
     pub fn run(&self, a: &Coo, x: &[f64]) -> Result<SpmvResult, CoreError> {
         let SpmmResult {
             mut ys,
@@ -148,20 +145,24 @@ impl SpmvPim {
     ///
     /// # Errors
     ///
-    /// Propagates engine/program failures.
+    /// [`CoreError::Operand`] when a vector's length differs from
+    /// `a.ncols()`; otherwise propagates engine/program failures.
     ///
     /// # Panics
     ///
-    /// Panics when `xs` is empty, wider than [`MAX_SPMM_WIDTH`], or any
-    /// vector's length differs from `a.ncols()`.
+    /// Panics when `xs` is empty or wider than [`MAX_SPMM_WIDTH`].
     pub fn run_fused(&self, a: &Coo, xs: &[&[f64]]) -> Result<SpmmResult, CoreError> {
         let width = xs.len();
         assert!(
             (1..=MAX_SPMM_WIDTH).contains(&width),
             "spmm width {width} outside 1..={MAX_SPMM_WIDTH}"
         );
-        for x in xs {
-            assert_eq!(x.len(), a.ncols(), "spmv operand length mismatch");
+        if let Some((v, x)) = xs.iter().enumerate().find(|(_, x)| x.len() != a.ncols()) {
+            return Err(CoreError::Operand(format!(
+                "spmv vector {v} has {} elements for a matrix with {} columns",
+                x.len(),
+                a.ncols()
+            )));
         }
         // Blocked fill zeros are inert only when 0·x is the accumulator
         // identity — the arithmetic semiring. Min/Max accumulation would
@@ -270,9 +271,9 @@ impl SpmvPim {
                     }
                     let triples = pack_triples(&entries, lanes, pairs, self.precision);
                     let mem = engine.mem_mut(b);
-                    let rt = mem.alloc("triples", ebytes, triples);
-                    let rx = mem.alloc("x", ebytes, xg);
-                    let ry = mem.alloc("y", ebytes, vec![identity; width * max_out]);
+                    let rt = mem.alloc(ebytes, triples);
+                    let rx = mem.alloc(ebytes, xg);
+                    let ry = mem.alloc(ebytes, vec![identity; width * max_out]);
                     if b == 0 {
                         bindings = batched_sparse_bindings(rt, rx, ry, lanes);
                     }
@@ -348,6 +349,22 @@ mod tests {
         assert!(res.run.kernel_s > 0.0);
         assert!(res.run.total_s() > res.run.kernel_s);
         assert!(res.waves >= 1);
+    }
+
+    #[test]
+    fn short_vector_is_an_operand_error() {
+        let a = gen::rmat(48, 3, 5);
+        let x = gen::dense_vector(47, 1);
+        let err = tiny_runner(Precision::Fp64).run(&a, &x).unwrap_err();
+        assert!(matches!(err, CoreError::Operand(_)), "{err:?}");
+        let full = gen::dense_vector(48, 2);
+        let err = tiny_runner(Precision::Fp64)
+            .run_fused(&a, &[&full, &x])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::Operand("spmv vector 1 has 47 elements for a matrix with 48 columns".into())
+        );
     }
 
     #[test]

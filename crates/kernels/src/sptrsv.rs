@@ -20,13 +20,13 @@
 //! on pSyncPIM; the model reproduces that directly.
 
 use crate::device::{
-    batched_sparse_bindings, mode_cycle, pack_triples, triple_pairs, KernelRun, PimDevice,
+    batched_sparse_bindings, mode_cycle, pack_triples, triple_pairs, write_triples, KernelRun,
+    PimDevice,
 };
 use crate::programs;
 use crate::spmv::SpmvPim;
 use psim_sparse::triangular::UnitTriangular;
 use psim_sparse::{BlockPlan, BlockStep, LevelSchedule, Precision};
-use psyncpim_core::memory::Binding;
 use psyncpim_core::{CoreError, Engine, RegionId};
 
 /// SpTRSV kernel runner.
@@ -83,13 +83,16 @@ impl SptrsvPim {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != t.dim()`.
+    /// [`CoreError::Operand`] if `b.len() != t.dim()`; otherwise
+    /// propagates engine failures.
     pub fn run(&self, t: &UnitTriangular, b: &[f64]) -> Result<SptrsvResult, CoreError> {
-        assert_eq!(b.len(), t.dim(), "sptrsv operand length mismatch");
+        if b.len() != t.dim() {
+            return Err(CoreError::Operand(format!(
+                "sptrsv right-hand side has {} elements for a triangle of dimension {}",
+                b.len(),
+                t.dim()
+            )));
+        }
         let plan = BlockPlan::build(t.triangle(), t.dim(), self.max_block());
         let mut x = b.to_vec();
         let mut run = KernelRun::default();
@@ -171,7 +174,7 @@ impl SptrsvPim {
                     }
                 })
                 .collect();
-            let id = engine.mem_mut(bank).alloc("x-stripe", ebytes, data);
+            let id = engine.mem_mut(bank).alloc(ebytes, data);
             if bank == 0 {
                 stripe_region = Some(id);
             }
@@ -189,62 +192,80 @@ impl SptrsvPim {
         // holds just its equal-length stripe here, so bank 0's mark is
         // every bank's. Cycles do not depend on which rows a batch reuses:
         // each launch replays on a fresh channel, which only compares row
-        // numbers within the launch.
+        // numbers within the launch. A batch touches the banks owning its
+        // entries' rows; every other bank gets one shared sentinel padding
+        // image, so the engine replays a channel of padding once and its
+        // twins take that outcome (DESIGN.md §14).
         let batch_mark = engine.mem(0).mark();
 
-        let mut batches = 0u64;
-        for level in sched.iter() {
-            for chunk in level.chunks(self.level_chunk) {
-                batches += 1;
-                // Scales: read the just-finalized x values from their
-                // owner banks (SB mode), then broadcast to every bank.
-                let scales: Vec<f64> = chunk
-                    .iter()
-                    .map(|&c| {
-                        let bank = c / stripe;
-                        engine.mem(bank).region(stripe_region).data()[c % stripe]
-                    })
-                    .collect();
-                host.collect(chunk.len() * ebytes);
-                host.broadcast(chunk.len() * ebytes);
-                mode_cycle(&mut host, program.len());
-
-                // Per-bank streams: entry (r, c) goes to the bank owning
-                // row r, with the column remapped to its chunk position.
-                let mut streams: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); nbanks];
-                for (ci, &c) in chunk.iter().enumerate() {
-                    for (r, v) in csc.col(c) {
-                        let bank = r / stripe;
-                        streams[bank].push(((r % stripe) as u32, ci as u32, v));
-                    }
-                }
-                let max_nnz = streams.iter().map(Vec::len).max().unwrap_or(0);
-                if max_nnz == 0 {
-                    continue;
-                }
-                let pairs = triple_pairs(max_nnz, lanes);
-
-                let mut bindings: Vec<Option<Binding>> = Vec::new();
-                for (bank, entries) in streams.iter().enumerate() {
-                    let triples = pack_triples(entries, lanes, pairs, self.precision);
-                    let mem = engine.mem_mut(bank);
-                    let rt = mem.alloc("triples", ebytes, triples);
-                    let rs = mem.alloc("scales", ebytes, scales.clone());
-                    if bank == 0 {
-                        bindings = batched_sparse_bindings(rt, rs, stripe_region, lanes);
-                    }
-                }
-                engine.load_verified(&program, bindings)?;
-                let report = engine.run()?;
-                for bank in 0..nbanks {
-                    engine.mem_mut(bank).truncate(batch_mark);
-                }
-                run.kernel_s += report.seconds;
-                run.dram_cycles += report.dram_cycles;
-                run.absorb_wall(&report);
-                run.absorb_engine(&report);
-                run.phases += 1;
+        // Every batch copies into the storage the previous one released.
+        // Size it once, for the block's largest batch: storage grown batch
+        // by batch would leave outgrown buffers scattered between live
+        // ones and raise the peak footprint.
+        let mut streams = BatchStreams::new(nbanks);
+        let level_batches = || {
+            sched
+                .iter()
+                .flat_map(|level| level.chunks(self.level_chunk))
+        };
+        let (mut widest, mut longest) = (0, 0);
+        for chunk in level_batches() {
+            if let Some(n) = streams.fill(&csc, chunk, stripe) {
+                widest = widest.max(chunk.len());
+                longest = longest.max(n);
             }
+        }
+        let triples_len = triple_pairs(longest, lanes) * 6 * lanes;
+        for bank in 0..nbanks {
+            let mem = engine.mem_mut(bank);
+            mem.alloc(ebytes, Vec::with_capacity(triples_len));
+            mem.alloc(ebytes, Vec::with_capacity(widest));
+            mem.truncate(batch_mark);
+        }
+
+        let mut scales: Vec<f64> = Vec::with_capacity(widest);
+        let mut batches = 0u64;
+        for chunk in level_batches() {
+            batches += 1;
+            // Scales: read the just-finalized x values from their owner
+            // banks (SB mode), then broadcast to every bank.
+            scales.clear();
+            scales.extend(chunk.iter().map(|&c| {
+                let bank = c / stripe;
+                engine.mem(bank).region(stripe_region).data()[c % stripe]
+            }));
+            host.collect(chunk.len() * ebytes);
+            host.broadcast(chunk.len() * ebytes);
+            mode_cycle(&mut host, program.len());
+
+            let Some(max_nnz) = streams.fill(&csc, chunk, stripe) else {
+                continue;
+            };
+            let padding = pack_triples(&[], lanes, triple_pairs(max_nnz, lanes), self.precision);
+            let mut regions = None;
+            for bank in 0..nbanks {
+                let mem = engine.mem_mut(bank);
+                regions = Some((
+                    mem.alloc_copy(ebytes, &padding),
+                    mem.alloc_copy(ebytes, &scales),
+                ));
+            }
+            let (rt, rs) = regions.expect("at least one bank");
+            for (bank, entries) in streams.banks() {
+                let triples = engine.mem_mut(bank).region_mut(rt).data_mut();
+                write_triples(triples, entries, lanes, self.precision);
+            }
+            let bindings = batched_sparse_bindings(rt, rs, stripe_region, lanes);
+            engine.load_verified(&program, bindings)?;
+            let report = engine.run()?;
+            for bank in 0..nbanks {
+                engine.mem_mut(bank).truncate(batch_mark);
+            }
+            run.kernel_s += report.seconds;
+            run.dram_cycles += report.dram_cycles;
+            run.absorb_wall(&report);
+            run.absorb_engine(&report);
+            run.phases += 1;
         }
 
         // Read the solved stripes back into the host copy.
@@ -260,6 +281,77 @@ impl SptrsvPim {
         host.collect(m * ebytes);
         run.absorb_host(&host);
         Ok(batches)
+    }
+}
+
+/// One level batch's entries grouped by the bank owning each row: entry
+/// `(r, c)` goes to bank `r / stripe` as (row within the stripe, position
+/// of `c` in the batch), in column order. A counting sort into one flat
+/// buffer; the buffers live for a whole diagonal block, and a refill
+/// resets only the banks the previous batch touched.
+struct BatchStreams {
+    /// The entries, bank after bank in first-touch order.
+    entries: Vec<(u32, u32, f64)>,
+    /// Per bank: its entry count while counting, then the end of its
+    /// entries in `entries`.
+    end: Vec<usize>,
+    /// Banks holding entries, in first-touch order.
+    touched: Vec<usize>,
+}
+
+impl BatchStreams {
+    fn new(nbanks: usize) -> Self {
+        BatchStreams {
+            entries: Vec::new(),
+            end: vec![0; nbanks],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Group the batch `chunk` of `csc`'s columns; returns the longest
+    /// bank stream, `None` when the batch has no entries.
+    fn fill(&mut self, csc: &psim_sparse::Csc, chunk: &[usize], stripe: usize) -> Option<usize> {
+        for &bank in &self.touched {
+            self.end[bank] = 0;
+        }
+        self.touched.clear();
+        for &c in chunk {
+            for (r, _) in csc.col(c) {
+                let bank = r / stripe;
+                if self.end[bank] == 0 {
+                    self.touched.push(bank);
+                }
+                self.end[bank] += 1;
+            }
+        }
+        let longest = self.touched.iter().map(|&b| self.end[b]).max()?;
+        // Counts become start offsets, which the fill advances to ends.
+        let mut start = 0;
+        for &bank in &self.touched {
+            let n = self.end[bank];
+            self.end[bank] = start;
+            start += n;
+        }
+        self.entries.clear();
+        self.entries.resize(start, (0, 0, 0.0));
+        for (ci, &c) in chunk.iter().enumerate() {
+            for (r, v) in csc.col(c) {
+                let bank = r / stripe;
+                self.entries[self.end[bank]] = ((r % stripe) as u32, ci as u32, v);
+                self.end[bank] += 1;
+            }
+        }
+        Some(longest)
+    }
+
+    /// Each touched bank with its entries.
+    fn banks(&self) -> impl Iterator<Item = (usize, &[(u32, u32, f64)])> + '_ {
+        let mut start = 0;
+        self.touched.iter().map(move |&bank| {
+            let entries = &self.entries[start..self.end[bank]];
+            start = self.end[bank];
+            (bank, entries)
+        })
     }
 }
 
@@ -385,6 +477,13 @@ mod tests {
             ),
             (32, 7502, 4092, 10_732_686_434_722_218_344)
         );
+    }
+
+    #[test]
+    fn short_right_hand_side_is_an_operand_error() {
+        let t = UnitTriangular::from_strict(Triangle::Lower, Coo::new(16, 16)).unwrap();
+        let err = runner().run(&t, &[1.0; 15]).unwrap_err();
+        assert!(matches!(err, CoreError::Operand(_)), "{err:?}");
     }
 
     #[test]

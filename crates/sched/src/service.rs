@@ -252,6 +252,53 @@ mod tests {
     }
 
     #[test]
+    fn a_short_operand_fails_its_job_instead_of_the_lane() {
+        // An SpTRSV right-hand side or SpMV vector shorter than its matrix
+        // is an operand error the kernel returns, not a panic inside a
+        // lane: the service ends in `JobFailed` naming the job, after the
+        // well-formed job ahead of it completed.
+        let band = psim_sparse::gen::banded_fem(60, 3, 2, 5);
+        let t = psim_sparse::triangular::unit_triangular_from(
+            &band,
+            psim_sparse::triangular::Triangle::Lower,
+        )
+        .unwrap();
+        let a = psim_sparse::gen::rmat(40, 3, 9);
+        let bad = [
+            (
+                JobKind::Sptrsv {
+                    t: Arc::new(t),
+                    b: vec![1.0; 59],
+                },
+                "right-hand side has 59 elements",
+            ),
+            (
+                JobKind::spmv(Arc::new(a), vec![1.0; 39]),
+                "vector 0 has 39 elements",
+            ),
+        ];
+        for (kind, message) in bad {
+            let queue = JobQueue::bounded(4);
+            let dot = JobKind::Dot {
+                x: vec![1.5; 30],
+                y: vec![2.0; 30],
+            };
+            queue.submit(JobSpec::batch("t0", dot)).unwrap();
+            let id = queue.submit(JobSpec::batch("t0", kind)).unwrap();
+            queue.close();
+            let exec = ExecutorConfig::sharded(PimDevice::tiny(2), 2);
+            let svc = Service::new(ServiceConfig::new(exec)).unwrap();
+            match svc.run(&queue, &mut |_| {}) {
+                Err(SchedError::JobFailed { id: failed, error }) => {
+                    assert_eq!(failed, id);
+                    assert!(error.contains(message), "{error}");
+                }
+                other => panic!("expected JobFailed, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn service_matches_batch_executor_values() {
         // The same closed set of jobs through the service front-end and
         // through drain_and_run must produce identical values (the

@@ -38,8 +38,8 @@ EXIT
     let mut mem = BankMemory::new(1024);
     let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
     let y: Vec<f64> = (0..n).map(|i| 100.0 + i as f64).collect();
-    let rx = mem.alloc("x", 8, x.clone());
-    let ry = mem.alloc("y", 8, y.clone());
+    let rx = mem.alloc(8, x.clone());
+    let ry = mem.alloc(8, y.clone());
     let mut pu = ProcessingUnit::new();
     pu.load_kernel(
         program.clone(),

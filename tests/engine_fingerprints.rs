@@ -238,6 +238,44 @@ fn battery_fingerprints_match_golden() {
 }
 
 #[test]
+fn unvalidated_1x_battery_matches_validated_golden() {
+    // A plain all-bank run replays a channel only when no earlier channel
+    // of the launch showed what it does (twin channels, DESIGN.md §14);
+    // validation replays every channel. So the battery on the unvalidated
+    // 1x cube, labelled as the validated device, must print the validated
+    // golden's lines byte for byte.
+    let (device, _) = devices().swap_remove(0);
+    let inp = inputs(96, 4);
+    let lines: Vec<String> = battery(&PimDevice::psync_1x(), &inp)
+        .into_iter()
+        .map(|(kernel, run, outputs)| {
+            Fingerprint {
+                device,
+                kernel: kernel.to_string(),
+                run,
+                bits: bit_string(&outputs),
+            }
+            .to_json()
+        })
+        .collect();
+    let golden = std::fs::read_to_string(golden_path("engine_fingerprints.json"))
+        .expect("read the fingerprint golden");
+    let prefix = format!("{{\"device\":\"{device}\",");
+    let want: Vec<&str> = golden
+        .lines()
+        .filter(|l| l.starts_with(&prefix))
+        .map(|l| l.trim_end_matches(','))
+        .collect();
+    assert_eq!(want.len(), lines.len(), "{device} lines in the golden");
+    for (w, got) in want.iter().zip(&lines) {
+        assert_eq!(
+            w, got,
+            "the unvalidated 1x run differs from the validated golden"
+        );
+    }
+}
+
+#[test]
 fn fused_spmm_fingerprints_match_golden() {
     check_golden("spmm_fingerprints.json", &spmm_fingerprints());
 }

@@ -481,7 +481,7 @@ proptest! {
         let program = assemble(&text).expect("valid mnemonics");
         let len = program.len();
         let mut mem = BankMemory::new(1024);
-        let region = mem.alloc("data", 8, (0..64).map(|i| i as f64).collect());
+        let region = mem.alloc(8, (0..64).map(|i| i as f64).collect());
         let bindings: Vec<Option<psyncpim::core::RegionId>> =
             (0..len).map(|_| Some(region)).collect();
         let mut pu = ProcessingUnit::new();
@@ -570,11 +570,11 @@ proptest! {
                 vals[i] = v;
             }
             let mem = engine.mem_mut(b);
-            let r0 = mem.alloc("rows", 8, rows);
-            let r1 = mem.alloc("cols", 8, cols);
-            let r2 = mem.alloc("vals", 8, vals);
-            let r3 = mem.alloc("x", 8, (0..n).map(|i| i as f64).collect());
-            let r4 = mem.alloc_zeroed("y", 8, n);
+            let r0 = mem.alloc(8, rows);
+            let r1 = mem.alloc(8, cols);
+            let r2 = mem.alloc(8, vals);
+            let r3 = mem.alloc(8, (0..n).map(|i| i as f64).collect());
+            let r4 = mem.alloc_zeroed(8, n);
             if b == 0 {
                 bindings = vec![
                     Some(r0), Some(r1), Some(r2), Some(r3),
