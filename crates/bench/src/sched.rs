@@ -5,7 +5,7 @@ use crate::{Cell, Ctx, Doc, Mode, Output};
 use psim_kernels::PimDevice;
 use psim_sched::{
     CompletedJob, ExecutorConfig, JobClass, JobKind, JobQueue, JobSpec, MatrixStore, Service,
-    ServiceConfig, ShardExecutor,
+    ServiceConfig,
 };
 use psim_sparse::gen;
 use serde::Serialize;
@@ -73,12 +73,19 @@ pub fn throughput(_: &Ctx, scale: f64) -> Output {
     let mut base = 0.0;
     let mut four = None;
     for shards in [1usize, 2, 4, 8] {
+        // A closed batch: one admission window takes the whole mix.
         let queue = build_queue(&store, jobs_per_tenant);
-        let report = ShardExecutor::new(ExecutorConfig::sharded(PimDevice::psync_1x(), shards))
-            .expect("shards divide the channel count")
-            .drain_and_run(&queue)
-            .expect("job mix executes");
-        let sim = report.stats.sim;
+        queue.close();
+        let exec = ExecutorConfig::sharded(PimDevice::psync_1x(), shards);
+        let sim = Service::new(ServiceConfig {
+            exec,
+            window: usize::MAX,
+        })
+        .expect("shards divide the channel count")
+        .run(&queue, &mut |_| {})
+        .expect("job mix executes")
+        .stats
+        .sim;
         if shards == 1 {
             base = sim.jobs_per_sim_s;
         }

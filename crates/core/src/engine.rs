@@ -68,10 +68,6 @@ pub struct EngineConfig {
     pub hbm: HbmConfig,
     /// Execution mode.
     pub mode: ExecMode,
-    /// Energy model for the report.
-    pub energy: EnergyModel,
-    /// Safety bound on kernel loop iterations per channel.
-    pub max_rounds: u64,
     /// Model periodic refresh: every tREFI the engine precharges, issues
     /// an all-bank REF and reopens lazily — the bandwidth tax real DRAM
     /// pays. On by default; a kernel that runs refresh-free silently
@@ -98,8 +94,6 @@ impl Default for EngineConfig {
         EngineConfig {
             hbm: HbmConfig::default(),
             mode: ExecMode::AllBank,
-            energy: EnergyModel::default(),
-            max_rounds: 50_000_000,
             refresh: true,
             validate: false,
             attribute: false,
@@ -392,20 +386,23 @@ impl Engine {
         // so the identity is the all-zero default, not PuStats::new().
         let mut pu_stats = PuStats::default();
         let mut active_pus = 0usize;
+        let energy_model = EnergyModel::default();
         let mut lane_op_energy = 0.0;
         for pu in &self.pus {
             let s = pu.stats();
             if s.mem_ops > 0 {
                 active_pus += 1;
             }
-            lane_op_energy += self.cfg.energy.pu_op_energy_pj(8, s.lane_ops);
+            lane_op_energy += energy_model.pu_op_energy_pj(8, s.lane_ops);
             pu_stats.merge(s);
         }
 
-        let mut energy = EnergyStats::default();
-        energy.dram_pj = self.cfg.energy.dram_energy_pj(&commands, 0);
-        energy.pu_pj = lane_op_energy;
-        energy.background_pj = self.cfg.energy.background_pj(seconds, active_pus);
+        let energy = EnergyStats {
+            dram_pj: energy_model.dram_energy_pj(&commands, 0),
+            pu_pj: lane_op_energy,
+            external_pj: 0.0,
+            background_pj: energy_model.background_pj(seconds, active_pus),
+        };
 
         let mut pu_audit = if self.cfg.validate {
             self.audit_pus(max_rounds_seen, &commands)

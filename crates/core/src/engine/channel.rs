@@ -26,6 +26,11 @@ use psim_dram::{
     ProtocolChecker, Scope,
 };
 
+/// Safety bound on kernel loop iterations per channel (per bank in
+/// per-bank mode): a kernel that has not exited by then fails with
+/// [`CoreError::Execution`] instead of spinning forever.
+const MAX_ROUNDS: u64 = 50_000_000;
+
 /// Read-only inputs shared by every channel of one kernel execution.
 pub(super) struct ChannelCtx<'a> {
     /// Engine configuration (timing, mode, trace policy).
@@ -510,10 +515,9 @@ fn run_channel_allbank(
             break;
         }
         rounds += 1;
-        if rounds > cfg.max_rounds {
+        if rounds > MAX_ROUNDS {
             return Err(CoreError::Execution(format!(
-                "kernel exceeded {} rounds without exiting",
-                cfg.max_rounds
+                "kernel exceeded {MAX_ROUNDS} rounds without exiting"
             )));
         }
         for &slot in ctx.schedule {
@@ -735,10 +739,9 @@ fn run_channel_perbank(
                 continue;
             }
             any_active = true;
-            if ctl.rounds > cfg.max_rounds {
+            if ctl.rounds > MAX_ROUNDS {
                 return Err(CoreError::Execution(format!(
-                    "per-bank kernel exceeded {} rounds",
-                    cfg.max_rounds
+                    "per-bank kernel exceeded {MAX_ROUNDS} rounds"
                 )));
             }
             let slot = schedule[ctl.sched_idx];

@@ -1,75 +1,24 @@
-//! Host-side orchestration: mode switching, external-bus traffic and
-//! end-to-end kernel-time accounting.
+//! Host-side orchestration: mode switching, kernel programming and the
+//! external-bus ledger, kept in one [`HostReport`] per launch sequence.
 //!
 //! pSyncPIM keeps the host DRAM controller in charge (paper §I): the host
 //! replicates input-vector slices to banks and accumulates partial outputs
 //! over the *external* interface (256 GB/s — an 8× gap to the 2 TB/s
 //! internal bandwidth, which is why the §V compression matters), switches
 //! modes around every kernel, and programs control registers. The paper's
-//! reported kernel times include these overheads (§VII-A); so do ours.
+//! reported kernel times include these overheads (§VII-A); so do ours:
+//! a kernel folds its controller's report into `KernelRun::host_s`, beside
+//! the engine-reported kernel time.
 
 use psim_dram::{Mode, ModeController};
 use serde::{Deserialize, Serialize};
 
-/// The external (host↔DRAM) interface.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ExternalBus {
-    /// Bandwidth in bytes/second.
-    pub bandwidth: f64,
-    /// Per-transfer latency floor in seconds (command/flit overhead).
-    pub latency_s: f64,
-    bytes_moved: u64,
-    busy_s: f64,
-}
-
-impl ExternalBus {
-    /// A bus with the given bandwidth (Table VII external: 256 GB/s).
-    #[must_use]
-    pub fn new(bandwidth: f64) -> Self {
-        ExternalBus {
-            // Per-transfer latency: a host round trip through the memory
-            // controller stack, including the SB-mode excursion that
-            // bank-resident reads (e.g. SpTRSV level scales) require.
-            latency_s: 400e-9,
-            bandwidth,
-            bytes_moved: 0,
-            busy_s: 0.0,
-        }
-    }
-
-    /// Account a transfer; returns its duration in seconds.
-    pub fn transfer(&mut self, bytes: usize) -> f64 {
-        if bytes == 0 {
-            return 0.0;
-        }
-        let t = self.latency_s + bytes as f64 / self.bandwidth;
-        self.bytes_moved += bytes as u64;
-        self.busy_s += t;
-        t
-    }
-
-    /// Total bytes moved.
-    #[must_use]
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
-    }
-
-    /// Total bus-busy seconds.
-    #[must_use]
-    pub fn busy_seconds(&self) -> f64 {
-        self.busy_s
-    }
-}
-
-/// Accumulated host-side accounting for one kernel invocation (or a whole
-/// application phase).
+/// Accumulated host-side accounting for one kernel's launch sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct HostReport {
     /// Seconds spent on external transfers (vector broadcast, partial
     /// output accumulation, result collection).
     pub external_s: f64,
-    /// Seconds spent in PIM kernel execution (engine-reported).
-    pub kernel_s: f64,
     /// Seconds spent switching modes and programming kernels.
     pub control_s: f64,
     /// Bytes moved over the external interface.
@@ -78,28 +27,17 @@ pub struct HostReport {
     pub mode_switches: u64,
 }
 
-impl HostReport {
-    /// Total wall-clock seconds.
-    #[must_use]
-    pub fn total_s(&self) -> f64 {
-        self.external_s + self.kernel_s + self.control_s
-    }
-
-    /// Merge another phase.
-    pub fn merge(&mut self, other: &HostReport) {
-        self.external_s += other.external_s;
-        self.kernel_s += other.kernel_s;
-        self.control_s += other.control_s;
-        self.external_bytes += other.external_bytes;
-        self.mode_switches += other.mode_switches;
-    }
-}
-
-/// The host controller: owns the mode state machine and the external bus.
+/// The host controller: owns the mode state machine and the ledger of
+/// its external-bus traffic.
 #[derive(Debug, Clone)]
 pub struct HostController {
     modes: ModeController,
-    bus: ExternalBus,
+    /// External bandwidth in bytes/second (Table VII: 256 GB/s).
+    bandwidth: f64,
+    /// Per-transfer latency floor in seconds: a host round trip through
+    /// the memory controller stack, including the SB-mode excursion that
+    /// bank-resident reads (e.g. SpTRSV level scales) require.
+    latency_s: f64,
     report: HostReport,
     /// Seconds one mode-switch command sequence takes (8 MRS at 1 GHz).
     switch_s: f64,
@@ -111,7 +49,8 @@ impl HostController {
     pub fn new(external_bw: f64) -> Self {
         HostController {
             modes: ModeController::new(),
-            bus: ExternalBus::new(external_bw),
+            bandwidth: external_bw,
+            latency_s: 400e-9,
             report: HostReport::default(),
             switch_s: psim_dram::mode::SWITCH_SEQUENCE_LEN as f64 * 1e-9,
         }
@@ -135,26 +74,27 @@ impl HostController {
     /// Broadcast (host → banks) over the external bus, e.g. replicated
     /// input-vector slices.
     pub fn broadcast(&mut self, bytes: usize) {
-        let t = self.bus.transfer(bytes);
-        self.report.external_s += t;
-        self.report.external_bytes += bytes as u64;
+        self.transfer(bytes);
     }
 
     /// Collect (banks → host), e.g. partial outputs for accumulation.
     pub fn collect(&mut self, bytes: usize) {
-        let t = self.bus.transfer(bytes);
-        self.report.external_s += t;
+        self.transfer(bytes);
+    }
+
+    /// Account one external transfer: the latency floor plus the bytes at
+    /// bus bandwidth. An empty transfer costs nothing.
+    fn transfer(&mut self, bytes: usize) {
+        if bytes == 0 {
+            return;
+        }
+        self.report.external_s += self.latency_s + bytes as f64 / self.bandwidth;
         self.report.external_bytes += bytes as u64;
     }
 
     /// Account kernel-programming time (`n` MRS commands at 1 GHz).
     pub fn program_kernel(&mut self, instructions: usize) {
         self.report.control_s += instructions as f64 * 1e-9;
-    }
-
-    /// Add engine-reported kernel execution time.
-    pub fn add_kernel_time(&mut self, seconds: f64) {
-        self.report.kernel_s += seconds;
     }
 
     /// Snapshot the accumulated report.
@@ -170,11 +110,13 @@ mod tests {
 
     #[test]
     fn bus_accounts_bytes_and_time() {
-        let mut bus = ExternalBus::new(256e9);
-        let t = bus.transfer(256_000_000);
-        assert!((t - (1e-3 + 400e-9)).abs() < 1e-9);
-        assert_eq!(bus.bytes_moved(), 256_000_000);
-        assert_eq!(bus.transfer(0), 0.0);
+        let mut host = HostController::new(256e9);
+        host.collect(256_000_000);
+        let r = host.report();
+        assert!((r.external_s - (1e-3 + 400e-9)).abs() < 1e-9);
+        assert_eq!(r.external_bytes, 256_000_000);
+        host.broadcast(0);
+        assert_eq!(host.report(), r, "an empty transfer costs nothing");
     }
 
     #[test]
@@ -184,28 +126,10 @@ mod tests {
         host.broadcast(1_000_000);
         host.collect(500_000);
         host.program_kernel(8);
-        host.add_kernel_time(1e-6);
         host.switch_to(Mode::Sb); // two more
         let r = host.report();
         assert_eq!(r.mode_switches, 4);
         assert_eq!(r.external_bytes, 1_500_000);
-        assert!(r.kernel_s > 0.0 && r.control_s > 0.0 && r.external_s > 0.0);
-        assert!(r.total_s() > r.kernel_s);
-    }
-
-    #[test]
-    fn report_merge() {
-        let mut a = HostReport {
-            kernel_s: 1.0,
-            ..Default::default()
-        };
-        let b = HostReport {
-            external_s: 2.0,
-            external_bytes: 10,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.total_s(), 3.0);
-        assert_eq!(a.external_bytes, 10);
+        assert!(r.control_s > 0.0 && r.external_s > 0.0);
     }
 }

@@ -43,7 +43,7 @@ pub mod trace;
 
 pub use engine::{take_engine_wall_s, Engine, EngineConfig, EngineTier, ExecMode, RunReport};
 pub use error::CoreError;
-pub use host::{ExternalBus, HostController};
+pub use host::HostController;
 pub use memory::{AllocMark, BankMemory, Region, RegionId};
 pub use pu::{ProcessingUnit, StepOutcome};
 pub use stats::{Histogram, PuStats};

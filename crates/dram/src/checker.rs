@@ -631,27 +631,6 @@ impl ProtocolChecker {
     }
 }
 
-/// Replay a full recorded trace in one call.
-///
-/// `trace` yields `(issue_cycle, scope, cmd)` in trace order; `end_cycle`
-/// is the cycle the run finished at (used for the trailing refresh window).
-pub fn check_trace<I>(
-    cfg: &HbmConfig,
-    policy: CheckPolicy,
-    channel: usize,
-    trace: I,
-    end_cycle: u64,
-) -> CheckReport
-where
-    I: IntoIterator<Item = (u64, Scope, CmdKind)>,
-{
-    let mut checker = ProtocolChecker::with_policy(cfg, policy).for_channel(channel);
-    for (cycle, scope, cmd) in trace {
-        checker.observe(cycle, scope, cmd);
-    }
-    checker.finish(end_cycle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -906,21 +885,6 @@ mod tests {
         assert!(report.suppressed > 0);
         assert!(!report.is_clean());
         assert_eq!(report.total_violations(), 4 + report.suppressed);
-    }
-
-    #[test]
-    fn check_trace_convenience_matches_incremental() {
-        let c = cfg();
-        let t = c.timing;
-        let trace = vec![
-            (0, Scope::AllBanks, CmdKind::Act { row: 0 }),
-            (t.t_rcd, Scope::AllBanks, CmdKind::Rd { col: 0 }),
-            (t.t_rcd + t.t_ccd_l, Scope::AllBanks, CmdKind::Rd { col: 1 }),
-            (t.t_ras + t.t_rtp + t.t_rcd, Scope::AllBanks, CmdKind::Pre),
-        ];
-        let report = check_trace(&c, policy(), 3, trace, 200);
-        assert!(report.is_clean(), "{:?}", report.violations);
-        assert_eq!(report.commands, 4);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod stats;
 pub use address::{AddressMapping, DecodedAddress};
 pub use bank::Bank;
 pub use channel::{Channel, IssueError, Issued};
-pub use checker::{check_trace, CheckPolicy, CheckReport, ProtocolChecker, Rule, Violation};
+pub use checker::{CheckPolicy, CheckReport, ProtocolChecker, Rule, Violation};
 pub use command::{CmdClass, CmdKind, Scope};
 pub use config::{HbmConfig, Timing};
 pub use fastab::AbChannel;

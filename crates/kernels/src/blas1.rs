@@ -40,6 +40,18 @@ pub struct ScalarRun {
     pub run: KernelRun,
 }
 
+/// [`CoreError::Operand`] unless `kernel`'s two operands have the same
+/// length: a short operand fails the call instead of panicking.
+fn same_len(kernel: &str, x: usize, y: usize) -> Result<(), CoreError> {
+    if x == y {
+        Ok(())
+    } else {
+        Err(CoreError::Operand(format!(
+            "{kernel} operands have {x} and {y} elements"
+        )))
+    }
+}
+
 /// Stripe geometry: `n` elements over `nbanks` banks in `lanes`-aligned
 /// contiguous stripes.
 fn stripe_len(n: usize, nbanks: usize, lanes: usize) -> usize {
@@ -95,12 +107,16 @@ impl Blas1Pim {
         out
     }
 
+    /// Run one kernel launch. After the run the host reads
+    /// `collect_bytes` back over the external bus (a reduction's per-bank
+    /// partials; 0 when the result stays resident).
     fn execute(
         &self,
         engine: &mut Engine,
         asm: &str,
         bindings: Vec<Option<RegionId>>,
         srf: Option<f64>,
+        collect_bytes: usize,
     ) -> Result<KernelRun, CoreError> {
         let program = programs::compiled(asm)?;
         let mut host = self.device.make_host();
@@ -110,6 +126,7 @@ impl Blas1Pim {
             engine.set_srf_all(v);
         }
         let report = engine.run()?;
+        host.collect(collect_bytes);
         let mut run = KernelRun::default();
         run.kernel_s += report.seconds;
         run.dram_cycles += report.dram_cycles;
@@ -135,6 +152,7 @@ impl Blas1Pim {
             &programs::dcopy(self.precision, chunks),
             vec![Some(rx), Some(ry), None, None],
             None,
+            0,
         )?;
         Ok(VecRun {
             v: self.read_stripes(&engine, ry, x.len(), sl),
@@ -146,13 +164,10 @@ impl Blas1Pim {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
+    /// [`CoreError::Operand`] on a length mismatch; otherwise propagates
+    /// engine failures.
     pub fn dswap(&self, x: &[f64], y: &[f64]) -> Result<(VecRun, Vec<f64>), CoreError> {
-        assert_eq!(x.len(), y.len(), "dswap length mismatch");
+        same_len("dswap", x.len(), y.len())?;
         let mut engine = self.device.make_engine();
         let (rx, sl) = self.alloc_stripes(&mut engine, x);
         let (ry, _) = self.alloc_stripes(&mut engine, y);
@@ -163,6 +178,7 @@ impl Blas1Pim {
             &programs::dswap(self.precision, chunks),
             vec![Some(rx), Some(ry), Some(ry), Some(rx), None, None],
             None,
+            0,
         )?;
         let new_x = self.read_stripes(&engine, rx, x.len(), sl);
         let new_y = self.read_stripes(&engine, ry, y.len(), sl);
@@ -183,6 +199,7 @@ impl Blas1Pim {
             &programs::dscal(self.precision, chunks),
             vec![Some(rx), None, Some(rx), None],
             Some(a),
+            0,
         )?;
         Ok(VecRun {
             v: self.read_stripes(&engine, rx, x.len(), sl),
@@ -194,13 +211,10 @@ impl Blas1Pim {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
+    /// [`CoreError::Operand`] on a length mismatch; otherwise propagates
+    /// engine failures.
     pub fn daxpy(&self, a: f64, x: &[f64], y: &[f64]) -> Result<VecRun, CoreError> {
-        assert_eq!(x.len(), y.len(), "daxpy length mismatch");
+        same_len("daxpy", x.len(), y.len())?;
         let mut engine = self.device.make_engine();
         let (rx, sl) = self.alloc_stripes(&mut engine, x);
         let (ry, _) = self.alloc_stripes(&mut engine, y);
@@ -210,6 +224,7 @@ impl Blas1Pim {
             &programs::daxpy(self.precision, chunks),
             vec![Some(rx), Some(ry), None, None, Some(ry), None],
             Some(a),
+            0,
         )?;
         Ok(VecRun {
             v: self.read_stripes(&engine, ry, y.len(), sl),
@@ -222,18 +237,15 @@ impl Blas1Pim {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
+    /// [`CoreError::Operand`] on a length mismatch; otherwise propagates
+    /// engine failures.
     pub fn dvdv(
         &self,
         x: &[f64],
         y: &[f64],
         op: psyncpim_core::isa::BinaryOp,
     ) -> Result<VecRun, CoreError> {
-        assert_eq!(x.len(), y.len(), "dvdv length mismatch");
+        same_len("dvdv", x.len(), y.len())?;
         let mut engine = self.device.make_engine();
         let (rx, sl) = self.alloc_stripes(&mut engine, x);
         let (ry, _) = self.alloc_stripes(&mut engine, y);
@@ -244,6 +256,7 @@ impl Blas1Pim {
             &programs::dvdv(self.precision, &op.to_string(), chunks),
             vec![Some(rx), Some(ry), None, Some(rz), None, None],
             None,
+            0,
         )?;
         Ok(VecRun {
             v: self.read_stripes(&engine, rz, x.len(), sl),
@@ -256,26 +269,21 @@ impl Blas1Pim {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
+    /// [`CoreError::Operand`] on a length mismatch; otherwise propagates
+    /// engine failures.
     pub fn ddot(&self, x: &[f64], y: &[f64]) -> Result<ScalarRun, CoreError> {
-        assert_eq!(x.len(), y.len(), "ddot length mismatch");
+        same_len("ddot", x.len(), y.len())?;
         let mut engine = self.device.make_engine();
         let (rx, sl) = self.alloc_stripes(&mut engine, x);
         let (ry, _) = self.alloc_stripes(&mut engine, y);
         let chunks = (sl / self.lanes()) as u16;
-        let mut run = self.execute(
+        let run = self.execute(
             &mut engine,
             &programs::ddot(self.precision, chunks),
             vec![Some(rx), Some(ry), None, None, None, None],
             Some(0.0),
+            self.nbanks() * self.precision.bytes(),
         )?;
-        let mut host = self.device.make_host();
-        host.collect(self.nbanks() * self.precision.bytes());
-        run.absorb_host(&host);
         let s = (0..self.nbanks()).map(|b| engine.pu(b).srf()).sum();
         Ok(ScalarRun { s, run })
     }
@@ -314,6 +322,7 @@ impl Blas1Pim {
             &programs::gather(self.precision, chunks),
             vec![Some(ry), Some(rout), None, None],
             None,
+            0,
         )?;
         let mut pairs: Vec<(u32, f64)> = Vec::new();
         for b in 0..nbanks {
@@ -335,9 +344,10 @@ impl Blas1Pim {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
+    /// [`CoreError::Operand`] when `x_sp`'s dimension differs from
+    /// `y.len()`; otherwise propagates engine failures.
     pub fn scatter(&self, x_sp: &SparseVec, y: &[f64]) -> Result<VecRun, CoreError> {
-        assert_eq!(x_sp.dim(), y.len(), "scatter length mismatch");
+        same_len("scatter", x_sp.dim(), y.len())?;
         let mut engine = self.device.make_engine();
         let (ry, sl) = self.alloc_stripes(&mut engine, y);
         let (r0, r1, r2) = self.alloc_triple_streams(&mut engine, x_sp, sl);
@@ -346,6 +356,7 @@ impl Blas1Pim {
             &programs::scatter(self.precision),
             vec![Some(r0), Some(r1), Some(r2), Some(ry), None, None],
             None,
+            0,
         )?;
         Ok(VecRun {
             v: self.read_stripes(&engine, ry, y.len(), sl),
@@ -357,9 +368,10 @@ impl Blas1Pim {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
+    /// [`CoreError::Operand`] when `x_sp`'s dimension differs from
+    /// `y.len()`; otherwise propagates engine failures.
     pub fn spaxpy(&self, a: f64, x_sp: &SparseVec, y: &[f64]) -> Result<VecRun, CoreError> {
-        assert_eq!(x_sp.dim(), y.len(), "spaxpy length mismatch");
+        same_len("spaxpy", x_sp.dim(), y.len())?;
         let mut engine = self.device.make_engine();
         let (ry, sl) = self.alloc_stripes(&mut engine, y);
         let (r0, r1, r2) = self.alloc_triple_streams(&mut engine, x_sp, sl);
@@ -368,6 +380,7 @@ impl Blas1Pim {
             &programs::spaxpy(self.precision),
             vec![Some(r0), Some(r1), Some(r2), None, Some(ry), None, None],
             Some(a),
+            0,
         )?;
         Ok(VecRun {
             v: self.read_stripes(&engine, ry, y.len(), sl),
@@ -379,9 +392,10 @@ impl Blas1Pim {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
+    /// [`CoreError::Operand`] when `x_sp`'s dimension differs from
+    /// `y.len()`; otherwise propagates engine failures.
     pub fn spdot(&self, x_sp: &SparseVec, y: &[f64]) -> Result<ScalarRun, CoreError> {
-        assert_eq!(x_sp.dim(), y.len(), "spdot length mismatch");
+        same_len("spdot", x_sp.dim(), y.len())?;
         let mut engine = self.device.make_engine();
         let (ry, sl) = self.alloc_stripes(&mut engine, y);
         let (r0, r1, r2) = self.alloc_triple_streams(&mut engine, x_sp, sl);
@@ -395,7 +409,7 @@ impl Blas1Pim {
                 .mem_mut(b)
                 .alloc_zeroed(self.precision.bytes(), 3 * max_nnz.max(1));
         }
-        let mut run = self.execute(
+        let run = self.execute(
             &mut engine,
             &programs::spdot(self.precision),
             vec![
@@ -409,10 +423,8 @@ impl Blas1Pim {
                 None,
             ],
             None,
+            nbanks * self.precision.bytes(),
         )?;
-        let mut host = self.device.make_host();
-        host.collect(self.nbanks() * self.precision.bytes());
-        run.absorb_host(&host);
         let mut s = 0.0;
         for b in 0..nbanks {
             // Values sit at every third slot of the SpFW triples.
@@ -522,6 +534,32 @@ mod tests {
         dense::axpy(3.0, &x, &mut want);
         for (g, w) in r.v.iter().zip(&want) {
             assert!((g - w).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn mismatched_operands_are_operand_errors() {
+        let r = runner();
+        let (x, short) = (vec![1.0; 30], vec![1.0; 29]);
+        let sp = SparseVec::from_pairs(30, vec![(2, 1.0)]);
+        let errors = [
+            r.daxpy(2.0, &x, &short).map(|_| ()),
+            r.dswap(&x, &short).map(|_| ()),
+            r.dvdv(&x, &short, psyncpim_core::isa::BinaryOp::Add)
+                .map(|_| ()),
+            r.ddot(&x, &short).map(|_| ()),
+            r.scatter(&sp, &short).map(|_| ()),
+            r.spaxpy(2.0, &sp, &short).map(|_| ()),
+            r.spdot(&sp, &short).map(|_| ()),
+        ];
+        let kernels = [
+            "daxpy", "dswap", "dvdv", "ddot", "scatter", "spaxpy", "spdot",
+        ];
+        for (err, kernel) in errors.into_iter().zip(kernels) {
+            assert_eq!(
+                err.unwrap_err(),
+                CoreError::Operand(format!("{kernel} operands have 30 and 29 elements"))
+            );
         }
     }
 

@@ -164,27 +164,6 @@ impl PimDevice {
     pub fn make_host(&self) -> HostController {
         HostController::new(self.external_bw())
     }
-
-    /// Statically verify a raw kernel program with psim-lint before any
-    /// memory placement. In validate mode an Error-level diagnostic
-    /// fails the kernel up front (the engine would also refuse it at
-    /// `load_kernel`, but by then the host has already placed data);
-    /// with validation off this is free. The kernels in this crate take
-    /// their programs already verified from [`crate::programs::compiled`].
-    ///
-    /// # Errors
-    ///
-    /// [`psyncpim_core::CoreError::Verify`] carrying the Error-level
-    /// diagnostics.
-    pub fn verify_program(
-        &self,
-        program: &psyncpim_core::isa::Program,
-    ) -> Result<(), psyncpim_core::CoreError> {
-        if self.validate {
-            psyncpim_core::isa::VerifiedProgram::new(program.clone())?;
-        }
-        Ok(())
-    }
 }
 
 impl Default for PimDevice {
@@ -427,12 +406,6 @@ pub fn batched_sparse_bindings(
         None,
         None,
     ]
-}
-
-/// Bytes of one element at a precision (helper shared by kernels).
-#[must_use]
-pub fn elem_bytes(p: Precision) -> usize {
-    p.bytes()
 }
 
 #[cfg(test)]

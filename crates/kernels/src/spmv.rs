@@ -293,21 +293,30 @@ impl SpmvPim {
                 run.absorb_engine(&report);
 
                 // Host accumulates only the rows that received partial
-                // sums, for every fused vector.
+                // sums ("the host chip accumulates only non-zero outputs",
+                // §V), for every fused vector. A submatrix's entries are
+                // row-major (`BankPartition::build` cuts them from the
+                // row-sorted matrix in order), so each touched row is one
+                // run of equal rows.
                 let y_region = bindings[10].expect("output bound").region;
                 for b in 0..banks_per_cube {
                     if let Some(s) = per_bank[lo + b].get(wave) {
+                        debug_assert!(s.entries.windows(2).all(|e| e[0].row <= e[1].row));
                         let data = engine.mem(b).region(y_region).data();
-                        let mut touched: Vec<u32> = s.entries.iter().map(|e| e.row).collect();
-                        touched.sort_unstable();
-                        touched.dedup();
-                        for (v, y) in ys.iter_mut().enumerate() {
-                            for &lr in &touched {
-                                let g = s.row_lo + lr as usize;
-                                y[g] = self.acc.apply(data[v * max_out + lr as usize], y[g]);
+                        let mut rows = 0usize;
+                        let mut last = None;
+                        for e in &s.entries {
+                            if last == Some(e.row) {
+                                continue;
+                            }
+                            last = Some(e.row);
+                            rows += 1;
+                            let g = s.row_lo + e.row as usize;
+                            for (v, y) in ys.iter_mut().enumerate() {
+                                y[g] = self.acc.apply(data[v * max_out + e.row as usize], y[g]);
                             }
                         }
-                        collect_bytes += width * touched.len() * (ebytes + 4);
+                        collect_bytes += width * rows * (ebytes + 4);
                     }
                 }
             }

@@ -27,7 +27,7 @@ use crate::programs;
 use crate::spmv::SpmvPim;
 use psim_sparse::triangular::UnitTriangular;
 use psim_sparse::{BlockPlan, BlockStep, LevelSchedule, Precision};
-use psyncpim_core::{CoreError, Engine, RegionId};
+use psyncpim_core::{CoreError, RegionId};
 
 /// SpTRSV kernel runner.
 #[derive(Debug, Clone)]
@@ -353,15 +353,6 @@ impl BatchStreams {
             (bank, entries)
         })
     }
-}
-
-/// Collect an [`Engine`]'s per-bank SRF values (helper shared with BLAS
-/// reductions; exposed for diagnostics).
-#[must_use]
-pub fn srf_values(engine: &Engine) -> Vec<f64> {
-    (0..engine.num_banks())
-        .map(|b| engine.pu(b).srf())
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,29 +1,32 @@
-//! Channel-sharded job executor with SpMV→SpMM fusion and deterministic
-//! work-stealing lanes.
+//! Channel-sharded job execution with SpMV→SpMM fusion and deterministic
+//! work-stealing lanes: the machinery [`crate::Service::run`] drives.
 //!
 //! The device's pseudo-channels are independent (the cube's wall-clock is
 //! just the slowest channel), so the executor carves one device into
 //! `shards` equal channel slices via [`PimDevice::shard`] and serves
 //! different jobs on different shards *concurrently in simulated time*:
 //! each shard lane has its own simulated clock that advances by the
-//! service time of every job it runs, and the batch's makespan is the
-//! latest lane finish instead of the serial sum.
+//! service time of every job it runs, and a run's makespan is the latest
+//! lane finish instead of the serial sum. [`ShardExecutor`] holds the
+//! configuration and the shard device; the lanes live in the service's
+//! [`LaneEngine`], which every admission window feeds. A closed batch is
+//! a service run whose one window admits every queued job.
 //!
 //! Three service-mode optimizations live here:
 //!
 //! * **Fusion** — same-matrix SpMV jobs (same semiring, precision, class)
-//!   arriving in one admission batch coalesce into a single
+//!   arriving in one admission window coalesce into a single
 //!   [`SpmvPim::run_fused`] pass of up to [`ExecutorConfig::fusion`]
 //!   vectors. The fused kernel's per-vector results are bit-identical to
 //!   per-job SpMV (see `spmm.rs`), so fusion changes *when* jobs finish,
 //!   never *what* they compute. The first member of a group is the
 //!   *leader* and carries the real [`KernelRun`]; followers carry zeroed
-//!   accounting (cycle conservation holds batch-wide) but the group's
+//!   accounting (cycle conservation holds run-wide) but the group's
 //!   service time (their latency is real).
 //! * **Layout tuning** — every SpMV group, of any width, runs from the
 //!   layout (storage format, partition scheme, placement policy)
 //!   [`psim_tune::Autotuner`] picks for its matrix on the shard device,
-//!   decided once per live matrix while the batch is planned (see
+//!   decided once per live matrix when the group is dealt (see
 //!   [`LayoutMemo`]). Semirings other than `(Mul, Add)` keep the tuned
 //!   scheme and policy but run the element format: blocked zero-fill is
 //!   only sound under the arithmetic semiring. Every layout computes the
@@ -36,17 +39,17 @@
 //!   single-threaded on simulated state (lane clocks + remaining
 //!   estimated cost) in lane-index order at epoch barriers, then the
 //!   planned groups execute host-parallel and merge in lane order — so
-//!   stealing is a pure function of the batch, never of thread timing.
+//!   stealing is a pure function of the admitted windows, never of thread
+//!   timing.
 //!
 //! Determinism contract: `shards` is a *simulated resource* parameter and
 //! changes results (a shard is a smaller device), but `host_threads` is
 //! pure host-side parallelism and never does. An N-thread run is
 //! byte-identical to a serial one, which the determinism tests check via
-//! [`SimStats`] JSON and job values.
+//! [`crate::SimStats`] JSON and job values.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Weak};
-use std::time::Instant;
 
 use psim_kernels::blas1::Blas1Pim;
 use psim_kernels::{KernelRun, PimDevice, SpmvPim, SptrsvPim, MAX_SPMM_WIDTH};
@@ -56,8 +59,6 @@ use psyncpim_core::isa::BinaryOp;
 use psyncpim_core::CoreError;
 
 use crate::job::{Job, JobClass, JobId, JobKind, JobValue};
-use crate::queue::JobQueue;
-use crate::stats::{HostStats, ServiceStats, SimStats};
 
 /// Executor construction error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,30 +112,17 @@ pub struct ExecutorConfig {
     pub validate: bool,
     /// Run every job with psim-trace cycle attribution: each completed
     /// job's `run.attr` then accounts its `service_cycles` per stall
-    /// category, and [`SimStats`] aggregates the batch-wide breakdown.
+    /// category, and [`crate::SimStats`] aggregates the run-wide breakdown.
     /// Off by default (tracing is cheap but not free).
     pub trace: bool,
     /// Fusion window width: up to this many same-matrix SpMV jobs (same
-    /// semiring, precision and class) from one admission batch coalesce
+    /// semiring, precision and class) from one admission window coalesce
     /// into a single SpMM pass. `1` (the constructors' default) disables
     /// fusion; values above [`MAX_SPMM_WIDTH`] are clamped.
     pub fusion: usize,
 }
 
 impl ExecutorConfig {
-    /// Serial execution of the whole device: one shard, one thread.
-    #[must_use]
-    pub fn serial(device: PimDevice) -> Self {
-        ExecutorConfig {
-            device,
-            shards: 1,
-            host_threads: 1,
-            validate: true,
-            trace: false,
-            fusion: 1,
-        }
-    }
-
     /// `shards` shards served by as many host threads.
     #[must_use]
     pub fn sharded(device: PimDevice, shards: usize) -> Self {
@@ -182,7 +170,7 @@ pub struct CompletedJob {
     pub service_s: f64,
     /// Service DRAM command cycles (kernel portion, exact integer).
     /// Zero for fused followers: the leader carries the whole group's
-    /// cycles exactly once, so cycle conservation holds batch-wide.
+    /// cycles exactly once, so cycle conservation holds run-wide.
     pub service_cycles: u64,
     /// Simulated arrival instant (0.0 for closed batches).
     pub arrival_s: f64,
@@ -193,23 +181,6 @@ pub struct CompletedJob {
     /// Whether this job was its group's leader (always true when
     /// `fused_width == 1`). The leader carries the group's [`KernelRun`].
     pub fused_leader: bool,
-}
-
-/// Result of executing one batch.
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// Every job, sorted by id.
-    pub jobs: Vec<CompletedJob>,
-    /// Aggregated service statistics.
-    pub stats: ServiceStats,
-}
-
-impl BatchReport {
-    /// A completed job by id.
-    #[must_use]
-    pub fn job(&self, id: JobId) -> Option<&CompletedJob> {
-        self.jobs.iter().find(|j| j.id == id)
-    }
 }
 
 /// The channel-sharded executor.
@@ -251,48 +222,11 @@ impl ShardExecutor {
         &self.shard_device
     }
 
-    /// Drain every job currently queued (in the queue's fairness order)
-    /// and execute the batch.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::JobFailed`] when a kernel fails.
-    pub fn drain_and_run(&self, queue: &JobQueue) -> Result<BatchReport, SchedError> {
-        self.run_jobs(queue.drain())
-    }
-
-    /// Execute a batch of jobs (already ordered by the scheduling policy).
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::JobFailed`] when a kernel fails.
-    pub fn run_jobs(&self, jobs: Vec<Job>) -> Result<BatchReport, SchedError> {
-        let started = Instant::now();
-        let shards = self.cfg.shards;
-        let threads = self.cfg.host_threads.clamp(1, shards);
-        let mut engine = LaneEngine::new(shards);
-        engine.feed(self, jobs);
-        let mut completed = Vec::new();
-        engine.run_until_dry(self, &mut |job| completed.push(job))?;
-        completed.sort_by_key(|j| j.id);
-        let sim = SimStats::from_jobs(&completed, shards, engine.steals);
-        Ok(BatchReport {
-            jobs: completed,
-            stats: ServiceStats {
-                sim,
-                host: HostStats {
-                    walltime_s: started.elapsed().as_secs_f64(),
-                    threads,
-                },
-            },
-        })
-    }
-
-    /// Coalesce a batch (in scheduling order) into execution groups:
-    /// same-matrix SpMV jobs with matching semiring, precision and class
-    /// fuse up to the configured window width; everything else runs as a
-    /// singleton. Group order follows each group's first member, so the
-    /// queue's fairness order survives fusion.
+    /// Coalesce an admission window (in scheduling order) into execution
+    /// groups: same-matrix SpMV jobs with matching semiring, precision and
+    /// class fuse up to the configured window width; everything else runs
+    /// as a singleton. Group order follows each group's first member, so
+    /// the queue's fairness order survives fusion.
     fn fuse_batch(&self, jobs: Vec<Job>) -> Vec<Group> {
         let width = self.cfg.fusion.clamp(1, MAX_SPMM_WIDTH);
         let mut groups: Vec<Group> = Vec::new();
@@ -462,7 +396,7 @@ impl Group {
 /// later matrix can be allocated at a remembered address while the entry
 /// exists. An entry whose matrix has been dropped is a miss, and
 /// [`LayoutMemo::prune`] forgets it, so the memo holds only matrices that
-/// were alive at the last admission batch. It lives in the
+/// were alive at the last admission window. It lives in the
 /// single-threaded planner ([`LaneEngine`]) and needs no lock.
 #[derive(Debug, Default)]
 struct LayoutMemo {
@@ -507,8 +441,8 @@ impl LayoutMemo {
 /// Per-lane deques with deterministic work stealing.
 ///
 /// The engine is the executor's scheduling state machine, persistent
-/// across admission batches (the service front-end keeps one alive for
-/// its whole run so lane clocks carry over):
+/// across admission windows (the service keeps one alive for its whole
+/// run so lane clocks carry over):
 ///
 /// * **deal** — each fed group goes to the lane with the earliest
 ///   *projected finish* (`clock + remaining_cost × scale`), ties to the
@@ -523,7 +457,7 @@ impl LayoutMemo {
 ///   execute host-parallel and merge in lane order.
 ///
 /// Every decision reads only simulated state, so the schedule — and
-/// therefore every statistic — is a pure function of the fed batches,
+/// therefore every statistic — is a pure function of the fed windows,
 /// independent of host thread count.
 #[derive(Debug)]
 pub(crate) struct LaneEngine {
@@ -570,7 +504,7 @@ impl LaneEngine {
         self.clocks[lane] + self.remaining[lane] as f64 * scale
     }
 
-    /// Fuse one admission batch, decide each SpMV group's layout, and
+    /// Fuse one admission window, decide each SpMV group's layout, and
     /// deal the groups onto the lanes.
     pub(crate) fn feed(&mut self, exec: &ShardExecutor, jobs: Vec<Job>) {
         self.layouts.prune();
@@ -714,6 +648,8 @@ impl LaneEngine {
 mod tests {
     use super::*;
     use crate::job::JobSpec;
+    use crate::queue::JobQueue;
+    use crate::service::tests::serve_closed;
     use serde::Serialize as _;
     use std::sync::Arc;
 
@@ -729,9 +665,9 @@ mod tests {
 
     #[test]
     fn executor_validates_jobs_by_default() {
-        let cfg = ExecutorConfig::serial(PimDevice::tiny(2));
+        let cfg = ExecutorConfig::sharded(PimDevice::tiny(2), 1);
         assert!(cfg.validate, "constructors must default validation on");
-        let exec = ShardExecutor::new(cfg).unwrap();
+        let exec = ShardExecutor::new(cfg.clone()).unwrap();
         assert!(exec.shard_device().validate);
         // A validated batch runs clean: jobs complete, accounting carries
         // the checker's verdict and real service cycles.
@@ -741,13 +677,13 @@ mod tests {
         queue
             .submit(JobSpec::batch("t0", JobKind::spmv(a, x)))
             .unwrap();
-        let report = exec.drain_and_run(&queue).unwrap();
-        let job = &report.jobs[0];
+        let (jobs, _) = serve_closed(cfg, &queue);
+        let job = &jobs[0];
         assert_eq!(job.run.violations, 0);
         assert!(job.service_cycles > 0, "dram_cycles must be accounted");
         assert!(job.run.mem_ops <= job.run.bank_bursts);
         // Validation can still be switched off explicitly.
-        let mut cfg = ExecutorConfig::serial(PimDevice::tiny(2));
+        let mut cfg = ExecutorConfig::sharded(PimDevice::tiny(2), 1);
         cfg.validate = false;
         let exec = ShardExecutor::new(cfg).unwrap();
         assert!(!exec.shard_device().validate);
@@ -761,10 +697,14 @@ mod tests {
         // nothing fills — a guaranteed no-op data path) fails instead of
         // silently serving a wrong answer.
         use psyncpim_core::isa::assemble;
-        let exec = ShardExecutor::new(ExecutorConfig::serial(PimDevice::tiny(2))).unwrap();
+        use psyncpim_core::memory::Binding;
+        let exec = ShardExecutor::new(ExecutorConfig::sharded(PimDevice::tiny(2), 1)).unwrap();
         let bad = assemble("SPFW SPVQ0, FP64\nEXIT\n").unwrap();
 
-        let err = exec.shard_device().verify_program(&bad).unwrap_err();
+        let mut engine = exec.shard_device().make_engine();
+        let err = engine
+            .load_kernel(bad.clone(), vec![None::<Binding>; 2])
+            .unwrap_err();
         assert!(matches!(err, CoreError::Verify { .. }));
         // The wrapped form a failing job reports carries the lint code.
         let job_err = SchedError::JobFailed {
@@ -773,24 +713,21 @@ mod tests {
         };
         assert!(job_err.to_string().contains("PSL011"), "{job_err}");
 
-        // The engine refuses the load too — the defense is layered.
-        let mut engine = exec.shard_device().make_engine();
-        let load = engine.load_kernel(bad.clone(), vec![None::<psyncpim_core::memory::Binding>; 2]);
-        assert!(matches!(load, Err(CoreError::Verify { .. })));
-
-        // With validation off the same program is accepted (ablation /
-        // fault-injection runs need this escape hatch).
-        let mut cfg = ExecutorConfig::serial(PimDevice::tiny(2));
+        // With validation off the same program passes the lint gate
+        // (ablation / fault-injection runs need this escape hatch).
+        let mut cfg = ExecutorConfig::sharded(PimDevice::tiny(2), 1);
         cfg.validate = false;
         let exec = ShardExecutor::new(cfg).unwrap();
-        assert!(exec.shard_device().verify_program(&bad).is_ok());
+        let mut engine = exec.shard_device().make_engine();
+        let load = engine.load_kernel(bad, vec![None::<Binding>; 2]);
+        assert!(!matches!(load, Err(CoreError::Verify { .. })), "{load:?}");
     }
 
     #[test]
     fn traced_batches_attribute_every_service_cycle() {
         let mut cfg = ExecutorConfig::sharded(PimDevice::tiny(4), 2);
         cfg.trace = true;
-        let exec = ShardExecutor::new(cfg).unwrap();
+        let exec = ShardExecutor::new(cfg.clone()).unwrap();
         assert!(exec.shard_device().trace);
         let queue = JobQueue::bounded(16);
         let a = Arc::new(psim_sparse::gen::rmat(32, 2, 3));
@@ -804,10 +741,10 @@ mod tests {
         queue
             .submit(JobSpec::batch("t1", JobKind::Dot { x: x.clone(), y: x }))
             .unwrap();
-        let report = exec.drain_and_run(&queue).unwrap();
-        assert_eq!(report.jobs.len(), 2);
+        let (jobs, stats) = serve_closed(cfg, &queue);
+        assert_eq!(jobs.len(), 2);
         let mut total_cycles = 0u64;
-        for job in &report.jobs {
+        for job in &jobs {
             // Per-job service attribution accounts every service cycle.
             assert_eq!(
                 job.run.attr.total(),
@@ -820,26 +757,24 @@ mod tests {
             assert!(m.conservation_failures().is_empty(), "job {}", job.id);
             total_cycles += job.service_cycles;
         }
-        assert_eq!(report.stats.sim.service_attr.total(), total_cycles);
-        let js = report.stats.sim.to_json();
+        assert_eq!(stats.sim.service_attr.total(), total_cycles);
+        let js = stats.sim.to_json();
         assert!(js.contains("\"service_attr\""), "{js}");
         assert!(js.contains("\"trace_dropped\""), "{js}");
         // Untraced batches keep the attribution all-zero with no registry.
-        let exec = ShardExecutor::new(ExecutorConfig::serial(PimDevice::tiny(2))).unwrap();
         let queue = JobQueue::bounded(4);
         queue.submit(scal_job("t0", 32)).unwrap();
-        let report = exec.drain_and_run(&queue).unwrap();
-        assert_eq!(report.stats.sim.service_attr.total(), 0);
-        assert!(report.jobs[0].run.metrics.is_none());
+        let (jobs, stats) = serve_closed(ExecutorConfig::sharded(PimDevice::tiny(2), 1), &queue);
+        assert_eq!(stats.sim.service_attr.total(), 0);
+        assert!(jobs[0].run.metrics.is_none());
     }
 
     #[test]
     fn tiny_trace_buffers_count_drops_instead_of_truncating() {
         let mut device = PimDevice::tiny(2);
         device.trace_events = 1;
-        let mut cfg = ExecutorConfig::serial(device);
+        let mut cfg = ExecutorConfig::sharded(device, 1);
         cfg.trace = true;
-        let exec = ShardExecutor::new(cfg).unwrap();
         let queue = JobQueue::bounded(4);
         // An irregular SpMV: banks get unequal entry counts, so lighter
         // banks stream queue-empty rounds — far more stalls than one slot.
@@ -848,16 +783,13 @@ mod tests {
         queue
             .submit(JobSpec::batch("t0", JobKind::spmv(a, x)))
             .unwrap();
-        let report = exec.drain_and_run(&queue).unwrap();
-        let m = report.jobs[0].run.metrics.as_ref().unwrap();
+        let (jobs, stats) = serve_closed(cfg, &queue);
+        let m = jobs[0].run.metrics.as_ref().unwrap();
         assert!(m.events.len() <= 1);
         assert!(m.events_dropped > 0, "overflow must be counted");
-        assert_eq!(report.stats.sim.trace_dropped, m.events_dropped);
+        assert_eq!(stats.sim.trace_dropped, m.events_dropped);
         // Dropping events never breaks cycle conservation.
-        assert_eq!(
-            report.jobs[0].run.attr.total(),
-            report.jobs[0].service_cycles
-        );
+        assert_eq!(jobs[0].run.attr.total(), jobs[0].service_cycles);
     }
 
     #[test]
@@ -943,19 +875,19 @@ mod tests {
                 },
             ))
             .unwrap();
-        let exec = ShardExecutor::new(ExecutorConfig::serial(PimDevice::tiny(2))).unwrap();
-        let report = exec.drain_and_run(&queue).unwrap();
-        assert_eq!(report.jobs.len(), 2);
-        let y = report.job(id_spmv).unwrap().value.as_vector().unwrap();
+        let (jobs, stats) = serve_closed(ExecutorConfig::sharded(PimDevice::tiny(2), 1), &queue);
+        assert_eq!(jobs.len(), 2);
+        let value = |id| &jobs.iter().find(|j| j.id == id).unwrap().value;
+        let y = value(id_spmv).as_vector().unwrap();
         let want = a.spmv(&x);
         for (g, w) in y.iter().zip(&want) {
             assert!((g - w).abs() < 1e-9);
         }
-        let d = report.job(id_dot).unwrap().value.as_scalar().unwrap();
+        let d = value(id_dot).as_scalar().unwrap();
         let want_d: f64 = x.iter().map(|v| v * v).sum();
         assert!((d - want_d).abs() < 1e-6 * want_d);
-        assert!(report.stats.sim.makespan_s > 0.0);
-        assert!(report.stats.host.walltime_s > 0.0);
+        assert!(stats.sim.makespan_s > 0.0);
+        assert!(stats.host.walltime_s > 0.0);
     }
 
     /// An SpMV job on `a` against a deterministic operand.
@@ -981,7 +913,8 @@ mod tests {
                 .map(|id| spmv_job(id, if id < 2 { &hubs } else { &blocks }))
                 .collect()
         };
-        let exec = ShardExecutor::new(ExecutorConfig::sharded(PimDevice::tiny(2), 2)).unwrap();
+        let cfg = ExecutorConfig::sharded(PimDevice::tiny(2), 2);
+        let exec = ShardExecutor::new(cfg.clone()).unwrap();
         let mut engine = LaneEngine::new(2);
         engine.feed(&exec, jobs());
         assert_eq!(
@@ -1002,9 +935,13 @@ mod tests {
             "hub rows must tune away from baseline"
         );
 
-        let report = exec.run_jobs(jobs()).unwrap();
+        let queue = JobQueue::bounded(4);
+        for job in jobs() {
+            queue.submit(job.spec).unwrap();
+        }
+        let (done, _) = serve_closed(cfg, &queue);
         let baseline = SpmvPim::new(exec.shard_device().clone(), Precision::Fp64);
-        for (job, want) in report.jobs.iter().zip(jobs()) {
+        for (job, want) in done.iter().zip(jobs()) {
             let JobKind::Spmv { a, x, .. } = &want.spec.kind else {
                 unreachable!()
             };
@@ -1032,7 +969,7 @@ mod tests {
             scheme: psim_sparse::PartitionScheme::Balanced2D { col_blocks: 2 },
             policy: psim_sparse::DistPolicy::LeastLoaded,
         };
-        let exec = ShardExecutor::new(ExecutorConfig::serial(PimDevice::tiny(2))).unwrap();
+        let exec = ShardExecutor::new(ExecutorConfig::sharded(PimDevice::tiny(2), 1)).unwrap();
         let mut engine = LaneEngine::new(1);
         engine.layouts.entries.insert(
             (Arc::as_ptr(&a) as usize, Precision::Fp64),
@@ -1093,7 +1030,7 @@ mod tests {
         // the live matrix, and the new one must get the tuner's own
         // choice — never a dead matrix's layout found at a reused
         // address, which would make simulated cycles depend on the heap.
-        let exec = ShardExecutor::new(ExecutorConfig::serial(PimDevice::tiny(2))).unwrap();
+        let exec = ShardExecutor::new(ExecutorConfig::sharded(PimDevice::tiny(2), 1)).unwrap();
         let decide = |a: &Coo| {
             Autotuner::new(exec.shard_device())
                 .decide(a, Precision::Fp64)
@@ -1138,14 +1075,9 @@ mod tests {
                     ))
                     .unwrap();
             }
-            let cfg = ExecutorConfig::serial(PimDevice::tiny(2)).with_fusion(fusion);
-            let exec = ShardExecutor::new(cfg).unwrap();
-            let report = exec.drain_and_run(&queue).unwrap();
-            report
-                .jobs
-                .iter()
-                .map(|j| j.value.clone())
-                .collect::<Vec<_>>()
+            let cfg = ExecutorConfig::sharded(PimDevice::tiny(2), 1).with_fusion(fusion);
+            let (jobs, _) = serve_closed(cfg, &queue);
+            jobs.into_iter().map(|j| j.value).collect::<Vec<_>>()
         };
         let solo = run(1);
         let fused = run(3);
@@ -1161,20 +1093,14 @@ mod tests {
             }
             q
         };
-        let serial = ShardExecutor::new(ExecutorConfig::serial(PimDevice::tiny(4)))
-            .unwrap()
-            .drain_and_run(&mk_queue())
-            .unwrap();
-        let sharded = ShardExecutor::new(ExecutorConfig::sharded(PimDevice::tiny(4), 4))
-            .unwrap()
-            .drain_and_run(&mk_queue())
-            .unwrap();
+        let serial = serve_closed(ExecutorConfig::sharded(PimDevice::tiny(4), 1), &mk_queue()).1;
+        let sharded = serve_closed(ExecutorConfig::sharded(PimDevice::tiny(4), 4), &mk_queue()).1;
         assert!(
-            sharded.stats.sim.makespan_s < serial.stats.sim.makespan_s,
+            sharded.sim.makespan_s < serial.sim.makespan_s,
             "sharded {} vs serial {}",
-            sharded.stats.sim.makespan_s,
-            serial.stats.sim.makespan_s
+            sharded.sim.makespan_s,
+            serial.sim.makespan_s
         );
-        assert!(sharded.stats.sim.speedup_vs_serial > 1.0);
+        assert!(sharded.sim.speedup_vs_serial > 1.0);
     }
 }

@@ -13,13 +13,18 @@
 //!   priority, least-attained-service across tenants, FIFO within a
 //!   tenant. One tenant's giant matrix cannot starve another's small
 //!   jobs.
-//! * [`executor`] — the channel-sharded [`executor::ShardExecutor`]: the
-//!   device's independent pseudo-channels are carved into equal shards
-//!   ([`psim_kernels::PimDevice::shard`]) that serve different jobs
-//!   concurrently *in simulated time*. Host threads (`std::thread::scope`)
-//!   only accelerate the simulation itself: job→shard placement is
-//!   deterministic and outcomes merge in shard order, so any thread count
-//!   produces byte-identical results.
+//! * [`service`] — the front-end and the only way to execute jobs: an
+//!   admission loop ([`service::Service::run`]) that pops fairness-ordered
+//!   windows off the queue, fuses same-matrix SpMV jobs into SpMM passes
+//!   and streams completions into a sink. A closed batch is a run over a
+//!   closed queue whose one window (`window: usize::MAX`) takes every job.
+//! * [`executor`] — the channel-sharded [`executor::ShardExecutor`] the
+//!   service drives: the device's independent pseudo-channels are carved
+//!   into equal shards ([`psim_kernels::PimDevice::shard`]) that serve
+//!   different jobs concurrently *in simulated time*. Host threads
+//!   (`std::thread::scope`) only accelerate the simulation itself:
+//!   job→shard placement is deterministic and outcomes merge in shard
+//!   order, so any thread count produces byte-identical results.
 //! * [`stats`] — per-job service accounting: queue wait, service time and
 //!   end-to-end latency histograms (p50/p95/p99 via
 //!   [`psyncpim_core::Histogram`]), simulated makespan and jobs/s, split
@@ -30,8 +35,11 @@
 //!
 //! # Example
 //!
+//! A closed batch: queue the jobs, close the queue, serve it in one
+//! admission window.
+//!
 //! ```
-//! use psim_sched::{ExecutorConfig, JobKind, JobQueue, JobSpec, ShardExecutor};
+//! use psim_sched::{ExecutorConfig, JobKind, JobQueue, JobSpec, Service, ServiceConfig};
 //! use psim_kernels::PimDevice;
 //! use std::sync::Arc;
 //!
@@ -39,10 +47,13 @@
 //! let a = Arc::new(psim_sparse::gen::rmat(32, 2, 1));
 //! queue.submit(JobSpec::batch("alice", JobKind::spmv(a, vec![1.0; 32]))).unwrap();
 //! queue.submit(JobSpec::batch("bob", JobKind::Norm2 { x: vec![3.0, 4.0] })).unwrap();
+//! queue.close();
 //!
-//! let exec = ShardExecutor::new(ExecutorConfig::sharded(PimDevice::tiny(2), 2)).unwrap();
-//! let report = exec.drain_and_run(&queue).unwrap();
-//! assert_eq!(report.jobs.len(), 2);
+//! let exec = ExecutorConfig::sharded(PimDevice::tiny(2), 2);
+//! let svc = Service::new(ServiceConfig { exec, window: usize::MAX }).unwrap();
+//! let mut jobs = Vec::new();
+//! let report = svc.run(&queue, &mut |job| jobs.push(job)).unwrap();
+//! assert_eq!(jobs.len(), 2);
 //! assert!(report.stats.sim.jobs_per_sim_s > 0.0);
 //! ```
 
@@ -53,7 +64,7 @@ pub mod scenarios;
 pub mod service;
 pub mod stats;
 
-pub use executor::{BatchReport, CompletedJob, ExecutorConfig, SchedError, ShardExecutor};
+pub use executor::{CompletedJob, ExecutorConfig, SchedError, ShardExecutor};
 pub use job::{Job, JobClass, JobId, JobKind, JobSpec, JobValue, MatrixStore};
 pub use queue::{JobQueue, SubmitError};
 pub use service::{Service, ServiceConfig, ServiceReport};

@@ -21,7 +21,7 @@
 //!
 //! Given the same set of queued jobs, the drain order is a pure function
 //! of specs and submission order — never of thread timing — which is what
-//! lets the sharded executor promise bit-identical parallel results.
+//! lets the service promise bit-identical parallel results.
 //!
 //! Synchronization goes through the [`psim_conc`] shim: in production it
 //! is `std::sync` with poisoning recovered (a panicked worker must not
@@ -227,20 +227,6 @@ impl JobQueue {
         jobs
     }
 
-    /// Drain every pending job in fairness order (the batch the sharded
-    /// executor plans over).
-    #[must_use]
-    pub fn drain(&self) -> Vec<Job> {
-        let mut inner = self.inner.lock();
-        let mut jobs = Vec::with_capacity(inner.len);
-        while let Some(job) = Self::pick(&mut inner) {
-            jobs.push(job);
-        }
-        drop(inner);
-        self.not_full.notify_all();
-        jobs
-    }
-
     /// The fairness policy: highest non-empty class; within it, the tenant
     /// with least attained service (ties by name); within the tenant,
     /// FIFO.
@@ -335,7 +321,9 @@ mod tests {
         for _ in 0..4 {
             q.submit(vec_job("minnow", 16)).unwrap();
         }
-        let order: Vec<String> = q.drain().into_iter().map(|j| j.spec.tenant).collect();
+        let order: Vec<String> = std::iter::from_fn(|| q.pop())
+            .map(|j| j.spec.tenant)
+            .collect();
         // One whale job charges 100k service units, so every minnow job
         // must drain before the whale's *second* job.
         let second_whale = order
@@ -407,7 +395,9 @@ mod tests {
             for (tenant, n) in [("a", 100), ("b", 10), ("a", 5), ("c", 50), ("b", 200)] {
                 q.submit(vec_job(tenant, n)).unwrap();
             }
-            q.drain().into_iter().map(|j| j.id).collect::<Vec<_>>()
+            std::iter::from_fn(|| q.pop())
+                .map(|j| j.id)
+                .collect::<Vec<_>>()
         };
         assert_eq!(build(), build());
     }

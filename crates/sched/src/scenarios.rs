@@ -13,7 +13,6 @@
 
 use crate::{
     ExecutorConfig, JobKind, JobQueue, JobSpec, JobValue, MatrixStore, Service, ServiceConfig,
-    ShardExecutor,
 };
 use psim_conc::model::{self, Explorer, Report};
 use psim_kernels::PimDevice;
@@ -155,7 +154,7 @@ pub fn store_eviction_race(budget: usize) -> Report {
     })
 }
 
-/// The fused service against the unfused batch executor on the same
+/// The fused service against an unfused closed-batch run of the same
 /// jobs, with a producer racing the admission loop: per-job values must
 /// be bit-identical in every explored admission/close interleaving.
 /// Fusion and admission timing change scheduling, never numerics.
@@ -167,11 +166,18 @@ pub fn fusion_equivalence(budget: usize) -> Report {
         for i in 0..3u64 {
             queue.submit(spmv_spec(&a, i)).expect("queue open");
         }
-        let exec = ShardExecutor::new(ExecutorConfig::sharded(PimDevice::tiny(2), 1))
-            .expect("shards divide channels");
-        let mut jobs = exec.drain_and_run(&queue).expect("golden run").jobs;
-        jobs.sort_by_key(|j| j.id);
-        Arc::new(jobs.into_iter().map(|j| (j.id, j.value)).collect())
+        queue.close();
+        let unfused = Service::new(ServiceConfig {
+            exec: ExecutorConfig::sharded(PimDevice::tiny(2), 1),
+            window: usize::MAX,
+        })
+        .expect("shards divide channels");
+        let mut values = Vec::new();
+        unfused
+            .run(&queue, &mut |job| values.push((job.id, job.value)))
+            .expect("golden run");
+        values.sort_by_key(|(id, _)| *id);
+        Arc::new(values)
     };
     Explorer::new(budget).explore(move || {
         let queue = Arc::new(JobQueue::bounded(2));

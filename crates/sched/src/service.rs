@@ -1,20 +1,22 @@
-//! Always-on service front-end: an admission loop over the bounded
-//! [`JobQueue`] driving the fusing, work-stealing executor.
+//! The scheduler's front-end, and the only way to execute jobs: an
+//! admission loop over the bounded [`JobQueue`] driving the fusing,
+//! work-stealing executor.
 //!
-//! The batch API ([`crate::ShardExecutor::drain_and_run`]) plans a closed
-//! set of jobs once. A service instead faces *open arrivals*: producers
-//! keep submitting (blocking on the queue's capacity for backpressure)
-//! while the service admits windows of jobs, fuses same-matrix SpMV runs,
-//! and streams completions into a caller-supplied sink. Statistics
-//! accumulate incrementally ([`crate::stats::SimAcc`]), so a million-job
-//! soak holds O(shards) state, not a million result vectors.
+//! A service faces *open arrivals*: producers keep submitting (blocking
+//! on the queue's capacity for backpressure) while the service admits
+//! windows of jobs, fuses same-matrix SpMV runs, and streams completions
+//! into a caller-supplied sink. A closed batch is the special case: submit
+//! every job, close the queue and run with `window: usize::MAX`, so one
+//! admission window takes the whole batch and the lanes are planned over
+//! all of it at once. Statistics accumulate incrementally
+//! ([`crate::stats::SimAcc`]), so a million-job soak holds O(shards)
+//! state, not a million result vectors.
 //!
-//! Determinism: the service inherits the executor's contract —
-//! `host_threads` never affects results — but adds one caveat the batch
-//! API doesn't have: the *admission order* is whatever order jobs entered
-//! the queue. With one producer (or producers synchronized by the
-//! caller) a service run is exactly reproducible; with racing producers
-//! the interleaving is the caller's nondeterminism, not the service's.
+//! Determinism: `host_threads` never affects results, but the *admission
+//! order* is whatever order jobs entered the queue. With one producer, a
+//! queue closed before the run, or producers synchronized by the caller,
+//! a service run is exactly reproducible; with racing producers the
+//! interleaving is the caller's nondeterminism, not the service's.
 //!
 //! Concurrency verification: the service's only synchronization is the
 //! queue's shim-backed locks (`psim_conc`), and the lane path degrades
@@ -38,7 +40,8 @@ pub struct ServiceConfig {
     pub exec: ExecutorConfig,
     /// Jobs admitted per wakeup — the fusion stage scans one admission
     /// window at a time, so this bounds how far apart two SpMV jobs can
-    /// be and still fuse. A few multiples of the fusion width is plenty.
+    /// be and still fuse. A few multiples of the fusion width is plenty
+    /// for open arrivals; `usize::MAX` plans a closed batch at once.
     pub window: usize,
 }
 
@@ -122,7 +125,7 @@ impl Service {
                 sim: acc.finish(),
                 host: HostStats {
                     walltime_s: started.elapsed().as_secs_f64(),
-                    threads: self.exec.config().host_threads,
+                    threads: self.exec.config().host_threads.clamp(1, shards),
                 },
             },
         })
@@ -130,12 +133,31 @@ impl Service {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::job::{JobKind, JobSpec, JobValue};
+    use crate::stats::ServiceStats;
     use psim_kernels::PimDevice;
     use serde::Serialize;
     use std::sync::Arc;
+
+    /// Serve `queue` as a closed batch: close it, admit every queued job
+    /// in one window, and return the completed jobs by id with the stats.
+    pub(crate) fn serve_closed(
+        exec: ExecutorConfig,
+        queue: &JobQueue,
+    ) -> (Vec<CompletedJob>, ServiceStats) {
+        queue.close();
+        let svc = Service::new(ServiceConfig {
+            exec,
+            window: usize::MAX,
+        })
+        .unwrap();
+        let mut jobs = Vec::new();
+        let report = svc.run(queue, &mut |job| jobs.push(job)).unwrap();
+        jobs.sort_by_key(|j| j.id);
+        (jobs, report.stats)
+    }
 
     #[test]
     fn service_drains_open_arrivals_with_backpressure() {
@@ -253,10 +275,11 @@ mod tests {
 
     #[test]
     fn a_short_operand_fails_its_job_instead_of_the_lane() {
-        // An SpTRSV right-hand side or SpMV vector shorter than its matrix
-        // is an operand error the kernel returns, not a panic inside a
-        // lane: the service ends in `JobFailed` naming the job, after the
-        // well-formed job ahead of it completed.
+        // An SpTRSV right-hand side or SpMV vector shorter than its matrix,
+        // or a BLAS-1 `y` shorter than its `x`, is an operand error the
+        // kernel returns, not a panic inside a lane: the service ends in
+        // `JobFailed` naming the job, after the well-formed job ahead of it
+        // completed.
         let band = psim_sparse::gen::banded_fem(60, 3, 2, 5);
         let t = psim_sparse::triangular::unit_triangular_from(
             &band,
@@ -275,6 +298,29 @@ mod tests {
             (
                 JobKind::spmv(Arc::new(a), vec![1.0; 39]),
                 "vector 0 has 39 elements",
+            ),
+            (
+                JobKind::Axpy {
+                    alpha: 2.0,
+                    x: vec![1.0; 30],
+                    y: vec![1.0; 29],
+                },
+                "daxpy operands have 30 and 29 elements",
+            ),
+            (
+                JobKind::Vv {
+                    x: vec![1.0; 30],
+                    y: vec![1.0; 29],
+                    op: psyncpim_core::isa::BinaryOp::Max,
+                },
+                "dvdv operands have 30 and 29 elements",
+            ),
+            (
+                JobKind::Dot {
+                    x: vec![1.0; 30],
+                    y: vec![1.0; 29],
+                },
+                "ddot operands have 30 and 29 elements",
             ),
         ];
         for (kind, message) in bad {
@@ -296,39 +342,5 @@ mod tests {
                 other => panic!("expected JobFailed, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn service_matches_batch_executor_values() {
-        // The same closed set of jobs through the service front-end and
-        // through drain_and_run must produce identical values (the
-        // service only changes *scheduling*, never numerics).
-        let a = Arc::new(psim_sparse::gen::rmat(40, 3, 9));
-        let mk_queue = || {
-            let q = JobQueue::bounded(32);
-            for i in 0..6u64 {
-                let x: Vec<f64> = (0..40).map(|k| (i * 7 + k) as f64 * 0.25).collect();
-                q.submit(JobSpec::batch("t", JobKind::spmv(Arc::clone(&a), x)))
-                    .unwrap();
-            }
-            q.submit(JobSpec::batch("t", JobKind::Norm2 { x: vec![3.0, 4.0] }))
-                .unwrap();
-            q
-        };
-        let cfg = || ExecutorConfig::sharded(PimDevice::tiny(2), 2).with_fusion(3);
-
-        let queue = mk_queue();
-        queue.close();
-        let svc = Service::new(ServiceConfig::new(cfg())).unwrap();
-        let mut svc_values: Vec<(u64, JobValue)> = Vec::new();
-        svc.run(&queue, &mut |job| svc_values.push((job.id, job.value)))
-            .unwrap();
-        svc_values.sort_by_key(|(id, _)| *id);
-
-        let exec = ShardExecutor::new(cfg()).unwrap();
-        let batch = exec.drain_and_run(&mk_queue()).unwrap();
-        let batch_values: Vec<(u64, JobValue)> =
-            batch.jobs.into_iter().map(|j| (j.id, j.value)).collect();
-        assert_eq!(svc_values, batch_values);
     }
 }

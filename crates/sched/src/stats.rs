@@ -9,10 +9,10 @@
 //! * [`HostStats`] is the host-side measurement (walltime, threads used)
 //!   and is excluded from determinism comparisons.
 //!
-//! [`SimAcc`] is the streaming accumulator behind [`SimStats::from_jobs`]:
-//! the service front-end records each [`CompletedJob`] as it finishes and
-//! drops it, so a million-job soak never retains a million result vectors
-//! just to report quantiles at the end.
+//! [`SimAcc`] builds [`SimStats`] as a stream: the service records each
+//! [`CompletedJob`] as it finishes and drops it, so a million-job soak
+//! never retains a million result vectors just to report quantiles at the
+//! end.
 
 use psyncpim_core::{CycleBreakdown, Histogram};
 use serde::Serialize;
@@ -31,7 +31,7 @@ pub struct ClassStats {
     pub latency_ns: Histogram,
 }
 
-/// Deterministic simulated-time statistics for one executed batch.
+/// Deterministic simulated-time statistics for one service run.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimStats {
     /// Jobs completed.
@@ -81,24 +81,12 @@ pub struct SimStats {
     pub fused_groups: u64,
 }
 
-impl SimStats {
-    /// Aggregate per-job records (must already be in deterministic order;
-    /// the executor sorts by job id).
-    #[must_use]
-    pub fn from_jobs(jobs: &[CompletedJob], shards: usize, steals: u64) -> Self {
-        let mut acc = SimAcc::new(shards);
-        for job in jobs {
-            acc.record(job);
-        }
-        acc.set_steals(steals);
-        acc.finish()
-    }
-}
-
 /// Streaming accumulator for [`SimStats`]: record each completed job as it
-/// finishes (any order — every aggregate is order-independent), then
-/// [`SimAcc::finish`]. Holds histograms and counters only, never the jobs,
-/// so memory stays O(shards) across a million-job soak.
+/// finishes, then [`SimAcc::finish`]. Every aggregate but one is
+/// independent of the recording order; `serial_s` is a float sum, so its
+/// last bit follows the order the service completes jobs in. Holds
+/// histograms and counters only, never the jobs, so memory stays
+/// O(shards) across a million-job soak.
 #[derive(Debug, Clone)]
 pub struct SimAcc {
     shards: usize,
@@ -227,12 +215,12 @@ impl SimAcc {
     }
 }
 
-/// Host-side (non-deterministic) measurements for one executed batch.
+/// Host-side (non-deterministic) measurements for one service run.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HostStats {
-    /// Wall-clock seconds the host spent executing the batch.
+    /// Wall-clock seconds the host spent serving the run.
     pub walltime_s: f64,
-    /// Host worker threads used.
+    /// Host worker threads used (`host_threads` clamped to the shards).
     pub threads: usize,
 }
 
@@ -250,6 +238,16 @@ mod tests {
     use super::*;
     use crate::executor::CompletedJob;
     use crate::job::JobValue;
+
+    /// Fold `jobs` through a [`SimAcc`] the way the service does.
+    fn aggregate(jobs: &[CompletedJob], shards: usize, steals: u64) -> SimStats {
+        let mut acc = SimAcc::new(shards);
+        for job in jobs {
+            acc.record(job);
+        }
+        acc.set_steals(steals);
+        acc.finish()
+    }
 
     fn job(id: u64, shard: usize, class: JobClass, wait_s: f64, service_s: f64) -> CompletedJob {
         CompletedJob {
@@ -277,7 +275,7 @@ mod tests {
             job(1, 1, JobClass::Batch, 0.0, 1e-6),
             job(2, 1, JobClass::Interactive, 1e-6, 1e-6),
         ];
-        let s = SimStats::from_jobs(&jobs, 2, 0);
+        let s = aggregate(&jobs, 2, 0);
         assert_eq!(s.jobs, 3);
         assert!((s.serial_s - 4e-6).abs() < 1e-18);
         assert!((s.makespan_s - 2e-6).abs() < 1e-18);
@@ -303,7 +301,7 @@ mod tests {
         for j in &mut jobs {
             j.fused_width = 2;
         }
-        let s = SimStats::from_jobs(&jobs, 1, 3);
+        let s = aggregate(&jobs, 1, 3);
         assert_eq!(s.jobs, 2);
         assert!((s.serial_s - 2e-6).abs() < 1e-18, "group counted once");
         assert_eq!(s.latency_ns.count, 2, "both latencies recorded");
@@ -320,30 +318,14 @@ mod tests {
         let mut late = job(0, 0, JobClass::Batch, 0.0, 1e-6);
         late.arrival_s = 5e-6;
         late.finish_s = 6e-6;
-        let s = SimStats::from_jobs(&[late], 1, 0);
+        let s = aggregate(&[late], 1, 0);
         assert!((s.makespan_s - 6e-6).abs() < 1e-18);
         assert!((s.serial_s - 1e-6).abs() < 1e-18);
     }
 
     #[test]
-    fn streaming_acc_matches_batch_aggregation() {
-        let jobs = vec![
-            job(0, 0, JobClass::Batch, 0.0, 2e-6),
-            job(1, 1, JobClass::Interactive, 1e-7, 1e-6),
-            job(2, 0, JobClass::BestEffort, 3e-6, 4e-6),
-        ];
-        let batch = SimStats::from_jobs(&jobs, 2, 1);
-        let mut acc = SimAcc::new(2);
-        for j in &jobs {
-            acc.record(j);
-        }
-        acc.set_steals(1);
-        assert_eq!(acc.finish(), batch);
-    }
-
-    #[test]
     fn empty_batch_is_well_defined() {
-        let s = SimStats::from_jobs(&[], 4, 0);
+        let s = aggregate(&[], 4, 0);
         assert_eq!(s.jobs, 0);
         assert_eq!(s.makespan_cycles, 0);
         assert_eq!(s.jobs_per_sim_s, 0.0);
@@ -354,7 +336,7 @@ mod tests {
     fn sim_stats_serialize_to_json() {
         use serde::Serialize as _;
         let jobs = vec![job(0, 0, JobClass::Batch, 0.0, 5e-7)];
-        let s = SimStats::from_jobs(&jobs, 1, 0);
+        let s = aggregate(&jobs, 1, 0);
         let js = s.to_json();
         assert!(js.starts_with('{'), "{js}");
         assert!(js.contains("\"makespan_cycles\""));

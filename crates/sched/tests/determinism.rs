@@ -7,44 +7,69 @@
 use proptest::prelude::*;
 use psim_kernels::PimDevice;
 use psim_sched::{
-    BatchReport, ExecutorConfig, JobClass, JobKind, JobQueue, JobSpec, ShardExecutor,
+    CompletedJob, ExecutorConfig, JobClass, JobKind, JobQueue, JobSpec, Service, ServiceConfig,
+    ServiceStats,
 };
 use psim_sparse::gen;
 use psim_sparse::Coo;
 use serde::Serialize;
 use std::sync::Arc;
 
-/// Run the same batch with a given host thread count and fusion width.
-fn run_with_fusion(specs: &[JobSpec], shards: usize, threads: usize, fusion: usize) -> BatchReport {
+/// One closed batch's outcome: the service statistics and every completed
+/// job, sorted by id.
+struct Run {
+    stats: ServiceStats,
+    jobs: Vec<CompletedJob>,
+}
+
+/// Run a closed batch with a given host thread count, fusion width and
+/// tracing: a service over a closed queue whose one admission window
+/// takes every job.
+fn run_traced(specs: &[JobSpec], shards: usize, threads: usize, fusion: usize, trace: bool) -> Run {
     let queue = JobQueue::bounded(specs.len().max(1));
     for spec in specs {
         queue.submit(spec.clone()).unwrap();
     }
-    let exec = ShardExecutor::new(ExecutorConfig {
-        device: PimDevice::tiny(shards.max(2)),
-        shards,
-        host_threads: threads,
-        validate: true,
-        // Tracing is part of the determinism contract too: the fingerprint
-        // below covers the per-category service attribution, and the
-        // proptest compares each job's full metrics registry.
-        trace: true,
-        fusion,
+    queue.close();
+    let svc = Service::new(ServiceConfig {
+        exec: ExecutorConfig {
+            device: PimDevice::tiny(shards.max(2)),
+            shards,
+            host_threads: threads,
+            validate: true,
+            trace,
+            fusion,
+        },
+        window: usize::MAX,
     })
     .unwrap();
-    exec.drain_and_run(&queue).unwrap()
+    let mut jobs = Vec::new();
+    let report = svc.run(&queue, &mut |job| jobs.push(job)).unwrap();
+    jobs.sort_by_key(|j| j.id);
+    Run {
+        stats: report.stats,
+        jobs,
+    }
+}
+
+/// Run the same batch with a given host thread count and fusion width.
+/// Tracing is part of the determinism contract too: the fingerprint below
+/// covers the per-category service attribution, and the proptest compares
+/// each job's full metrics registry.
+fn run_with_fusion(specs: &[JobSpec], shards: usize, threads: usize, fusion: usize) -> Run {
+    run_traced(specs, shards, threads, fusion, true)
 }
 
 /// Run the same batch with a given host thread count (fusion off).
-fn run_with_threads(specs: &[JobSpec], shards: usize, threads: usize) -> BatchReport {
+fn run_with_threads(specs: &[JobSpec], shards: usize, threads: usize) -> Run {
     run_with_fusion(specs, shards, threads, 1)
 }
 
 /// Everything that must be reproducible: the deterministic half of the
 /// stats plus every job's placement and numeric result.
-fn fingerprint(report: &BatchReport) -> String {
-    let mut s = report.stats.sim.to_json();
-    for job in &report.jobs {
+fn fingerprint(run: &Run) -> String {
+    let mut s = run.stats.sim.to_json();
+    for job in &run.jobs {
         s.push_str(&format!(
             "|{}:{}:{}:{}:{}:{:x}:{:x}",
             job.id,
@@ -55,16 +80,20 @@ fn fingerprint(report: &BatchReport) -> String {
             job.wait_s.to_bits(),
             job.service_s.to_bits(),
         ));
-        match &job.value {
-            psim_sched::JobValue::Scalar(v) => s.push_str(&format!("={:x}", v.to_bits())),
-            psim_sched::JobValue::Vector(v) => {
-                for x in v {
-                    s.push_str(&format!(",{:x}", x.to_bits()));
-                }
+        push_value_bits(&mut s, &job.value);
+    }
+    s
+}
+
+fn push_value_bits(s: &mut String, value: &psim_sched::JobValue) {
+    match value {
+        psim_sched::JobValue::Scalar(v) => s.push_str(&format!("={:x}", v.to_bits())),
+        psim_sched::JobValue::Vector(v) => {
+            for x in v {
+                s.push_str(&format!(",{:x}", x.to_bits()));
             }
         }
     }
-    s
 }
 
 fn mixed_batch() -> Vec<JobSpec> {
@@ -130,6 +159,47 @@ fn shard_count_is_a_simulated_parameter_not_noise() {
         let many = run_with_threads(&specs, shards, 4);
         assert_eq!(fingerprint(&one), fingerprint(&many), "shards = {shards}");
     }
+}
+
+/// FNV-1a over a run's frozen output: the simulated statistics with
+/// `serial_s` and `speedup_vs_serial` zeroed (their sums depend on the
+/// order jobs complete in), then each job's id, shard, kind, wait and
+/// service bits, fused width, service cycles and value bits, in id order.
+fn frozen_hash(run: &Run, h: u64) -> u64 {
+    let mut sim = run.stats.sim.clone();
+    sim.serial_s = 0.0;
+    sim.speedup_vs_serial = 0.0;
+    let mut s = sim.to_json();
+    for job in &run.jobs {
+        s.push_str(&format!(
+            "|{}:{}:{}:{:x}:{:x}:{}:{}",
+            job.id,
+            job.shard,
+            job.kind,
+            job.wait_s.to_bits(),
+            job.service_s.to_bits(),
+            job.fused_width,
+            job.service_cycles,
+        ));
+        push_value_bits(&mut s, &job.value);
+    }
+    s.bytes().fold(h, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn closed_batch_output_is_pinned() {
+    // The mixed batch at four (shards, fusion, trace) points, pinned when
+    // closed batches had their own executor entry point: a closed queue
+    // served in one admission window must keep reproducing it.
+    let specs = mixed_batch();
+    let hash = [(1, 1, false), (2, 4, true), (4, 4, false), (4, 1, true)]
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, (shards, fusion, trace)| {
+            frozen_hash(&run_traced(&specs, shards, 1, fusion, trace), h)
+        });
+    assert_eq!(hash, 3_457_706_027_006_588_251);
 }
 
 /// Random multi-tenant job mixes for the property test.

@@ -5,7 +5,7 @@
 //! giving every job all the channels).
 
 use psim_kernels::PimDevice;
-use psim_sched::{ExecutorConfig, JobKind, JobQueue, JobSpec, ShardExecutor, SimStats};
+use psim_sched::{ExecutorConfig, JobKind, JobQueue, JobSpec, Service, ServiceConfig, SimStats};
 use psim_sparse::gen;
 use std::sync::Arc;
 
@@ -23,16 +23,21 @@ fn spmv_mix() -> JobQueue {
             .submit(JobSpec::batch(&format!("t{}", i % 4), JobKind::spmv(a, x)))
             .unwrap();
     }
+    queue.close();
     queue
 }
 
+/// Serve the mix as a closed batch: one admission window takes every job.
 fn run(shards: usize) -> SimStats {
-    ShardExecutor::new(ExecutorConfig::sharded(PimDevice::psync_1x(), shards))
-        .unwrap()
-        .drain_and_run(&spmv_mix())
-        .unwrap()
-        .stats
-        .sim
+    Service::new(ServiceConfig {
+        exec: ExecutorConfig::sharded(PimDevice::psync_1x(), shards),
+        window: usize::MAX,
+    })
+    .unwrap()
+    .run(&spmv_mix(), &mut |_| {})
+    .unwrap()
+    .stats
+    .sim
 }
 
 #[test]

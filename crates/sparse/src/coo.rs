@@ -159,12 +159,6 @@ impl Coo {
         self.entries.iter()
     }
 
-    /// Consume into the entry vector.
-    #[must_use]
-    pub fn into_entries(self) -> Vec<Entry> {
-        self.entries
-    }
-
     /// Sort entries row-major (row, then column). This is the layout SpMV
     /// bank mapping expects.
     pub fn sort_row_major(&mut self) {

@@ -234,16 +234,11 @@ pub struct PartitionStats {
     pub banks_used: usize,
     /// Total input-vector elements replicated across banks.
     pub input_replication: usize,
-    /// Total partial-output elements accumulated by the host.
-    pub output_accumulation: usize,
     /// Max non-zeros on any single bank (lockstep completion is bounded by
     /// the heaviest bank).
     pub max_bank_nnz: usize,
     /// Mean non-zeros per *used* bank.
     pub avg_bank_nnz: f64,
-    /// External traffic in bytes: replicated inputs + accumulated outputs
-    /// (+ 4-byte row tags on outputs).
-    pub external_bytes: usize,
 }
 
 impl PartitionStats {
@@ -413,32 +408,16 @@ impl BankPartition {
         let max_bank_nnz = loads.iter().copied().max().unwrap_or(0);
         let total_nnz: usize = loads.iter().sum();
         let input_replication: usize = self.submatrices.iter().map(SubMatrix::input_len).sum();
-        // Host reads back only rows that actually received partial sums —
-        // "the host chip accumulates only non-zero outputs" (§V).
-        let output_accumulation: usize = self
-            .submatrices
-            .iter()
-            .map(|s| {
-                let mut rows: Vec<u32> = s.entries.iter().map(|e| e.row).collect();
-                rows.sort_unstable();
-                rows.dedup();
-                rows.len()
-            })
-            .sum();
-        let vbytes = self.config.precision.bytes();
-        let external_bytes = input_replication * vbytes + output_accumulation * (vbytes + 4);
         PartitionStats {
             num_submatrices: self.submatrices.len(),
             banks_used,
             input_replication,
-            output_accumulation,
             max_bank_nnz,
             avg_bank_nnz: if banks_used == 0 {
                 0.0
             } else {
                 total_nnz as f64 / banks_used as f64
             },
-            external_bytes,
         }
     }
 
@@ -567,12 +546,15 @@ mod tests {
         let a = gen::rmat(1000, 6, 5);
         let f64p = BankPartition::build(&a, cfg(32, 1024, Precision::Fp64));
         let i8p = BankPartition::build(&a, cfg(32, 1024, Precision::Int8));
-        assert!(
-            i8p.stats().external_bytes < f64p.stats().external_bytes,
-            "INT8 {} vs FP64 {}",
-            i8p.stats().external_bytes,
-            f64p.stats().external_bytes
+        // The broadcast half of the traffic: replicated input bytes.
+        let broadcast = |p: &BankPartition, precision: Precision| {
+            p.stats().input_replication * precision.bytes()
+        };
+        let (int8, fp64) = (
+            broadcast(&i8p, Precision::Int8),
+            broadcast(&f64p, Precision::Fp64),
         );
+        assert!(int8 < fp64, "INT8 {int8} vs FP64 {fp64}");
         // Larger submatrices => fewer partitions.
         assert!(i8p.stats().num_submatrices <= f64p.stats().num_submatrices);
     }

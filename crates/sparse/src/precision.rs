@@ -73,15 +73,6 @@ impl Precision {
         matches!(self, Precision::Fp16 | Precision::Fp32 | Precision::Fp64)
     }
 
-    /// Per-PU arithmetic throughput in operations per second at the 250 MHz
-    /// PU clock (Table VIII: 25.6/12.8/6.4/3.2 G(FL)OPS across all 256 PUs
-    /// corresponds to `lanes * 0.25e9` per PU... scaled at cube level by the
-    /// engine).
-    #[must_use]
-    pub fn ops_per_pu_cycle(self) -> usize {
-        self.lanes()
-    }
-
     /// Quantize a functional `f64` value to what this precision can
     /// represent. Floating types round via the nearest representable value
     /// (FP16 modeled with round-to-nearest on a 10-bit mantissa); integer

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  external traffic     {:.1} KiB",
-        stats.external_bytes as f64 / 1024.0
+        res.run.external_bytes as f64 / 1024.0
     );
 
     println!("\nexecution:");
