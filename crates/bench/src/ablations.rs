@@ -77,7 +77,7 @@ pub fn ablation_spmv(ctx: &Ctx, scale: f64) -> Output {
         let x = gen::dense_vector(a.ncols(), 5);
         let run = |policy| {
             let mut s = spmv(Precision::Fp64);
-            s.policy = policy;
+            s.layout.policy = policy;
             s.run(&a, &x).expect("placement run")
         };
         let (rr, ll) = (run(DistPolicy::RoundRobin), run(DistPolicy::LeastLoaded));

@@ -68,11 +68,6 @@ pub struct EngineConfig {
     pub hbm: HbmConfig,
     /// Execution mode.
     pub mode: ExecMode,
-    /// Model periodic refresh: every tREFI the engine precharges, issues
-    /// an all-bank REF and reopens lazily — the bandwidth tax real DRAM
-    /// pays. On by default; a kernel that runs refresh-free silently
-    /// violates the JEDEC refresh contract the checker audits.
-    pub refresh: bool,
     /// Self-audit: replay every issued command through an independent
     /// [`psim_dram::ProtocolChecker`] per channel and cross-check PU
     /// invariants, surfacing findings in [`RunReport::violations`] and
@@ -94,7 +89,6 @@ impl Default for EngineConfig {
         EngineConfig {
             hbm: HbmConfig::default(),
             mode: ExecMode::AllBank,
-            refresh: true,
             validate: false,
             attribute: false,
             event_limit: 4096,

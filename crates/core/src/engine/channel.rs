@@ -304,14 +304,14 @@ impl<M: ChannelModel> Port<M> {
 
 /// An independent checker for this channel when self-auditing is on. The
 /// lockstep invariant only applies to all-bank execution; refresh is
-/// audited exactly when the engine models it.
+/// always audited, as the engine always refreshes.
 fn make_checker(cfg: &EngineConfig, ch: usize) -> Option<ProtocolChecker> {
     cfg.validate.then(|| {
         ProtocolChecker::with_policy(
             &cfg.hbm,
             CheckPolicy {
                 lockstep: matches!(cfg.mode, ExecMode::AllBank),
-                expect_refresh: cfg.refresh,
+                expect_refresh: true,
                 ..CheckPolicy::default()
             },
         )
@@ -521,7 +521,7 @@ fn run_channel_allbank(
             )));
         }
         for &slot in ctx.schedule {
-            if cfg.refresh && now >= next_refresh {
+            if now >= next_refresh {
                 if open_row.is_some() {
                     now = port.issue(AB, CmdKind::Pre, now)?.issue_cycle;
                     open_row = None;
@@ -702,7 +702,7 @@ fn run_channel_perbank(
         // Refresh is a channel-global event even in per-bank mode: close
         // every open row, then issue one all-bank REF that stalls all
         // per-bank streams for tRFC.
-        if cfg.refresh && floor >= next_refresh {
+        if floor >= next_refresh {
             for (i, ctl) in ctls.iter_mut().enumerate() {
                 if ctl.open_row.is_some() {
                     let p = port

@@ -360,43 +360,36 @@ EXIT
 
 #[test]
 fn refresh_taxes_bandwidth_when_enabled() {
-    let build = |refresh: bool| {
-        let mut cfg = small_cfg(ExecMode::AllBank);
-        cfg.refresh = refresh;
-        let mut engine = Engine::new(cfg);
-        let n = 16;
-        let nbanks = engine.num_banks();
-        let x = vec![1.0; n];
-        // Enough work that several tREFI windows elapse.
-        let per_bank: Vec<Vec<(u32, u32, f64)>> = (0..nbanks)
-            .map(|b| {
-                (0..800)
-                    .map(|i| (((b + i) % n) as u32, ((b * 3 + i) % n) as u32, 1.0))
-                    .collect()
-            })
-            .collect();
-        let bindings = setup_spmv(&mut engine, &per_bank, &x, n);
-        engine
-            .load_kernel(assemble(SPMV_ASM).unwrap(), bindings)
-            .unwrap();
-        engine.run().unwrap()
-    };
-    let without = build(false);
-    let with = build(true);
-    assert_eq!(without.commands.refs, 0);
-    assert!(with.commands.refs > 0, "expected refreshes to be issued");
-    assert!(
-        with.dram_cycles > without.dram_cycles,
-        "refresh must cost cycles: {} vs {}",
-        with.dram_cycles,
-        without.dram_cycles
-    );
+    // Refresh is always on: every tREFI the engine closes the open row and
+    // issues an all-bank REF. The independent checker enforces tRFC after
+    // every REF and the ≤9×tREFI gap bound.
+    let mut cfg = small_cfg(ExecMode::AllBank);
+    cfg.validate = true;
+    let mut engine = Engine::new(cfg);
+    let n = 16;
+    let nbanks = engine.num_banks();
+    let x = vec![1.0; n];
+    // Enough work that several tREFI windows elapse.
+    let per_bank: Vec<Vec<(u32, u32, f64)>> = (0..nbanks)
+        .map(|b| {
+            (0..800)
+                .map(|i| (((b + i) % n) as u32, ((b * 3 + i) % n) as u32, 1.0))
+                .collect()
+        })
+        .collect();
+    let bindings = setup_spmv(&mut engine, &per_bank, &x, n);
+    engine
+        .load_kernel(assemble(SPMV_ASM).unwrap(), bindings)
+        .unwrap();
+    let report = engine.run().unwrap();
+    assert_eq!(report.violation_count(), 0, "{:?}", report.violations);
+    assert!(report.commands.refs > 0, "expected refreshes to be issued");
     // tREFI spacing: roughly one REF per channel per tREFI of runtime.
-    let expected = without.dram_cycles / 3_900;
+    let expected = report.dram_cycles / 3_900;
     assert!(
-        with.commands.refs >= expected.saturating_sub(2) * 2,
+        report.commands.refs >= expected.saturating_sub(2) * 2,
         "refs {} vs expected ~{} per channel",
-        with.commands.refs,
+        report.commands.refs,
         expected
     );
 }
@@ -435,7 +428,7 @@ fn validated_runs_are_protocol_clean_in_both_modes() {
         let nbanks = engine.num_banks();
         let x = vec![1.0; n];
         // Enough work that refresh windows elapse, so the checker audits
-        // the refresh contract too (refresh defaults to on).
+        // the refresh contract too.
         let per_bank: Vec<Vec<(u32, u32, f64)>> = (0..nbanks)
             .map(|b| {
                 (0..400)
@@ -545,11 +538,10 @@ fn validation_defaults_off_and_reports_nothing() {
 
 #[test]
 fn perbank_refresh_issues_refs_on_long_runs() {
-    // Refresh defaults to on and applies to the per-bank baseline too:
-    // rows close, one all-bank REF is issued, and the run stays legal.
+    // Refresh applies to the per-bank baseline too: rows close, one
+    // all-bank REF is issued, and the run stays legal.
     let mut cfg = small_cfg(ExecMode::PerBank);
     cfg.validate = true;
-    assert!(cfg.refresh, "refresh must default to on");
     let mut engine = Engine::new(cfg);
     let n = 16;
     let nbanks = engine.num_banks();

@@ -26,7 +26,6 @@
 //! assert_eq!(issued.issue_cycle, t0);
 //! ```
 
-pub mod address;
 pub mod bank;
 pub mod channel;
 pub mod checker;
@@ -37,7 +36,6 @@ pub mod mode;
 pub mod power;
 pub mod stats;
 
-pub use address::{AddressMapping, DecodedAddress};
 pub use bank::Bank;
 pub use channel::{Channel, IssueError, Issued};
 pub use checker::{CheckPolicy, CheckReport, ProtocolChecker, Rule, Violation};

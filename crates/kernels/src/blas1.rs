@@ -128,11 +128,7 @@ impl Blas1Pim {
         let report = engine.run()?;
         host.collect(collect_bytes);
         let mut run = KernelRun::default();
-        run.kernel_s += report.seconds;
-        run.dram_cycles += report.dram_cycles;
-        run.absorb_wall(&report);
-        run.absorb_engine(&report);
-        run.phases = 1;
+        run.absorb_launch(&report);
         run.absorb_host(&host);
         Ok(run)
     }

@@ -19,13 +19,15 @@
 //! O(nnz) to compute, so estimating a kernel costs about as much as
 //! *placing* it — orders of magnitude less than cycle-walking it. SpMV is
 //! the one kernel it models: the layout tuner ranks its candidates with
-//! [`CostModel::spmv_layout`]. The constants below are calibrated against
-//! the cycle engine; the `calibration` test
-//! (`crates/kernels/tests/calibration.rs`) fails when the estimate's mean
-//! absolute percentage error drifts past its bound.
+//! [`CostModel::spmv_layout`], which walks the wave plan
+//! [`crate::SpmvPim::run_fused`] executes, so the predicted launches are
+//! the runner's. The constants below are calibrated against the cycle
+//! engine; the `calibration` test (`crates/kernels/tests/calibration.rs`)
+//! fails when the estimate's mean absolute percentage error drifts past
+//! its bound.
 
 use crate::device::{triple_pairs, PimDevice};
-use psim_sparse::partition::{BankPartition, PartitionConfig};
+use crate::spmv::WavePlan;
 use psim_sparse::{Coo, Layout, Precision};
 
 /// Estimated cost of one kernel invocation.
@@ -109,14 +111,10 @@ const DRAM_CYCLES_PER_PU_CYCLE: u64 = 4;
 
 /// O(nnz) analytical cost model for a device configuration.
 ///
-/// Build once per device (cheap — copies a handful of timing fields) and
-/// reuse across estimates.
+/// Build once per device and reuse across estimates.
 #[derive(Debug, Clone)]
 pub struct CostModel {
-    timing: psim_dram::Timing,
-    row_bytes: usize,
-    banks_per_cube: usize,
-    cubes: usize,
+    device: PimDevice,
 }
 
 impl CostModel {
@@ -124,10 +122,7 @@ impl CostModel {
     #[must_use]
     pub fn new(device: &PimDevice) -> Self {
         CostModel {
-            timing: device.hbm.timing,
-            row_bytes: device.hbm.row_bytes(),
-            banks_per_cube: device.hbm.total_banks(),
-            cubes: device.cubes,
+            device: device.clone(),
         }
     }
 
@@ -138,7 +133,7 @@ impl CostModel {
     /// cold first activation does not leak into the per-pass figure.
     fn round_period(&self, shape: &PhaseShape) -> f64 {
         const NEVER: i64 = i64::MIN / 4;
-        let t = &self.timing;
+        let t = &self.device.hbm.timing;
         let (t_rcd, t_rp, t_ras) = (t.t_rcd as i64, t.t_rp as i64, t.t_ras as i64);
         let (t_ccd, t_rtp, t_wtr, t_wr) = (
             t.t_ccd_l as i64,
@@ -198,7 +193,7 @@ impl CostModel {
     /// Predicted cycles for one engine launch of `shape` running `rounds`
     /// schedule passes (fractional: the pass that trips CEXIT truncates).
     fn phase_cycles(&self, shape: &PhaseShape, rounds: f64) -> u64 {
-        let t = &self.timing;
+        let t = &self.device.hbm.timing;
         // Mode switch in, CRF programming, mode switch out: MRS commands,
         // bus-limited to two per cycle.
         let setup =
@@ -222,59 +217,33 @@ impl CostModel {
         triple_pairs(max_nnz, lanes) as f64 - 0.5
     }
 
-    /// SpMV `y = A x`: partition exactly as [`crate::SpmvPim`] does, then
-    /// cost each wave by its slowest cube.
+    /// SpMV `y = A x` from the paper's layout ([`Layout::baseline`]).
     #[must_use]
     pub fn spmv(&self, a: &Coo, precision: Precision) -> CostEstimate {
         self.spmv_layout(a, precision, Layout::baseline())
     }
 
-    /// SpMV from an explicit [`Layout`]: the format's execution stream
-    /// (blocked formats pay their fill as extra entries), the layout's
-    /// scheme and placement. This is the tuner's per-candidate score —
-    /// the per-layout terms enter exactly as they do in the kernels: the
-    /// expanded stream changes `max_nnz` per bank, the scheme changes the
-    /// cut, the policy changes placement.
+    /// SpMV from an explicit [`Layout`]: the launches of the wave plan
+    /// [`crate::SpmvPim::run_fused`] executes, each wave costed by its
+    /// slowest cube. This is the tuner's per-candidate score; the layout
+    /// enters only through the plan — the format's stream (blocked
+    /// formats pay their fill as extra entries), the scheme's cut and the
+    /// policy's placement set each launch's longest bank stream.
     #[must_use]
     pub fn spmv_layout(&self, a: &Coo, precision: Precision, layout: Layout) -> CostEstimate {
-        let expanded = layout.format.expand(a);
-        let a = expanded.as_ref().unwrap_or(a);
-        let nbanks = self.banks_per_cube * self.cubes;
-        let part = BankPartition::build(
-            a,
-            PartitionConfig {
-                num_banks: nbanks,
-                row_bytes: self.row_bytes,
-                precision,
-                policy: layout.policy,
-                compress: true,
-                scheme: layout.scheme,
-            },
-        );
-        // Per-bank nnz queues; wave w takes each bank's w-th submatrix.
-        let mut per_bank: Vec<Vec<usize>> = vec![Vec::new(); nbanks];
-        for s in part.submatrices() {
-            per_bank[s.bank].push(s.nnz());
-        }
-        let waves = per_bank.iter().map(Vec::len).max().unwrap_or(0);
+        let plan = WavePlan::new(a, &self.device, precision, layout, true);
         let lanes = precision.lanes();
-
         let mut est = CostEstimate::default();
-        for wave in 0..waves {
-            let mut wave_cycles = 0u64;
-            for cube in 0..self.cubes {
-                let lo = cube * self.banks_per_cube;
-                let max_nnz = (0..self.banks_per_cube)
-                    .filter_map(|b| per_bank[lo + b].get(wave).copied())
-                    .max()
-                    .unwrap_or(0);
-                if max_nnz == 0 {
-                    continue;
-                }
-                let rounds = Self::batched_rounds(max_nnz, lanes);
-                // Cubes run in parallel within a wave.
-                wave_cycles = wave_cycles.max(self.phase_cycles(&BATCHED_SPARSE, rounds));
-            }
+        for wave in 0..plan.waves {
+            // Cubes run in parallel within a wave.
+            let wave_cycles = (0..self.device.cubes)
+                .map(|cube| plan.longest(wave, cube))
+                .filter(|&max_nnz| max_nnz > 0)
+                .map(|max_nnz| {
+                    self.phase_cycles(&BATCHED_SPARSE, Self::batched_rounds(max_nnz, lanes))
+                })
+                .max()
+                .unwrap_or(0);
             if wave_cycles > 0 {
                 est.add_phase(wave_cycles);
             }
@@ -323,12 +292,30 @@ mod tests {
 
     #[test]
     fn phase_count_matches_wave_structure() {
-        let device = PimDevice::tiny(2);
-        let model = CostModel::new(&device);
+        // The model prices the runner's own wave plan, so its launch
+        // count is the runner's for every layout, on one cube and on two.
         let a = gen::banded_fem(1400, 12, 6, 7);
         let x = gen::dense_vector(1400, 5);
-        let r = SpmvPim::new(device, Precision::Fp64).run(&a, &x).unwrap();
-        let est = model.spmv(&a, Precision::Fp64);
-        assert_eq!(est.phases, r.run.phases, "waves must match the runner");
+        let two_cubes = PimDevice {
+            cubes: 2,
+            ..PimDevice::tiny(2)
+        };
+        for device in [PimDevice::tiny(2), two_cubes] {
+            let model = CostModel::new(&device);
+            for layout in crate::layout_grid() {
+                let r = SpmvPim::new(device.clone(), Precision::Fp64)
+                    .with_layout(layout)
+                    .run(&a, &x)
+                    .unwrap();
+                let est = model.spmv_layout(&a, Precision::Fp64, layout);
+                assert_eq!(
+                    est.phases,
+                    r.run.phases,
+                    "{} on {} cube(s): waves must match the runner",
+                    layout.label(),
+                    device.cubes
+                );
+            }
+        }
     }
 }

@@ -1,10 +1,13 @@
-//! Simulated pSyncPIM device configurations and run reporting.
+//! Simulated pSyncPIM device configurations and run reporting, and the
+//! host-side layout the batched sparse stream kernel shares: SpMV waves
+//! and SpTRSV level batches place their triples with `place_triples` and
+//! bind them with [`batched_sparse_bindings`].
 
 use psim_dram::{HbmConfig, Mode};
 use psim_sparse::Precision;
 use psyncpim_core::{
     CycleBreakdown, Engine, EngineConfig, EngineTier, ExecMode, HostController, MetricsRegistry,
-    RunReport,
+    RegionId, RunReport,
 };
 use serde::{Deserialize, Serialize};
 
@@ -155,7 +158,6 @@ impl PimDevice {
             validate: self.validate,
             attribute: self.trace,
             event_limit: self.trace_events,
-            ..Default::default()
         })
     }
 
@@ -249,10 +251,25 @@ impl KernelRun {
         self.kernel_s + self.host_s
     }
 
+    /// Fold one engine launch that ran after everything already in the
+    /// run: its wall-clock time, cycles and attribution (the slowest
+    /// channel's bus breakdown, so `attr.total() == dram_cycles` stays an
+    /// invariant under tracing) add to the run's, as do its counters.
+    pub fn absorb_launch(&mut self, report: &RunReport) {
+        self.kernel_s += report.seconds;
+        self.dram_cycles += report.dram_cycles;
+        if let Some(m) = &report.metrics {
+            self.attr.add_all(&m.wall());
+        }
+        self.absorb_engine(report);
+        self.phases += 1;
+    }
+
     /// Fold one engine report's counters into the run — everything except
-    /// the wall-clock fields (`kernel_s`, `dram_cycles`, `phases`), whose
-    /// parallel-vs-sequential composition is kernel-specific (cubes inside
-    /// one wave overlap; waves are sequential).
+    /// the wall-clock fields (`kernel_s`, `dram_cycles`, `attr`,
+    /// `phases`), whose composition is the caller's: a sequential launch
+    /// adds them ([`Self::absorb_launch`]); SpMV's cubes run in parallel,
+    /// so a wave takes its slowest cube's.
     pub fn absorb_engine(&mut self, report: &RunReport) {
         self.commands += report.commands.total_commands();
         self.all_bank_commands += report.commands.all_bank_commands;
@@ -268,16 +285,6 @@ impl KernelRun {
                 Some(reg) => reg.absorb(m),
                 None => self.metrics = Some(m.clone()),
             }
-        }
-    }
-
-    /// Fold one engine phase's wall-clock attribution into [`Self::attr`]:
-    /// the slowest channel's bus breakdown, whose total equals the phase's
-    /// `dram_cycles`. Call it exactly once per `dram_cycles` contribution
-    /// so `attr.total() == dram_cycles` stays an invariant under tracing.
-    pub fn absorb_wall(&mut self, report: &RunReport) {
-        if let Some(m) = &report.metrics {
-            self.attr.add_all(&m.wall());
         }
     }
 
@@ -324,51 +331,46 @@ pub fn mode_cycle(host: &mut HostController, program_len: usize) {
     host.switch_to(Mode::Sb);
 }
 
-/// Pack sparse entries into the interleaved triples layout the batched
-/// stream kernel expects: chunk pairs of `[rowsA|colsA|valsA|rowsB|colsB|
-/// valsB]` blocks of `lanes` elements, padded with the −1 sentinel up to
-/// `pairs` pairs.
-#[must_use]
-pub fn pack_triples(
-    entries: &[(u32, u32, f64)],
-    lanes: usize,
-    pairs: usize,
+/// Lay out one launch's triples for [`crate::programs::sparse_stream_batched`]
+/// in every bank of `engine`, as chunk pairs of `[rowsA|colsA|valsA|rowsB|
+/// colsB|valsB]` blocks of `lanes` elements: one image sized for the
+/// `longest` bank stream ([`triple_pairs`]), with the −1 sentinel in every
+/// index slot, is copied into every bank, then each listed bank's entries
+/// overwrite its front. Idle banks thus hold bit-identical padding (twin
+/// channels, DESIGN.md §14). Returns the triples' region, the same id in
+/// every bank.
+pub(crate) fn place_triples<E>(
+    engine: &mut Engine,
+    longest: usize,
     precision: Precision,
-) -> Vec<f64> {
+    banks: impl IntoIterator<Item = (usize, E)>,
+) -> RegionId
+where
+    E: IntoIterator<Item = (u32, u32, f64)>,
+{
     use psyncpim_core::memory::SENTINEL;
-    let mut data = vec![0.0f64; pairs * 6 * lanes];
-    // Pre-fill index blocks with the sentinel.
-    for pair in 0..pairs {
-        let base = pair * 6 * lanes;
-        for half in 0..2 {
-            let hb = base + half * 3 * lanes;
-            for i in 0..lanes {
-                data[hb + i] = SENTINEL; // rows
-                data[hb + lanes + i] = SENTINEL; // cols
-            }
+    let lanes = precision.lanes();
+    let mut padding = vec![0.0f64; triple_pairs(longest, lanes) * 6 * lanes];
+    for half in padding.chunks_exact_mut(3 * lanes) {
+        half[..2 * lanes].fill(SENTINEL); // rows, cols
+    }
+    let mut triples = None;
+    for bank in 0..engine.num_banks() {
+        triples = Some(engine.mem_mut(bank).alloc_copy(precision.bytes(), &padding));
+    }
+    let triples = triples.expect("an engine has at least one bank");
+    for (bank, entries) in banks {
+        let data = engine.mem_mut(bank).region_mut(triples).data_mut();
+        for (k, (r, c, v)) in entries.into_iter().enumerate() {
+            let chunk = k / lanes;
+            let lane = k % lanes;
+            let base = (chunk / 2) * 6 * lanes + (chunk % 2) * 3 * lanes;
+            data[base + lane] = f64::from(r);
+            data[base + lanes + lane] = f64::from(c);
+            data[base + 2 * lanes + lane] = precision.quantize(v);
         }
     }
-    write_triples(&mut data, entries, lanes, precision);
-    data
-}
-
-/// Write `entries` over the front of a sentinel-padded triples image (as
-/// [`pack_triples`] builds with no entries): the result equals
-/// `pack_triples(entries, ..)` for the image's pair count.
-pub fn write_triples(
-    data: &mut [f64],
-    entries: &[(u32, u32, f64)],
-    lanes: usize,
-    precision: Precision,
-) {
-    for (k, &(r, c, v)) in entries.iter().enumerate() {
-        let chunk = k / lanes;
-        let lane = k % lanes;
-        let base = (chunk / 2) * 6 * lanes + (chunk % 2) * 3 * lanes;
-        data[base + lane] = f64::from(r);
-        data[base + lanes + lane] = f64::from(c);
-        data[base + 2 * lanes + lane] = precision.quantize(v);
-    }
+    triples
 }
 
 /// Chunk pairs needed for `n` entries (at least one, and one extra pair of
@@ -383,9 +385,9 @@ pub fn triple_pairs(n: usize, lanes: usize) -> usize {
 /// the dense vector region, slots 10/11 accumulate into the output region.
 #[must_use]
 pub fn batched_sparse_bindings(
-    triples: psyncpim_core::RegionId,
-    vector: psyncpim_core::RegionId,
-    output: psyncpim_core::RegionId,
+    triples: RegionId,
+    vector: RegionId,
+    output: RegionId,
     lanes: usize,
 ) -> Vec<Option<psyncpim_core::memory::Binding>> {
     use psyncpim_core::memory::Binding;

@@ -133,11 +133,7 @@ impl Gemv {
             engine.load_verified(&program, bindings.clone())?;
             engine.set_srf_all(0.0);
             let report = engine.run()?;
-            run.kernel_s += report.seconds;
-            run.dram_cycles += report.dram_cycles;
-            run.absorb_wall(&report);
-            run.absorb_engine(&report);
-            run.phases += 1;
+            run.absorb_launch(&report);
             if panels > 1 {
                 // Host accumulates per-panel partials.
                 host.collect(nrows * ebytes);
@@ -190,7 +186,6 @@ impl Gemv {
         let solver = SptrsvPim {
             device: self.device.clone(),
             precision: self.precision,
-            level_chunk: self.device.hbm.row_bytes() / self.precision.bytes(),
         };
         let res = solver.run(&t, b)?;
         Ok((res.x, res.run))

@@ -13,18 +13,18 @@
 //! traversal by block-diagonal expansion (see [`crate::spmm`]), and
 //! [`SpmvPim::run`] is its width-1 pass: one wave loop serves SpMV and
 //! fused SpMM alike.
+//!
+//! The runner executes a crate-private `WavePlan` (format expansion,
+//! partition, per-bank wave queues, each launch's banks), the plan
+//! [`crate::CostModel::spmv_layout`] prices. A launch lays out its triples
+//! with `device::place_triples`, as SpTRSV's level batches do.
 
-use crate::device::{
-    batched_sparse_bindings, mode_cycle, pack_triples, triple_pairs, KernelRun, PimDevice,
-};
+use crate::device::{batched_sparse_bindings, mode_cycle, place_triples, KernelRun, PimDevice};
 use crate::programs;
 use crate::spmm::{SpmmResult, MAX_SPMM_WIDTH};
-use psim_sparse::partition::{
-    BankPartition, DistPolicy, PartitionConfig, PartitionScheme, PartitionStats, SubMatrix,
-};
-use psim_sparse::{Coo, Layout, MatrixFormat, Precision};
+use psim_sparse::partition::{BankPartition, PartitionConfig, PartitionStats, SubMatrix};
+use psim_sparse::{Coo, Layout, Precision};
 use psyncpim_core::isa::BinaryOp;
-use psyncpim_core::memory::Binding;
 use psyncpim_core::CoreError;
 
 /// SpMV kernel runner.
@@ -35,8 +35,12 @@ pub struct SpmvPim {
     /// Element precision (the paper runs most matrices FP64 but exploits
     /// INT8 on `soc-sign-epinions` and `Stanford`).
     pub precision: Precision,
-    /// Submatrix placement policy.
-    pub policy: DistPolicy,
+    /// Storage format, partition scheme and bank placement the matrix
+    /// executes from ([`Layout::baseline`] is the paper's). Element
+    /// formats (COO/CSR) stream the true non-zeros; blocked formats
+    /// (BCSR/BCOO) stream their tiles with fill zeros — sound only for the
+    /// arithmetic semiring, which [`SpmvPim::run_fused`] asserts.
+    pub layout: Layout,
     /// Semiring multiply (applied to `val ⊙ x[col]`); MUL for arithmetic
     /// SpMV.
     pub mul: BinaryOp,
@@ -46,13 +50,6 @@ pub struct SpmvPim {
     pub acc: BinaryOp,
     /// Matrix compression (paper Figure 6); disable only for the ablation.
     pub compress: bool,
-    /// Storage format the matrix executes from. Element formats (COO/CSR)
-    /// stream the true non-zeros; blocked formats (BCSR/BCOO) stream
-    /// their tiles with fill zeros — sound only for the arithmetic
-    /// semiring, which [`SpmvPim::run_fused`] asserts.
-    pub format: MatrixFormat,
-    /// Partition scheme (1D row strips or a 2D column-blocked variant).
-    pub scheme: PartitionScheme,
 }
 
 /// Result of a distributed SpMV.
@@ -68,6 +65,76 @@ pub struct SpmvResult {
     pub waves: usize,
 }
 
+/// SpMV's launch plan (§V): a layout's execution stream cut into
+/// submatrices across the device's banks, each bank's submatrices queued
+/// as sequential waves. Launch (`wave`, `cube`) runs the cube's banks on
+/// their `wave`-th submatrices; the cubes of a wave run in parallel.
+pub(crate) struct WavePlan {
+    part: BankPartition,
+    /// Per bank: the indices of its submatrices in `part`, in order.
+    queues: Vec<Vec<usize>>,
+    banks_per_cube: usize,
+    /// Sequential waves: the longest bank queue.
+    pub(crate) waves: usize,
+}
+
+impl WavePlan {
+    /// Expand `a` into `layout`'s format and partition it across
+    /// `device`'s banks.
+    pub(crate) fn new(
+        a: &Coo,
+        device: &PimDevice,
+        precision: Precision,
+        layout: Layout,
+        compress: bool,
+    ) -> Self {
+        let expanded = layout.format.expand(a);
+        let part = BankPartition::build(
+            expanded.as_ref().unwrap_or(a),
+            PartitionConfig {
+                num_banks: device.total_banks(),
+                row_bytes: device.hbm.row_bytes(),
+                precision,
+                policy: layout.policy,
+                compress,
+                scheme: layout.scheme,
+            },
+        );
+        let mut queues = vec![Vec::new(); device.total_banks()];
+        for (i, s) in part.submatrices().iter().enumerate() {
+            queues[s.bank].push(i);
+        }
+        let waves = queues.iter().map(Vec::len).max().unwrap_or(0);
+        WavePlan {
+            part,
+            queues,
+            banks_per_cube: device.hbm.total_banks(),
+            waves,
+        }
+    }
+
+    /// The launch of `cube` in `wave`: each bank of the cube whose queue
+    /// reaches `wave` (as its index within the cube) with that submatrix.
+    pub(crate) fn launch(
+        &self,
+        wave: usize,
+        cube: usize,
+    ) -> impl Iterator<Item = (usize, &SubMatrix)> + Clone {
+        let lo = cube * self.banks_per_cube;
+        self.queues[lo..lo + self.banks_per_cube]
+            .iter()
+            .enumerate()
+            .filter_map(move |(b, q)| Some((b, &self.part.submatrices()[*q.get(wave)?])))
+    }
+
+    /// The longest bank stream of launch (`wave`, `cube`); 0 when the
+    /// cube is idle in that wave.
+    pub(crate) fn longest(&self, wave: usize, cube: usize) -> usize {
+        let nnz = self.launch(wave, cube).map(|(_, s)| s.nnz());
+        nnz.max().unwrap_or(0)
+    }
+}
+
 impl SpmvPim {
     /// Runner on the given device at a precision.
     #[must_use]
@@ -75,12 +142,10 @@ impl SpmvPim {
         SpmvPim {
             device,
             precision,
-            policy: DistPolicy::RoundRobin,
+            layout: Layout::baseline(),
             mul: BinaryOp::Mul,
             acc: BinaryOp::Add,
             compress: true,
-            format: MatrixFormat::Coo,
-            scheme: PartitionScheme::Row1D,
         }
     }
 
@@ -103,20 +168,8 @@ impl SpmvPim {
     /// Adopt a tuned [`Layout`] (format, scheme, policy) wholesale.
     #[must_use]
     pub fn with_layout(mut self, layout: Layout) -> Self {
-        self.format = layout.format;
-        self.scheme = layout.scheme;
-        self.policy = layout.policy;
+        self.layout = layout;
         self
-    }
-
-    /// The layout this runner executes from.
-    #[must_use]
-    pub fn layout(&self) -> Layout {
-        Layout {
-            format: self.format,
-            scheme: self.scheme,
-            policy: self.policy,
-        }
     }
 
     /// Compute `y = A x` on the PIM device: the width-1
@@ -168,36 +221,14 @@ impl SpmvPim {
         // identity — the arithmetic semiring. Min/Max accumulation would
         // absorb the fill, so refuse rather than corrupt.
         assert!(
-            !self.format.is_blocked() || (self.mul == BinaryOp::Mul && self.acc == BinaryOp::Add),
+            !self.layout.format.is_blocked()
+                || (self.mul == BinaryOp::Mul && self.acc == BinaryOp::Add),
             "blocked formats require the arithmetic (Mul, Add) semiring"
         );
-        let expanded = self.format.expand(a);
-        let a = expanded.as_ref().unwrap_or(a);
-        let nbanks = self.device.total_banks();
-        let part = BankPartition::build(
-            a,
-            PartitionConfig {
-                num_banks: nbanks,
-                row_bytes: self.device.hbm.row_bytes(),
-                precision: self.precision,
-                policy: self.policy,
-                compress: self.compress,
-                scheme: self.scheme,
-            },
-        );
-        let stats = part.stats();
-
-        // Group submatrices into per-bank queues; wave w takes each bank's
-        // w-th submatrix.
-        let mut per_bank: Vec<Vec<&SubMatrix>> = vec![Vec::new(); nbanks];
-        for s in part.submatrices() {
-            per_bank[s.bank].push(s);
-        }
-        let waves = per_bank.iter().map(Vec::len).max().unwrap_or(0);
+        let plan = WavePlan::new(a, &self.device, self.precision, self.layout, self.compress);
 
         let lanes = self.precision.lanes();
         let ebytes = self.precision.bytes();
-        let banks_per_cube = self.device.hbm.total_banks();
         let program = programs::compiled(&programs::sparse_stream_batched(
             self.precision,
             &self.mul.to_string(),
@@ -209,14 +240,13 @@ impl SpmvPim {
         let mut run = KernelRun::default();
         let mut ys = vec![vec![identity; a.nrows()]; width];
 
-        for wave in 0..waves {
+        for wave in 0..plan.waves {
             // Broadcast this wave's gathered input slices — one slice per
             // fused vector per bank (the matrix-side traversal is shared;
             // the vector-side traffic still scales with the width).
-            let bcast: usize = per_bank
-                .iter()
-                .filter_map(|q| q.get(wave))
-                .map(|s| s.input_len() * ebytes * width)
+            let bcast: usize = (0..self.device.cubes)
+                .flat_map(|cube| plan.launch(wave, cube))
+                .map(|(_, s)| s.input_len() * ebytes * width)
                 .sum();
             host.broadcast(bcast);
             mode_cycle(&mut host, program.len());
@@ -226,59 +256,51 @@ impl SpmvPim {
             let mut wave_wall = psyncpim_core::CycleBreakdown::default();
             let mut collect_bytes = 0usize;
             for cube in 0..self.device.cubes {
-                let lo = cube * banks_per_cube;
                 // Equal-rows-per-bank padding within the cube.
-                let max_nnz = (0..banks_per_cube)
-                    .filter_map(|b| per_bank[lo + b].get(wave))
-                    .map(|s| s.nnz())
-                    .max()
-                    .unwrap_or(0);
+                let max_nnz = plan.longest(wave, cube);
                 if max_nnz == 0 {
                     continue;
                 }
-                // The block-diagonal stream is `width` copies of the
-                // longest bank stream; the sentinel pair still closes it.
-                let pairs = triple_pairs(width * max_nnz, lanes);
-                let max_in = (0..banks_per_cube)
-                    .filter_map(|b| per_bank[lo + b].get(wave))
-                    .map(|s| s.input_len())
-                    .max()
-                    .unwrap_or(1)
-                    .max(1);
-                let max_out = (0..banks_per_cube)
-                    .filter_map(|b| per_bank[lo + b].get(wave))
-                    .map(|s| s.output_len())
-                    .max()
-                    .unwrap_or(1)
-                    .max(1);
+                let launch = plan.launch(wave, cube);
+                let (max_in, max_out) = launch.clone().fold((1, 1), |(i, o), (_, s)| {
+                    (i.max(s.input_len()), o.max(s.output_len()))
+                });
 
+                // The block-diagonal stream is `width` copies of each bank's
+                // stream, vector `v`'s rows and columns offset by `v` times
+                // the cube's widest output and input slice; the sentinel
+                // pair still closes it.
                 let mut engine = self.device.make_engine();
-                let mut bindings: Vec<Option<Binding>> = Vec::new();
-                for b in 0..banks_per_cube {
-                    let sub = per_bank[lo + b].get(wave);
-                    let mut entries: Vec<(u32, u32, f64)> = Vec::new();
-                    let mut xg = vec![0.0; width * max_in];
-                    if let Some(s) = sub {
-                        entries.reserve(width * s.entries.len());
-                        for (v, x) in xs.iter().enumerate() {
+                let rt = place_triples(
+                    &mut engine,
+                    width * max_nnz,
+                    self.precision,
+                    launch.clone().map(|(b, s)| {
+                        let stream = (0..width).flat_map(move |v| {
                             let (dr, dc) = ((v * max_out) as u32, (v * max_in) as u32);
-                            entries
-                                .extend(s.entries.iter().map(|e| (e.row + dr, e.col + dc, e.val)));
-                            for (i, &c) in s.cols.iter().enumerate() {
-                                xg[v * max_in + i] = self.precision.quantize(x[c as usize]);
-                            }
+                            s.entries
+                                .iter()
+                                .map(move |e| (e.row + dr, e.col + dc, e.val))
+                        });
+                        (b, stream)
+                    }),
+                );
+                let (x0, y0) = (vec![0.0; width * max_in], vec![identity; width * max_out]);
+                let mut regions = None;
+                for b in 0..engine.num_banks() {
+                    let mem = engine.mem_mut(b);
+                    regions = Some((mem.alloc_copy(ebytes, &x0), mem.alloc_copy(ebytes, &y0)));
+                }
+                let (rx, ry) = regions.expect("a cube has at least one bank");
+                for (b, s) in launch.clone() {
+                    let xg = engine.mem_mut(b).region_mut(rx).data_mut();
+                    for (v, x) in xs.iter().enumerate() {
+                        for (i, &c) in s.cols.iter().enumerate() {
+                            xg[v * max_in + i] = self.precision.quantize(x[c as usize]);
                         }
                     }
-                    let triples = pack_triples(&entries, lanes, pairs, self.precision);
-                    let mem = engine.mem_mut(b);
-                    let rt = mem.alloc(ebytes, triples);
-                    let rx = mem.alloc(ebytes, xg);
-                    let ry = mem.alloc(ebytes, vec![identity; width * max_out]);
-                    if b == 0 {
-                        bindings = batched_sparse_bindings(rt, rx, ry, lanes);
-                    }
                 }
-                engine.load_verified(&program, bindings.clone())?;
+                engine.load_verified(&program, batched_sparse_bindings(rt, rx, ry, lanes))?;
                 let report = engine.run()?;
                 wave_seconds = wave_seconds.max(report.seconds);
                 // Cubes run in parallel within a wave: the wave's cycles
@@ -298,26 +320,23 @@ impl SpmvPim {
                 // row-major (`BankPartition::build` cuts them from the
                 // row-sorted matrix in order), so each touched row is one
                 // run of equal rows.
-                let y_region = bindings[10].expect("output bound").region;
-                for b in 0..banks_per_cube {
-                    if let Some(s) = per_bank[lo + b].get(wave) {
-                        debug_assert!(s.entries.windows(2).all(|e| e[0].row <= e[1].row));
-                        let data = engine.mem(b).region(y_region).data();
-                        let mut rows = 0usize;
-                        let mut last = None;
-                        for e in &s.entries {
-                            if last == Some(e.row) {
-                                continue;
-                            }
-                            last = Some(e.row);
-                            rows += 1;
-                            let g = s.row_lo + e.row as usize;
-                            for (v, y) in ys.iter_mut().enumerate() {
-                                y[g] = self.acc.apply(data[v * max_out + e.row as usize], y[g]);
-                            }
+                for (b, s) in launch {
+                    debug_assert!(s.entries.windows(2).all(|e| e[0].row <= e[1].row));
+                    let data = engine.mem(b).region(ry).data();
+                    let mut rows = 0usize;
+                    let mut last = None;
+                    for e in &s.entries {
+                        if last == Some(e.row) {
+                            continue;
                         }
-                        collect_bytes += width * rows * (ebytes + 4);
+                        last = Some(e.row);
+                        rows += 1;
+                        let g = s.row_lo + e.row as usize;
+                        for (v, y) in ys.iter_mut().enumerate() {
+                            y[g] = self.acc.apply(data[v * max_out + e.row as usize], y[g]);
+                        }
                     }
+                    collect_bytes += width * rows * (ebytes + 4);
                 }
             }
             run.kernel_s += wave_seconds;
@@ -331,8 +350,8 @@ impl SpmvPim {
         Ok(SpmmResult {
             ys,
             run,
-            stats,
-            waves,
+            stats: plan.part.stats(),
+            waves: plan.waves,
         })
     }
 }

@@ -18,10 +18,14 @@
 //! The per-level mode switches and scale reads are the serialization cost
 //! that makes high-level-count matrices (the paper's `parabolic_fem`) slow
 //! on pSyncPIM; the model reproduces that directly.
+//!
+//! A level batch holds as many columns as one DRAM row holds scales at the
+//! runner's precision (128 for FP64, 256 for FP32). Each batch is one
+//! launch of SpMV's stream program, and its triples are laid out by the
+//! same `device::place_triples` as an SpMV wave.
 
 use crate::device::{
-    batched_sparse_bindings, mode_cycle, pack_triples, triple_pairs, write_triples, KernelRun,
-    PimDevice,
+    batched_sparse_bindings, mode_cycle, place_triples, triple_pairs, KernelRun, PimDevice,
 };
 use crate::programs;
 use crate::spmv::SpmvPim;
@@ -37,9 +41,6 @@ pub struct SptrsvPim {
     pub device: PimDevice,
     /// Element precision (the paper evaluates SpTRSV in FP64).
     pub precision: Precision,
-    /// Columns per level batch — bounded by the scales fitting one DRAM
-    /// row (1 KB / 8 B = 128 for FP64).
-    pub level_chunk: usize,
 }
 
 /// Result of a triangular solve.
@@ -62,21 +63,24 @@ impl SptrsvPim {
     /// Runner on a device at FP64.
     #[must_use]
     pub fn new(device: PimDevice) -> Self {
-        let precision = Precision::Fp64;
-        let level_chunk = device.hbm.row_bytes() / precision.bytes();
         SptrsvPim {
             device,
-            precision,
-            level_chunk,
+            precision: Precision::Fp64,
         }
+    }
+
+    /// Elements of the runner's precision in one DRAM row (128 for FP64).
+    /// It bounds both a bank's stripe of the solution vector and a level
+    /// batch, whose scales every bank holds in one row.
+    fn row_elems(&self) -> usize {
+        self.device.hbm.row_bytes() / self.precision.bytes()
     }
 
     /// Maximum diagonal-block dimension: one DRAM row of solution vector
     /// per bank across the cube (the paper's 32,768 for FP64 at 256 banks).
     #[must_use]
     pub fn max_block(&self) -> usize {
-        let per_bank = self.device.hbm.row_bytes() / self.precision.bytes();
-        per_bank * self.device.hbm.total_banks()
+        self.row_elems() * self.device.hbm.total_banks()
     }
 
     /// Solve `T x = b` on the PIM device.
@@ -206,7 +210,7 @@ impl SptrsvPim {
         let level_batches = || {
             sched
                 .iter()
-                .flat_map(|level| level.chunks(self.level_chunk))
+                .flat_map(|level| level.chunks(self.row_elems()))
         };
         let (mut widest, mut longest) = (0, 0);
         for chunk in level_batches() {
@@ -241,31 +245,19 @@ impl SptrsvPim {
             let Some(max_nnz) = streams.fill(&csc, chunk, stripe) else {
                 continue;
             };
-            let padding = pack_triples(&[], lanes, triple_pairs(max_nnz, lanes), self.precision);
-            let mut regions = None;
+            let rt = place_triples(&mut engine, max_nnz, self.precision, streams.banks());
+            let mut rs = None;
             for bank in 0..nbanks {
-                let mem = engine.mem_mut(bank);
-                regions = Some((
-                    mem.alloc_copy(ebytes, &padding),
-                    mem.alloc_copy(ebytes, &scales),
-                ));
+                rs = Some(engine.mem_mut(bank).alloc_copy(ebytes, &scales));
             }
-            let (rt, rs) = regions.expect("at least one bank");
-            for (bank, entries) in streams.banks() {
-                let triples = engine.mem_mut(bank).region_mut(rt).data_mut();
-                write_triples(triples, entries, lanes, self.precision);
-            }
+            let rs = rs.expect("at least one bank");
             let bindings = batched_sparse_bindings(rt, rs, stripe_region, lanes);
             engine.load_verified(&program, bindings)?;
             let report = engine.run()?;
             for bank in 0..nbanks {
                 engine.mem_mut(bank).truncate(batch_mark);
             }
-            run.kernel_s += report.seconds;
-            run.dram_cycles += report.dram_cycles;
-            run.absorb_wall(&report);
-            run.absorb_engine(&report);
-            run.phases += 1;
+            run.absorb_launch(&report);
         }
 
         // Read the solved stripes back into the host copy.
@@ -345,10 +337,10 @@ impl BatchStreams {
     }
 
     /// Each touched bank with its entries.
-    fn banks(&self) -> impl Iterator<Item = (usize, &[(u32, u32, f64)])> + '_ {
+    fn banks(&self) -> impl Iterator<Item = (usize, impl Iterator<Item = (u32, u32, f64)> + '_)> {
         let mut start = 0;
         self.touched.iter().map(move |&bank| {
-            let entries = &self.entries[start..self.end[bank]];
+            let entries = self.entries[start..self.end[bank]].iter().copied();
             start = self.end[bank];
             (bank, entries)
         })
@@ -426,6 +418,29 @@ mod tests {
         let want = t.solve_colwise(&b).unwrap();
         for (g, w) in res.x.iter().zip(&want) {
             assert!((g - w).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn level_batches_follow_the_runner_precision() {
+        // Two levels of 200 columns: row 200 + i depends on column i. A
+        // batch's scales fill one DRAM row, which holds 128 FP64 or 256
+        // FP32 elements.
+        let mut s = Coo::new(400, 400);
+        for i in 0..200 {
+            s.push(200 + i, i, 0.5);
+        }
+        let t = UnitTriangular::from_strict(Triangle::Lower, s).unwrap();
+        let b = gen::dense_vector(400, 6);
+        let want = t.solve_colwise(&b).unwrap();
+        let mut solver = runner();
+        for (precision, batches) in [(Precision::Fp64, 4), (Precision::Fp32, 2)] {
+            solver.precision = precision;
+            let res = solver.run(&t, &b).unwrap();
+            assert_eq!(res.level_batches, batches, "{precision:?}");
+            for (g, w) in res.x.iter().zip(&want) {
+                assert!((g - w).abs() < 1e-5, "{precision:?}: {g} vs {w}");
+            }
         }
     }
 
