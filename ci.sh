@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate: build, test, lint, format. Run before every push.
+# Local CI gate: build, test, lint, docs, format. Run before every push.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -27,6 +27,9 @@ cargo clippy --workspace --all-targets -- -D warnings \
   -D clippy::manual_let_else \
   -D clippy::needless_pass_by_value \
   -D clippy::items_after_statements
+
+echo "==> cargo doc --workspace --no-deps (deny warnings: every doc link resolves)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

@@ -6,10 +6,9 @@ use crate::{Cell, Ctx, Doc, Output};
 use psim_dram::HbmConfig;
 use psim_kernels::{layout_grid, CostModel, PimDevice, SpmvPim};
 use psim_sparse::bitmap::{bitmap_crossover_density, BitmapMatrix};
-use psim_sparse::blocked::{block_fill_ratio, Bcoo, Bcsr};
 use psim_sparse::partition::DistPolicy;
 use psim_sparse::suite::{by_name, with_tag, Tag};
-use psim_sparse::{gen, Coo, Precision};
+use psim_sparse::{gen, Precision};
 use psim_tune::Autotuner;
 
 /// Ablations of the SpMV design choices the paper argues for:
@@ -118,7 +117,7 @@ pub fn ablation_spmv(ctx: &Ctx, scale: f64) -> Output {
         ]);
     }
 
-    // Partition scheme × storage format across the fixed grid, against
+    // Partition scheme × placement policy across the fixed grid, against
     // the autotuner's per-matrix pick (DESIGN.md §17).
     doc.section(
         "[layout ablation: the fixed grid vs the autotuner]",
@@ -153,24 +152,6 @@ pub fn ablation_spmv(ctx: &Ctx, scale: f64) -> Output {
     doc.done()
 }
 
-/// Pure block-diagonal matrix with exactly `fill` of each tile's slots
-/// occupied (row-major prefix). `gen::block_diag_fem`'s inter-block
-/// coupling entries drag the measured tile fill far below the nominal
-/// one (each coupling pair opens a nearly-empty neighbor tile), which
-/// hides the storage crossover this sweep exists to show.
-fn dense_block_diag(n: usize, block: usize, fill: f64) -> Coo {
-    let mut m = Coo::new(n, n);
-    let quota = (fill * (block * block) as f64).round() as usize;
-    for b in 0..n / block {
-        let lo = b * block;
-        for k in 0..quota {
-            let (lr, lc) = (k / block, k % block);
-            m.push((lo + lr) as u32, (lo + lc) as u32, 1.0 + k as f64);
-        }
-    }
-    m
-}
-
 /// The storage footprints in KiB, and the smallest format's name.
 fn footprints(sizes: &[(usize, &'static str)]) -> Vec<Cell> {
     let winner = sizes.iter().min_by_key(|&&(b, _)| b).map_or("COO", |s| s.1);
@@ -182,15 +163,14 @@ fn footprints(sizes: &[(usize, &'static str)]) -> Vec<Cell> {
     cells
 }
 
-/// Format-footprint ablation (paper §IV-C / §VIII): COO vs bitmap vs the
-/// blocked formats (BCSR/BCOO) across the density spectrum, at the HPC
-/// (<1 %) and neural-network (10–50 %) operating points, plus the
-/// block-structured regime where tiles actually fill.
+/// Format-footprint ablation (paper §IV-C / §VIII): COO vs bitmap across
+/// the density spectrum, at the HPC (<1 %) and neural-network (10–50 %)
+/// operating points.
 pub fn ablation_format(_: &Ctx, _: f64) -> Output {
     let n = 1024usize;
     let mut doc = Doc::default();
     doc.line(format!(
-        "# Format ablation — COO vs bitmap vs blocked footprint ({n} x {n})"
+        "# Format ablation — COO vs bitmap footprint ({n} x {n})"
     ));
     doc.line(format!(
         "model crossover density: {:.3}% (positions/8 = nnz * 8)",
@@ -198,68 +178,25 @@ pub fn ablation_format(_: &Ctx, _: f64) -> Output {
     ));
     doc.table(
         "ablation-format",
-        &[
-            "density %",
-            "precision",
-            "COO KiB",
-            "bitmap KiB",
-            "BCSR4 KiB",
-            "BCOO4 KiB",
-            "winner",
-        ],
+        &["density %", "precision", "COO KiB", "bitmap KiB", "winner"],
     );
     for density in [0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.3, 0.5] {
         let nnz = ((n * n) as f64 * density) as usize;
         let mut a = gen::erdos_renyi(n, n, nnz, density.to_bits());
         a.coalesce();
         let bm = BitmapMatrix::try_from(&a).expect("coalesced");
-        let bcsr = Bcsr::from_coo(&a, 4);
-        let bcoo = Bcoo::from(&bcsr);
         for p in [Precision::Fp64, Precision::Int8] {
             let mut cells = vec![Cell::num(density * 100.0, 2), p.into()];
             cells.extend(footprints(&[
                 (a.storage_bytes(p), "COO"),
                 (bm.storage_bytes(p), "bitmap"),
-                (bcsr.storage_bytes(p), "BCSR4"),
-                (bcoo.storage_bytes(p), "BCOO4"),
             ]));
             doc.row(&cells);
         }
     }
 
-    // Random sparsity never fills tiles; the blocked formats' regime is
-    // block-structured matrices (FEM stencils, fused NN layers). Sweep
-    // tile fill at fixed nnz budget and watch the crossover.
-    doc.section(
-        "[blocked formats on block-diagonal structure (8x8 tiles)]",
-        "ablation-format-blocked",
-        &[
-            "tile fill %",
-            "measured fill8",
-            "COO KiB",
-            "BCSR8 KiB",
-            "BCOO8 KiB",
-            "winner",
-        ],
-    );
-    for fill in [0.25, 0.5, 0.75, 1.0] {
-        let a = dense_block_diag(512, 8, fill);
-        let bcsr = Bcsr::from_coo(&a, 8);
-        let p = Precision::Fp64;
-        let mut cells = vec![
-            Cell::num(fill * 100.0, 0),
-            Cell::num(block_fill_ratio(&a, 8), 2),
-        ];
-        cells.extend(footprints(&[
-            (a.storage_bytes(p), "COO"),
-            (bcsr.storage_bytes(p), "BCSR8"),
-            (Bcoo::from(&bcsr).storage_bytes(p), "BCOO8"),
-        ]));
-        doc.row(&cells);
-    }
     doc.line("");
-    doc.line("paper: COO for <1% HPC matrices; bitmap for 10-50% NN layers (SIV-C, SVIII);");
-    doc.line("blocked formats only past ~50% tile fill — the autotuner's fill threshold");
+    doc.line("paper: COO for <1% HPC matrices; bitmap for 10-50% NN layers (SIV-C, SVIII)");
     doc.done()
 }
 

@@ -29,7 +29,7 @@
 //!   failed linearizability check) is captured as [`Failure::Panic`].
 //!
 //! On the first failure the whole execution is torn down by unwinding
-//! every model thread with a private [`ModelAbort`] payload, and the
+//! every model thread with a private `ModelAbort` payload, and the
 //! [`Report`] carries the failing trail for reproduction.
 //!
 //! What this does *not* prove: the model serializes whole critical

@@ -12,12 +12,12 @@
 //! cycle channel bus — the baseline of Figures 3 and 8.
 //!
 //! Channels execute independently; the cube's wall-clock is the slowest
-//! channel. Per-channel replay lives in [`channel`] as a pure function over
+//! channel. Per-channel replay lives in `channel` as a pure function over
 //! the loaded program and the channel's own bank slice; [`Engine::run`]
 //! replays the channels in order and merges their outcomes. A plain
 //! all-bank run skips the replay of a channel whose inputs equal, bit for
 //! bit, those of an earlier channel that wrote no bank element, and takes
-//! that channel's outcome instead ([`twins`], DESIGN.md §14). Modeling notes
+//! that channel's outcome instead (`twins`, DESIGN.md §14). Modeling notes
 //! (see DESIGN.md §8): the engine tracks open rows with its own
 //! non-stalling cursor per program slot (banks that predicate off catch up
 //! within later iterations of the same rows), and host completion

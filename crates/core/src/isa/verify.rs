@@ -19,14 +19,14 @@
 //!    the unbounded `CEXIT` loop of Algorithm 2 is the intentional
 //!    exception and needs no special casing — `CEXIT` *is* an exit edge),
 //!    and live loop-ORDER reuse across overlapping loops.
-//! 2. **Abstract interpretation** ([`absint`]): a worklist fixpoint over
+//! 2. **Abstract interpretation** (`absint`): a worklist fixpoint over
 //!    the dataflow — DRF read-before-write, sparse-queue depth intervals
 //!    per sub-queue (statically guaranteed underflow = a consumer that can
 //!    never see data, statically guaranteed overflow = a push that must
 //!    stall forever; predication makes pops *optional*, so only
 //!    impossibilities are errors), and precision consistency along
 //!    def-use chains.
-//! 3. **Partial-synchrony** ([`psync`]): loop-level hazards of the
+//! 3. **Partial-synchrony** (`psync`): loop-level hazards of the
 //!    execution model itself — unbounded loops with no memory lockstep
 //!    point (`PSL014`), gather-freshness / fused-SpMM cross-read
 //!    violations (`PSL015`), and `CEXIT` loops whose watched queue can

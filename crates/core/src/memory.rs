@@ -11,8 +11,8 @@
 //! `elem_bytes` controls how many elements one 32 B burst moves and how
 //! many DRAM rows the region occupies.
 //!
-//! The processing unit reaches regions through [`BankMemory::read`] and
-//! [`BankMemory::write`], which log which elements it read and whether it
+//! The processing unit reaches regions through `BankMemory::read` and
+//! `BankMemory::write`, which log which elements it read and whether it
 //! stored anything. The engine uses that log to recognise twin channels
 //! (DESIGN.md §14); host-side accessors log nothing.
 

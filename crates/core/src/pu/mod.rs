@@ -15,7 +15,7 @@
 //! while the host keeps driving the remaining units (§IV-D).
 //!
 //! The interpreter allocates nothing per step: every DRF holds at most one
-//! datapath pass ([`MAX_LANES`] elements), so gather buffers, dense
+//! datapath pass (`MAX_LANES` elements), so gather buffers, dense
 //! operands and merge windows live on the stack or update registers in
 //! place. An all-bank command steps every PU of a channel, so this is the
 //! simulator's innermost loop.

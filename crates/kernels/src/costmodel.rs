@@ -226,9 +226,8 @@ impl CostModel {
     /// SpMV from an explicit [`Layout`]: the launches of the wave plan
     /// [`crate::SpmvPim::run_fused`] executes, each wave costed by its
     /// slowest cube. This is the tuner's per-candidate score; the layout
-    /// enters only through the plan — the format's stream (blocked
-    /// formats pay their fill as extra entries), the scheme's cut and the
-    /// policy's placement set each launch's longest bank stream.
+    /// enters only through the plan — the scheme's cut and the policy's
+    /// placement set each launch's longest bank stream.
     #[must_use]
     pub fn spmv_layout(&self, a: &Coo, precision: Precision, layout: Layout) -> CostEstimate {
         let plan = WavePlan::new(a, &self.device, precision, layout, true);

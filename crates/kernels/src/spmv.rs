@@ -14,8 +14,8 @@
 //! [`SpmvPim::run`] is its width-1 pass: one wave loop serves SpMV and
 //! fused SpMM alike.
 //!
-//! The runner executes a crate-private `WavePlan` (format expansion,
-//! partition, per-bank wave queues, each launch's banks), the plan
+//! The runner executes a crate-private `WavePlan` (partition, per-bank
+//! wave queues, each launch's banks), the plan
 //! [`crate::CostModel::spmv_layout`] prices. A launch lays out its triples
 //! with `device::place_triples`, as SpTRSV's level batches do.
 
@@ -35,11 +35,9 @@ pub struct SpmvPim {
     /// Element precision (the paper runs most matrices FP64 but exploits
     /// INT8 on `soc-sign-epinions` and `Stanford`).
     pub precision: Precision,
-    /// Storage format, partition scheme and bank placement the matrix
-    /// executes from ([`Layout::baseline`] is the paper's). Element
-    /// formats (COO/CSR) stream the true non-zeros; blocked formats
-    /// (BCSR/BCOO) stream their tiles with fill zeros — sound only for the
-    /// arithmetic semiring, which [`SpmvPim::run_fused`] asserts.
+    /// Partition scheme and bank placement the matrix executes from
+    /// ([`Layout::baseline`] is the paper's). Every layout streams the
+    /// true non-zeros, so every layout is sound under every semiring.
     pub layout: Layout,
     /// Semiring multiply (applied to `val ⊙ x[col]`); MUL for arithmetic
     /// SpMV.
@@ -65,7 +63,7 @@ pub struct SpmvResult {
     pub waves: usize,
 }
 
-/// SpMV's launch plan (§V): a layout's execution stream cut into
+/// SpMV's launch plan (§V): the matrix's entry stream cut by a layout into
 /// submatrices across the device's banks, each bank's submatrices queued
 /// as sequential waves. Launch (`wave`, `cube`) runs the cube's banks on
 /// their `wave`-th submatrices; the cubes of a wave run in parallel.
@@ -79,8 +77,7 @@ pub(crate) struct WavePlan {
 }
 
 impl WavePlan {
-    /// Expand `a` into `layout`'s format and partition it across
-    /// `device`'s banks.
+    /// Partition `a` across `device`'s banks by `layout`.
     pub(crate) fn new(
         a: &Coo,
         device: &PimDevice,
@@ -88,9 +85,8 @@ impl WavePlan {
         layout: Layout,
         compress: bool,
     ) -> Self {
-        let expanded = layout.format.expand(a);
         let part = BankPartition::build(
-            expanded.as_ref().unwrap_or(a),
+            a,
             PartitionConfig {
                 num_banks: device.total_banks(),
                 row_bytes: device.hbm.row_bytes(),
@@ -165,7 +161,7 @@ impl SpmvPim {
         }
     }
 
-    /// Adopt a tuned [`Layout`] (format, scheme, policy) wholesale.
+    /// Adopt a tuned [`Layout`] (scheme, policy) wholesale.
     #[must_use]
     pub fn with_layout(mut self, layout: Layout) -> Self {
         self.layout = layout;
@@ -217,14 +213,6 @@ impl SpmvPim {
                 a.ncols()
             )));
         }
-        // Blocked fill zeros are inert only when 0·x is the accumulator
-        // identity — the arithmetic semiring. Min/Max accumulation would
-        // absorb the fill, so refuse rather than corrupt.
-        assert!(
-            !self.layout.format.is_blocked()
-                || (self.mul == BinaryOp::Mul && self.acc == BinaryOp::Add),
-            "blocked formats require the arithmetic (Mul, Add) semiring"
-        );
         let plan = WavePlan::new(a, &self.device, self.precision, self.layout, self.compress);
 
         let lanes = self.precision.lanes();

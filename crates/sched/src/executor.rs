@@ -9,7 +9,7 @@
 //! service time of every job it runs, and a run's makespan is the latest
 //! lane finish instead of the serial sum. [`ShardExecutor`] holds the
 //! configuration and the shard device; the lanes live in the service's
-//! [`LaneEngine`], which every admission window feeds. A closed batch is
+//! `LaneEngine`, which every admission window feeds. A closed batch is
 //! a service run whose one window admits every queued job.
 //!
 //! Three service-mode optimizations live here:
@@ -23,14 +23,12 @@
 //!   *leader* and carries the real [`KernelRun`]; followers carry zeroed
 //!   accounting (cycle conservation holds run-wide) but the group's
 //!   service time (their latency is real).
-//! * **Layout tuning** — every SpMV group, of any width, runs from the
-//!   layout (storage format, partition scheme, placement policy)
+//! * **Layout tuning** — every SpMV group, of any width and semiring,
+//!   runs from the layout (partition scheme, placement policy)
 //!   [`psim_tune::Autotuner`] picks for its matrix on the shard device,
 //!   decided once per live matrix when the group is dealt (see
-//!   [`LayoutMemo`]). Semirings other than `(Mul, Add)` keep the tuned
-//!   scheme and policy but run the element format: blocked zero-fill is
-//!   only sound under the arithmetic semiring. Every layout computes the
-//!   same product; tuned results agree with the baseline layout to
+//!   `LayoutMemo`). Every layout streams the true non-zeros and computes
+//!   the same product; tuned results agree with the baseline layout to
 //!   floating-point summation order (the differential oracle bounds the
 //!   drift at 1e-9).
 //! * **Work stealing** — jobs are dealt to per-lane deques by projected
@@ -53,7 +51,7 @@ use std::sync::{Arc, Weak};
 
 use psim_kernels::blas1::Blas1Pim;
 use psim_kernels::{KernelRun, PimDevice, SpmvPim, SptrsvPim, MAX_SPMM_WIDTH};
-use psim_sparse::{Coo, Layout, MatrixFormat, Precision};
+use psim_sparse::{Coo, Layout, Precision};
 use psim_tune::Autotuner;
 use psyncpim_core::isa::BinaryOp;
 use psyncpim_core::CoreError;
@@ -333,13 +331,7 @@ impl ShardExecutor {
 /// The fusion identity of an SpMV job: matrix identity (by `Arc` pointer
 /// — same handle, not merely equal contents), semiring, precision, class.
 /// `None` for every other kind.
-type FusionKey = (
-    *const psim_sparse::Coo,
-    psyncpim_core::isa::BinaryOp,
-    psyncpim_core::isa::BinaryOp,
-    psim_sparse::Precision,
-    JobClass,
-);
+type FusionKey = (*const Coo, BinaryOp, BinaryOp, Precision, JobClass);
 
 fn fusion_key(job: &Job) -> Option<FusionKey> {
     match &job.spec.kind {
@@ -405,30 +397,17 @@ struct LayoutMemo {
 
 impl LayoutMemo {
     /// The layout an SpMV job on `a` runs from on `device`: the tuner's
-    /// choice, in the element format for semirings other than
-    /// `(Mul, Add)` (blocked zero-fill is only sound under the arithmetic
-    /// semiring).
-    fn layout(
-        &mut self,
-        device: &PimDevice,
-        a: &Arc<Coo>,
-        precision: Precision,
-        mul: BinaryOp,
-        acc: BinaryOp,
-    ) -> Layout {
+    /// choice, whatever the job's semiring.
+    fn layout(&mut self, device: &PimDevice, a: &Arc<Coo>, precision: Precision) -> Layout {
         let key = (Arc::as_ptr(a) as usize, precision);
-        let mut layout = match self.entries.get(&key) {
+        match self.entries.get(&key) {
             Some((matrix, layout)) if matrix.strong_count() > 0 => *layout,
             _ => {
                 let choice = Autotuner::new(device).decide(a, precision).choice;
                 self.entries.insert(key, (Arc::downgrade(a), choice));
                 choice
             }
-        };
-        if (mul, acc) != (BinaryOp::Mul, BinaryOp::Add) {
-            layout.format = MatrixFormat::Coo;
         }
-        layout
     }
 
     /// Forget every entry whose matrix has been dropped.
@@ -511,10 +490,8 @@ impl LaneEngine {
         let scale = self.scale();
         for mut group in exec.fuse_batch(jobs) {
             let leader = &group.jobs[0].spec;
-            if let JobKind::Spmv { a, mul, acc, .. } = &leader.kind {
-                group.layout =
-                    self.layouts
-                        .layout(&exec.shard_device, a, leader.precision, *mul, *acc);
+            if let JobKind::Spmv { a, .. } = &leader.kind {
+                group.layout = self.layouts.layout(&exec.shard_device, a, leader.precision);
             }
             let lane = (0..self.lanes.len())
                 .min_by(|&a, &b| {
@@ -902,8 +879,8 @@ mod tests {
     #[test]
     fn autotuned_executor_preserves_values_and_memoizes() {
         // Adversarial shapes that exercise non-baseline tuner choices:
-        // hub rows (balancing rules) and near-dense blocks (blocked
-        // candidates). Tuned jobs must return the baseline layout's
+        // hub rows (balancing rules) and near-dense blocks (locally dense
+        // tiles). Tuned jobs must return the baseline layout's
         // values — layouts change the schedule, not the product — and
         // each Arc-identical matrix is tuned only once.
         let hubs = Arc::new(psim_sparse::adversarial::power_law_hubs(96, 800, 3, 5));
@@ -922,13 +899,9 @@ mod tests {
             2,
             "one memoized decision per distinct matrix handle"
         );
-        let l = engine.layouts.layout(
-            exec.shard_device(),
-            &hubs,
-            Precision::Fp64,
-            BinaryOp::Mul,
-            BinaryOp::Add,
-        );
+        let l = engine
+            .layouts
+            .layout(exec.shard_device(), &hubs, Precision::Fp64);
         assert_ne!(
             l,
             Layout::baseline(),
@@ -954,27 +927,24 @@ mod tests {
     }
 
     #[test]
-    fn autotune_forces_element_format_for_exotic_semirings() {
-        // Tropical (min-plus) SpMV: blocked zero-fill would corrupt the
-        // result (an explicit 0 is not the semiring identity), so the
-        // tuned layout must fall back to an element format while keeping
-        // the tuned scheme/policy. Seed the memo with a blocked decision
-        // directly — whether the tuner *would* pick blocked for this
-        // matrix is a cost question; the safety demotion must hold for
-        // any memoized layout.
-        let a = Arc::new(psim_sparse::adversarial::near_dense_blocks(64, 8, 4, 11));
-        let x: Vec<f64> = (0..64).map(|i| (i % 7) as f64).collect();
-        let blocked = Layout {
-            format: MatrixFormat::Bcsr { block: 4 },
-            scheme: psim_sparse::PartitionScheme::Balanced2D { col_blocks: 2 },
-            policy: psim_sparse::DistPolicy::LeastLoaded,
-        };
+    fn tropical_jobs_run_from_the_tuned_layout() {
+        // Every layout streams the true non-zeros, so a tropical
+        // (min-plus) job is dealt the tuner's own layout like an
+        // arithmetic one. Min-accumulation is order-insensitive and
+        // per-entry Add is exact, so the tuned layout's values match the
+        // baseline layout's bit for bit.
+        let a = Arc::new(psim_sparse::adversarial::power_law_hubs(96, 800, 3, 5));
+        let x: Vec<f64> = (0..a.ncols()).map(|i| (i % 7) as f64).collect();
         let exec = ShardExecutor::new(ExecutorConfig::sharded(PimDevice::tiny(2), 1)).unwrap();
-        let mut engine = LaneEngine::new(1);
-        engine.layouts.entries.insert(
-            (Arc::as_ptr(&a) as usize, Precision::Fp64),
-            (Arc::downgrade(&a), blocked),
+        let tuned = Autotuner::new(exec.shard_device())
+            .decide(&a, Precision::Fp64)
+            .choice;
+        assert_ne!(
+            tuned,
+            Layout::baseline(),
+            "hub rows tune away from baseline"
         );
+        let mut engine = LaneEngine::new(1);
         let tropical = JobKind::Spmv {
             a: Arc::clone(&a),
             x: x.clone(),
@@ -988,26 +958,7 @@ mod tests {
                 spec: JobSpec::batch("t0", tropical),
             }],
         );
-        let l = engine.lanes[0][0].layout;
-        assert!(
-            !l.format.is_blocked(),
-            "non-arithmetic semirings must not execute from a zero-filled blocked stream: {}",
-            l.label()
-        );
-        assert_eq!(l.scheme, blocked.scheme, "the tuned scheme survives");
-        assert_eq!(l.policy, blocked.policy, "the tuned policy survives");
-        // The arithmetic view of the same memo entry stays blocked.
-        let arith = engine.layouts.layout(
-            exec.shard_device(),
-            &a,
-            Precision::Fp64,
-            BinaryOp::Mul,
-            BinaryOp::Add,
-        );
-        assert_eq!(arith, blocked);
-        // min-accumulation is order-insensitive and per-entry Add is
-        // exact, so the demoted layout's values match the baseline
-        // bit-for-bit.
+        assert_eq!(engine.lanes[0][0].layout, tuned);
         let mut done = Vec::new();
         engine
             .run_until_dry(&exec, &mut |job| done.push(job))
@@ -1021,7 +972,9 @@ mod tests {
         .run(&a, &x)
         .unwrap()
         .y;
-        assert_eq!(done[0].value, JobValue::Vector(want));
+        let got = done[0].value.as_vector().unwrap();
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(&want));
     }
 
     #[test]

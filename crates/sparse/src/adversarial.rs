@@ -4,7 +4,7 @@
 //! these generators instead target the structures most likely to break a
 //! layout or partitioner: extreme row skew (one bank gets everything),
 //! arrow matrices (a dense border row/column crossing every column
-//! block), near-dense tiles (blocked formats at fill ≈ 1), and
+//! block), near-dense tiles (locally dense structure at fill ≈ 1), and
 //! empty-row/column extremes (the `PartitionStats::imbalance` NaN
 //! regression, zero-column compression with nothing to compress).
 //!
@@ -74,9 +74,8 @@ pub fn arrow(n: usize, noise: usize, seed_salt: u64) -> Coo {
 }
 
 /// A few nearly-dense `block × block` tiles scattered on an otherwise
-/// empty matrix — block fill ratio close to 1 inside the tiles, so a
-/// blocked format should win outright while element formats pay per-entry
-/// metadata for every slot.
+/// empty matrix — block fill ratio close to 1 inside the tiles: the
+/// locally dense structure of FEM stencils and multibody blocks.
 #[must_use]
 pub fn near_dense_blocks(n: usize, block: usize, tiles: usize, seed_salt: u64) -> Coo {
     let mut rng =
@@ -183,9 +182,15 @@ mod tests {
 
     #[test]
     fn near_dense_blocks_fill_their_tiles() {
+        // Tile fill: distinct positions over the slots of every 8 × 8
+        // tile holding an entry (the matrix is coalesced and 64 is a
+        // multiple of 8, so each entry is one position of a full tile).
         let m = near_dense_blocks(64, 8, 3, 3);
-        let fill = crate::blocked::block_fill_ratio(&m, 8);
-        assert!(fill > 0.3, "blocked shape should fill tiles: {fill:.2}");
+        let mut tiles: Vec<(u32, u32)> = m.iter().map(|e| (e.row / 8, e.col / 8)).collect();
+        tiles.sort_unstable();
+        tiles.dedup();
+        let fill = m.nnz() as f64 / (tiles.len() * 64) as f64;
+        assert!(fill > 0.3, "dense-block shape should fill tiles: {fill:.2}");
     }
 
     #[test]

@@ -110,14 +110,6 @@ impl Csr {
         self.col_idx.len()
     }
 
-    /// Storage footprint at the given value precision: values plus 4-byte
-    /// column indices plus 8-byte row pointers (cf.
-    /// [`Coo::storage_bytes`], which pays a 4-byte row id per entry).
-    #[must_use]
-    pub fn storage_bytes(&self, precision: crate::Precision) -> usize {
-        self.values.len() * precision.bytes() + self.col_idx.len() * 4 + self.row_ptr.len() * 8
-    }
-
     /// Row pointer array (`nrows + 1` entries).
     #[must_use]
     pub fn row_ptr(&self) -> &[usize] {

@@ -1,107 +1,20 @@
-//! The layout zoo: storage format × partition scheme × placement policy.
+//! The layout zoo: partition scheme × placement policy.
 //!
 //! A [`Layout`] is the unit the autotuner picks and the kernels execute
-//! from. Formats manifest on the PIM side as *entry streams*: element
-//! formats (COO/CSR) stream the true non-zeros, blocked formats
-//! (BCSR/BCOO) stream every in-bounds slot of their tiles, fill zeros
-//! included ([`MatrixFormat::expand`]). The partition scheme then cuts
-//! that stream ([`PartitionScheme::column_bounds`]) and the policy places
-//! the pieces — so every layout runs through the *same* wave machinery,
-//! stream-program builders and protocol lints; layouts change the cut and
-//! the stored bytes, never the kernel.
-//!
-//! Blocked expansion is only sound for the arithmetic semiring: a fill
-//! zero contributes `0·x = 0`, the `Add` identity. Under `Min`/`Max`
-//! accumulation a fill zero is *not* inert, so kernels must refuse (or
-//! fall back to COO for) blocked layouts there — `psim_kernels` asserts
-//! exactly that.
+//! from. Every layout streams the matrix's true non-zeros to the banks as
+//! COO triples (paper §V), so a storage format could only add fill
+//! entries or change host-side metadata; it is not a layout axis. The
+//! partition scheme cuts the stream ([`PartitionScheme::column_bounds`])
+//! and the policy places the pieces — so every layout runs through the
+//! *same* wave machinery, stream-program builders and protocol lints,
+//! under every semiring; layouts change the cut, never the kernel.
 
-use crate::blocked::{Bcoo, Bcsr};
 use crate::partition::{DistPolicy, PartitionScheme};
-use crate::{Coo, Csr, Precision};
 use serde::{Deserialize, Serialize};
-
-/// Storage format of a matrix resident in the `MatrixStore`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MatrixFormat {
-    /// Element coordinate list — the substrate format, zero conversion.
-    #[default]
-    Coo,
-    /// Compressed sparse row — same entry stream as COO, cheaper
-    /// metadata (one row pointer per row instead of a row id per entry).
-    Csr,
-    /// Block CSR with square `block × block` tiles.
-    Bcsr {
-        /// Tile edge length.
-        block: usize,
-    },
-    /// Block COO with square `block × block` tiles.
-    Bcoo {
-        /// Tile edge length.
-        block: usize,
-    },
-}
-
-impl MatrixFormat {
-    /// Whether this format stores fill (explicit zeros) in tiles.
-    #[must_use]
-    pub fn is_blocked(&self) -> bool {
-        matches!(self, MatrixFormat::Bcsr { .. } | MatrixFormat::Bcoo { .. })
-    }
-
-    /// Tile edge length, when blocked.
-    #[must_use]
-    pub fn block(&self) -> Option<usize> {
-        match *self {
-            MatrixFormat::Bcsr { block } | MatrixFormat::Bcoo { block } => Some(block),
-            _ => None,
-        }
-    }
-
-    /// The entry stream this format executes on a PIM device: `None`
-    /// means "use the COO as-is" (element formats stream identical
-    /// entries); blocked formats materialize their fill
-    /// ([`Bcsr::to_coo_filled`]). BCSR and BCOO expand to the same
-    /// stream — they differ in [`MatrixFormat::storage_bytes`], not in
-    /// execution.
-    #[must_use]
-    pub fn expand(&self, a: &Coo) -> Option<Coo> {
-        match *self {
-            MatrixFormat::Coo | MatrixFormat::Csr => None,
-            MatrixFormat::Bcsr { block } | MatrixFormat::Bcoo { block } => {
-                Some(Bcsr::from_coo(a, block).to_coo_filled())
-            }
-        }
-    }
-
-    /// Host-side storage footprint of `a` held in this format.
-    #[must_use]
-    pub fn storage_bytes(&self, a: &Coo, precision: Precision) -> usize {
-        match *self {
-            MatrixFormat::Coo => a.storage_bytes(precision),
-            MatrixFormat::Csr => Csr::from(a).storage_bytes(precision),
-            MatrixFormat::Bcsr { block } => Bcsr::from_coo(a, block).storage_bytes(precision),
-            MatrixFormat::Bcoo { block } => Bcoo::from_coo(a, block).storage_bytes(precision),
-        }
-    }
-
-    /// Short label for reports (`coo`, `csr`, `bcsr4`, `bcoo8`).
-    #[must_use]
-    pub fn label(&self) -> String {
-        match *self {
-            MatrixFormat::Coo => "coo".to_string(),
-            MatrixFormat::Csr => "csr".to_string(),
-            MatrixFormat::Bcsr { block } => format!("bcsr{block}"),
-            MatrixFormat::Bcoo { block } => format!("bcoo{block}"),
-        }
-    }
-}
 
 /// One point in the layout space: what the tuner picks per matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Layout {
-    /// Storage format.
-    pub format: MatrixFormat,
     /// Partition scheme (1D row strips or a 2D column-blocked variant).
     pub scheme: PartitionScheme,
     /// Bank placement policy.
@@ -109,88 +22,42 @@ pub struct Layout {
 }
 
 impl Layout {
-    /// The paper's baseline: COO entries, 1D row strips, round-robin.
+    /// The paper's baseline: 1D row strips, round-robin.
     #[must_use]
     pub fn baseline() -> Layout {
         Layout::default()
     }
 
-    /// Short label for reports, e.g. `bcsr4/bal2d(4)/ll`.
+    /// Short label for reports, e.g. `bal2d(4)/ll`.
     #[must_use]
     pub fn label(&self) -> String {
         let policy = match self.policy {
             DistPolicy::RoundRobin => "rr",
             DistPolicy::LeastLoaded => "ll",
         };
-        format!("{}/{}/{}", self.format.label(), self.scheme.label(), policy)
+        format!("{}/{policy}", self.scheme.label())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen;
-
-    #[test]
-    fn element_formats_do_not_expand() {
-        let a = gen::rmat(64, 3, 1);
-        assert!(MatrixFormat::Coo.expand(&a).is_none());
-        assert!(MatrixFormat::Csr.expand(&a).is_none());
-    }
-
-    #[test]
-    fn blocked_expansion_preserves_the_product() {
-        let a = gen::banded_fem(70, 4, 3, 2);
-        let x = gen::dense_vector(70, 1);
-        let want = a.spmv(&x);
-        for fmt in [
-            MatrixFormat::Bcsr { block: 4 },
-            MatrixFormat::Bcoo { block: 4 },
-        ] {
-            let filled = fmt.expand(&a).expect("blocked formats expand");
-            assert!(filled.nnz() >= a.nnz(), "fill only adds entries");
-            for (g, w) in filled.spmv(&x).iter().zip(&want) {
-                assert!((g - w).abs() < 1e-9, "{}", fmt.label());
-            }
-        }
-        // BCSR and BCOO execute the same stream.
-        let b = MatrixFormat::Bcsr { block: 4 }.expand(&a).unwrap();
-        let c = MatrixFormat::Bcoo { block: 4 }.expand(&a).unwrap();
-        assert_eq!(b, c);
-    }
-
-    #[test]
-    fn storage_bytes_rank_formats_sensibly() {
-        // Banded FEM at block 4: blocked beats COO on metadata; CSR beats
-        // COO (row pointers < per-entry row ids).
-        let a = gen::banded_fem(256, 4, 3, 8);
-        let p = Precision::Fp32;
-        let coo = MatrixFormat::Coo.storage_bytes(&a, p);
-        let csr = MatrixFormat::Csr.storage_bytes(&a, p);
-        assert!(csr < coo, "csr {csr} vs coo {coo}");
-        // Scattered R-MAT at block 8: fill explodes blocked storage.
-        let r = gen::rmat(256, 2, 1);
-        let bcsr = MatrixFormat::Bcsr { block: 8 }.storage_bytes(&r, p);
-        assert!(bcsr > MatrixFormat::Coo.storage_bytes(&r, p));
-    }
 
     #[test]
     fn labels_are_distinct_across_the_grid() {
         let grid = [
             Layout::baseline(),
             Layout {
-                format: MatrixFormat::Bcsr { block: 4 },
                 scheme: PartitionScheme::Balanced2D { col_blocks: 4 },
                 policy: DistPolicy::LeastLoaded,
             },
             Layout {
-                format: MatrixFormat::Bcoo { block: 4 },
                 scheme: PartitionScheme::Grid2D { col_blocks: 2 },
                 policy: DistPolicy::RoundRobin,
             },
         ];
         let mut labels: Vec<String> = grid.iter().map(Layout::label).collect();
-        assert_eq!(labels[0], "coo/1d/rr");
+        assert_eq!(labels[0], "1d/rr");
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), grid.len());

@@ -28,7 +28,6 @@
 pub mod adversarial;
 pub mod bitmap;
 pub mod blockdecomp;
-pub mod blocked;
 pub mod coo;
 pub mod csc;
 pub mod csr;
@@ -47,13 +46,12 @@ pub mod triangular;
 
 pub use bitmap::BitmapMatrix;
 pub use blockdecomp::{BlockPlan, BlockStep};
-pub use blocked::{Bcoo, Bcsr};
 pub use coo::{Coo, Entry};
 pub use csc::Csc;
 pub use csr::Csr;
 pub use dense::SparseVec;
 pub use error::SparseError;
-pub use layout::{Layout, MatrixFormat};
+pub use layout::Layout;
 pub use level::LevelSchedule;
 pub use partition::{BankPartition, DistPolicy, PartitionConfig, PartitionScheme, PartitionStats};
 pub use precision::Precision;

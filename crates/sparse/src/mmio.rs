@@ -17,8 +17,9 @@ use std::path::Path;
 ///
 /// # Errors
 ///
-/// Returns [`SparseError::Parse`] on malformed input and
-/// [`SparseError::IndexOutOfBounds`] on out-of-range indices.
+/// Returns [`SparseError::Parse`] on malformed input, including an index
+/// past the `u32` coordinate range, and [`SparseError::IndexOutOfBounds`]
+/// on indices outside the declared size.
 pub fn read_str(text: &str) -> Result<Coo, SparseError> {
     let mut lines = text.lines();
     let header = lines
@@ -62,13 +63,11 @@ pub fn read_str(text: &str) -> Result<Coo, SparseError> {
                 .parse()
                 .map_err(|e| SparseError::Parse(format!("bad value: {e}")))?
         };
-        if r == 0 || c == 0 {
-            return Err(SparseError::Parse("indices are 1-based".to_string()));
-        }
-        coo.try_push((r - 1) as u32, (c - 1) as u32, v)?;
+        let (row, col) = (zero_based(r, "row")?, zero_based(c, "col")?);
+        coo.try_push(row, col, v)?;
         if (symmetric || skew) && r != c {
             let mv = if skew { -v } else { v };
-            coo.try_push((c - 1) as u32, (r - 1) as u32, mv)?;
+            coo.try_push(col, row, mv)?;
         }
         count += 1;
     }
@@ -110,6 +109,15 @@ pub fn write_str(m: &Coo) -> String {
 /// Returns [`SparseError::Parse`] wrapping I/O failures.
 pub fn write_file(m: &Coo, path: impl AsRef<Path>) -> Result<(), SparseError> {
     fs::write(path.as_ref(), write_str(m)).map_err(|e| SparseError::Parse(format!("io error: {e}")))
+}
+
+/// A 1-based MatrixMarket index as a 0-based `u32` coordinate.
+fn zero_based(index: usize, what: &str) -> Result<u32, SparseError> {
+    let i = index
+        .checked_sub(1)
+        .ok_or_else(|| SparseError::Parse("indices are 1-based".to_string()))?;
+    u32::try_from(i)
+        .map_err(|_| SparseError::Parse(format!("{what} index {index} exceeds the u32 range")))
 }
 
 fn parse_tok<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, SparseError>
@@ -167,6 +175,11 @@ mod tests {
         assert!(read_str("%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 5\n").is_err());
         assert!(read_str("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 5\n").is_err());
         assert!(read_str("%%MatrixMarket matrix coordinate real general\n2 2 1\n9 1 5\n").is_err());
+        // An index past u32 must not wrap to a low row.
+        assert!(read_str(
+            "%%MatrixMarket matrix coordinate real general\n8589934592 4 1\n4294967297 1 1.0\n"
+        )
+        .is_err());
     }
 
     #[test]

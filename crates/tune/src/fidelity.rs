@@ -45,7 +45,7 @@ pub fn corpus(n: usize) -> Vec<(String, Coo)> {
 /// One layout's outcome on one matrix.
 #[derive(Debug, Clone, Serialize)]
 pub struct LayoutCell {
-    /// Layout label (`format/scheme/policy`).
+    /// Layout label (`scheme/policy`).
     pub label: String,
     /// Simulated DRAM cycles.
     pub sim_cycles: u64,

@@ -1,26 +1,26 @@
-//! Format & partitioning autotuner.
+//! Partitioning autotuner.
 //!
 //! SparseP's central finding (PAPERS.md) is that no single (format,
 //! partitioning) wins across matrices on real PIM: row-balanced 1D is
 //! right for even matrices, nnz-balanced placement for skewed ones, 2D
-//! column blocking for hub-dominated ones, blocked formats for locally
-//! dense ones. The paper under reproduction fixes one layout (COO
-//! entries, 1D row strips, round-robin); ROADMAP item 3 calls for the
-//! tuner that picks per matrix instead.
+//! column blocking for hub-dominated ones. Its formats matter because
+//! UPMEM cores walk each one in software; here every layout streams the
+//! same COO triples (DESIGN.md §17), so a layout is a partition scheme and
+//! a placement policy. The paper under reproduction fixes one layout (1D
+//! row strips, round-robin); the tuner picks one per matrix instead.
 //!
 //! The decision procedure is two-stage (DESIGN.md §17):
 //!
 //! 1. **Rule shortlist** from O(nnz) structural statistics
-//!    ([`psim_sparse::MatrixStats`], [`psim_sparse::blocked::block_fill_ratio`],
-//!    column skew): each triggered rule adds candidate [`Layout`]s and a
-//!    human-readable reason. The baseline layout is always a candidate, so
-//!    the tuner can never do worse than the paper's fixed choice *by its
-//!    own estimate*.
+//!    ([`psim_sparse::MatrixStats`], column skew): each triggered rule
+//!    adds candidate [`Layout`]s and a human-readable reason. The baseline
+//!    layout is always a candidate, so the tuner can never do worse than
+//!    the paper's fixed choice *by its own estimate*.
 //! 2. **Analytical scoring**: every candidate is costed by
 //!    [`psim_kernels::CostModel::spmv_layout`] — an O(nnz) model of the
 //!    kernels' own partition walk — and the lowest predicted cycle count
-//!    wins; storage bytes break ties, shortlist order breaks exact ties
-//!    (keeping decisions deterministic).
+//!    wins; shortlist order breaks exact ties (keeping decisions
+//!    deterministic).
 //!
 //! The tuner never runs the cycle engine: tuning a matrix costs a few
 //! partition walks, which is why the scheduler can afford to tune every
@@ -31,9 +31,8 @@
 pub mod fidelity;
 
 use psim_kernels::{CostModel, PimDevice};
-use psim_sparse::blocked::block_fill_ratio;
 use psim_sparse::partition::{DistPolicy, PartitionScheme};
-use psim_sparse::{Coo, Layout, MatrixFormat, MatrixStats, Precision};
+use psim_sparse::{Coo, Layout, MatrixStats, Precision};
 use serde::Serialize;
 
 /// The cheap structural features a decision is made from.
@@ -43,10 +42,6 @@ pub struct TuneFeatures {
     pub stats: MatrixStats,
     /// Column-length skew: `max / mean` over non-empty columns.
     pub col_skew: f64,
-    /// Block-fill ratio at block size 4.
-    pub fill4: f64,
-    /// Block-fill ratio at block size 8.
-    pub fill8: f64,
 }
 
 impl TuneFeatures {
@@ -60,8 +55,6 @@ impl TuneFeatures {
         TuneFeatures {
             stats: MatrixStats::analyze(a),
             col_skew: if mean > 0.0 { max as f64 / mean } else { 1.0 },
-            fill4: block_fill_ratio(a, 4),
-            fill8: block_fill_ratio(a, 8),
         }
     }
 }
@@ -71,12 +64,10 @@ impl TuneFeatures {
 pub struct CandidateScore {
     /// The layout.
     pub layout: Layout,
-    /// Short label (`format/scheme/policy`).
+    /// Short label (`scheme/policy`).
     pub label: String,
     /// Predicted DRAM cycles ([`CostModel::spmv_layout`]).
     pub cycles: u64,
-    /// Host storage footprint of the matrix in this format.
-    pub storage_bytes: usize,
 }
 
 /// The tuner's verdict for one matrix.
@@ -84,12 +75,10 @@ pub struct CandidateScore {
 pub struct TuneDecision {
     /// The winning layout.
     pub choice: Layout,
-    /// Its label (`format/scheme/policy`).
+    /// Its label (`scheme/policy`).
     pub label: String,
     /// Predicted cycles of the winner.
     pub est_cycles: u64,
-    /// Recommended executor shard count (power of two, capacity-driven).
-    pub shards: usize,
     /// The features the shortlist was built from.
     pub features: TuneFeatures,
     /// Every rule that fired, in order.
@@ -102,14 +91,12 @@ pub struct TuneDecision {
 #[derive(Debug, Clone)]
 pub struct Autotuner {
     model: CostModel,
-    total_banks: usize,
 }
 
 /// Rule thresholds. Calibrated on the ablation grid (see [`fidelity`]):
 /// chosen so each rule fires on the shape family it targets and stays
 /// quiet on the benchmark suite's even matrices.
 const SKEW_THRESHOLD: f64 = 3.0;
-const FILL_THRESHOLD: f64 = 0.5;
 const HUB_COL_THRESHOLD: f64 = 4.0;
 
 impl Autotuner {
@@ -118,7 +105,6 @@ impl Autotuner {
     pub fn new(device: &PimDevice) -> Autotuner {
         Autotuner {
             model: CostModel::new(device),
-            total_banks: device.total_banks(),
         }
     }
 
@@ -140,19 +126,17 @@ impl Autotuner {
                 layout,
                 label: layout.label(),
                 cycles: self.model.spmv_layout(a, precision, layout).cycles,
-                storage_bytes: layout.format.storage_bytes(a, precision),
             })
             .collect();
-        // Deterministic ranking: cycles, then storage, then shortlist
-        // order (sort is stable, so exact ties keep rule order).
-        scored.sort_by_key(|c| (c.cycles, c.storage_bytes));
+        // Deterministic ranking: cycles, then shortlist order (the sort
+        // is stable, so exact ties keep rule order).
+        scored.sort_by_key(|c| c.cycles);
 
         let best = &scored[0];
         TuneDecision {
             choice: best.layout,
             label: best.label.clone(),
             est_cycles: best.cycles,
-            shards: self.recommend_shards(&features),
             features,
             reasons,
             candidates: scored,
@@ -169,19 +153,7 @@ impl Autotuner {
             }
         }
         let mut layouts = vec![Layout::baseline()];
-        let mut reasons = vec!["baseline: coo/1d/rr is always a candidate".to_string()];
-
-        // CSR rides along free: identical execution stream, leaner
-        // host-side metadata — it can only win the storage tie-break.
-        add(
-            &mut layouts,
-            Layout {
-                format: MatrixFormat::Csr,
-                ..Layout::baseline()
-            },
-            "csr: same stream as coo, leaner metadata".to_string(),
-            &mut reasons,
-        );
+        let mut reasons = vec!["baseline: 1d/rr is always a candidate".to_string()];
 
         // 2D column blocks when hub rows/columns concentrate work: the
         // cut splits a heavy strip across column blocks, shrinking the
@@ -193,7 +165,6 @@ impl Autotuner {
                 Layout {
                     scheme: PartitionScheme::Balanced2D { col_blocks: k },
                     policy: DistPolicy::LeastLoaded,
-                    ..Layout::baseline()
                 },
                 format!(
                     "row skew {:.1} ≥ {SKEW_THRESHOLD}: nnz-balanced 2D + least-loaded",
@@ -235,43 +206,6 @@ impl Autotuner {
                     "scattered pattern (band {:.2}): equally-wide 2D localizes x",
                     f.stats.normalized_bandwidth
                 ),
-                &mut reasons,
-            );
-        }
-
-        // Blocked formats when tiles actually fill: the fill tax is
-        // bounded by 1/fill, and block metadata amortizes.
-        if f.fill4 >= FILL_THRESHOLD {
-            add(
-                &mut layouts,
-                Layout {
-                    format: MatrixFormat::Bcsr { block: 4 },
-                    ..Layout::baseline()
-                },
-                format!(
-                    "fill4 {:.2} ≥ {FILL_THRESHOLD}: bcsr(4) amortizes metadata",
-                    f.fill4
-                ),
-                &mut reasons,
-            );
-            add(
-                &mut layouts,
-                Layout {
-                    format: MatrixFormat::Bcoo { block: 4 },
-                    ..Layout::baseline()
-                },
-                "fill4: bcoo(4) rides the storage tie-break".to_string(),
-                &mut reasons,
-            );
-        }
-        if f.fill8 >= FILL_THRESHOLD {
-            add(
-                &mut layouts,
-                Layout {
-                    format: MatrixFormat::Bcsr { block: 8 },
-                    ..Layout::baseline()
-                },
-                format!("fill8 {:.2} ≥ {FILL_THRESHOLD}: bcsr(8)", f.fill8),
                 &mut reasons,
             );
         }
@@ -319,7 +253,6 @@ impl Autotuner {
                 Layout {
                     scheme: PartitionScheme::Balanced2D { col_blocks: k },
                     policy: DistPolicy::LeastLoaded,
-                    ..Layout::baseline()
                 },
                 format!("sweep: bal2d({k}) + least-loaded"),
                 &mut reasons,
@@ -327,20 +260,6 @@ impl Autotuner {
         }
 
         (layouts, reasons)
-    }
-
-    /// Shard recommendation: enough banks per shard that the matrix's
-    /// heaviest wave still fills them, as a power of two (the executor
-    /// requires the shard count to divide the device's channels). A small
-    /// matrix on many shards wastes whole sub-devices; a huge one wants
-    /// every shard it can get.
-    fn recommend_shards(&self, f: &TuneFeatures) -> usize {
-        let per_shard_capacity = (self.total_banks * 16).max(1);
-        let mut shards = 1usize;
-        while shards * 2 <= 16 && f.stats.nnz / (shards * 2) >= per_shard_capacity {
-            shards *= 2;
-        }
-        shards
     }
 }
 
@@ -408,37 +327,6 @@ mod tests {
             d.est_cycles,
             base.cycles
         );
-    }
-
-    #[test]
-    fn dense_blocks_trigger_blocked_candidates() {
-        let a = adversarial::near_dense_blocks(64, 8, 4, 2);
-        let d = tuner().decide(&a, Precision::Fp64);
-        assert!(
-            d.candidates.iter().any(|c| c.layout.format.is_blocked()),
-            "{:?}",
-            d.reasons
-        );
-    }
-
-    #[test]
-    fn banded_matrix_keeps_an_element_format() {
-        // A well-banded FEM matrix has no hub columns and modest fill;
-        // nothing should drag it off the element fast path.
-        let a = gen::banded_fem(256, 4, 3, 7);
-        let d = tuner().decide(&a, Precision::Fp64);
-        assert!(!d.choice.format.is_blocked() || d.features.fill4 >= FILL_THRESHOLD);
-    }
-
-    #[test]
-    fn shard_recommendation_scales_with_size_and_stays_pow2() {
-        let t = tuner();
-        let small = t.decide(&gen::rmat(64, 3, 1), Precision::Fp64);
-        let large = t.decide(&gen::rmat(4096, 16, 1), Precision::Fp64);
-        assert!(small.shards <= large.shards);
-        for s in [small.shards, large.shards] {
-            assert!(s.is_power_of_two() && s <= 16, "shards {s}");
-        }
     }
 
     #[test]

@@ -25,7 +25,6 @@ struct GoldenDecision {
     nnz: usize,
     label: String,
     est_cycles: u64,
-    shards: usize,
     reasons: Vec<String>,
 }
 
@@ -53,7 +52,6 @@ fn tuner_decisions_match_golden() {
                 nnz: a.nnz(),
                 label: d.label,
                 est_cycles: d.est_cycles,
-                shards: d.shards,
                 reasons: d.reasons,
             }
         })

@@ -6,7 +6,6 @@ use psyncpim::core::isa::{
 };
 use psyncpim::dram::{Channel, CmdKind, HbmConfig, Scope};
 use psyncpim::kernels::{PimDevice, SpmvPim};
-use psyncpim::sparse::blocked::{Bcoo, Bcsr};
 use psyncpim::sparse::partition::{BankPartition, DistPolicy, PartitionConfig, PartitionScheme};
 use psyncpim::sparse::triangular::{unit_triangular_from, Triangle, UnitTriangular};
 use psyncpim::sparse::{mmio, BlockPlan, Coo, Csc, Csr, Entry, LevelSchedule, Precision};
@@ -259,44 +258,6 @@ proptest! {
         let x = psyncpim::sparse::gen::dense_vector(a.ncols(), 17);
         let got = part.spmv(&x);
         let want = a.spmv(&x);
-        for i in 0..want.len() {
-            prop_assert!((got[i] - want[i]).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn blocked_formats_roundtrip_through_csr_and_coo(
-        a in arb_coo(64, 200),
-        block in prop::sample::select(vec![2usize, 4, 8]),
-    ) {
-        // Blocked storage is lossless for non-zero entries in either
-        // direction, including via CSR: COO → CSR → COO → BCSR → COO and
-        // BCSR ↔ BCOO land on the same entry set.
-        let mut nonzero: Vec<(u32, u32, u64)> = a
-            .entries()
-            .iter()
-            .filter(|e| e.val != 0.0)
-            .map(|e| (e.row, e.col, e.val.to_bits()))
-            .collect();
-        nonzero.sort_unstable();
-        let via_csr = Coo::from(&Csr::from(&a));
-        let bcsr = Bcsr::from_coo(&via_csr, block);
-        let bcoo = Bcoo::from(&bcsr);
-        let back = Bcsr::from(&bcoo);
-        for round in [bcsr.to_coo(), bcoo.to_coo(), back.to_coo()] {
-            let mut got: Vec<(u32, u32, u64)> = round
-                .entries()
-                .iter()
-                .map(|e| (e.row, e.col, e.val.to_bits()))
-                .collect();
-            got.sort_unstable();
-            prop_assert_eq!(&got, &nonzero);
-        }
-        prop_assert_eq!(bcsr.stored(), back.stored());
-        // The blocked spmv agrees with the element-format reference.
-        let x = psyncpim::sparse::gen::dense_vector(a.ncols(), 23);
-        let want = a.spmv(&x);
-        let got = bcsr.spmv(&x);
         for i in 0..want.len() {
             prop_assert!((got[i] - want[i]).abs() < 1e-9);
         }
