@@ -4,7 +4,7 @@
 
 use crate::{Cell, Ctx, Doc, Output};
 use psim_dram::HbmConfig;
-use psim_kernels::{layout_grid, CostModel, PimDevice, SpmvPim};
+use psim_kernels::{CostModel, PimDevice, SpmvPim};
 use psim_sparse::bitmap::{bitmap_crossover_density, BitmapMatrix};
 use psim_sparse::partition::DistPolicy;
 use psim_sparse::suite::{by_name, with_tag, Tag};
@@ -20,8 +20,9 @@ use psim_tune::Autotuner;
 ///    `bcsstk32` trade-off).
 /// 3. **Value precision**: FP64 vs INT8 on the two matrices the paper
 ///    runs natively at INT8.
-/// 4. **Layout**: the fixed layout grid vs the autotuner's pick on the
-///    paper device (the gate for this sweep is `ablation_autotune`).
+/// 4. **Layout**: every candidate layout's simulated and predicted cycles
+///    on the paper device, with the autotuner's pick marked (the gate for
+///    this sweep is `ablation_autotune`).
 pub fn ablation_spmv(ctx: &Ctx, scale: f64) -> Output {
     let spmv = |precision| SpmvPim::new(PimDevice::psync_1x(), precision);
     let mut doc = Doc::default();
@@ -117,12 +118,20 @@ pub fn ablation_spmv(ctx: &Ctx, scale: f64) -> Output {
         ]);
     }
 
-    // Partition scheme × placement policy across the fixed grid, against
-    // the autotuner's per-matrix pick (DESIGN.md §17).
+    // Every candidate layout the autotuner scores, simulated beside the
+    // model's prediction; `*` marks its pick (DESIGN.md §17).
     doc.section(
-        "[layout ablation: the fixed grid vs the autotuner]",
+        "[layout ablation: every candidate, the autotuner's pick marked]",
         "ablation-layout",
-        &["matrix", "layout", "cycles", "time s", "imbalance"],
+        &[
+            "matrix",
+            "layout",
+            "cycles",
+            "predicted",
+            "time s",
+            "imbalance",
+            "pick",
+        ],
     );
     let device = PimDevice::psync_1x();
     let tuner = Autotuner::new(&device);
@@ -133,19 +142,24 @@ pub fn ablation_spmv(ctx: &Ctx, scale: f64) -> Output {
         let a = by_name(name).expect("known matrix").generate(scale);
         let x = gen::dense_vector(a.ncols(), 9);
         let decision = tuner.decide(&a, Precision::Fp64);
-        let mut layouts: Vec<_> = layout_grid().into_iter().map(|l| (l.label(), l)).collect();
-        layouts.push((format!("tuned:{}", decision.label), decision.choice));
-        for (label, layout) in layouts {
+        for c in decision.candidates {
+            let pick = if c.layout == decision.choice {
+                "*"
+            } else {
+                "-"
+            };
             let r = SpmvPim::new(device.clone(), Precision::Fp64)
-                .with_layout(layout)
+                .with_layout(c.layout)
                 .run(&a, &x)
                 .expect("layout run");
             doc.row(&[
                 name.into(),
-                label.into(),
+                c.label.into(),
                 r.run.dram_cycles.into(),
+                c.cycles.into(),
                 Cell::sci(r.run.total_s()),
                 Cell::num(r.stats.imbalance(), 2),
+                pick.into(),
             ]);
         }
     }

@@ -283,21 +283,21 @@ struct AutotuneReport {
     violations: usize,
 }
 
-/// ablation-autotune: the layout oracle plus the tuner fidelity sweep at
-/// n = 96 ([`fidelity::sweep`]: the benchmark families and the
-/// adversarial corpus across the fixed layout grid and the tuner's
-/// per-matrix pick, simulated with validation on). Violations:
+/// ablation-autotune: the layout oracle at n = 64 plus the tuner fidelity
+/// sweep at n = 96 ([`fidelity::sweep`]: the benchmark families and the
+/// adversarial corpus across every candidate layout the tuner picks from,
+/// simulated with validation on). Violations:
 ///
-/// 1. **Oracle** — [`run_layout_oracle`] (every layout × adversarial
-///    shape against the CPU reference) fails a case.
+/// 1. **Oracle** — [`run_layout_oracle`] (every adversarial shape × each
+///    of its candidate layouts against the CPU reference) fails a case.
 /// 2. **The sweep's conditions** — a run off the CPU reference or failing
-///    its audit, a tuned geomean worse than the best single fixed layout,
+///    its audit, a tuned geomean worse than the best single candidate's,
 ///    or model/simulator rank agreement below the floor.
 pub fn ablation_autotune(_: &Ctx, _: f64) -> Output {
     let device = PimDevice::tiny(2);
     let mut violations = Vec::new();
 
-    let oracle = run_layout_oracle(&device, 48, 0xA070).expect("layout oracle must run");
+    let oracle = run_layout_oracle(&device, 64, 0xA070).expect("layout oracle must run");
     for case in oracle.cases.iter().filter(|c| !c.pass) {
         violations.push(format!(
             "oracle {} {}: err {:.2e} (tol {:.0e}), audit: {}",

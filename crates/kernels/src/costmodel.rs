@@ -26,7 +26,7 @@
 //! fails when the estimate's mean absolute percentage error drifts past
 //! its bound.
 
-use crate::device::{triple_pairs, PimDevice};
+use crate::device::PimDevice;
 use crate::spmv::WavePlan;
 use psim_sparse::{Coo, Layout, Precision};
 
@@ -210,11 +210,13 @@ impl CostModel {
     }
 
     /// Effective schedule passes of the batched sparse stream for the
-    /// longest per-bank stream of `max_nnz` entries: one interleaved pair
-    /// per pass over `triple_pairs` pairs (sentinel included), minus the
-    /// half pass the engine saves when CEXIT trips mid-schedule.
+    /// longest per-bank stream of `max_nnz` entries. A pass pops one
+    /// interleaved chunk pair (2 × `lanes` slots) and the −1 sentinel
+    /// takes a slot of its own, so the engine runs
+    /// `ceil((max_nnz + 1) / 2·lanes) + 1` passes; the last one trips
+    /// CEXIT halfway through the schedule and counts a half.
     fn batched_rounds(max_nnz: usize, lanes: usize) -> f64 {
-        triple_pairs(max_nnz, lanes) as f64 - 0.5
+        (max_nnz + 1).div_ceil(2 * lanes) as f64 + 0.5
     }
 
     /// SpMV `y = A x` from the paper's layout ([`Layout::baseline`]).
@@ -254,8 +256,47 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PimDevice, SpmvPim};
+    use crate::device::{batched_sparse_bindings, place_triples};
+    use crate::{programs, SpmvPim};
     use psim_sparse::gen;
+
+    #[test]
+    fn batched_rounds_match_the_engine_across_the_sentinel_boundary() {
+        // One bank streams n entries, every other bank only padding. The
+        // engine's passes are the model's rounds plus the half pass the
+        // model takes off for the CEXIT one; n a multiple of 2·lanes is
+        // where the sentinel spills into a pass of its own.
+        let device = PimDevice::tiny(2);
+        for precision in [Precision::Fp64, Precision::Fp32, Precision::Int8] {
+            let lanes = precision.lanes();
+            let text = programs::sparse_stream_batched(precision, "MUL", "ADD");
+            let program = programs::compiled(&text).unwrap();
+            for n in 1..=10 * lanes {
+                let mut engine = device.make_engine();
+                let entries = (0..n).map(|k| (0, (k % 4) as u32, 1.0));
+                let rt = place_triples(&mut engine, n, precision, [(0, entries)]);
+                let mut regions = None;
+                for b in 0..engine.num_banks() {
+                    let mem = engine.mem_mut(b);
+                    let bytes = precision.bytes();
+                    regions = Some((
+                        mem.alloc_copy(bytes, &[1.0; 4]),
+                        mem.alloc_copy(bytes, &[0.0]),
+                    ));
+                }
+                let (rx, ry) = regions.unwrap();
+                engine
+                    .load_verified(&program, batched_sparse_bindings(rt, rx, ry, lanes))
+                    .unwrap();
+                let rounds = engine.run().unwrap().rounds;
+                assert_eq!(
+                    rounds as f64 - 0.5,
+                    CostModel::batched_rounds(n, lanes),
+                    "{precision} n = {n}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn estimates_are_monotone_in_problem_size() {
@@ -292,7 +333,8 @@ mod tests {
     #[test]
     fn phase_count_matches_wave_structure() {
         // The model prices the runner's own wave plan, so its launch
-        // count is the runner's for every layout, on one cube and on two.
+        // count is the runner's for every candidate layout, on one cube
+        // and on two.
         let a = gen::banded_fem(1400, 12, 6, 7);
         let x = gen::dense_vector(1400, 5);
         let two_cubes = PimDevice {
@@ -301,7 +343,7 @@ mod tests {
         };
         for device in [PimDevice::tiny(2), two_cubes] {
             let model = CostModel::new(&device);
-            for layout in crate::layout_grid() {
+            for layout in Layout::candidates(a.ncols()) {
                 let r = SpmvPim::new(device.clone(), Precision::Fp64)
                     .with_layout(layout)
                     .run(&a, &x)

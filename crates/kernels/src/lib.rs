@@ -33,7 +33,7 @@ pub mod sptrsv;
 
 pub use costmodel::{CostEstimate, CostModel};
 pub use device::{KernelRun, PimDevice};
-pub use oracle::{audit_run, layout_grid, run_layout_oracle, run_oracle, OracleCase, OracleReport};
+pub use oracle::{audit_run, run_layout_oracle, run_oracle, OracleCase, OracleReport};
 pub use selftest::{all_pass, selftest, CheckResult};
 pub use spmm::{SpmmResult, MAX_SPMM_WIDTH};
 pub use spmv::SpmvPim;

@@ -16,7 +16,6 @@ use crate::device::{KernelRun, PimDevice};
 use crate::spmv::SpmvPim;
 use crate::sptrsv::SptrsvPim;
 use psim_sparse::dense;
-use psim_sparse::partition::{DistPolicy, PartitionScheme};
 use psim_sparse::triangular::{unit_triangular_from, Triangle};
 use psim_sparse::{adversarial, gen, Coo, Layout, Precision};
 use psyncpim_core::CoreError;
@@ -244,32 +243,11 @@ pub fn run_oracle(device: &PimDevice, cases: usize, seed: u64) -> Result<OracleR
     Ok(report)
 }
 
-/// The fixed layout grid the layout oracle and the autotuner ablation
-/// sweep: every partition scheme kind, each placement policy at least
-/// once.
-#[must_use]
-pub fn layout_grid() -> Vec<Layout> {
-    vec![
-        Layout::baseline(), // 1d/rr — the paper's configuration
-        Layout {
-            scheme: PartitionScheme::Row1D,
-            policy: DistPolicy::LeastLoaded,
-        },
-        Layout {
-            scheme: PartitionScheme::Grid2D { col_blocks: 2 },
-            policy: DistPolicy::RoundRobin,
-        },
-        Layout {
-            scheme: PartitionScheme::Balanced2D { col_blocks: 4 },
-            policy: DistPolicy::LeastLoaded,
-        },
-    ]
-}
-
-/// Differential sweep over every layout × adversarial shape combination:
-/// SpMV against the CPU reference and a width-2 SpMM against its own
-/// solo runs (bit-exact — the fusion contract holds per layout), with
-/// validation forced on so the protocol checker rides along.
+/// Differential sweep over every adversarial shape × each of its
+/// [`Layout::candidates`]: SpMV against the CPU reference and a width-2
+/// SpMM against its own solo runs (bit-exact — the fusion contract holds
+/// per layout), with validation forced on so the protocol checker rides
+/// along.
 ///
 /// # Errors
 ///
@@ -289,7 +267,7 @@ pub fn run_layout_oracle(
     for (name, a) in adversarial::suite(n, splitmix(&mut rng)) {
         let want_x = gen::dense_vector(a.ncols(), splitmix(&mut rng));
         let want = a.spmv(&want_x);
-        for layout in layout_grid() {
+        for layout in Layout::candidates(a.ncols()) {
             let tag = format!("{name} {}", layout.label());
             let spmv = SpmvPim::new(device.clone(), Precision::Fp64).with_layout(layout);
             let r = spmv.run(&a, &want_x)?;
@@ -400,9 +378,9 @@ mod tests {
 
     #[test]
     fn layout_oracle_passes_every_layout_times_shape() {
-        let report = run_layout_oracle(&PimDevice::tiny(2), 48, 0xBEEF).expect("simulator ok");
-        // 4 adversarial shapes × 4 layouts × (SpMV + SpMM).
-        assert_eq!(report.cases.len(), 32);
+        let report = run_layout_oracle(&PimDevice::tiny(2), 64, 0xBEEF).expect("simulator ok");
+        // 4 adversarial shapes × 11 candidates × (SpMV + SpMM).
+        assert_eq!(report.cases.len(), 88);
         assert!(report.all_pass(), "{:?}", report.failures());
     }
 

@@ -51,43 +51,17 @@ pub fn compiled(text: &str) -> Result<Arc<VerifiedProgram>, CoreError> {
     Ok(Arc::clone(cache.entry(text.to_owned()).or_insert(program)))
 }
 
-/// SpMV / SpTRSV-level inner loop (paper Algorithm 2): stream (row, col,
-/// val) triples, gather the dense operand at `col`, combine with `mul_op`,
-/// and scatter-accumulate into the output row with `acc_op` (MUL/ADD for
-/// arithmetic SpMV, MUL/RSUB for the SpTRSV column sweep, ADD/MIN for the
-/// min-plus semiring of SSSP, ...).
-///
-/// Memory slots: 0–2 load the matrix stream, 3 gathers from the dense
-/// vector region, 5 read-modify-writes the output region.
-#[must_use]
-pub fn sparse_stream_semiring(p: Precision, mul_op: &str, acc_op: &str) -> String {
-    format!(
-        "\
-SPMOV  SPVQ0, BANK, ROW, {p}
-SPMOV  SPVQ0, BANK, COL, {p}
-SPMOV  SPVQ0, BANK, VAL, {p}
-INDMOV DRF2, SPVQ0, {p}
-SPVDV  SPVQ1, SPVQ0, DRF2, {mul_op}, INTER, {p}
-SPVDV  BANK, SPVQ1, BANK, {acc_op}, UNION, {p}
-CEXIT  SPVQ0
-JUMP   0, 0, 0
-"
-    )
-}
-
-/// [`sparse_stream_semiring`] with the conventional multiply.
-#[must_use]
-pub fn sparse_stream(p: Precision, acc_op: &str) -> String {
-    sparse_stream_semiring(p, "MUL", acc_op)
-}
-
-/// Batched variant of [`sparse_stream_semiring`]: two chunks per loop
-/// iteration. The triples live *interleaved* in one region
+/// SpMV / SpTRSV-level inner loop (paper Algorithm 2), two chunks per
+/// loop iteration: stream (row, col, val) triples, gather the dense
+/// operand at `col`, combine with `mul_op`, and scatter-accumulate into
+/// the output row with `acc_op` (MUL/ADD for arithmetic SpMV, MUL/RSUB for
+/// the SpTRSV column sweep, ADD/MIN for the min-plus semiring of SSSP,
+/// ...). The triples live *interleaved* in one region
 /// (`[rowsA|colsA|valsA|rowsB|colsB|valsB]` blocks — the paper's "32 B
 /// consecutive arrays" layout), so slots 0-5 stream one open DRAM row;
 /// the two gathers (slots 6, 8) share the vector row and the two
 /// accumulates (slots 10, 11) share the output row: three row activations
-/// per eight elements instead of five per four.
+/// per eight elements, where a one-chunk loop would pay five per four.
 #[must_use]
 pub fn sparse_stream_batched(p: Precision, mul_op: &str, acc_op: &str) -> String {
     format!(
@@ -344,7 +318,7 @@ pub struct SweepProgram {
 /// Every builder across its argument envelope: each precision, the full
 /// cross of the six semiring ops, chunk counts from the degenerate (NOP)
 /// loop to the largest the 10-bit JUMP immediate holds, and the dense
-/// Level-2 loop nests — 1,092 programs. The `psim_lint` gate lints each
+/// Level-2 loop nests — 798 programs. The `psim_lint` gate lints each
 /// one; this module's tests compile each one.
 #[must_use]
 pub fn builder_sweep() -> Vec<SweepProgram> {
@@ -363,15 +337,10 @@ pub fn builder_sweep() -> Vec<SweepProgram> {
         for mul in OPS {
             for acc in OPS {
                 let v = format!("{mul}x{acc}");
-                let semiring = sparse_stream_semiring(p, mul, acc);
-                add("sparse_stream_semiring", v.clone(), semiring);
                 let batched = sparse_stream_batched(p, mul, acc);
                 add("sparse_stream_batched", v.clone(), batched);
                 add("spmm_stream", v, spmm_stream(p, mul, acc));
             }
-        }
-        for acc in OPS {
-            add("sparse_stream", acc.to_string(), sparse_stream(p, acc));
         }
         for c in CHUNKS {
             let cv = format!("chunks={c}");
@@ -404,7 +373,7 @@ mod tests {
     fn all_programs_assemble() {
         // ... and pass psim-lint, fetched through the compiled cache.
         let sweep = builder_sweep();
-        assert_eq!(sweep.len(), 1092);
+        assert_eq!(sweep.len(), 798);
         for p in &sweep {
             let program = compiled(&p.text).unwrap_or_else(|e| panic!("{e}\n{}", p.text));
             assert_eq!(program.program(), &assemble(&p.text).unwrap());
@@ -462,13 +431,6 @@ mod tests {
             prog.command_schedule().unwrap(),
             vec![0, 1, 2, 3, 4, 5, 6, 8, 10, 11]
         );
-    }
-
-    #[test]
-    fn sparse_stream_schedule_shape() {
-        let prog = assemble(&sparse_stream(Precision::Fp64, "ADD")).unwrap();
-        assert!(prog.is_conditional_loop());
-        assert_eq!(prog.command_schedule().unwrap(), vec![0, 1, 2, 3, 5]);
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! and the policy places the pieces — so every layout runs through the
 //! *same* wave machinery, stream-program builders and protocol lints,
 //! under every semiring; layouts change the cut, never the kernel.
+//! [`Layout::candidates`] is the one list of layouts worth trying on a
+//! matrix.
 
 use crate::partition::{DistPolicy, PartitionScheme};
 use serde::{Deserialize, Serialize};
@@ -28,6 +30,29 @@ impl Layout {
         Layout::default()
     }
 
+    /// The candidate layouts for a matrix of `ncols` columns, in a fixed
+    /// order: the [`baseline`](Layout::baseline) `1d/rr`, then `1d/ll`,
+    /// then for each column-block count k ∈ {2, 4, 8} with `ncols ≥ 8k`
+    /// the layouts `grid2d(k)/rr`, `bal2d(k)/rr` and `bal2d(k)/ll` (a
+    /// block narrower than 8 columns fragments x for nothing). The
+    /// autotuner scores exactly this list, and its gates, tests and the
+    /// layout ablation iterate it.
+    #[must_use]
+    pub fn candidates(ncols: usize) -> Vec<Layout> {
+        use DistPolicy::{LeastLoaded, RoundRobin};
+        use PartitionScheme::{Balanced2D, Grid2D, Row1D};
+        let layout = |scheme, policy| Layout { scheme, policy };
+        let mut list = vec![Layout::baseline(), layout(Row1D, LeastLoaded)];
+        for col_blocks in [2, 4, 8].into_iter().filter(|&k| ncols >= 8 * k) {
+            list.extend([
+                layout(Grid2D { col_blocks }, RoundRobin),
+                layout(Balanced2D { col_blocks }, RoundRobin),
+                layout(Balanced2D { col_blocks }, LeastLoaded),
+            ]);
+        }
+        list
+    }
+
     /// Short label for reports, e.g. `bal2d(4)/ll`.
     #[must_use]
     pub fn label(&self) -> String {
@@ -43,23 +68,40 @@ impl Layout {
 mod tests {
     use super::*;
 
+    fn labels(ncols: usize) -> Vec<String> {
+        Layout::candidates(ncols)
+            .iter()
+            .map(Layout::label)
+            .collect()
+    }
+
     #[test]
     fn labels_are_distinct_across_the_grid() {
-        let grid = [
-            Layout::baseline(),
-            Layout {
-                scheme: PartitionScheme::Balanced2D { col_blocks: 4 },
-                policy: DistPolicy::LeastLoaded,
-            },
-            Layout {
-                scheme: PartitionScheme::Grid2D { col_blocks: 2 },
-                policy: DistPolicy::RoundRobin,
-            },
-        ];
-        let mut labels: Vec<String> = grid.iter().map(Layout::label).collect();
-        assert_eq!(labels[0], "1d/rr");
-        labels.sort();
-        labels.dedup();
-        assert_eq!(labels.len(), grid.len());
+        let mut all = labels(64);
+        assert_eq!(all.len(), 11);
+        all.sort();
+        all.dedup();
+        assert_eq!(all.len(), 11);
+    }
+
+    #[test]
+    fn candidates_start_at_the_baseline_and_grow_with_width() {
+        assert_eq!(Layout::candidates(1)[0], Layout::baseline());
+        assert_eq!(labels(15), ["1d/rr", "1d/ll"]);
+        assert_eq!(
+            labels(16),
+            [
+                "1d/rr",
+                "1d/ll",
+                "grid2d(2)/rr",
+                "bal2d(2)/rr",
+                "bal2d(2)/ll"
+            ]
+        );
+        assert_eq!(labels(63).len(), 8);
+        assert_eq!(
+            &labels(64)[8..],
+            ["grid2d(8)/rr", "bal2d(8)/rr", "bal2d(8)/ll"]
+        );
     }
 }

@@ -4,14 +4,14 @@
 //! SparseP's finding that no single layout wins across matrices
 //! (PAPERS.md) makes the model's *ordering* of layouts a correctness
 //! property of the tuner, not just its accuracy. [`sweep`] measures it
-//! once: every [`layout_grid`] layout plus the tuner's pick, simulated
-//! with validation on over the ablation [`corpus`]. The
-//! `ablation_autotune` gate runs it at n = 96 and the crate's
-//! `rank_agreement` test at n = 64.
+//! once: every entry of [`Layout::candidates`] — the list the tuner
+//! picks from — simulated with validation on over the ablation
+//! [`corpus`]. The `ablation_autotune` gate runs it at n = 96 and the
+//! crate's `rank_agreement` test at n = 64.
 
 use crate::Autotuner;
 use psim_kernels::oracle::max_rel_err;
-use psim_kernels::{audit_run, layout_grid, PimDevice, SpmvPim};
+use psim_kernels::{audit_run, PimDevice, SpmvPim};
 use psim_sparse::{adversarial, gen, Coo, Layout, Precision};
 use serde::Serialize;
 
@@ -66,13 +66,13 @@ pub struct MatrixRow {
     pub tuned_label: String,
     /// Simulated cycles of the pick.
     pub tuned_cycles: u64,
-    /// Fewest simulated cycles of any grid layout.
-    pub best_fixed_cycles: u64,
-    /// Every grid layout, in [`layout_grid`] order.
-    pub fixed: Vec<LayoutCell>,
+    /// Fewest simulated cycles of any candidate.
+    pub best_cycles: u64,
+    /// Every candidate, in [`Layout::candidates`] order.
+    pub candidates: Vec<LayoutCell>,
 }
 
-/// Geomean of one fixed configuration over the corpus.
+/// Geomean of one candidate, used for every corpus matrix.
 #[derive(Debug, Clone, Serialize)]
 pub struct ConfigGeomean {
     /// Layout label.
@@ -86,9 +86,9 @@ pub struct ConfigGeomean {
 pub struct Fidelity {
     /// One row per corpus matrix.
     pub corpus: Vec<MatrixRow>,
-    /// One geomean per grid layout.
+    /// One geomean per candidate.
     pub fixed: Vec<ConfigGeomean>,
-    /// The grid layout with the lowest geomean.
+    /// The candidate with the lowest geomean.
     pub best_fixed_label: String,
     /// Its geomean.
     pub best_fixed_geomean: f64,
@@ -104,24 +104,25 @@ pub struct Fidelity {
     pub violations: Vec<String>,
 }
 
-/// Sweep the [`corpus`] at dimension `n` across the fixed layout grid and
-/// the [`Autotuner`]'s pick on `device`, with full cycle simulation and
-/// validation on. Each failed condition is a violation:
+/// Sweep the [`corpus`] at dimension `n` across every entry of
+/// [`Layout::candidates`], with full cycle simulation and validation on;
+/// the [`Autotuner`]'s pick on `device` is one of them. Each failed
+/// condition is a violation:
 ///
-/// 1. **Correctness per execution**: every simulated run (fixed or tuned)
-///    matches the CPU reference to 1e-9 and passes [`audit_run`].
+/// 1. **Correctness per execution**: every simulated run matches the CPU
+///    reference to 1e-9 and passes [`audit_run`].
 /// 2. **Tuning wins**: the geomean of the tuned picks' simulated cycles is
-///    no worse than the best *single* fixed layout's.
+///    no worse than the best *single* candidate's.
 /// 3. **Model fidelity**: on layout pairs the simulator separates by at
 ///    least [`RANK_SEPARATION`], the analytical model orders them as the
-///    simulator does at least [`RANK_AGREEMENT_FLOOR`] of the time.
+///    simulator does at least [`RANK_AGREEMENT_FLOOR`] of the time
+///    ([`rank_verdict`]).
 ///
 /// # Panics
 ///
 /// If a simulation fails outright.
 #[must_use]
 pub fn sweep(device: &PimDevice, n: usize) -> Fidelity {
-    let grid = layout_grid();
     let validated = PimDevice {
         validate: true,
         ..device.clone()
@@ -133,71 +134,67 @@ pub fn sweep(device: &PimDevice, n: usize) -> Fidelity {
     for (name, a) in corpus(n) {
         let x = gen::dense_vector(a.ncols(), 11);
         let reference = a.spmv(&x);
-        let mut sim = |layout: Layout, tag: String| {
-            let r = SpmvPim::new(validated.clone(), Precision::Fp64)
-                .with_layout(layout)
-                .run(&a, &x)
-                .unwrap_or_else(|e| panic!("{tag}: simulation failed: {e}"));
-            violations.extend(
-                audit_run(&r.run)
-                    .iter()
-                    .map(|f| format!("audit {tag}: {f}")),
-            );
-            let worst = max_rel_err(&r.y, &reference);
-            if worst > REFERENCE_TOLERANCE {
-                violations.push(format!("oracle {tag}: diff {worst:.2e} vs CPU reference"));
-            }
-            r.run.dram_cycles
-        };
-        let fixed: Vec<LayoutCell> = grid
-            .iter()
-            .map(|&layout| LayoutCell {
-                label: layout.label(),
-                sim_cycles: sim(layout, format!("{name} {}", layout.label())),
-                model_cycles: tuner
-                    .model()
-                    .spmv_layout(&a, Precision::Fp64, layout)
-                    .cycles,
+        let decision = tuner.decide(&a, Precision::Fp64);
+        let candidates: Vec<LayoutCell> = (decision.candidates.into_iter())
+            .map(|c| {
+                let tag = format!("{name} {}", c.label);
+                let r = SpmvPim::new(validated.clone(), Precision::Fp64)
+                    .with_layout(c.layout)
+                    .run(&a, &x)
+                    .unwrap_or_else(|e| panic!("{tag}: simulation failed: {e}"));
+                violations.extend(
+                    audit_run(&r.run)
+                        .iter()
+                        .map(|f| format!("audit {tag}: {f}")),
+                );
+                let worst = max_rel_err(&r.y, &reference);
+                if worst > REFERENCE_TOLERANCE {
+                    violations.push(format!("oracle {tag}: diff {worst:.2e} vs CPU reference"));
+                }
+                LayoutCell {
+                    label: c.label,
+                    sim_cycles: r.run.dram_cycles,
+                    model_cycles: c.cycles,
+                }
             })
             .collect();
-        let decision = tuner.decide(&a, Precision::Fp64);
-        let tuned_cycles = sim(decision.choice, format!("{name} tuned:{}", decision.label));
-        for (i, ci) in fixed.iter().enumerate() {
-            for cj in &fixed[i + 1..] {
-                let (si, sj) = (ci.sim_cycles as f64, cj.sim_cycles as f64);
-                if (si - sj).abs() / si.min(sj).max(1.0) < RANK_SEPARATION {
-                    continue;
-                }
+        for (i, ci) in candidates.iter().enumerate() {
+            for verdict in candidates[i + 1..]
+                .iter()
+                .filter_map(|cj| rank_verdict(ci, cj))
+            {
                 rank_pairs += 1;
-                rank_agreements += usize::from((si < sj) == (ci.model_cycles < cj.model_cycles));
+                rank_agreements += usize::from(verdict);
             }
         }
+        let tuned = (candidates.iter())
+            .find(|c| c.label == decision.label)
+            .expect("the pick is a candidate");
         rows.push(MatrixRow {
             name,
             n: a.nrows(),
             nnz: a.nnz(),
             tuned_label: decision.label,
-            tuned_cycles,
-            best_fixed_cycles: fixed.iter().map(|c| c.sim_cycles).min().unwrap_or(0),
-            fixed,
+            tuned_cycles: tuned.sim_cycles,
+            best_cycles: candidates.iter().map(|c| c.sim_cycles).min().unwrap_or(0),
+            candidates,
         });
     }
 
-    let fixed_geo: Vec<ConfigGeomean> = grid
-        .iter()
-        .enumerate()
+    // Every corpus matrix is n × n, so every row holds the same list.
+    let fixed_geo: Vec<ConfigGeomean> = (Layout::candidates(n).iter().enumerate())
         .map(|(i, layout)| ConfigGeomean {
             label: layout.label(),
-            geomean_cycles: geomean(rows.iter().map(|r| r.fixed[i].sim_cycles)),
+            geomean_cycles: geomean(rows.iter().map(|r| r.candidates[i].sim_cycles)),
         })
         .collect();
     let tuned_geomean = geomean(rows.iter().map(|r| r.tuned_cycles));
     let best = fixed_geo
         .iter()
         .min_by(|a, b| a.geomean_cycles.total_cmp(&b.geomean_cycles))
-        .expect("non-empty grid");
+        .expect("the list holds the baseline");
     let (best_fixed_label, best_fixed_geomean) = (best.label.clone(), best.geomean_cycles);
-    // The tuner may tie the best fixed layout (up to floating-point
+    // The tuner may tie the best single candidate (up to floating-point
     // geomean noise) but must never lose to it.
     if tuned_geomean > best_fixed_geomean * (1.0 + 1e-9) {
         violations.push(format!(
@@ -229,6 +226,19 @@ pub fn sweep(device: &PimDevice, n: usize) -> Fidelity {
     }
 }
 
+/// The verdict on one layout pair: `None` when the simulator does not
+/// separate the two by [`RANK_SEPARATION`], else whether the model orders
+/// them as the simulator does. A model tie on a separated pair is a miss:
+/// it cannot tell the tuner which layout to take.
+#[must_use]
+pub fn rank_verdict(a: &LayoutCell, b: &LayoutCell) -> Option<bool> {
+    let (sa, sb) = (a.sim_cycles as f64, b.sim_cycles as f64);
+    if (sa - sb).abs() / sa.min(sb).max(1.0) < RANK_SEPARATION {
+        return None;
+    }
+    Some(a.sim_cycles.cmp(&b.sim_cycles) == a.model_cycles.cmp(&b.model_cycles))
+}
+
 /// Geometric mean of the positive cycle counts (0 for none).
 fn geomean(cycles: impl Iterator<Item = u64>) -> f64 {
     let (sum, n) = cycles
@@ -238,5 +248,30 @@ fn geomean(cycles: impl Iterator<Item = u64>) -> f64 {
         0.0
     } else {
         (sum / f64::from(n)).exp()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cell(sim_cycles: u64, model_cycles: u64) -> LayoutCell {
+        LayoutCell {
+            label: String::new(),
+            sim_cycles,
+            model_cycles,
+        }
+    }
+
+    #[test]
+    fn a_model_tie_on_a_separated_pair_is_a_miss() {
+        // Within the separation the pair is not ranked at all.
+        assert_eq!(rank_verdict(&cell(100, 90), &cell(104, 80)), None);
+        assert_eq!(rank_verdict(&cell(604, 500), &cell(423, 400)), Some(true));
+        assert_eq!(rank_verdict(&cell(423, 500), &cell(604, 400)), Some(false));
+        // A tie misses in either listing order (the slower layout first
+        // used to count as an agreement).
+        assert_eq!(rank_verdict(&cell(604, 497), &cell(423, 497)), Some(false));
+        assert_eq!(rank_verdict(&cell(423, 497), &cell(604, 497)), Some(false));
     }
 }

@@ -2,9 +2,9 @@
 //! ([`psim_tune::fidelity::corpus`] at the gate's n = 96).
 //!
 //! The tuner is deterministic, so its choices are a behavioural contract:
-//! a cost-model retune or a rule edit that silently flips a layout
-//! decision shows up here as a diff against the committed golden. Bless
-//! intentional changes with:
+//! a cost-model retune or a candidate-list edit that silently flips a
+//! layout decision or moves a prediction shows up here as a diff against
+//! the committed golden. Bless intentional changes with:
 //!
 //! ```text
 //! PSIM_BLESS=1 cargo test -p psim-tune --test golden_decisions
@@ -17,15 +17,21 @@ use psim_sparse::Precision;
 use psim_tune::{fidelity, Autotuner};
 use serde::Serialize;
 
-/// One matrix's decision, reduced to the fields worth pinning (estimated
-/// cycles are pinned too: they are the model output the choice hangs on).
+/// One matrix's decision, reduced to the fields worth pinning: the pick,
+/// and every candidate's prediction, the model output the pick hangs on.
 #[derive(Serialize)]
 struct GoldenDecision {
     matrix: String,
     nnz: usize,
     label: String,
     est_cycles: u64,
-    reasons: Vec<String>,
+    candidates: Vec<GoldenCandidate>,
+}
+
+#[derive(Serialize)]
+struct GoldenCandidate {
+    label: String,
+    cycles: u64,
 }
 
 #[derive(Serialize)]
@@ -52,7 +58,12 @@ fn tuner_decisions_match_golden() {
                 nnz: a.nnz(),
                 label: d.label,
                 est_cycles: d.est_cycles,
-                reasons: d.reasons,
+                candidates: (d.candidates.into_iter())
+                    .map(|c| GoldenCandidate {
+                        label: c.label,
+                        cycles: c.cycles,
+                    })
+                    .collect(),
             }
         })
         .collect();
