@@ -3,14 +3,14 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> cargo build --release --workspace"
-cargo build --release --workspace
+echo "==> cargo build --release --workspace --locked (Cargo.lock must already match the manifests)"
+cargo build --release --workspace --locked
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> perfbench tests (passes repeat their simulated figures exactly; tracing leaves the simulation unchanged)"
-cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+echo "==> perfbench tests --locked (a dependency edit must not rewrite perfbench/Cargo.lock; passes repeat their simulated figures exactly; tracing leaves the simulation unchanged)"
+cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> sched test suite under the instrumented sync backend (PSIM_SYNC=instrument)"
 PSIM_SYNC=instrument cargo test -q -p psim-sched

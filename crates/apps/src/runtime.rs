@@ -69,7 +69,9 @@ impl Breakdown {
 /// The kernel interface applications are written against.
 pub trait Runtime {
     /// `y = A x` over the arithmetic semiring.
-    fn spmv(&mut self, a: &Coo, x: &[f64]) -> Vec<f64>;
+    fn spmv(&mut self, a: &Coo, x: &[f64]) -> Vec<f64> {
+        self.spmv_semiring(a, x, BinaryOp::Mul, BinaryOp::Add)
+    }
     /// `y = A x` over an arbitrary `(mul, acc)` semiring (graph kernels).
     fn spmv_semiring(&mut self, a: &Coo, x: &[f64], mul: BinaryOp, acc: BinaryOp) -> Vec<f64>;
     /// Solve `T x = b` for a unit triangular `T`.
@@ -113,14 +115,6 @@ impl PimRuntime {
 }
 
 impl Runtime for PimRuntime {
-    fn spmv(&mut self, a: &Coo, x: &[f64]) -> Vec<f64> {
-        let r = SpmvPim::new(self.device.clone(), self.precision)
-            .run(a, x)
-            .expect("pim spmv");
-        self.times.spmv_s += r.run.total_s();
-        r.y
-    }
-
     fn spmv_semiring(&mut self, a: &Coo, x: &[f64], mul: BinaryOp, acc: BinaryOp) -> Vec<f64> {
         let r = SpmvPim::with_semiring(self.device.clone(), self.precision, mul, acc)
             .run(a, x)
@@ -213,21 +207,6 @@ impl GpuRuntime {
 }
 
 impl Runtime for GpuRuntime {
-    fn spmv(&mut self, a: &Coo, x: &[f64]) -> Vec<f64> {
-        let t = match self.stack {
-            GpuStack::Cuda => {
-                self.model
-                    .spmv_seconds(a.nnz(), a.nrows(), a.ncols(), self.precision)
-            }
-            GpuStack::GraphBlast => {
-                self.model
-                    .graphblast_spmv_seconds(a.nnz(), a.nrows(), a.ncols(), self.precision)
-            }
-        };
-        self.times.spmv_s += t;
-        a.spmv(x)
-    }
-
     fn spmv_semiring(&mut self, a: &Coo, x: &[f64], mul: BinaryOp, acc: BinaryOp) -> Vec<f64> {
         let t = match self.stack {
             GpuStack::Cuda => {

@@ -482,6 +482,8 @@ fn run_channel_allbank(
     let mut now: u64 = 0;
 
     // Mode switching (SB→AB→AB-PIM) + CRF programming as MRS commands.
+    // This is the launch's only charge for them: they count in kernel
+    // time (attributed as `Setup`), never in the host ledger.
     let setup_cmds = 2 * psim_dram::mode::SWITCH_SEQUENCE_LEN + program.len();
     for _ in 0..setup_cmds {
         now = port.issue(AB, CmdKind::Mrs, now)?.issue_cycle;

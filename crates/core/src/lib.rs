@@ -14,9 +14,10 @@
 //!   every column command steps every PU in lockstep while each PU may
 //!   predicate off or exit early; a per-bank variant reproduces the PB
 //!   baseline (paper §III-B),
-//! * the [`host`] controller: SB/AB/AB-PIM mode switching, kernel
-//!   programming, external-bus traffic for vector broadcast/accumulation
-//!   and completion detection,
+//! * the [`host`] controller: the external-bus ledger for vector
+//!   broadcast and partial-output accumulation (the engine itself issues
+//!   the SB/AB/AB-PIM mode switches, kernel programming and completion
+//!   polling as bus commands),
 //! * the Table X [`area`] model.
 //!
 //! # Example

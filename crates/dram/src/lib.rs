@@ -11,7 +11,8 @@
 //!   pseudo-channel simultaneously (the HBM-PIM/AiM execution model),
 //! * per-bank scope with the channel command-bus limit (2 commands/cycle)
 //!   that makes the per-bank PIM baseline slow (paper Figure 3),
-//! * the SB → AB → AB-PIM mode-switch protocol of Figure 1,
+//! * the length of Figure 1's SB → AB → AB-PIM mode-switch sequences
+//!   ([`mode::SWITCH_SEQUENCE_LEN`]), which the engine issues as MRS commands,
 //! * command/energy accounting for Figures 3 and 14.
 //!
 //! # Example
@@ -42,6 +43,5 @@ pub use checker::{CheckPolicy, CheckReport, ProtocolChecker, Rule, Violation};
 pub use command::{CmdClass, CmdKind, Scope};
 pub use config::{HbmConfig, Timing};
 pub use fastab::AbChannel;
-pub use mode::{Mode, ModeController, ModeError};
 pub use power::{EnergyModel, EnergyStats};
 pub use stats::ChannelStats;

@@ -8,193 +8,15 @@
 //! * **AB-PIM**: every column command additionally steps the programmed
 //!   kernel in every processing unit.
 //!
-//! Switches are performed with JEDEC-compatible MRS-like command sequences.
-//! The exact sequences are not published; we model each transition as a
-//! fixed run of [`SWITCH_SEQUENCE_LEN`] MRS commands (a conservative cost
-//! that the kernel-time measurements include, matching §VII-A: "the kernel
-//! execution time of pSyncPIM includes mode switching and PIM kernel
-//! programming overheads").
-
-use serde::{Deserialize, Serialize};
-use std::fmt;
+//! Legal transitions are `SB ↔ AB ↔ AB-PIM` (no direct SB ↔ AB-PIM edge),
+//! so a launch switches SB → AB → AB-PIM before its kernel runs and
+//! AB-PIM → AB → SB after it. Switches are performed with JEDEC-compatible
+//! MRS-like command sequences. The exact sequences are not published; we
+//! model each transition as a fixed run of [`SWITCH_SEQUENCE_LEN`] MRS
+//! commands (a conservative cost). The engine issues these sequences and
+//! the kernel program as MRS commands on the simulated bus, so they count
+//! once, in kernel time, matching §VII-A: "the kernel execution time of
+//! pSyncPIM includes mode switching and PIM kernel programming overheads".
 
 /// Commands per mode transition (modeling assumption, see module docs).
 pub const SWITCH_SEQUENCE_LEN: usize = 8;
-
-/// Execution mode of a pseudo-channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Mode {
-    /// Single-bank: normal DRAM operation.
-    Sb,
-    /// All-bank: broadcast commands, kernel programming allowed.
-    Ab,
-    /// All-bank PIM: column commands execute kernel instructions.
-    AbPim,
-}
-
-impl fmt::Display for Mode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Mode::Sb => "SB",
-            Mode::Ab => "AB",
-            Mode::AbPim => "AB-PIM",
-        })
-    }
-}
-
-/// Error for disallowed mode transitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ModeError {
-    /// Mode before the attempted switch.
-    pub from: Mode,
-    /// Requested mode.
-    pub to: Mode,
-}
-
-impl fmt::Display for ModeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "illegal mode switch {} -> {}", self.from, self.to)
-    }
-}
-
-impl std::error::Error for ModeError {}
-
-/// Tracks the current mode and the switching cost incurred.
-///
-/// Legal transitions follow Figure 1's state machine:
-/// `SB ↔ AB ↔ AB-PIM` (no direct SB ↔ AB-PIM edge).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ModeController {
-    mode: Mode,
-    switches: u64,
-    switch_commands: u64,
-}
-
-impl Default for ModeController {
-    fn default() -> Self {
-        ModeController::new()
-    }
-}
-
-impl ModeController {
-    /// Start in SB mode (power-on state).
-    #[must_use]
-    pub fn new() -> Self {
-        ModeController {
-            mode: Mode::Sb,
-            switches: 0,
-            switch_commands: 0,
-        }
-    }
-
-    /// Current mode.
-    #[must_use]
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    /// Number of transitions performed.
-    #[must_use]
-    pub fn switches(&self) -> u64 {
-        self.switches
-    }
-
-    /// Total MRS commands spent on switching.
-    #[must_use]
-    pub fn switch_commands(&self) -> u64 {
-        self.switch_commands
-    }
-
-    /// Attempt a transition; returns the number of MRS commands the host
-    /// must issue (0 when already in the target mode).
-    ///
-    /// # Errors
-    ///
-    /// [`ModeError`] when the edge does not exist in Figure 1's state
-    /// machine (SB ↔ AB-PIM directly).
-    pub fn switch_to(&mut self, to: Mode) -> Result<usize, ModeError> {
-        if self.mode == to {
-            return Ok(0);
-        }
-        let legal = matches!(
-            (self.mode, to),
-            (Mode::Sb, Mode::Ab)
-                | (Mode::Ab, Mode::Sb)
-                | (Mode::Ab, Mode::AbPim)
-                | (Mode::AbPim, Mode::Ab)
-        );
-        if !legal {
-            return Err(ModeError {
-                from: self.mode,
-                to,
-            });
-        }
-        self.mode = to;
-        self.switches += 1;
-        self.switch_commands += SWITCH_SEQUENCE_LEN as u64;
-        Ok(SWITCH_SEQUENCE_LEN)
-    }
-
-    /// Route to a target mode through the legal chain, returning the total
-    /// MRS commands (e.g. SB → AB-PIM costs two transitions).
-    pub fn route_to(&mut self, to: Mode) -> usize {
-        let mut cost = 0;
-        while self.mode != to {
-            let next = match (self.mode, to) {
-                (Mode::Sb, _) => Mode::Ab,
-                (Mode::Ab, Mode::Sb) => Mode::Sb,
-                (Mode::Ab, _) => Mode::AbPim,
-                (Mode::AbPim, _) => Mode::Ab,
-            };
-            cost += self.switch_to(next).expect("chain transitions are legal");
-        }
-        cost
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn starts_in_sb() {
-        assert_eq!(ModeController::new().mode(), Mode::Sb);
-    }
-
-    #[test]
-    fn legal_chain() {
-        let mut m = ModeController::new();
-        assert_eq!(m.switch_to(Mode::Ab).unwrap(), SWITCH_SEQUENCE_LEN);
-        assert_eq!(m.switch_to(Mode::AbPim).unwrap(), SWITCH_SEQUENCE_LEN);
-        assert_eq!(m.switch_to(Mode::Ab).unwrap(), SWITCH_SEQUENCE_LEN);
-        assert_eq!(m.switch_to(Mode::Sb).unwrap(), SWITCH_SEQUENCE_LEN);
-        assert_eq!(m.switches(), 4);
-        assert_eq!(m.switch_commands(), 4 * SWITCH_SEQUENCE_LEN as u64);
-    }
-
-    #[test]
-    fn direct_sb_abpim_is_illegal() {
-        let mut m = ModeController::new();
-        assert!(m.switch_to(Mode::AbPim).is_err());
-        m.switch_to(Mode::Ab).unwrap();
-        m.switch_to(Mode::AbPim).unwrap();
-        assert!(m.switch_to(Mode::Sb).is_err());
-    }
-
-    #[test]
-    fn same_mode_is_free() {
-        let mut m = ModeController::new();
-        assert_eq!(m.switch_to(Mode::Sb).unwrap(), 0);
-        assert_eq!(m.switches(), 0);
-    }
-
-    #[test]
-    fn route_chains_transitions() {
-        let mut m = ModeController::new();
-        let cost = m.route_to(Mode::AbPim);
-        assert_eq!(cost, 2 * SWITCH_SEQUENCE_LEN);
-        assert_eq!(m.mode(), Mode::AbPim);
-        let back = m.route_to(Mode::Sb);
-        assert_eq!(back, 2 * SWITCH_SEQUENCE_LEN);
-    }
-}

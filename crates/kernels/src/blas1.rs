@@ -6,7 +6,7 @@
 //! fetches its compiled program from [`crate::programs`], lays out
 //! stripes, executes, and reads results back from bank memory.
 
-use crate::device::{mode_cycle, KernelRun, PimDevice};
+use crate::device::{KernelRun, PimDevice};
 use crate::programs;
 use psim_sparse::dense::SparseVec;
 use psim_sparse::Precision;
@@ -120,7 +120,6 @@ impl Blas1Pim {
     ) -> Result<KernelRun, CoreError> {
         let program = programs::compiled(asm)?;
         let mut host = self.device.make_host();
-        mode_cycle(&mut host, program.len());
         engine.load_verified(&program, bindings)?;
         if let Some(v) = srf {
             engine.set_srf_all(v);

@@ -3,7 +3,7 @@
 //! and SpTRSV level batches place their triples with `place_triples` and
 //! bind them with [`batched_sparse_bindings`].
 
-use psim_dram::{HbmConfig, Mode};
+use psim_dram::HbmConfig;
 use psim_sparse::Precision;
 use psyncpim_core::{
     CycleBreakdown, Engine, EngineConfig, EngineTier, ExecMode, HostController, MetricsRegistry,
@@ -58,13 +58,8 @@ impl PimDevice {
     #[must_use]
     pub fn psync_3x() -> Self {
         PimDevice {
-            hbm: HbmConfig::default(),
-            mode: ExecMode::AllBank,
             cubes: 3,
-            validate: false,
-            trace: false,
-            trace_events: DEFAULT_TRACE_EVENTS,
-            tier: EngineTier::Event,
+            ..PimDevice::psync_1x()
         }
     }
 
@@ -72,13 +67,8 @@ impl PimDevice {
     #[must_use]
     pub fn per_bank() -> Self {
         PimDevice {
-            hbm: HbmConfig::default(),
             mode: ExecMode::PerBank,
-            cubes: 1,
-            validate: false,
-            trace: false,
-            trace_events: DEFAULT_TRACE_EVENTS,
-            tier: EngineTier::Event,
+            ..PimDevice::psync_1x()
         }
     }
 
@@ -86,20 +76,14 @@ impl PimDevice {
     /// 2 × 2 banks.
     #[must_use]
     pub fn tiny(channels: usize) -> Self {
-        let hbm = HbmConfig {
-            num_bankgroups: 2,
-            banks_per_group: 2,
-            num_pseudo_channels: channels,
-            ..HbmConfig::default()
-        };
         PimDevice {
-            hbm,
-            mode: ExecMode::AllBank,
-            cubes: 1,
-            validate: false,
-            trace: false,
-            trace_events: DEFAULT_TRACE_EVENTS,
-            tier: EngineTier::Event,
+            hbm: HbmConfig {
+                num_bankgroups: 2,
+                banks_per_group: 2,
+                num_pseudo_channels: channels,
+                ..HbmConfig::default()
+            },
+            ..PimDevice::psync_1x()
         }
     }
 
@@ -134,12 +118,7 @@ impl PimDevice {
         hbm.internal_bw *= frac;
         Some(PimDevice {
             hbm,
-            mode: self.mode,
-            cubes: self.cubes,
-            validate: self.validate,
-            trace: self.trace,
-            trace_events: self.trace_events,
-            tier: EngineTier::Event,
+            ..self.clone()
         })
     }
 
@@ -175,13 +154,14 @@ impl Default for PimDevice {
 }
 
 /// The combined result of running a kernel on the device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct KernelRun {
     /// In-PIM execution seconds (sum over sequential phases; bank-parallel
     /// inside each phase).
     pub kernel_s: f64,
-    /// Host/external seconds (vector broadcast, partial-output collection,
-    /// mode switches, kernel programming).
+    /// Host/external seconds: the external-bus transfers (vector
+    /// broadcast, partial-output collection). Mode switches and kernel
+    /// programming are engine MRS commands, counted in `kernel_s`.
     pub host_s: f64,
     /// Bytes moved over the external interface.
     pub external_bytes: u64,
@@ -220,32 +200,10 @@ pub struct KernelRun {
     pub metrics: Option<MetricsRegistry>,
 }
 
-impl Default for KernelRun {
-    fn default() -> Self {
-        KernelRun {
-            kernel_s: 0.0,
-            host_s: 0.0,
-            external_bytes: 0,
-            dram_cycles: 0,
-            commands: 0,
-            all_bank_commands: 0,
-            per_bank_commands: 0,
-            rounds: 0,
-            energy_j: 0.0,
-            phases: 0,
-            active_pus: 0,
-            violations: 0,
-            mem_ops: 0,
-            bank_bursts: 0,
-            attr: CycleBreakdown::default(),
-            metrics: None,
-        }
-    }
-}
-
 impl KernelRun {
     /// Total wall-clock seconds (the paper's kernel time includes mode
-    /// switching and programming overheads, §VII-A).
+    /// switching and programming overheads, §VII-A: here they are part of
+    /// `kernel_s`).
     #[must_use]
     pub fn total_s(&self) -> f64 {
         self.kernel_s + self.host_s
@@ -291,7 +249,7 @@ impl KernelRun {
     /// Fold the host controller's accumulated report.
     pub fn absorb_host(&mut self, host: &HostController) {
         let r = host.report();
-        self.host_s += r.external_s + r.control_s;
+        self.host_s += r.external_s;
         self.external_bytes += r.external_bytes;
     }
 
@@ -320,15 +278,6 @@ impl KernelRun {
             }
         }
     }
-}
-
-/// Run a standard pre/post mode-switch cycle around a kernel phase on the
-/// host (SB → AB (program) → AB-PIM (run) → SB) and account it.
-pub fn mode_cycle(host: &mut HostController, program_len: usize) {
-    host.switch_to(Mode::Ab);
-    host.program_kernel(program_len);
-    host.switch_to(Mode::AbPim);
-    host.switch_to(Mode::Sb);
 }
 
 /// Lay out one launch's triples for [`crate::programs::sparse_stream_batched`]
@@ -463,11 +412,30 @@ mod tests {
     }
 
     #[test]
-    fn mode_cycle_accounts_switches() {
-        let mut host = HostController::new(256e9);
-        mode_cycle(&mut host, 8);
-        let r = host.report();
-        assert_eq!(r.mode_switches, 4); // SB->AB->AB-PIM->AB->SB
-        assert!(r.control_s > 0.0);
+    fn mode_switches_are_charged_once_in_kernel_time() {
+        // The engine issues a launch's mode switches and kernel program as
+        // MRS commands; the host ledger holds external transfers only.
+        let dev = PimDevice::tiny(2);
+        let x: Vec<f64> = (0..32).map(f64::from).collect();
+        let blas = crate::blas1::Blas1Pim::new(dev.clone(), Precision::Fp64);
+        let dcopy = blas.dcopy(&x).unwrap().run;
+        assert_eq!(dcopy.host_s, 0.0, "a DCOPY moves no external bytes");
+
+        let traced = PimDevice { trace: true, ..dev };
+        let setup = crate::blas1::Blas1Pim::new(traced, Precision::Fp64)
+            .dcopy(&x)
+            .unwrap()
+            .run
+            .attr
+            .get(psyncpim_core::Category::Setup);
+        let program = crate::programs::compiled(&crate::programs::dcopy(Precision::Fp64, 1))
+            .unwrap()
+            .len() as u64;
+        let switches = 4 * psim_dram::mode::SWITCH_SEQUENCE_LEN as u64;
+        assert!(setup >= (switches + program) / 2, "{setup} setup cycles");
+
+        // One collect of the 8 banks' 8 B partials: latency floor + bytes.
+        let ddot = blas.ddot(&x, &x).unwrap().run;
+        assert_eq!(ddot.host_s, 400e-9 + 64.0 / 256e9);
     }
 }

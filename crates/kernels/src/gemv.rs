@@ -11,7 +11,7 @@
 //! full pattern — the dense solve is the degenerate (fully dense) case of
 //! the paper's SpTRSV algorithm.
 
-use crate::device::{mode_cycle, KernelRun, PimDevice};
+use crate::device::{KernelRun, PimDevice};
 use crate::programs;
 use crate::sptrsv::SptrsvPim;
 use psim_sparse::triangular::{Triangle, UnitTriangular};
@@ -129,7 +129,6 @@ impl Gemv {
             let asm = programs::dgemv(self.precision, rows_per_bank as u16, chunks as u16);
             let program = programs::compiled(&asm)?;
             let mut host = self.device.make_host();
-            mode_cycle(&mut host, program.len());
             engine.load_verified(&program, bindings.clone())?;
             engine.set_srf_all(0.0);
             let report = engine.run()?;

@@ -19,7 +19,7 @@
 //! [`crate::CostModel::spmv_layout`] prices. A launch lays out its triples
 //! with `device::place_triples`, as SpTRSV's level batches do.
 
-use crate::device::{batched_sparse_bindings, mode_cycle, place_triples, KernelRun, PimDevice};
+use crate::device::{batched_sparse_bindings, place_triples, KernelRun, PimDevice};
 use crate::programs;
 use crate::spmm::{SpmmResult, MAX_SPMM_WIDTH};
 use psim_sparse::partition::{BankPartition, PartitionConfig, PartitionStats, SubMatrix};
@@ -237,7 +237,6 @@ impl SpmvPim {
                 .map(|(_, s)| s.input_len() * ebytes * width)
                 .sum();
             host.broadcast(bcast);
-            mode_cycle(&mut host, program.len());
 
             let mut wave_seconds = 0.0f64;
             let mut wave_cycles = 0u64;

@@ -24,9 +24,7 @@
 //! launch of SpMV's stream program, and its triples are laid out by the
 //! same `device::place_triples` as an SpMV wave.
 
-use crate::device::{
-    batched_sparse_bindings, mode_cycle, place_triples, triple_pairs, KernelRun, PimDevice,
-};
+use crate::device::{batched_sparse_bindings, place_triples, triple_pairs, KernelRun, PimDevice};
 use crate::programs;
 use crate::spmv::SpmvPim;
 use psim_sparse::triangular::UnitTriangular;
@@ -240,7 +238,6 @@ impl SptrsvPim {
             }));
             host.collect(chunk.len() * ebytes);
             host.broadcast(chunk.len() * ebytes);
-            mode_cycle(&mut host, program.len());
 
             let Some(max_nnz) = streams.fill(&csc, chunk, stripe) else {
                 continue;

@@ -270,7 +270,7 @@ pub(crate) mod tests {
         let checked = drain_fingerprint(true);
         assert_eq!(checked.1, 0, "a validated drain is protocol-clean");
         assert_eq!(checked, drain_fingerprint(false));
-        assert_eq!(checked.0, 4_934_843_193_405_915_810);
+        assert_eq!(checked.0, 14_881_808_994_214_044_520);
     }
 
     #[test]

@@ -199,7 +199,7 @@ fn closed_batch_output_is_pinned() {
         .fold(0xcbf2_9ce4_8422_2325u64, |h, (shards, fusion, trace)| {
             frozen_hash(&run_traced(&specs, shards, 1, fusion, trace), h)
         });
-    assert_eq!(hash, 3_457_706_027_006_588_251);
+    assert_eq!(hash, 14_288_732_733_034_016_166);
 }
 
 /// Random multi-tenant job mixes for the property test.
