@@ -18,6 +18,12 @@ PSIM_SYNC=instrument cargo test -q -p psim-sched
 echo "==> results check (every committed artifact regenerates byte-identically; every gate holds; writes nothing)"
 cargo run -q --release -p psim-bench -- --check
 
+echo "==> examples (each runs to completion and exits 0)"
+for example in quickstart graph_analytics linear_solver pim_assembly custom_matrix; do
+  echo "--> $example"
+  cargo run -q --release --example "$example" > /dev/null
+done
+
 echo "==> cargo clippy --workspace --all-targets (deny warnings + pedantic subset)"
 cargo clippy --workspace --all-targets -- -D warnings \
   -D clippy::semicolon_if_nothing_returned \

@@ -6,6 +6,14 @@
 //! span to know which DRAM row must be open for an access; the processing
 //! unit reads and writes region elements functionally.
 //!
+//! A region may reserve more elements than it stores: its rows, and the
+//! start rows of the regions after it, follow the reservation, while only
+//! the stored prefix takes host memory. Elements past the stored prefix
+//! read as the quiet zero and drop stores, as elements past a region's end
+//! do. An all-bank launch uses this to give every bank the same rows while
+//! each bank stores only the stream it reads (DESIGN.md §5); a processing
+//! unit never reads the unstored tail, which debug builds assert.
+//!
 //! Values are carried as `f64` (index streams store their indices as exact
 //! small integers, with `-1.0` as the paper's end-of-data sentinel);
 //! `elem_bytes` controls how many elements one 32 B burst moves and how
@@ -80,6 +88,8 @@ pub const SENTINEL: f64 = -1.0;
 pub struct Region {
     start_row: u32,
     elem_bytes: usize,
+    /// Elements the region's rows are reserved for; at least `data.len()`.
+    reserved: usize,
     data: Vec<f64>,
 }
 
@@ -96,13 +106,20 @@ impl Region {
         self.elem_bytes
     }
 
-    /// Number of elements.
+    /// Number of stored elements.
     #[must_use]
     pub fn len(&self) -> usize {
         self.data.len()
     }
 
-    /// Whether the region is empty.
+    /// Number of elements the region's rows are reserved for (at least
+    /// [`Region::len`]).
+    #[must_use]
+    pub fn reserved(&self) -> usize {
+        self.reserved
+    }
+
+    /// Whether the region stores no element.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
@@ -119,24 +136,24 @@ impl Region {
         &mut self.data
     }
 
-    /// Element at `idx`, or 0 past the end (reads beyond a region return
-    /// the quiet zero pattern).
+    /// Element at `idx`, or 0 past the stored prefix (reads beyond it
+    /// return the quiet zero pattern).
     #[must_use]
     pub fn get(&self, idx: usize) -> f64 {
         self.data.get(idx).copied().unwrap_or(0.0)
     }
 
-    /// Store at `idx`; silently dropped past the end.
+    /// Store at `idx`; silently dropped past the stored prefix.
     pub fn set(&mut self, idx: usize, v: f64) {
         if let Some(slot) = self.data.get_mut(idx) {
             *slot = v;
         }
     }
 
-    /// DRAM rows this region spans for a given row size.
+    /// DRAM rows this region's reservation spans for a given row size.
     #[must_use]
     pub fn rows_spanned(&self, row_bytes: usize) -> u32 {
-        let bytes = self.data.len() * self.elem_bytes;
+        let bytes = self.reserved * self.elem_bytes;
         (bytes.div_ceil(row_bytes)).max(1) as u32
     }
 
@@ -214,9 +231,16 @@ impl BankMemory {
 
     /// Allocate a region holding `data`, rounded up to whole rows.
     pub fn alloc(&mut self, elem_bytes: usize, data: Vec<f64>) -> RegionId {
+        self.push(elem_bytes, data.len(), data)
+    }
+
+    /// Place a region storing `data` in rows reserved for `reserved`
+    /// elements, after the last region.
+    fn push(&mut self, elem_bytes: usize, reserved: usize, data: Vec<f64>) -> RegionId {
         let region = Region {
             start_row: self.next_row,
             elem_bytes,
+            reserved,
             data,
         };
         self.next_row += region.rows_spanned(self.row_bytes);
@@ -235,13 +259,28 @@ impl BankMemory {
     /// a bank that allocates the same regions after every rewind stops
     /// allocating.
     pub fn alloc_copy(&mut self, elem_bytes: usize, data: &[f64]) -> RegionId {
+        self.alloc_reserved(elem_bytes, data.len(), data)
+    }
+
+    /// [`BankMemory::alloc_copy`] for a region that reserves rows for
+    /// `reserved` elements but stores only `data`, its prefix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is longer than `reserved`.
+    pub fn alloc_reserved(&mut self, elem_bytes: usize, reserved: usize, data: &[f64]) -> RegionId {
+        assert!(
+            data.len() <= reserved,
+            "a region storing {} elements reserves only {reserved}",
+            data.len()
+        );
         let mut storage = self.spare.pop().unwrap_or_default();
         storage.clear();
         // Grow to fit exactly: amortized doubling would keep up to twice
         // the largest region this storage ever held.
         storage.reserve_exact(data.len());
         storage.extend_from_slice(data);
-        self.alloc(elem_bytes, storage)
+        self.push(elem_bytes, reserved, storage)
     }
 
     /// Borrow a region.
@@ -264,11 +303,16 @@ impl BankMemory {
     }
 
     /// The processing unit's load path: borrow a region and log that
-    /// elements `range` may be read. The log is clipped to the region:
-    /// reads past its end see the quiet zero, which only the region's
-    /// length decides.
+    /// elements `range` may be read. The log is clipped to the stored
+    /// prefix: reads past it see the quiet zero, which only the region's
+    /// layout decides. A processing unit never reads elements a region
+    /// reserves but does not store (debug builds assert it).
     pub(crate) fn read(&mut self, id: RegionId, range: Range<usize>) -> &Region {
-        let len = self.regions[id.0].data.len();
+        let (len, reserved) = (self.regions[id.0].data.len(), self.regions[id.0].reserved);
+        debug_assert!(
+            range.start.max(len) >= range.end.min(reserved),
+            "read {range:?} of region {id:?} reaches its unstored elements {len}..{reserved}"
+        );
         let (lo, hi) = (range.start.min(len), range.end.min(len));
         if lo < hi {
             if self.reads.len() <= id.0 {
@@ -306,7 +350,8 @@ impl BankMemory {
     }
 
     /// Whether both banks have the same row size and the same regions at
-    /// the same rows, with the same element widths and lengths.
+    /// the same rows, with the same element widths and the same stored and
+    /// reserved lengths.
     pub(crate) fn same_layout(&self, other: &BankMemory) -> bool {
         self.row_bytes == other.row_bytes
             && self.regions.len() == other.regions.len()
@@ -314,6 +359,7 @@ impl BankMemory {
                 a.start_row == b.start_row
                     && a.elem_bytes == b.elem_bytes
                     && a.data.len() == b.data.len()
+                    && a.reserved == b.reserved
             })
     }
 
@@ -502,6 +548,70 @@ mod tests {
         assert!(!m.wrote());
         other.alloc(8, vec![]);
         assert!(!m.same_layout(&other));
+    }
+
+    #[test]
+    fn a_reserved_region_spans_its_reservation_and_stores_its_prefix() {
+        let mut m = BankMemory::new(1024);
+        let a = m.alloc_reserved(8, 300, &[1.0, 2.0]); // 2400 B -> 3 rows
+        let b = m.alloc(8, vec![3.0; 4]);
+        let r = m.region(a);
+        assert_eq!((r.len(), r.reserved(), r.rows_spanned(1024)), (2, 300, 3));
+        assert_eq!(
+            m.region(b).start_row(),
+            3,
+            "the next region follows the reservation"
+        );
+        assert_eq!(m.rows_used(), 4);
+        // Past the stored prefix, reads see the quiet zero and stores drop.
+        assert_eq!(m.read(a, 0..2).get(1), 2.0);
+        assert_eq!(m.region(a).get(2), 0.0);
+        assert_eq!(m.region(a).get(299), 0.0);
+        m.region_mut(a).set(5, 9.0);
+        assert_eq!((m.region(a).len(), m.region(a).get(5)), (2, 0.0));
+    }
+
+    #[test]
+    fn same_layout_compares_stored_and_reserved_lengths() {
+        let bank = |stored: usize, reserved: usize| {
+            let mut m = BankMemory::new(1024);
+            m.alloc_reserved(8, reserved, &vec![0.0; stored]);
+            m
+        };
+        assert!(bank(2, 100).same_layout(&bank(2, 100)));
+        assert!(
+            !bank(2, 100).same_layout(&bank(3, 100)),
+            "stored length differs"
+        );
+        assert!(
+            !bank(2, 100).same_layout(&bank(2, 101)),
+            "reserved length differs"
+        );
+        assert!(!bank(2, 2).same_layout(&bank(2, 100)));
+    }
+
+    #[test]
+    fn truncate_hands_a_reserved_regions_storage_back() {
+        let mut m = BankMemory::new(1024);
+        let mark = m.mark();
+        let a = m.alloc_reserved(8, 1000, &[1.0; 12]); // 8 rows
+        let pa = m.region(a).data().as_ptr();
+        m.truncate(mark);
+        assert_eq!(m.rows_used(), 0);
+        let b = m.alloc_copy(8, &[2.0; 12]);
+        assert_eq!(m.region(b).data().as_ptr(), pa);
+        assert_eq!((m.region(b).reserved(), m.rows_used()), (12, 1));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "reaches its unstored elements 6..12")]
+    fn a_pu_read_into_the_unstored_tail_panics() {
+        let mut m = BankMemory::new(64);
+        let a = m.alloc_reserved(8, 12, &[1.0; 6]);
+        let _ = m.read(a, 0..6);
+        let _ = m.read(a, 12..16); // past the reservation: the quiet zero
+        let _ = m.read(a, 4..8);
     }
 
     #[test]

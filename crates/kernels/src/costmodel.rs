@@ -274,7 +274,7 @@ mod tests {
             for n in 1..=10 * lanes {
                 let mut engine = device.make_engine();
                 let entries = (0..n).map(|k| (0, (k % 4) as u32, 1.0));
-                let rt = place_triples(&mut engine, n, precision, [(0, entries)]);
+                let rt = place_triples(&mut engine, n, precision, [(0, n, entries)]);
                 let mut regions = None;
                 for b in 0..engine.num_banks() {
                     let mem = engine.mem_mut(b);

@@ -282,34 +282,41 @@ impl KernelRun {
 
 /// Lay out one launch's triples for [`crate::programs::sparse_stream_batched`]
 /// in every bank of `engine`, as chunk pairs of `[rowsA|colsA|valsA|rowsB|
-/// colsB|valsB]` blocks of `lanes` elements: one image sized for the
-/// `longest` bank stream ([`triple_pairs`]), with the −1 sentinel in every
-/// index slot, is copied into every bank, then each listed bank's entries
-/// overwrite its front. Idle banks thus hold bit-identical padding (twin
-/// channels, DESIGN.md §14). Returns the triples' region, the same id in
-/// every bank.
+/// colsB|valsB]` blocks of `lanes` elements, the −1 sentinel in every index
+/// slot past a bank's entries. Each listed bank comes with its entry count
+/// `n` (at most `longest`) and its entries.
+///
+/// Every bank reserves rows for the `longest` stream ([`triple_pairs`]), so
+/// row numbers, and with them commands and cycles, do not depend on which
+/// banks are listed. A bank stores only what its processing unit reads: the
+/// stream program loads one chunk pair per iteration and exits after the
+/// first pair holding a sentinel, so a listed bank stores
+/// `triple_pairs(n)` pairs and an idle bank one sentinel pair. Idle banks
+/// thus hold bit-identical padding (twin channels, DESIGN.md §14). Returns
+/// the triples' region, the same id in every bank.
 pub(crate) fn place_triples<E>(
     engine: &mut Engine,
     longest: usize,
     precision: Precision,
-    banks: impl IntoIterator<Item = (usize, E)>,
+    banks: impl IntoIterator<Item = (usize, usize, E)>,
 ) -> RegionId
 where
     E: IntoIterator<Item = (u32, u32, f64)>,
 {
     use psyncpim_core::memory::SENTINEL;
     let lanes = precision.lanes();
-    let mut padding = vec![0.0f64; triple_pairs(longest, lanes) * 6 * lanes];
+    let reserved = triple_pairs(longest, lanes) * 6 * lanes;
+    let mut padding = vec![0.0f64; reserved];
     for half in padding.chunks_exact_mut(3 * lanes) {
         half[..2 * lanes].fill(SENTINEL); // rows, cols
     }
+    let stored = |n| &padding[..triple_pairs(n, lanes) * 6 * lanes];
+    let mut listed = vec![false; engine.num_banks()];
     let mut triples = None;
-    for bank in 0..engine.num_banks() {
-        triples = Some(engine.mem_mut(bank).alloc_copy(precision.bytes(), &padding));
-    }
-    let triples = triples.expect("an engine has at least one bank");
-    for (bank, entries) in banks {
-        let data = engine.mem_mut(bank).region_mut(triples).data_mut();
+    for (bank, n, entries) in banks {
+        let mem = engine.mem_mut(bank);
+        let id = mem.alloc_reserved(precision.bytes(), reserved, stored(n));
+        let data = mem.region_mut(id).data_mut();
         for (k, (r, c, v)) in entries.into_iter().enumerate() {
             let chunk = k / lanes;
             let lane = k % lanes;
@@ -318,8 +325,15 @@ where
             data[base + lanes + lane] = f64::from(c);
             data[base + 2 * lanes + lane] = precision.quantize(v);
         }
+        debug_assert!(!listed[bank], "bank {bank} is listed twice");
+        listed[bank] = true;
+        triples = Some(id);
     }
-    triples
+    for (bank, _) in listed.iter().enumerate().filter(|(_, &l)| !l) {
+        let mem = engine.mem_mut(bank);
+        triples = Some(mem.alloc_reserved(precision.bytes(), reserved, stored(0)));
+    }
+    triples.expect("an engine has at least one bank")
 }
 
 /// Chunk pairs needed for `n` entries (at least one, and one extra pair of
@@ -409,6 +423,36 @@ mod tests {
         assert_eq!(a.commands, 30);
         assert_eq!(a.rounds, 5);
         assert_eq!(a.phases, 3);
+    }
+
+    #[test]
+    fn place_triples_reserves_the_longest_stream_and_stores_each_banks_own() {
+        let precision = Precision::Fp64;
+        let (lanes, pair) = (precision.lanes(), 6 * precision.lanes());
+        let device = PimDevice::psync_1x();
+        let mut engine = device.make_engine();
+        let listed = [(3, 1), (70, 300), (200, 17)];
+        let rt = place_triples(
+            &mut engine,
+            300,
+            precision,
+            listed.map(|(bank, n)| (bank, n, (0..n).map(|k| (0, k as u32, 1.0)))),
+        );
+        let row_bytes = device.hbm.row_bytes();
+        let (start, rows) = {
+            let r = engine.mem(0).region(rt);
+            (r.start_row(), r.rows_spanned(row_bytes))
+        };
+        assert_eq!(rows, 8, "39 pairs of 24 FP64 elements");
+        for bank in 0..engine.num_banks() {
+            let r = engine.mem(bank).region(rt);
+            assert_eq!((r.start_row(), r.rows_spanned(row_bytes)), (start, rows));
+            assert_eq!(r.reserved(), triple_pairs(300, lanes) * pair);
+            match listed.iter().find(|&&(b, _)| b == bank) {
+                Some(&(_, n)) => assert_eq!(r.len(), triple_pairs(n, lanes) * pair, "bank {bank}"),
+                None => assert_eq!(r.len(), pair, "idle bank {bank} stores one sentinel pair"),
+            }
+        }
     }
 
     #[test]

@@ -243,7 +243,8 @@ impl SpmvPim {
             let mut wave_wall = psyncpim_core::CycleBreakdown::default();
             let mut collect_bytes = 0usize;
             for cube in 0..self.device.cubes {
-                // Equal-rows-per-bank padding within the cube.
+                // Every bank of the cube reserves rows for the longest
+                // stream.
                 let max_nnz = plan.longest(wave, cube);
                 if max_nnz == 0 {
                     continue;
@@ -269,7 +270,7 @@ impl SpmvPim {
                                 .iter()
                                 .map(move |e| (e.row + dr, e.col + dc, e.val))
                         });
-                        (b, stream)
+                        (b, width * s.nnz(), stream)
                     }),
                 );
                 let (x0, y0) = (vec![0.0; width * max_in], vec![identity; width * max_out]);

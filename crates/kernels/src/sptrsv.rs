@@ -195,9 +195,9 @@ impl SptrsvPim {
         // every bank's. Cycles do not depend on which rows a batch reuses:
         // each launch replays on a fresh channel, which only compares row
         // numbers within the launch. A batch touches the banks owning its
-        // entries' rows; every other bank gets one shared sentinel padding
-        // image, so the engine replays a channel of padding once and its
-        // twins take that outcome (DESIGN.md §14).
+        // entries' rows; every other bank stores one sentinel pair, so the
+        // engine replays a channel of padding once and its twins take that
+        // outcome (DESIGN.md §14).
         let batch_mark = engine.mem(0).mark();
 
         // Every batch copies into the storage the previous one released.
@@ -229,8 +229,12 @@ impl SptrsvPim {
         let mut batches = 0u64;
         for chunk in level_batches() {
             batches += 1;
+            let Some(max_nnz) = streams.fill(&csc, chunk, stripe) else {
+                continue;
+            };
             // Scales: read the just-finalized x values from their owner
-            // banks (SB mode), then broadcast to every bank.
+            // banks (SB mode), then broadcast to every bank. A batch with
+            // no entries never launches, and no bank reads its scales.
             scales.clear();
             scales.extend(chunk.iter().map(|&c| {
                 let bank = c / stripe;
@@ -238,10 +242,6 @@ impl SptrsvPim {
             }));
             host.collect(chunk.len() * ebytes);
             host.broadcast(chunk.len() * ebytes);
-
-            let Some(max_nnz) = streams.fill(&csc, chunk, stripe) else {
-                continue;
-            };
             let rt = place_triples(&mut engine, max_nnz, self.precision, streams.banks());
             let mut rs = None;
             for bank in 0..nbanks {
@@ -333,13 +333,15 @@ impl BatchStreams {
         Some(longest)
     }
 
-    /// Each touched bank with its entries.
-    fn banks(&self) -> impl Iterator<Item = (usize, impl Iterator<Item = (u32, u32, f64)> + '_)> {
+    /// Each touched bank with its entry count and entries.
+    fn banks(
+        &self,
+    ) -> impl Iterator<Item = (usize, usize, impl Iterator<Item = (u32, u32, f64)> + '_)> {
         let mut start = 0;
         self.touched.iter().map(move |&bank| {
-            let entries = self.entries[start..self.end[bank]].iter().copied();
+            let entries = &self.entries[start..self.end[bank]];
             start = self.end[bank];
-            (bank, entries)
+            (bank, entries.len(), entries.iter().copied())
         })
     }
 }
@@ -487,6 +489,17 @@ mod tests {
         let t = UnitTriangular::from_strict(Triangle::Lower, Coo::new(16, 16)).unwrap();
         let err = runner().run(&t, &[1.0; 15]).unwrap_err();
         assert!(matches!(err, CoreError::Operand(_)), "{err:?}");
+    }
+
+    #[test]
+    fn an_empty_level_batch_books_no_scale_round_trip() {
+        // The strict triangle is empty: its one level batch never
+        // launches, so the host moves only the 16 FP64 stripe elements up
+        // and back, two 400 ns latency floors and 128 B each at 256 GB/s.
+        let t = UnitTriangular::from_strict(Triangle::Lower, Coo::new(16, 16)).unwrap();
+        let run = runner().run(&t, &gen::dense_vector(16, 4)).unwrap().run;
+        assert_eq!((run.phases, run.external_bytes), (0, 256));
+        assert!((run.host_s - 801e-9).abs() < 1e-18, "{}", run.host_s);
     }
 
     #[test]

@@ -278,72 +278,26 @@ impl BankPartition {
         let col_bounds = config.scheme.column_bounds(a);
         let mut subs: Vec<SubMatrix> = Vec::new();
 
-        // Row-major order so strips are contiguous entry runs.
+        // Row-major order so strips are contiguous entry runs. The sort is
+        // stable, and linear on entries that already arrive row-major.
         let mut sorted = a.clone();
         sorted.sort_row_major();
         let entries = sorted.entries();
 
-        let mut strip_start_idx = 0usize;
-        let mut row_lo = 0usize;
-        while row_lo < a.nrows() {
+        let mut cut = StripCut::new(a.ncols());
+        let mut start = 0usize;
+        for row_lo in (0..a.nrows()).step_by(max_dim) {
             let row_hi = (row_lo + max_dim).min(a.nrows());
-            // Collect this strip's entries.
-            let mut idx = strip_start_idx;
-            while idx < entries.len() && (entries[idx].row as usize) < row_hi {
-                idx += 1;
-            }
-            let strip = &entries[strip_start_idx..idx];
-            strip_start_idx = idx;
-
-            for &(block_lo, block_hi) in &col_bounds {
-                if strip.is_empty() {
-                    continue;
-                }
-                // Matrix compression: keep only columns with a non-zero in
-                // this (strip × column block) cell. Without it, every cell
-                // spans its block's full column range (the naive
-                // distribution of Figure 6's left side).
-                let cols: Vec<u32> = if config.compress {
-                    let mut c: Vec<u32> = strip
-                        .iter()
-                        .map(|e| e.col)
-                        .filter(|&c| c >= block_lo && c < block_hi)
-                        .collect();
-                    c.sort_unstable();
-                    c.dedup();
-                    c
-                } else {
-                    (block_lo..block_hi).collect()
-                };
-                // Cut the *compacted* column list into row-sized chunks.
-                for chunk in cols.chunks(max_dim) {
-                    let lo_col = chunk[0];
-                    let hi_col = *chunk.last().expect("non-empty chunk");
-                    let local: Vec<Entry> = strip
-                        .iter()
-                        .filter(|e| e.col >= lo_col && e.col <= hi_col)
-                        .map(|e| {
-                            let local_col = chunk
-                                .binary_search(&e.col)
-                                .expect("column present by construction");
-                            Entry::new(e.row - row_lo as u32, local_col as u32, e.val)
-                        })
-                        .collect();
-                    if !local.is_empty() {
-                        subs.push(SubMatrix {
-                            bank: 0, // placed below
-                            row_lo,
-                            row_hi,
-                            cols: chunk.to_vec(),
-                            entries: local,
-                        });
-                    }
-                }
-            }
-            row_lo = row_hi;
+            let len = entries[start..].partition_point(|e| (e.row as usize) < row_hi);
+            let strip = &entries[start..start + len];
+            start += len;
+            cut.cut(strip, row_lo..row_hi, &col_bounds, &config, &mut subs);
         }
+        Self::place(a, config, subs)
+    }
 
-        // Placement.
+    /// Assign each submatrix of `a`'s cut a bank by `config`'s policy.
+    fn place(a: &Coo, config: PartitionConfig, mut subs: Vec<SubMatrix>) -> Self {
         match config.policy {
             DistPolicy::RoundRobin => {
                 for (i, s) in subs.iter_mut().enumerate() {
@@ -385,11 +339,6 @@ impl BankPartition {
         &self.submatrices
     }
 
-    /// Submatrices on one bank.
-    pub fn bank(&self, b: usize) -> impl Iterator<Item = &SubMatrix> {
-        self.submatrices.iter().filter(move |s| s.bank == b)
-    }
-
     /// Non-zeros per bank.
     #[must_use]
     pub fn bank_nnz(&self) -> Vec<usize> {
@@ -419,12 +368,6 @@ impl BankPartition {
                 total_nnz as f64 / banks_used as f64
             },
         }
-    }
-
-    /// Matrix shape this partition covers.
-    #[must_use]
-    pub fn shape(&self) -> (usize, usize) {
-        (self.nrows, self.ncols)
     }
 
     /// Total non-zeros across all submatrices (must equal the source nnz —
@@ -457,10 +400,246 @@ impl BankPartition {
     }
 }
 
+/// Per-column scratch for cutting a matrix strip by strip: each strip
+/// takes one sweep over its entries to collect its distinct columns and one
+/// to deal the entries to their chunks, with no sort or search over the
+/// entries.
+struct StripCut {
+    /// Per column: the last strip (counted from 1) with an entry in it, so
+    /// the per-column arrays need no reset between strips.
+    stamp: Vec<u32>,
+    /// Per column of the current strip: its entry count.
+    count: Vec<u32>,
+    /// Per column of the current strip: its chunk, counted from the
+    /// strip's first, and its local index in that chunk.
+    index: Vec<(u32, u32)>,
+    /// The current strip's distinct columns.
+    cols: Vec<u32>,
+    /// The current strip's chunk sizes.
+    sizes: Vec<usize>,
+    /// Strips cut so far: the current strip's stamp.
+    strips: u32,
+}
+
+impl StripCut {
+    fn new(ncols: usize) -> Self {
+        StripCut {
+            stamp: vec![0; ncols],
+            count: vec![0; ncols],
+            index: vec![(0, 0); ncols],
+            cols: Vec::new(),
+            sizes: Vec::new(),
+            strips: 0,
+        }
+    }
+
+    /// Append the chunks of one row strip to `subs`: `strip` holds its
+    /// entries, row-major, for rows `rows`. Each column block's columns
+    /// (with compression, only those the strip has entries in) are cut
+    /// into runs of `max_dim`, and every run holding an entry becomes a
+    /// chunk, its entries in strip order.
+    fn cut(
+        &mut self,
+        strip: &[Entry],
+        rows: std::ops::Range<usize>,
+        col_bounds: &[(u32, u32)],
+        config: &PartitionConfig,
+        subs: &mut Vec<SubMatrix>,
+    ) {
+        let max_dim = config.max_dim();
+        self.strips += 1;
+        self.cols.clear();
+        for e in strip {
+            let c = e.col as usize;
+            if self.stamp[c] != self.strips {
+                self.stamp[c] = self.strips;
+                self.count[c] = 0;
+                self.cols.push(e.col);
+            }
+            self.count[c] += 1;
+        }
+        self.cols.sort_unstable();
+
+        // Walk the distinct columns block by block. Matrix compression
+        // keeps only the columns with an entry in the cell; without it, a
+        // cell spans its block's full column range (the naive distribution
+        // of Figure 6's left side). A column's run is its position among
+        // the cell's columns divided by `max_dim`.
+        let first = subs.len();
+        self.sizes.clear();
+        let (mut block, mut block_start) = (0, 0);
+        let mut current = None;
+        for (i, &c) in self.cols.iter().enumerate() {
+            while c >= col_bounds[block].1 {
+                block += 1;
+                block_start = i;
+            }
+            let (lo, hi) = col_bounds[block];
+            let pos = if config.compress {
+                i - block_start
+            } else {
+                (c - lo) as usize
+            };
+            let run = pos / max_dim;
+            if current != Some((block, run)) {
+                current = Some((block, run));
+                let cols = if config.compress {
+                    let end = (block_start + (run + 1) * max_dim).min(self.cols.len());
+                    let run_cols = self.cols[i..end].iter().copied();
+                    run_cols.take_while(|&c| c < hi).collect()
+                } else {
+                    let lo = lo as usize + run * max_dim;
+                    (lo as u32..(lo + max_dim).min(hi as usize) as u32).collect()
+                };
+                subs.push(SubMatrix {
+                    bank: 0, // placed by the caller
+                    row_lo: rows.start,
+                    row_hi: rows.end,
+                    cols,
+                    entries: Vec::new(),
+                });
+                self.sizes.push(0);
+            }
+            let chunk = self.sizes.len() - 1;
+            self.sizes[chunk] += self.count[c as usize] as usize;
+            self.index[c as usize] = (chunk as u32, (pos % max_dim) as u32);
+        }
+
+        for (s, &size) in subs[first..].iter_mut().zip(&self.sizes) {
+            s.entries.reserve_exact(size);
+        }
+        for e in strip {
+            let (chunk, local) = self.index[e.col as usize];
+            let row = e.row - rows.start as u32;
+            subs[first + chunk as usize]
+                .entries
+                .push(Entry::new(row, local, e.val));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
+
+    /// The cut `BankPartition::build` made before `StripCut`: per (strip ×
+    /// column block) cell, collect, sort and dedup the columns, then
+    /// rescan the strip once per chunk and binary-search each entry's
+    /// local column.
+    fn reference(a: &Coo, config: PartitionConfig) -> BankPartition {
+        let max_dim = config.max_dim();
+        let col_bounds = config.scheme.column_bounds(a);
+        let mut subs: Vec<SubMatrix> = Vec::new();
+        let mut sorted = a.clone();
+        sorted.sort_row_major();
+        let entries = sorted.entries();
+        let mut strip_start_idx = 0usize;
+        let mut row_lo = 0usize;
+        while row_lo < a.nrows() {
+            let row_hi = (row_lo + max_dim).min(a.nrows());
+            let mut idx = strip_start_idx;
+            while idx < entries.len() && (entries[idx].row as usize) < row_hi {
+                idx += 1;
+            }
+            let strip = &entries[strip_start_idx..idx];
+            strip_start_idx = idx;
+            for &(block_lo, block_hi) in &col_bounds {
+                if strip.is_empty() {
+                    continue;
+                }
+                let cols: Vec<u32> = if config.compress {
+                    let mut c: Vec<u32> = strip
+                        .iter()
+                        .map(|e| e.col)
+                        .filter(|&c| c >= block_lo && c < block_hi)
+                        .collect();
+                    c.sort_unstable();
+                    c.dedup();
+                    c
+                } else {
+                    (block_lo..block_hi).collect()
+                };
+                for chunk in cols.chunks(max_dim) {
+                    let lo_col = chunk[0];
+                    let hi_col = *chunk.last().unwrap();
+                    let local: Vec<Entry> = strip
+                        .iter()
+                        .filter(|e| e.col >= lo_col && e.col <= hi_col)
+                        .map(|e| {
+                            let local_col = chunk.binary_search(&e.col).unwrap();
+                            Entry::new(e.row - row_lo as u32, local_col as u32, e.val)
+                        })
+                        .collect();
+                    if !local.is_empty() {
+                        subs.push(SubMatrix {
+                            bank: 0,
+                            row_lo,
+                            row_hi,
+                            cols: chunk.to_vec(),
+                            entries: local,
+                        });
+                    }
+                }
+            }
+            row_lo = row_hi;
+        }
+        BankPartition::place(a, config, subs)
+    }
+
+    #[test]
+    fn one_pass_cut_matches_the_reference_cut() {
+        let mut sparse = Coo::new(90, 70); // empty rows and columns
+        for (r, c) in [(3, 5), (3, 60), (40, 5), (41, 33), (89, 69), (88, 0)] {
+            sparse.push(r, c, f64::from(r) + 0.5);
+        }
+        let mut duplicates = gen::rmat(64, 3, 4);
+        for e in gen::rmat(64, 3, 4).iter().step_by(3) {
+            duplicates.push(e.row, e.col, -e.val);
+        }
+        let mut col_major = gen::banded_fem(150, 9, 4, 2);
+        col_major.sort_col_major();
+        let matrices = [
+            gen::rmat(300, 5, 1),
+            gen::web_hubs(257, 3000, 3),
+            gen::banded_fem(400, 12, 6, 7),
+            sparse,
+            duplicates,
+            col_major,
+            gen::erdos_renyi(130, 517, 1800, 6), // not square
+        ];
+        let schemes = [
+            PartitionScheme::Row1D,
+            PartitionScheme::Grid2D { col_blocks: 2 },
+            PartitionScheme::Grid2D { col_blocks: 7 },
+            PartitionScheme::Balanced2D { col_blocks: 3 },
+            PartitionScheme::Balanced2D { col_blocks: 8 },
+        ];
+        for (m, a) in matrices.iter().enumerate() {
+            for scheme in schemes {
+                for policy in [DistPolicy::RoundRobin, DistPolicy::LeastLoaded] {
+                    for compress in [true, false] {
+                        for precision in [Precision::Fp64, Precision::Int8] {
+                            for row_bytes in [1024, 64] {
+                                let config = PartitionConfig {
+                                    num_banks: 16,
+                                    row_bytes,
+                                    precision,
+                                    policy,
+                                    compress,
+                                    scheme,
+                                };
+                                assert!(
+                                    BankPartition::build(a, config) == reference(a, config),
+                                    "matrix {m}: {config:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn cfg(num_banks: usize, row_bytes: usize, precision: Precision) -> PartitionConfig {
         PartitionConfig {
