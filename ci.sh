@@ -34,10 +34,19 @@ cargo clippy --workspace --all-targets -- -D warnings \
   -D clippy::needless_pass_by_value \
   -D clippy::items_after_statements
 
+echo "==> perfbench clippy (its own package, built against the crates by path; deny warnings)"
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cargo doc --workspace --no-deps (deny warnings: every doc link resolves)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+echo "==> perfbench doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --manifest-path perfbench/Cargo.toml --no-deps
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+echo "==> perfbench fmt --check"
+cargo fmt --manifest-path perfbench/Cargo.toml --all --check
 
 echo "CI OK"

@@ -13,11 +13,14 @@
 //!
 //! Channels execute independently; the cube's wall-clock is the slowest
 //! channel. Per-channel replay lives in `channel` as a pure function over
-//! the loaded program and the channel's own bank slice; [`Engine::run`]
-//! replays the channels in order and merges their outcomes. A plain
-//! all-bank run skips the replay of a channel whose inputs equal, bit for
-//! bit, those of an earlier channel that wrote no bank element, and takes
-//! that channel's outcome instead (`twins`, DESIGN.md §14). Modeling notes
+//! the loaded [`Kernel`] and the channel's own bank slice; [`Engine::run`]
+//! replays the channels in order and merges their outcomes. The engine
+//! holds the one kernel every PU runs, so a load builds it once and resets
+//! only each PU's position in it. A plain all-bank run skips the replay of
+//! a channel whose inputs equal, bit for bit, those of an earlier channel
+//! that wrote no bank element, takes that channel's outcome instead, and
+//! reads its PU states from that channel's slots until it replays or
+//! [`Engine::pu_mut`] reaches it (`twins`, DESIGN.md §14). Modeling notes
 //! (see DESIGN.md §8): the engine tracks open rows with its own
 //! non-stalling cursor per program slot (banks that predicate off catch up
 //! within later iterations of the same rows), and host completion
@@ -28,18 +31,17 @@
 use crate::error::CoreError;
 use crate::isa::{Program, VerifiedProgram};
 use crate::memory::{BankMemory, Binding};
-use crate::pu::{bind_slots, ProcessingUnit, SlotBindings};
+use crate::pu::{Kernel, ProcessingUnit};
 use crate::stats::PuStats;
 use crate::trace::MetricsRegistry;
 use psim_dram::{ChannelStats, EnergyModel, EnergyStats, HbmConfig, Violation};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 mod channel;
 mod twins;
 
 use channel::{run_channel, ChannelCtx};
-use twins::Twins;
+use twins::{PuSlots, Twins};
 
 /// All-bank (pSyncPIM) vs per-bank (PB baseline) execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -183,12 +185,11 @@ pub fn take_engine_wall_s() -> f64 {
 pub struct Engine {
     cfg: EngineConfig,
     mems: Vec<BankMemory>,
-    pus: Vec<ProcessingUnit>,
-    /// The loaded kernel; every PU holds a clone sharing its instructions.
-    program: Option<Program>,
-    /// The loaded kernel's per-iteration command schedule.
-    schedule: Vec<usize>,
-    bindings: SlotBindings,
+    /// Every bank's PU state; a channel may read its states from another
+    /// channel's slots.
+    pus: PuSlots,
+    /// The loaded kernel, which every PU runs.
+    kernel: Option<Kernel>,
     twins: Twins,
 }
 
@@ -200,10 +201,8 @@ impl Engine {
         let row_bytes = cfg.hbm.row_bytes();
         Engine {
             mems: (0..banks).map(|_| BankMemory::new(row_bytes)).collect(),
-            pus: (0..banks).map(|_| ProcessingUnit::new()).collect(),
-            program: None,
-            schedule: Vec::new(),
-            bindings: Arc::new([]),
+            pus: PuSlots::new(cfg.hbm.num_pseudo_channels, cfg.hbm.banks_per_channel()),
+            kernel: None,
             twins: Twins::default(),
             cfg,
         }
@@ -235,12 +234,13 @@ impl Engine {
     /// A bank's processing unit.
     #[must_use]
     pub fn pu(&self, bank: usize) -> &ProcessingUnit {
-        &self.pus[bank]
+        self.pus.get(bank)
     }
 
-    /// A bank's processing unit, mutably.
+    /// A bank's processing unit, mutably. Its channel first gets its own
+    /// copy of any PU states it shares with other channels.
     pub fn pu_mut(&mut self, bank: usize) -> &mut ProcessingUnit {
-        &mut self.pus[bank]
+        self.pus.get_mut(bank)
     }
 
     /// Program the same raw kernel into every PU. Region ids are per-bank,
@@ -271,9 +271,9 @@ impl Engine {
     }
 
     /// Program a kernel that already passed psim-lint into every PU. The
-    /// PUs share the verified program and one binding table, so a load
-    /// costs one binding check whatever the bank count. Same layout
-    /// contract as [`Engine::load_kernel`].
+    /// engine builds one [`Kernel`] from the verified program, so a load
+    /// costs one binding check and one schedule walk whatever the bank
+    /// count. Same layout contract as [`Engine::load_kernel`].
     ///
     /// # Errors
     ///
@@ -291,21 +291,15 @@ impl Engine {
         program: Program,
         bindings: Vec<Option<B>>,
     ) -> Result<(), CoreError> {
-        let bindings = bind_slots(&program, bindings)?;
-        self.schedule = program.command_schedule()?;
-        for pu in &mut self.pus {
-            pu.load_shared(program.clone(), Arc::clone(&bindings));
-        }
-        self.program = Some(program);
-        self.bindings = bindings;
+        let kernel = Kernel::new(program, bindings)?;
+        self.pus.sources_mut().for_each(|pu| pu.load(&kernel));
+        self.kernel = Some(kernel);
         Ok(())
     }
 
     /// Seed every PU's scalar register (e.g. α for AXPY).
     pub fn set_srf_all(&mut self, v: f64) {
-        for pu in &mut self.pus {
-            pu.set_srf(v);
-        }
+        self.pus.sources_mut().for_each(|pu| pu.set_srf(v));
     }
 
     /// Execute the loaded kernel to completion, replaying channels in
@@ -326,17 +320,15 @@ impl Engine {
     }
 
     fn replay(&mut self) -> Result<RunReport, CoreError> {
-        let program = self
-            .program
+        let kernel = self
+            .kernel
             .as_ref()
             .ok_or_else(|| CoreError::Execution("no kernel loaded".to_string()))?;
         let banks_per_channel = self.cfg.hbm.banks_per_channel();
         let channels = self.cfg.hbm.num_pseudo_channels;
         let ctx = ChannelCtx {
             cfg: &self.cfg,
-            program,
-            schedule: &self.schedule,
-            bindings: &self.bindings,
+            kernel,
         };
         let reuse = self.cfg.mode == ExecMode::AllBank && !self.cfg.validate && !self.cfg.attribute;
         self.twins
@@ -355,9 +347,9 @@ impl Engine {
                 Some(w) => self.twins.take(w, ch, &mut self.pus),
                 None => {
                     let banks = ch * banks_per_channel..(ch + 1) * banks_per_channel;
-                    let mems = &mut self.mems[banks.clone()];
+                    let mems = &mut self.mems[banks];
                     mems.iter_mut().for_each(BankMemory::clear_accesses);
-                    let outcome = run_channel(&ctx, ch, &mut self.pus[banks], mems)?;
+                    let outcome = run_channel(&ctx, ch, self.pus.channel_mut(ch), mems)?;
                     self.twins.record(ch, mems, &outcome);
                     outcome
                 }
@@ -372,6 +364,10 @@ impl Engine {
                 reg.push_channel(m, outcome.stall_events, outcome.stall_events_dropped);
             }
         }
+        debug_assert!(
+            self.pus.settled(),
+            "every channel's source owns its slots when a launch completes"
+        );
 
         let dram_cycles = per_channel_cycles.iter().copied().max().unwrap_or(0);
         let seconds = dram_cycles as f64 * self.cfg.hbm.cycle_seconds();
@@ -382,7 +378,7 @@ impl Engine {
         let mut active_pus = 0usize;
         let energy_model = EnergyModel::default();
         let mut lane_op_energy = 0.0;
-        for pu in &self.pus {
+        for pu in self.pus.iter() {
             let s = pu.stats();
             if s.mem_ops > 0 {
                 active_pus += 1;

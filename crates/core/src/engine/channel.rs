@@ -2,7 +2,7 @@
 //!
 //! The paper's channels execute independently — the cube's wall-clock is
 //! the slowest channel — so per-channel replay is written as a pure
-//! function over `(&Program, channel state)`: shared read-only inputs in
+//! function over `(&Kernel, channel state)`: shared read-only inputs in
 //! [`ChannelCtx`] plus this channel's disjoint `&mut` slices of processing
 //! units and bank memories. [`Engine::run`](super::Engine::run) replays
 //! the channels in order and merges their [`ChannelOutcome`]s. Because a
@@ -17,9 +17,9 @@
 
 use super::{EngineConfig, ExecMode};
 use crate::error::CoreError;
-use crate::isa::Program;
-use crate::memory::{BankMemory, Binding};
-use crate::pu::{ProcessingUnit, StepOutcome, StepReport, DRAM_CYCLES_PER_PU_CYCLE};
+use crate::isa::program::MAX_PROGRAM_LEN;
+use crate::memory::BankMemory;
+use crate::pu::{Kernel, ProcessingUnit, StepOutcome, StepReport, DRAM_CYCLES_PER_PU_CYCLE};
 use crate::trace::{Category, ChannelMetrics, CycleBreakdown, StallEvent};
 use psim_dram::{
     AbChannel, Channel, ChannelStats, CheckPolicy, CheckReport, CmdKind, IssueError, Issued,
@@ -35,12 +35,8 @@ const MAX_ROUNDS: u64 = 50_000_000;
 pub(super) struct ChannelCtx<'a> {
     /// Engine configuration (timing, mode, trace policy).
     pub cfg: &'a EngineConfig,
-    /// The loaded kernel.
-    pub program: &'a Program,
-    /// Derived per-iteration command schedule.
-    pub schedule: &'a [usize],
-    /// Per-slot region bindings.
-    pub bindings: &'a [Option<Binding>],
+    /// The loaded kernel: program, bindings and command schedule.
+    pub kernel: &'a Kernel,
 }
 
 /// Everything one channel's replay produces, merged by the engine in
@@ -389,6 +385,7 @@ const NOT_PARKED: usize = usize::MAX;
 /// reaches the parked slot, or goes to a unit that is not parked, steps
 /// the interpreter, which then refreshes the cache.
 struct PuDriver<'a> {
+    kernel: &'a Kernel,
     pus: &'a mut [ProcessingUnit],
     mems: &'a mut [BankMemory],
     /// Units that have not exited.
@@ -399,9 +396,10 @@ struct PuDriver<'a> {
 }
 
 impl<'a> PuDriver<'a> {
-    fn new(pus: &'a mut [ProcessingUnit], mems: &'a mut [BankMemory]) -> Self {
+    fn new(kernel: &'a Kernel, pus: &'a mut [ProcessingUnit], mems: &'a mut [BankMemory]) -> Self {
         let n = pus.len();
         PuDriver {
+            kernel,
             pus,
             mems,
             live: n,
@@ -413,11 +411,13 @@ impl<'a> PuDriver<'a> {
     /// the first memory slot) and count prelude exits.
     fn prelude(&mut self) {
         for b in 0..self.pus.len() {
-            self.pus[b].run_free(&mut self.mems[b]);
+            self.pus[b].run_free(self.kernel);
             if self.pus[b].exited() {
                 self.live -= 1;
             } else {
-                self.parked[b] = self.pus[b].parked_memory_slot().unwrap_or(NOT_PARKED);
+                self.parked[b] = self.pus[b]
+                    .parked_memory_slot(self.kernel)
+                    .unwrap_or(NOT_PARKED);
             }
         }
     }
@@ -436,11 +436,13 @@ impl<'a> PuDriver<'a> {
             };
         }
         let was_live = !self.pus[b].exited();
-        let rep = self.pus[b].on_command(slot, &mut self.mems[b]);
+        let rep = self.pus[b].on_command(self.kernel, slot, &mut self.mems[b]);
         if was_live && self.pus[b].exited() {
             self.live -= 1;
         }
-        self.parked[b] = self.pus[b].parked_memory_slot().unwrap_or(NOT_PARKED);
+        self.parked[b] = self.pus[b]
+            .parked_memory_slot(self.kernel)
+            .unwrap_or(NOT_PARKED);
         rep
     }
 }
@@ -469,12 +471,13 @@ fn run_channel_allbank(
 ) -> Result<ChannelOutcome, CoreError> {
     const AB: Scope = Scope::AllBanks;
     let cfg = ctx.cfg;
-    let program = ctx.program;
+    let kernel = ctx.kernel;
+    let program = kernel.program();
     let mut port = Port::new(AbChannel::new(&cfg.hbm), cfg, ch);
     let row_bytes = cfg.hbm.row_bytes();
     let col_bytes = cfg.hbm.col_bytes;
     let nbanks = pus.len();
-    let mut driver = PuDriver::new(pus, mems);
+    let mut driver = PuDriver::new(kernel, pus, mems);
     let mut attr = cfg
         .attribute
         .then(|| Attr::new(ch, nbanks, cfg.event_limit));
@@ -496,15 +499,7 @@ fn run_channel_allbank(
 
     let t_refi = cfg.hbm.timing.t_refi;
     let mut next_refresh = now + t_refi;
-    let mut cursors: Vec<usize> = (0..program.len())
-        .map(|slot| {
-            ctx.bindings
-                .get(slot)
-                .copied()
-                .flatten()
-                .map_or(0, |b| b.offset)
-        })
-        .collect();
+    let mut cursors = kernel.start_cursors();
     let mut open_row: Option<u32> = None;
     let mut rounds = 0u64;
     // Read-latency depth the command pipeline hides: PU consumption of
@@ -522,7 +517,7 @@ fn run_channel_allbank(
                 "kernel exceeded {MAX_ROUNDS} rounds without exiting"
             )));
         }
-        for &slot in ctx.schedule {
+        for &slot in kernel.schedule() {
             if now >= next_refresh {
                 if open_row.is_some() {
                     now = port.issue(AB, CmdKind::Pre, now)?.issue_cycle;
@@ -535,7 +530,7 @@ fn run_channel_allbank(
                 }
             }
             let ins = &program[slot];
-            let binding = ctx.bindings[slot].expect("validated at load");
+            let binding = kernel.binding(slot);
             let region_id = binding.region;
             let (elem_bytes, natural) = slot_advance(ins);
             let advance = binding.stride.unwrap_or(natural);
@@ -633,7 +628,7 @@ fn run_channel_allbank(
 struct BankCtl {
     sched_idx: usize,
     rounds: u64,
-    cursors: Vec<usize>,
+    cursors: [usize; MAX_PROGRAM_LEN],
     open_row: Option<u32>,
     ready: u64,
     pu_free: u64,
@@ -646,8 +641,9 @@ fn run_channel_perbank(
     mems: &mut [BankMemory],
 ) -> Result<ChannelOutcome, CoreError> {
     let cfg = ctx.cfg;
-    let program = ctx.program;
-    let schedule = ctx.schedule;
+    let kernel = ctx.kernel;
+    let program = kernel.program();
+    let schedule = kernel.schedule();
     let mut port = Port::new(Channel::new(&cfg.hbm), cfg, ch);
     let row_bytes = cfg.hbm.row_bytes();
     let col_bytes = cfg.hbm.col_bytes;
@@ -657,7 +653,7 @@ fn run_channel_perbank(
         bg: b / banks_per_group,
         ba: b % banks_per_group,
     };
-    let mut driver = PuDriver::new(pus, mems);
+    let mut driver = PuDriver::new(kernel, pus, mems);
     let mut attr = cfg
         .attribute
         .then(|| Attr::new(ch, nbanks, cfg.event_limit));
@@ -674,21 +670,12 @@ fn run_channel_perbank(
         a.span_all(now, Category::Setup, driver.pus);
     }
 
-    let init_cursors: Vec<usize> = (0..program.len())
-        .map(|slot| {
-            ctx.bindings
-                .get(slot)
-                .copied()
-                .flatten()
-                .map_or(0, |b| b.offset)
-        })
-        .collect();
     let pipeline = cfg.hbm.timing.rl + 1;
     let mut ctls: Vec<BankCtl> = (0..nbanks)
         .map(|_| BankCtl {
             sched_idx: 0,
             rounds: 0,
-            cursors: init_cursors.clone(),
+            cursors: kernel.start_cursors(),
             open_row: None,
             ready: now,
             pu_free: 0,
@@ -748,7 +735,7 @@ fn run_channel_perbank(
             }
             let slot = schedule[ctl.sched_idx];
             let ins = &program[slot];
-            let binding = ctx.bindings[slot].expect("validated at load");
+            let binding = kernel.binding(slot);
             let region_id = binding.region;
             let (elem_bytes, natural) = slot_advance(ins);
             let advance = binding.stride.unwrap_or(natural);

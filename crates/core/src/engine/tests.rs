@@ -3,7 +3,7 @@
 
 use super::*;
 use crate::isa::assemble;
-use crate::memory::{RegionId, SENTINEL};
+use crate::memory::{AllocMark, RegionId, SENTINEL};
 use crate::trace::Category;
 
 const SPMV_ASM: &str = r"
@@ -458,9 +458,9 @@ fn validated_runs_are_protocol_clean_in_both_modes() {
 
 #[test]
 fn verified_loads_share_one_program_and_match_raw_loads() {
-    // A verified program loads without a second lint and every PU shares
-    // it; the run is bit-identical to loading the raw program, which
-    // validation lints again.
+    // A verified program loads without a second lint into the one kernel
+    // every PU runs; the run is bit-identical to loading the raw program,
+    // which validation lints again.
     let n = 16;
     let x: Vec<f64> = (0..n).map(|i| 0.25 * i as f64).collect();
     let verified = VerifiedProgram::new(assemble(SPMV_ASM).unwrap()).unwrap();
@@ -474,13 +474,6 @@ fn verified_loads_share_one_program_and_match_raw_loads() {
         let bindings = setup_spmv(&mut engine, &per_bank, &x, n);
         if shared {
             engine.load_verified(&verified, bindings.clone()).unwrap();
-            for b in 0..nbanks {
-                let program = engine.pu(b).program().expect("loaded");
-                assert!(
-                    std::ptr::eq(program.instructions(), verified.instructions()),
-                    "PU {b} holds a copy of the program"
-                );
-            }
         } else {
             engine
                 .load_kernel(assemble(SPMV_ASM).unwrap(), bindings.clone())
@@ -650,29 +643,36 @@ fn run_bits(engine: &Engine, report: &RunReport) -> Vec<String> {
     lines
 }
 
-/// Run a twin launch plainly and under validation, which replays every
-/// channel, check that both leave the same bits, and return how many
-/// channels the plain run took from a twin.
-fn reuse_matching_full_replay(
-    per_bank: &[Vec<(u32, u32, f64)>],
-    tweak: &dyn Fn(&mut Engine),
-) -> usize {
-    let (plain, plain_report) = twin_run(false, per_bank, tweak);
-    let (full, full_report) = twin_run(true, per_bank, tweak);
+/// Check that a plain run and the same run under validation, which
+/// replays every channel, leave the same bits.
+fn assert_matches_full_replay(
+    (plain, plain_report): (&Engine, &RunReport),
+    (full, full_report): (&Engine, &RunReport),
+    what: &str,
+) {
     assert_eq!(
         full.reused_channels(),
         0,
         "validated runs replay every channel"
     );
     assert_eq!(full_report.violation_count(), 0);
-    let (got, want) = (
-        run_bits(&plain, &plain_report),
-        run_bits(&full, &full_report),
-    );
+    let (got, want) = (run_bits(plain, plain_report), run_bits(full, full_report));
     assert_eq!(got.len(), want.len());
     for (g, w) in got.iter().zip(&want) {
-        assert_eq!(g, w, "the plain run differs from the full replay");
+        assert_eq!(g, w, "{what}: the plain run differs from the full replay");
     }
+}
+
+/// Run a twin launch plainly and under validation, check that both leave
+/// the same bits, and return how many channels the plain run took from a
+/// twin.
+fn reuse_matching_full_replay(
+    per_bank: &[Vec<(u32, u32, f64)>],
+    tweak: &dyn Fn(&mut Engine),
+) -> usize {
+    let (plain, plain_report) = twin_run(false, per_bank, tweak);
+    let (full, full_report) = twin_run(true, per_bank, tweak);
+    assert_matches_full_replay((&plain, &plain_report), (&full, &full_report), "one launch");
     plain.reused_channels()
 }
 
@@ -770,4 +770,164 @@ fn traced_and_per_bank_runs_replay_every_channel() {
         engine.run().unwrap();
         assert_eq!(engine.reused_channels(), 0, "{mode:?}");
     }
+}
+
+/// The SpMV kernel with the gathered `x` also summed into the scalar
+/// register. The SRF persists across launches, so an active replay leaves
+/// a state behind that an idle one (its padding gathers 0.0) does not.
+const SPMV_REDUCE_ASM: &str = r"
+SPMOV  SPVQ0, BANK, ROW, FP64
+SPMOV  SPVQ0, BANK, COL, FP64
+SPMOV  SPVQ0, BANK, VAL, FP64
+INDMOV DRF2, SPVQ0, FP64
+REDUCE DRF2, ADD, FP64
+SPVDV  SPVQ1, SPVQ0, DRF2, MUL, INTER, FP64
+SPVDV  BANK, SPVQ1, BANK, ADD, UNION, FP64
+CEXIT  SPVQ0
+JUMP   0, 0, 0
+";
+
+/// A twin cube whose banks hold `x` (region 0) and `y` (region 1), which
+/// persist across launches, and the mark above them.
+fn sequence_cube(validate: bool) -> (Engine, AllocMark) {
+    let mut engine = Engine::new(twin_cfg(validate));
+    let x: Vec<f64> = (0..8).map(|i| 0.5 + f64::from(i)).collect();
+    for b in 0..engine.num_banks() {
+        let mem = engine.mem_mut(b);
+        mem.alloc(8, x.clone());
+        mem.alloc_zeroed(8, 8);
+    }
+    let mark = engine.mem(0).mark();
+    (engine, mark)
+}
+
+/// Launch `i` of a sequence: the banks of the `active` channels hold
+/// entries, the rest padding. The triples sit above `mark` and are
+/// released after the run, as SpTRSV's level batches do.
+fn sequence_launch(engine: &mut Engine, mark: AllocMark, i: usize, active: &[usize]) -> RunReport {
+    let width = engine.config().hbm.banks_per_channel();
+    let per_bank: Vec<Vec<(u32, u32, f64)>> = (0..engine.num_banks())
+        .map(|b| {
+            if !active.contains(&(b / width)) {
+                return Vec::new();
+            }
+            (0..=b % 4 + i)
+                .map(|j| {
+                    let (r, c) = ((b + j) % 8, (3 * b + i + j) % 8);
+                    (r as u32, c as u32, 1.0 + (7 * b + j) as f64)
+                })
+                .collect()
+        })
+        .collect();
+    let len = per_bank
+        .iter()
+        .map(Vec::len)
+        .max()
+        .unwrap_or(0)
+        .div_ceil(4)
+        .max(1)
+        * 4;
+    let mut triples = [RegionId(0); 3];
+    for (b, entries) in per_bank.iter().enumerate() {
+        let mut streams = [vec![SENTINEL; len], vec![SENTINEL; len], vec![0.0; len]];
+        for (k, &(r, c, v)) in entries.iter().enumerate() {
+            streams[0][k] = f64::from(r);
+            streams[1][k] = f64::from(c);
+            streams[2][k] = v;
+        }
+        let mem = engine.mem_mut(b);
+        triples = streams.map(|s| mem.alloc(8, s));
+    }
+    let [rows, cols, vals] = triples.map(Some);
+    let bindings = vec![
+        rows,
+        cols,
+        vals,
+        Some(RegionId(0)),
+        None,
+        None,
+        Some(RegionId(1)),
+        None,
+        None,
+    ];
+    engine
+        .load_kernel(assemble(SPMV_REDUCE_ASM).unwrap(), bindings)
+        .unwrap();
+    let report = engine.run().unwrap();
+    for b in 0..engine.num_banks() {
+        engine.mem_mut(b).truncate(mark);
+    }
+    report
+}
+
+/// Run launches with the channels `active` on a plain cube and under
+/// validation, which replays every channel, calling `between(i, engine)`
+/// on both before launch `i`. After every launch both must leave the same
+/// bits. Returns how many channels each plain launch took from a witness.
+fn sequence_matching_full_replay(
+    active: &[&[usize]],
+    between: &dyn Fn(usize, &mut Engine),
+) -> Vec<usize> {
+    let (mut plain, mark) = sequence_cube(false);
+    let (mut full, _) = sequence_cube(true);
+    let mut reused = Vec::new();
+    for (i, channels) in active.iter().enumerate() {
+        between(i, &mut plain);
+        between(i, &mut full);
+        let plain_report = sequence_launch(&mut plain, mark, i, channels);
+        let full_report = sequence_launch(&mut full, mark, i, channels);
+        assert_matches_full_replay(
+            (&plain, &plain_report),
+            (&full, &full_report),
+            &format!("launch {i}"),
+        );
+        reused.push(plain.reused_channels());
+    }
+    reused
+}
+
+/// Active channels of each launch: every channel works once, then none,
+/// then two.
+const SEQUENCE: [&[usize]; 5] = [&[0], &[1], &[2], &[], &[0, 2]];
+
+#[test]
+fn shared_pu_states_follow_a_launch_sequence() {
+    // Launch 0: channel 2 takes idle channel 1's outcome and reads its
+    // states. Launch 1: channel 1 works, so channel 2 moves to a copy
+    // first. Seeding every SRF before launch 3 makes channels 0 and 1
+    // equal, so channel 1 reads channel 0's states until launch 4, when
+    // channel 0 works.
+    let seed = |i: usize, e: &mut Engine| {
+        if i == 3 {
+            e.set_srf_all(0.25);
+        }
+    };
+    assert_eq!(
+        sequence_matching_full_replay(&SEQUENCE, &seed),
+        [1, 0, 0, 1, 0]
+    );
+}
+
+#[test]
+fn pu_mut_gives_a_twin_channel_its_own_states() {
+    // After launch 0 channel 2 reads channel 1's states. Writing one of
+    // its PUs changes that bank alone, and the later launches still match
+    // the full replay.
+    let bank = TWIN + 1;
+    let poke = |i: usize, e: &mut Engine| {
+        if i != 1 {
+            return;
+        }
+        let pus = |e: &Engine| -> Vec<String> {
+            (0..e.num_banks())
+                .map(|b| format!("{:?}", e.pu(b)))
+                .collect()
+        };
+        let before = pus(e);
+        e.pu_mut(bank).set_srf(0.75);
+        for (b, (now, was)) in pus(e).iter().zip(&before).enumerate() {
+            assert_eq!(now != was, b == bank, "bank {b}");
+        }
+    };
+    assert_eq!(sequence_matching_full_replay(&SEQUENCE, &poke)[0], 1);
 }

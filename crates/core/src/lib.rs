@@ -46,6 +46,6 @@ pub use engine::{take_engine_wall_s, Engine, EngineConfig, EngineTier, ExecMode,
 pub use error::CoreError;
 pub use host::HostController;
 pub use memory::{AllocMark, BankMemory, Region, RegionId};
-pub use pu::{ProcessingUnit, StepOutcome};
+pub use pu::{Kernel, ProcessingUnit, StepOutcome};
 pub use stats::{Histogram, PuStats};
 pub use trace::{Category, ChannelMetrics, CycleBreakdown, MetricsRegistry, StallEvent};

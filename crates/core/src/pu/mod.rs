@@ -14,6 +14,12 @@
 //! of §IV-E. A unit that has taken `CEXIT` ignores all further commands
 //! while the host keeps driving the remaining units (§IV-D).
 //!
+//! Every unit of an engine runs the one [`Kernel`] the engine loaded: the
+//! program, its binding table and its command schedule live there, and a
+//! unit holds only its own position in them (program counter, slot
+//! cursors, loop counters) next to its registers and queues. So loading a
+//! unit resets a few fixed-size fields and shares nothing by reference.
+//!
 //! The interpreter allocates nothing per step: every DRF holds at most one
 //! datapath pass (`MAX_LANES` elements), so gather buffers, dense
 //! operands and merge windows live on the stack or update registers in
@@ -25,12 +31,12 @@ mod queue;
 pub use queue::SpQueue;
 
 use crate::error::CoreError;
+use crate::isa::program::MAX_PROGRAM_LEN;
 use crate::isa::{BinaryOp, Identity, Instruction, Operand, Program, SetMode, SubQueue};
 use crate::memory::{same_bits, BankMemory, Binding, SENTINEL};
 use crate::stats::PuStats;
 use psim_sparse::Precision;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// DRAM command-clock cycles per PU cycle (1 GHz DRAM / 250 MHz PU).
 pub const DRAM_CYCLES_PER_PU_CYCLE: u64 = 4;
@@ -40,14 +46,8 @@ pub const DRAM_CYCLES_PER_PU_CYCLE: u64 = 4;
 /// precision, so no register, gather or merge window is ever longer.
 const MAX_LANES: usize = Precision::Int8.lanes();
 
-/// Whether two units hold the same program, by identity.
-fn same_program(a: Option<&Program>, b: Option<&Program>) -> bool {
-    match (a, b) {
-        (Some(a), Some(b)) => std::ptr::eq(a.instructions(), b.instructions()),
-        (None, None) => true,
-        _ => false,
-    }
-}
+/// Loop counters for ORDER'd jumps (Table VIII).
+const LOOP_COUNTERS: usize = 32;
 
 /// The DRF an operand names; non-DRF operands alias register 0.
 fn drf_idx(op: Operand) -> usize {
@@ -87,44 +87,85 @@ pub struct StepReport {
     pub outcome: StepOutcome,
 }
 
-/// A kernel's region binding table: one entry per program slot, every
-/// memory slot bound. An engine builds it once per load and shares it
-/// (like the program) with every unit.
-pub(crate) type SlotBindings = Arc<[Option<Binding>]>;
-
-/// Check a kernel's bindings against its program and normalise them into
-/// a [`SlotBindings`] table.
-///
-/// # Errors
-///
-/// [`CoreError::Binding`] if a memory slot is unbound.
-pub(crate) fn bind_slots<B: Into<Binding>>(
-    program: &Program,
-    bindings: Vec<Option<B>>,
-) -> Result<SlotBindings, CoreError> {
-    let mut bindings: Vec<Option<Binding>> =
-        bindings.into_iter().map(|o| o.map(Into::into)).collect();
-    bindings.resize(program.len(), None);
-    for (slot, ins) in program.instructions().iter().enumerate() {
-        if ins.is_memory() && bindings[slot].is_none() {
-            return Err(CoreError::Binding(format!(
-                "memory instruction at slot {slot} has no bound region"
-            )));
-        }
-    }
-    Ok(bindings.into())
+/// A loaded kernel: the program, the region binding of each program slot
+/// (every memory slot bound) and the host's per-iteration command
+/// schedule. An engine builds one per load and every unit runs it.
+#[derive(Debug, Clone)]
+pub struct Kernel {
+    program: Program,
+    /// Region binding (region, offset, stride) of each program slot.
+    bindings: Box<[Option<Binding>]>,
+    /// Each slot's element cursor at load: its binding's offset.
+    start: [usize; MAX_PROGRAM_LEN],
+    schedule: Vec<usize>,
 }
 
-/// One pSyncPIM processing unit.
+impl Kernel {
+    /// Check `bindings` against `program` and derive the command schedule.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Binding`] if a memory slot is unbound;
+    /// [`CoreError::Execution`] if the schedule walk exceeds its bound.
+    pub fn new<B: Into<Binding>>(
+        program: Program,
+        bindings: Vec<Option<B>>,
+    ) -> Result<Self, CoreError> {
+        let mut bindings: Vec<Option<Binding>> =
+            bindings.into_iter().map(|o| o.map(Into::into)).collect();
+        bindings.resize(program.len(), None);
+        for (slot, ins) in program.instructions().iter().enumerate() {
+            if ins.is_memory() && bindings[slot].is_none() {
+                return Err(CoreError::Binding(format!(
+                    "memory instruction at slot {slot} has no bound region"
+                )));
+            }
+        }
+        let mut start = [0; MAX_PROGRAM_LEN];
+        for (cursor, binding) in start.iter_mut().zip(&bindings) {
+            *cursor = binding.map_or(0, |b| b.offset);
+        }
+        let schedule = program.command_schedule()?;
+        Ok(Kernel {
+            program,
+            bindings: bindings.into(),
+            start,
+            schedule,
+        })
+    }
+
+    /// The program.
+    #[must_use]
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// The per-iteration command schedule: memory slots in the order the
+    /// host issues them ([`Program::command_schedule`]).
+    #[must_use]
+    pub fn schedule(&self) -> &[usize] {
+        &self.schedule
+    }
+
+    /// The region binding of a memory slot.
+    pub(crate) fn binding(&self, slot: usize) -> Binding {
+        self.bindings[slot].expect("memory slots are bound in Kernel::new")
+    }
+
+    /// Every slot's element cursor at load.
+    pub(crate) fn start_cursors(&self) -> [usize; MAX_PROGRAM_LEN] {
+        self.start
+    }
+}
+
+/// One pSyncPIM processing unit: its position in the loaded [`Kernel`],
+/// its registers, queues and counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProcessingUnit {
-    program: Option<Program>,
-    /// Region binding (region, offset, stride) of each memory slot.
-    bindings: SlotBindings,
     /// Per-slot element cursor into the bound region.
-    cursors: Vec<usize>,
+    cursors: [usize; MAX_PROGRAM_LEN],
     pc: usize,
-    loop_counters: Vec<u32>,
+    loop_counters: [u32; LOOP_COUNTERS],
     srf: f64,
     drf: [Vec<f64>; 3],
     queues: [SpQueue; 3],
@@ -140,15 +181,13 @@ impl Default for ProcessingUnit {
 }
 
 impl ProcessingUnit {
-    /// A fresh, unprogrammed unit.
+    /// A fresh unit; [`ProcessingUnit::load`] starts it on a kernel.
     #[must_use]
     pub fn new() -> Self {
         ProcessingUnit {
-            program: None,
-            bindings: Arc::new([]),
-            cursors: Vec::new(),
+            cursors: [0; MAX_PROGRAM_LEN],
             pc: 0,
-            loop_counters: vec![0; 32],
+            loop_counters: [0; LOOP_COUNTERS],
             srf: 0.0,
             drf: [Vec::new(), Vec::new(), Vec::new()],
             queues: [SpQueue::new(), SpQueue::new(), SpQueue::new()],
@@ -158,42 +197,16 @@ impl ProcessingUnit {
         }
     }
 
-    /// Load a kernel: program plus per-slot region bindings (every memory
-    /// instruction slot must have a binding).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Binding`] if a memory slot is unbound.
-    pub fn load_kernel<B: Into<Binding>>(
-        &mut self,
-        program: Program,
-        bindings: Vec<Option<B>>,
-    ) -> Result<(), CoreError> {
-        let bindings = bind_slots(&program, bindings)?;
-        self.load_shared(program, bindings);
-        Ok(())
-    }
-
-    /// Load a kernel whose bindings [`bind_slots`] already checked,
-    /// sharing the program's instructions and the binding table instead
-    /// of copying them.
-    pub(crate) fn load_shared(&mut self, program: Program, bindings: SlotBindings) {
-        self.cursors.clear();
-        self.cursors
-            .extend(bindings.iter().map(|b| b.map_or(0, |b| b.offset)));
-        self.bindings = bindings;
-        self.program = Some(program);
+    /// Start the unit on `kernel`: reset its program counter, slot
+    /// cursors, loop counters, exit flags and statistics. Registers and
+    /// queues keep their contents.
+    pub fn load(&mut self, kernel: &Kernel) {
+        self.cursors = kernel.start_cursors();
         self.pc = 0;
-        self.loop_counters.iter_mut().for_each(|c| *c = 0);
+        self.loop_counters = [0; LOOP_COUNTERS];
         self.exited = false;
         self.exit_armed = false;
         self.stats = PuStats::new();
-    }
-
-    /// The loaded program (tests check engines share one).
-    #[cfg(test)]
-    pub(crate) fn program(&self) -> Option<&Program> {
-        self.program.as_ref()
     }
 
     /// A dense register, mutably (tests set up register states).
@@ -235,14 +248,10 @@ impl ProcessingUnit {
         }
     }
 
-    /// Offer one column command serving program `slot` (direction implied
-    /// by the instruction). Runs pending free instructions first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no kernel is loaded.
-    pub fn on_command(&mut self, slot: usize, mem: &mut BankMemory) -> StepReport {
-        assert!(self.program.is_some(), "no kernel loaded");
+    /// Offer one column command serving `kernel`'s program `slot`
+    /// (direction implied by the instruction). Runs pending free
+    /// instructions first.
+    pub fn on_command(&mut self, kernel: &Kernel, slot: usize, mem: &mut BankMemory) -> StepReport {
         if self.exited {
             self.stats.predicated_off += 1;
             return StepReport {
@@ -251,16 +260,16 @@ impl ProcessingUnit {
                 outcome: StepOutcome::Exited,
             };
         }
+        let prog = kernel.program.instructions();
         let mut cycles = 0u64;
         // Safety bound: a unit can't retire more than the control register
         // size of free instructions per command.
         for _ in 0..4 * crate::isa::Program::len_limit() {
-            let prog = self.program.as_ref().expect("checked above");
             if self.pc >= prog.len() {
                 self.exited = true;
                 break;
             }
-            let ins = *prog.get(self.pc).expect("bounds checked");
+            let ins = prog[self.pc];
             if ins.is_memory() {
                 if self.pc != slot {
                     // Out of phase: let the command pass.
@@ -271,7 +280,7 @@ impl ProcessingUnit {
                         outcome: StepOutcome::OutOfPhase,
                     };
                 }
-                return match self.exec_memory(&ins, slot, mem) {
+                return match self.exec_memory(&ins, kernel.binding(slot), mem) {
                     outcome @ (ExecOutcome::Done(_) | ExecOutcome::DoneEmpty(_)) => {
                         let (c, step) = match outcome {
                             ExecOutcome::Done(c) => (c, StepOutcome::Executed),
@@ -332,20 +341,18 @@ impl ProcessingUnit {
         }
     }
 
-    /// Run control/compute instructions until the unit reaches a memory
-    /// instruction, stalls, or exits. Used by the engine before the first
-    /// command and for programs with no memory instructions.
-    pub fn run_free(&mut self, _mem: &mut BankMemory) -> u64 {
+    /// Run `kernel`'s control/compute instructions until the unit reaches
+    /// a memory instruction, stalls, or exits. Used by the engine before
+    /// the first command and for programs with no memory instructions.
+    pub fn run_free(&mut self, kernel: &Kernel) -> u64 {
+        let prog = kernel.program.instructions();
         let mut cycles = 0u64;
         for _ in 0..4 * crate::isa::Program::len_limit() {
-            let Some(prog) = self.program.as_ref() else {
-                break;
-            };
             if self.exited || self.pc >= prog.len() {
                 self.exited = true;
                 break;
             }
-            let ins = *prog.get(self.pc).expect("bounds checked");
+            let ins = prog[self.pc];
             if ins.is_memory() {
                 break;
             }
@@ -361,12 +368,11 @@ impl ProcessingUnit {
         cycles
     }
 
-    /// The slot of the memory instruction the unit is currently waiting at,
-    /// if any (diagnostic).
+    /// The slot of `kernel`'s memory instruction the unit is currently
+    /// waiting at, if any (diagnostic).
     #[must_use]
-    pub fn pending_slot(&self) -> Option<usize> {
-        let prog = self.program.as_ref()?;
-        let ins = prog.get(self.pc)?;
+    pub fn pending_slot(&self, kernel: &Kernel) -> Option<usize> {
+        let ins = kernel.program.get(self.pc)?;
         ins.is_memory().then_some(self.pc)
     }
 
@@ -380,11 +386,11 @@ impl ProcessingUnit {
     /// `predicated_off` and report `{executed: false, pu_cycles: 0,
     /// OutOfPhase}`, so the engine synthesizes that report instead of
     /// stepping the interpreter. `None` for an exited or stalled unit.
-    pub(crate) fn parked_memory_slot(&self) -> Option<usize> {
+    pub(crate) fn parked_memory_slot(&self, kernel: &Kernel) -> Option<usize> {
         if self.exited {
             return None;
         }
-        self.pending_slot()
+        self.pending_slot(kernel)
     }
 
     /// Count one offer the engine predicated off without stepping the
@@ -393,9 +399,9 @@ impl ProcessingUnit {
         self.stats.predicated_off += 1;
     }
 
-    /// Whether both units hold the same state bit for bit: the program
-    /// and binding table by identity, every register, queue, cursor and
-    /// counter by bit pattern.
+    /// Whether both units hold the same state bit for bit: every register,
+    /// queue, cursor and counter. Units of one engine run one kernel, so
+    /// the state is all a replay of them depends on besides bank memory.
     pub(crate) fn same_state(&self, other: &ProcessingUnit) -> bool {
         self.pc == other.pc
             && self.exited == other.exited
@@ -404,8 +410,6 @@ impl ProcessingUnit {
             && self.stats == other.stats
             && self.cursors == other.cursors
             && self.loop_counters == other.loop_counters
-            && same_program(self.program.as_ref(), other.program.as_ref())
-            && Arc::ptr_eq(&self.bindings, &other.bindings)
             && self
                 .drf
                 .iter()
@@ -421,15 +425,9 @@ impl ProcessingUnit {
     /// Make this unit's state equal to `src`'s, reusing its own buffers
     /// (no allocation once they have grown to `src`'s sizes).
     pub(crate) fn copy_state_from(&mut self, src: &ProcessingUnit) {
-        if !same_program(self.program.as_ref(), src.program.as_ref()) {
-            self.program.clone_from(&src.program);
-        }
-        if !Arc::ptr_eq(&self.bindings, &src.bindings) {
-            self.bindings = Arc::clone(&src.bindings);
-        }
-        self.cursors.clone_from(&src.cursors);
+        self.cursors = src.cursors;
         self.pc = src.pc;
-        self.loop_counters.clone_from(&src.loop_counters);
+        self.loop_counters = src.loop_counters;
         self.srf = src.srf;
         for (d, s) in self.drf.iter_mut().zip(&src.drf) {
             d.clone_from(s);
@@ -752,8 +750,15 @@ impl ProcessingUnit {
         ExecOutcome::Done(1)
     }
 
-    fn exec_memory(&mut self, ins: &Instruction, slot: usize, mem: &mut BankMemory) -> ExecOutcome {
-        let binding = self.bindings[slot].expect("validated at load_kernel");
+    /// Execute `ins`, the memory instruction at the program counter,
+    /// against its slot's region `binding`.
+    fn exec_memory(
+        &mut self,
+        ins: &Instruction,
+        binding: Binding,
+        mem: &mut BankMemory,
+    ) -> ExecOutcome {
+        let slot = self.pc;
         let region = binding.region;
         match *ins {
             Instruction::Dmov {
@@ -795,7 +800,7 @@ impl ProcessingUnit {
                 src,
                 sub,
                 precision,
-            } => self.exec_spmov(dst, src, sub, precision, slot, mem),
+            } => self.exec_spmov(dst, src, sub, precision, binding, mem),
             Instruction::IndMov {
                 dst,
                 idx_queue,
@@ -856,7 +861,7 @@ impl ProcessingUnit {
                 src,
                 identity,
                 precision,
-            } => self.exec_gthsct(dst, src, identity, precision, slot, mem),
+            } => self.exec_gthsct(dst, src, identity, precision, binding, mem),
             Instruction::SpVdv {
                 dst: Operand::Bank,
                 src0: Operand::SpVq(s),
@@ -944,10 +949,10 @@ impl ProcessingUnit {
         src: Operand,
         sub: SubQueue,
         precision: Precision,
-        slot: usize,
+        binding: Binding,
         mem: &mut BankMemory,
     ) -> ExecOutcome {
-        let binding = self.bindings[slot].expect("validated");
+        let slot = self.pc;
         let region = binding.region;
         let lanes = precision.lanes();
         let elem_bytes = precision.bytes();
@@ -1005,10 +1010,10 @@ impl ProcessingUnit {
         src: Operand,
         identity: Identity,
         precision: Precision,
-        slot: usize,
+        binding: Binding,
         mem: &mut BankMemory,
     ) -> ExecOutcome {
-        let binding = self.bindings[slot].expect("validated");
+        let slot = self.pc;
         let region = binding.region;
         let lanes = precision.lanes();
         let elem_bytes = precision.bytes();

@@ -55,19 +55,32 @@ fn setup_bank(
     (mem, bindings)
 }
 
-fn drive_to_completion(pu: &mut ProcessingUnit, mem: &mut BankMemory, schedule: &[usize]) -> u64 {
+/// A fresh unit loaded with `program` over `bindings`, and its kernel.
+fn load<B: Into<Binding>>(program: Program, bindings: Vec<Option<B>>) -> (ProcessingUnit, Kernel) {
+    let kernel = Kernel::new(program, bindings).unwrap();
+    let mut pu = ProcessingUnit::new();
+    pu.load(&kernel);
+    (pu, kernel)
+}
+
+fn drive_to_completion(
+    pu: &mut ProcessingUnit,
+    kernel: &Kernel,
+    mem: &mut BankMemory,
+    schedule: &[usize],
+) -> u64 {
     let mut rounds = 0u64;
     while !pu.exited() {
         rounds += 1;
         assert!(rounds < 10_000, "kernel failed to exit");
         for &slot in schedule {
-            pu.on_command(slot, mem);
+            pu.on_command(kernel, slot, mem);
             if pu.exited() {
                 break;
             }
         }
         // End-of-round: give control instructions a chance (CEXIT/JUMP).
-        pu.run_free(mem);
+        pu.run_free(kernel);
     }
     rounds
 }
@@ -89,9 +102,8 @@ fn spmv_kernel_computes_reference_result() {
     let schedule = program.command_schedule().unwrap();
     assert_eq!(schedule, vec![0, 1, 2, 3, 5]);
 
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(program, bindings.clone()).unwrap();
-    drive_to_completion(&mut pu, &mut mem, &schedule);
+    let (mut pu, k) = load(program, bindings.clone());
+    drive_to_completion(&mut pu, &k, &mut mem, &schedule);
 
     let mut want = vec![0.0; n];
     for &(r, c, v) in &entries {
@@ -112,9 +124,8 @@ fn spmv_kernel_handles_many_chunks() {
     let (mut mem, bindings) = setup_bank(&entries, &x, n);
     let program = assemble(SPMV_ASM).unwrap();
     let schedule = program.command_schedule().unwrap();
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(program, bindings.clone()).unwrap();
-    let rounds = drive_to_completion(&mut pu, &mut mem, &schedule);
+    let (mut pu, k) = load(program, bindings.clone());
+    let rounds = drive_to_completion(&mut pu, &k, &mut mem, &schedule);
     assert!(
         rounds >= 5,
         "20 entries at 4 lanes need >= 5 rounds, got {rounds}"
@@ -135,9 +146,8 @@ fn empty_bank_exits_immediately() {
     let (mut mem, bindings) = setup_bank(&[], &[0.0; 4], 4);
     let program = assemble(SPMV_ASM).unwrap();
     let schedule = program.command_schedule().unwrap();
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(program, bindings).unwrap();
-    let rounds = drive_to_completion(&mut pu, &mut mem, &schedule);
+    let (mut pu, k) = load(program, bindings);
+    let rounds = drive_to_completion(&mut pu, &k, &mut mem, &schedule);
     // The all-sentinel first block arms CEXIT in round 1; exit by round 2.
     assert!(rounds <= 2, "empty bank took {rounds} rounds");
 }
@@ -155,14 +165,12 @@ fn divergent_banks_exit_in_different_rounds() {
     let schedule = program.command_schedule().unwrap();
 
     let (mut mem_l, bind_l) = setup_bank(&light, &x, n);
-    let mut pu_l = ProcessingUnit::new();
-    pu_l.load_kernel(program.clone(), bind_l).unwrap();
-    let r_light = drive_to_completion(&mut pu_l, &mut mem_l, &schedule);
+    let (mut pu_l, k_l) = load(program.clone(), bind_l);
+    let r_light = drive_to_completion(&mut pu_l, &k_l, &mut mem_l, &schedule);
 
     let (mut mem_h, bind_h) = setup_bank(&heavy, &x, n);
-    let mut pu_h = ProcessingUnit::new();
-    pu_h.load_kernel(program, bind_h).unwrap();
-    let r_heavy = drive_to_completion(&mut pu_h, &mut mem_h, &schedule);
+    let (mut pu_h, k_h) = load(program, bind_h);
+    let r_heavy = drive_to_completion(&mut pu_h, &k_h, &mut mem_h, &schedule);
 
     assert!(
         r_heavy > r_light,
@@ -175,11 +183,10 @@ fn exited_pu_ignores_commands() {
     let (mut mem, bindings) = setup_bank(&[], &[0.0; 4], 4);
     let program = assemble(SPMV_ASM).unwrap();
     let schedule = program.command_schedule().unwrap();
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(program, bindings).unwrap();
-    drive_to_completion(&mut pu, &mut mem, &schedule);
+    let (mut pu, k) = load(program, bindings);
+    drive_to_completion(&mut pu, &k, &mut mem, &schedule);
     let off_before = pu.stats().predicated_off;
-    let rep = pu.on_command(0, &mut mem);
+    let rep = pu.on_command(&k, 0, &mut mem);
     assert!(!rep.executed);
     assert_eq!(rep.pu_cycles, 0);
     assert_eq!(pu.stats().predicated_off, off_before + 1);
@@ -190,12 +197,11 @@ fn out_of_phase_command_passes_over() {
     let entries = [(0u32, 0u32, 1.0); 1];
     let (mut mem, bindings) = setup_bank(&entries, &[1.0; 4], 4);
     let program = assemble(SPMV_ASM).unwrap();
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(program, bindings).unwrap();
+    let (mut pu, k) = load(program, bindings);
     // PU waits at slot 0; offering slot 2 must not execute anything.
-    let rep = pu.on_command(2, &mut mem);
+    let rep = pu.on_command(&k, 2, &mut mem);
     assert!(!rep.executed);
-    assert_eq!(pu.pending_slot(), Some(0));
+    assert_eq!(pu.pending_slot(&k), Some(0));
 }
 
 #[test]
@@ -215,14 +221,12 @@ EXIT
     let src: Vec<f64> = (0..16).map(f64::from).collect();
     let r_src = mem.alloc(8, src.clone());
     let r_dst = mem.alloc_zeroed(8, 16);
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(program, vec![Some(r_src), Some(r_dst), None, None])
-        .unwrap();
+    let (mut pu, k) = load(program, vec![Some(r_src), Some(r_dst), None, None]);
     for &slot in &schedule {
-        let rep = pu.on_command(slot, &mut mem);
+        let rep = pu.on_command(&k, slot, &mut mem);
         assert!(rep.executed);
     }
-    pu.run_free(&mut mem);
+    pu.run_free(&k);
     assert!(pu.exited());
     assert_eq!(mem.region(r_dst).data(), src.as_slice());
 }
@@ -245,13 +249,11 @@ EXIT
     let mut mem = BankMemory::new(1024);
     let rx = mem.alloc(8, x.clone());
     let ry = mem.alloc(8, y.clone());
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(program, vec![Some(rx), Some(ry), None, None, None, None])
-        .unwrap();
+    let (mut pu, k) = load(program, vec![Some(rx), Some(ry), None, None, None, None]);
     for &slot in &schedule {
-        assert!(pu.on_command(slot, &mut mem).executed);
+        assert!(pu.on_command(&k, slot, &mut mem).executed);
     }
-    pu.run_free(&mut mem);
+    pu.run_free(&k);
     let want: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
     assert!((pu.srf() - want).abs() < 1e-12);
     assert!(pu.exited());
@@ -271,12 +273,10 @@ EXIT
     let mut mem = BankMemory::new(1024);
     let rs = mem.alloc(1, src.clone());
     let rd = mem.alloc_zeroed(1, 32);
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(program, vec![Some(rs), None, Some(rd), None])
-        .unwrap();
+    let (mut pu, k) = load(program, vec![Some(rs), None, Some(rd), None]);
     pu.set_srf(10.0);
     for &slot in &schedule {
-        assert!(pu.on_command(slot, &mut mem).executed);
+        assert!(pu.on_command(&k, slot, &mut mem).executed);
     }
     // 32 lanes moved in one burst; values = clamp(v * 10, i8 range).
     let got = mem.region(rd).data().to_vec();
@@ -300,22 +300,19 @@ EXIT
     let mut mem = BankMemory::new(1024);
     let rs = mem.alloc(8, dense.clone());
     let rd = mem.alloc_zeroed(8, 8);
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(program, vec![Some(rs), Some(rd), None, None])
-        .unwrap();
+    let (mut pu, k) = load(program, vec![Some(rs), Some(rd), None, None]);
     for &slot in &schedule {
-        pu.on_command(slot, &mut mem);
+        pu.on_command(&k, slot, &mut mem);
     }
-    pu.run_free(&mut mem);
+    pu.run_free(&k);
     assert_eq!(mem.region(rd).data(), dense.as_slice());
 }
 
 #[test]
 fn load_kernel_requires_bindings() {
     let program = assemble("DMOV DRF0, BANK, FP64\nEXIT\n").unwrap();
-    let mut pu = ProcessingUnit::new();
     assert!(matches!(
-        pu.load_kernel::<RegionId>(program, vec![None, None]),
+        Kernel::new::<RegionId>(program, vec![None, None]),
         Err(CoreError::Binding(_))
     ));
 }
@@ -340,14 +337,12 @@ EXIT
     let src: Vec<f64> = (0..12).map(|i| f64::from(i) + 1.0).collect();
     let rs = mem.alloc(8, src.clone());
     let rd = mem.alloc_zeroed(8, 12);
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(program, vec![Some(rs), None, None, Some(rd), None, None])
-        .unwrap();
+    let (mut pu, k) = load(program, vec![Some(rs), None, None, Some(rd), None, None]);
     pu.set_srf(2.0);
     for &slot in &schedule {
-        assert!(pu.on_command(slot, &mut mem).executed);
+        assert!(pu.on_command(&k, slot, &mut mem).executed);
     }
-    pu.run_free(&mut mem);
+    pu.run_free(&k);
     assert!(pu.exited());
     // Each chunk multiplied by 2 twice (inner loop ran the SDV twice).
     let want: Vec<f64> = src.iter().map(|v| v * 4.0).collect();
@@ -366,16 +361,14 @@ EXIT
     let program = assemble(asm).unwrap();
     let mut mem = BankMemory::new(1024);
     let rs = mem.alloc(8, (0..16).map(f64::from).collect());
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(program, vec![Some(rs), Some(rs), Some(rs), None])
-        .unwrap();
-    assert!(pu.on_command(0, &mut mem).executed);
-    assert!(pu.on_command(1, &mut mem).executed); // queue now 8/8 FP64
+    let (mut pu, k) = load(program, vec![Some(rs), Some(rs), Some(rs), None]);
+    assert!(pu.on_command(&k, 0, &mut mem).executed);
+    assert!(pu.on_command(&k, 1, &mut mem).executed); // queue now 8/8 FP64
     let off_before = pu.stats().predicated_off;
-    let rep = pu.on_command(2, &mut mem);
+    let rep = pu.on_command(&k, 2, &mut mem);
     assert!(!rep.executed, "full sub-queue must predicate the load off");
     assert_eq!(pu.stats().predicated_off, off_before + 1);
-    assert_eq!(pu.pending_slot(), Some(2));
+    assert_eq!(pu.pending_slot(&k), Some(2));
 }
 
 #[test]
@@ -409,8 +402,7 @@ EXIT
     let r4 = mem.alloc(8, b_cols);
     let r5 = mem.alloc(8, b_vals);
     let out = mem.alloc_zeroed(8, 24);
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(
+    let (mut pu, k) = load(
         program.clone(),
         vec![
             Some(r0),
@@ -423,10 +415,9 @@ EXIT
             Some(out),
             None,
         ],
-    )
-    .unwrap();
+    );
     for &slot in &program.command_schedule().unwrap() {
-        assert!(pu.on_command(slot, &mut mem).executed, "slot {slot}");
+        assert!(pu.on_command(&k, slot, &mut mem).executed, "slot {slot}");
     }
     // Union of {0:1, 2:2} + {2:10, 3:20} = {0:1, 2:12, 3:20}.
     let data = mem.region(out).data();
@@ -453,14 +444,12 @@ EXIT
     let cols = mem.alloc(8, vec![3.0, 1.0, SENTINEL, SENTINEL]);
     let vals = mem.alloc(8, vec![1.0, 1.0, 0.0, 0.0]);
     let vecr = mem.alloc(8, vec![10.0, 20.0, 30.0, 40.0]);
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(
+    let (mut pu, k) = load(
         program.clone(),
         vec![Some(rows), Some(cols), Some(vals), Some(vecr), None],
-    )
-    .unwrap();
+    );
     for &slot in &program.command_schedule().unwrap() {
-        pu.on_command(slot, &mut mem);
+        pu.on_command(&k, slot, &mut mem);
     }
     // First queued column index is 3 -> x[3] = 40.
     assert_eq!(pu.srf(), 40.0);
@@ -478,11 +467,9 @@ EXIT
     let v = 1.0 + 1e-12; // not representable in f32
     let rs = mem.alloc(4, vec![v; 8]);
     let rd = mem.alloc_zeroed(4, 8);
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(program, vec![Some(rs), Some(rd), None])
-        .unwrap();
-    pu.on_command(0, &mut mem);
-    pu.on_command(1, &mut mem);
+    let (mut pu, k) = load(program, vec![Some(rs), Some(rd), None]);
+    pu.on_command(&k, 0, &mut mem);
+    pu.on_command(&k, 1, &mut mem);
     assert_eq!(mem.region(rd).data()[0], 1.0, "FP32 store rounds");
 }
 
@@ -507,8 +494,7 @@ EXIT
     ];
     let r = mem.alloc(8, data);
     let out = mem.alloc_zeroed(8, 8);
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(
+    let (mut pu, k) = load(
         program.clone(),
         vec![
             Some(Binding::strided(r, 0, 8)),
@@ -518,10 +504,9 @@ EXIT
             None,
             None,
         ],
-    )
-    .unwrap();
+    );
     for &slot in &program.command_schedule().unwrap() {
-        assert!(pu.on_command(slot, &mut mem).executed);
+        assert!(pu.on_command(&k, slot, &mut mem).executed);
     }
     assert_eq!(
         mem.region(out).data(),
@@ -559,13 +544,12 @@ fn replay(asm: &str, data: &[&[f64]], bindings: Vec<Option<Binding>>, srf: f64) 
     for d in data {
         mem.alloc(8, d.to_vec());
     }
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(program, bindings).unwrap();
+    let (mut pu, k) = load(program, bindings);
     pu.set_srf(srf);
-    pu.run_free(&mut mem);
+    pu.run_free(&k);
     let mut outcomes = String::new();
     for &slot in schedule.iter().cycle().take(64) {
-        let rep = pu.on_command(slot, &mut mem);
+        let rep = pu.on_command(&k, slot, &mut mem);
         outcomes.push(match rep.outcome {
             StepOutcome::Executed => 'E',
             StepOutcome::ExecutedEmpty => 'e',

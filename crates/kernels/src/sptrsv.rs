@@ -203,20 +203,23 @@ impl SptrsvPim {
         // Every batch copies into the storage the previous one released.
         // Size it once, for the block's largest batch: storage grown batch
         // by batch would leave outgrown buffers scattered between live
-        // ones and raise the peak footprint.
+        // ones and raise the peak footprint. The sizing pass only counts;
+        // each launch groups its batch once.
         let mut streams = BatchStreams::new(nbanks);
         let level_batches = || {
             sched
                 .iter()
                 .flat_map(|level| level.chunks(self.row_elems()))
         };
-        let (mut widest, mut longest) = (0, 0);
+        let (mut widest, mut longest, mut most) = (0, 0, 0);
         for chunk in level_batches() {
-            if let Some(n) = streams.fill(&csc, chunk, stripe) {
+            if let Some(n) = streams.count(&csc, chunk, stripe) {
                 widest = widest.max(chunk.len());
                 longest = longest.max(n);
+                most = most.max(streams.counted());
             }
         }
+        streams.entries.reserve_exact(most);
         let triples_len = triple_pairs(longest, lanes) * 6 * lanes;
         for bank in 0..nbanks {
             let mem = engine.mem_mut(bank);
@@ -297,9 +300,9 @@ impl BatchStreams {
         }
     }
 
-    /// Group the batch `chunk` of `csc`'s columns; returns the longest
-    /// bank stream, `None` when the batch has no entries.
-    fn fill(&mut self, csc: &psim_sparse::Csc, chunk: &[usize], stripe: usize) -> Option<usize> {
+    /// Count the batch `chunk` of `csc`'s columns per bank; returns the
+    /// longest bank stream, `None` when the batch has no entries.
+    fn count(&mut self, csc: &psim_sparse::Csc, chunk: &[usize], stripe: usize) -> Option<usize> {
         for &bank in &self.touched {
             self.end[bank] = 0;
         }
@@ -313,7 +316,18 @@ impl BatchStreams {
                 self.end[bank] += 1;
             }
         }
-        let longest = self.touched.iter().map(|&b| self.end[b]).max()?;
+        self.touched.iter().map(|&b| self.end[b]).max()
+    }
+
+    /// The entries of the batch the last [`BatchStreams::count`] counted.
+    fn counted(&self) -> usize {
+        self.touched.iter().map(|&b| self.end[b]).sum()
+    }
+
+    /// Group the batch `chunk` of `csc`'s columns; returns the longest
+    /// bank stream, `None` when the batch has no entries.
+    fn fill(&mut self, csc: &psim_sparse::Csc, chunk: &[usize], stripe: usize) -> Option<usize> {
+        let longest = self.count(csc, chunk, stripe)?;
         // Counts become start offsets, which the fill advances to ends.
         let mut start = 0;
         for &bank in &self.touched {

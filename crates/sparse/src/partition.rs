@@ -279,10 +279,18 @@ impl BankPartition {
         let mut subs: Vec<SubMatrix> = Vec::new();
 
         // Row-major order so strips are contiguous entry runs. The sort is
-        // stable, and linear on entries that already arrive row-major.
-        let mut sorted = a.clone();
-        sorted.sort_row_major();
-        let entries = sorted.entries();
+        // stable, so on entries that already arrive row-major it is the
+        // identity: those are cut where they lie, and only other input is
+        // copied and sorted.
+        let sorted;
+        let entries = if a.entries().is_sorted_by_key(|e| (e.row, e.col)) {
+            a.entries()
+        } else {
+            let mut copy = a.clone();
+            copy.sort_row_major();
+            sorted = copy;
+            sorted.entries()
+        };
 
         let mut cut = StripCut::new(a.ncols());
         let mut start = 0usize;
@@ -599,6 +607,10 @@ mod tests {
         }
         let mut col_major = gen::banded_fem(150, 9, 4, 2);
         col_major.sort_col_major();
+        let row_major = |a: &Coo| a.entries().is_sorted_by_key(|e| (e.row, e.col));
+        // `build` cuts row-major input where it lies and sorts a copy of
+        // anything else; both kinds are here.
+        assert!(!row_major(&col_major));
         let matrices = [
             gen::rmat(300, 5, 1),
             gen::web_hubs(257, 3000, 3),
@@ -615,6 +627,7 @@ mod tests {
             PartitionScheme::Balanced2D { col_blocks: 3 },
             PartitionScheme::Balanced2D { col_blocks: 8 },
         ];
+        assert!(matrices.iter().any(row_major));
         for (m, a) in matrices.iter().enumerate() {
             for scheme in schemes {
                 for policy in [DistPolicy::RoundRobin, DistPolicy::LeastLoaded] {

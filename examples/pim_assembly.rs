@@ -8,7 +8,7 @@
 
 use psyncpim::core::isa::{assemble, disassemble};
 use psyncpim::core::memory::BankMemory;
-use psyncpim::core::ProcessingUnit;
+use psyncpim::core::{Kernel, ProcessingUnit};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A hand-written kernel: y <- 3*x + y over 8 bursts (DAXPY, Table III).
@@ -40,16 +40,17 @@ EXIT
     let y: Vec<f64> = (0..n).map(|i| 100.0 + i as f64).collect();
     let rx = mem.alloc(8, x.clone());
     let ry = mem.alloc(8, y.clone());
-    let mut pu = ProcessingUnit::new();
-    pu.load_kernel(
-        program.clone(),
+    let kernel = Kernel::new(
+        program,
         vec![Some(rx), Some(ry), None, None, Some(ry), None, None],
     )?;
+    let mut pu = ProcessingUnit::new();
+    pu.load(&kernel);
     pu.set_srf(3.0);
-    for &slot in &program.command_schedule()? {
-        pu.on_command(slot, &mut mem);
+    for &slot in kernel.schedule() {
+        pu.on_command(&kernel, slot, &mut mem);
     }
-    pu.run_free(&mut mem);
+    pu.run_free(&kernel);
     assert!(pu.exited());
 
     let got = mem.region(ry).data();

@@ -437,7 +437,7 @@ proptest! {
         slots in prop::collection::vec(0usize..12, 0..60),
     ) {
         use psyncpim::core::memory::BankMemory;
-        use psyncpim::core::ProcessingUnit;
+        use psyncpim::core::{Kernel, ProcessingUnit};
         let text = format!("{}\nEXIT\n", instrs.join("\n"));
         let program = assemble(&text).expect("valid mnemonics");
         let len = program.len();
@@ -445,14 +445,15 @@ proptest! {
         let region = mem.alloc(8, (0..64).map(|i| i as f64).collect());
         let bindings: Vec<Option<psyncpim::core::RegionId>> =
             (0..len).map(|_| Some(region)).collect();
+        let kernel = Kernel::new(program, bindings).expect("all slots bound");
         let mut pu = ProcessingUnit::new();
-        pu.load_kernel(program, bindings).expect("all slots bound");
+        pu.load(&kernel);
         for slot in slots {
             if slot < len {
-                let _ = pu.on_command(slot, &mut mem);
+                let _ = pu.on_command(&kernel, slot, &mut mem);
             }
         }
-        pu.run_free(&mut mem);
+        pu.run_free(&kernel);
         let s = pu.stats();
         prop_assert!(s.mem_ops <= s.instructions);
     }
