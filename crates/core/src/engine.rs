@@ -429,9 +429,11 @@ impl Engine {
     }
 
     /// Cross-check the PU-level invariants of a completed run: every PU
-    /// exited with a recorded `exit_round` no later than the executed
-    /// round count, retired nothing after exiting, and collectively
-    /// consumed no more memory ops than the channels delivered bursts.
+    /// answered each command offered to it exactly once (a memory op, a
+    /// predication, or the offer it exited on), exited with a recorded
+    /// `exit_round` no later than the executed round count, retired
+    /// nothing after exiting, and collectively consumed no more memory ops
+    /// than the channels delivered bursts.
     #[must_use]
     pub fn audit_pus(&self, rounds: u64, commands: &ChannelStats) -> Vec<String> {
         let mut failures = Vec::new();
@@ -439,6 +441,12 @@ impl Engine {
         for (b, pu) in self.pus.iter().enumerate() {
             let s = pu.stats();
             total_mem_ops += s.mem_ops;
+            if let Some((offers, answered)) = pu.offer_mismatch() {
+                failures.push(format!(
+                    "PU {b} was offered {offers} commands but answered {answered} \
+                     (memory ops, predications and an exit offer)"
+                ));
+            }
             if !pu.exited() {
                 failures.push(format!("PU {b} never exited"));
                 continue;

@@ -22,8 +22,8 @@ use crate::memory::BankMemory;
 use crate::pu::{Kernel, ProcessingUnit, StepOutcome, StepReport, DRAM_CYCLES_PER_PU_CYCLE};
 use crate::trace::{Category, ChannelMetrics, CycleBreakdown, StallEvent};
 use psim_dram::{
-    AbChannel, Channel, ChannelStats, CheckPolicy, CheckReport, CmdKind, IssueError, Issued,
-    ProtocolChecker, Scope,
+    AbChannel, Channel, ChannelStats, CheckPolicy, CheckReport, CmdKind, HbmConfig, IssueError,
+    Issued, ProtocolChecker, Scope,
 };
 
 /// Safety bound on kernel loop iterations per channel (per bank in
@@ -220,6 +220,7 @@ trait ChannelModel {
 }
 
 impl ChannelModel for Channel {
+    #[inline]
     fn issue_earliest(
         &mut self,
         scope: Scope,
@@ -229,12 +230,14 @@ impl ChannelModel for Channel {
         Channel::issue_earliest(self, scope, cmd, from)
     }
 
+    #[inline]
     fn stats(&self) -> &ChannelStats {
         Channel::stats(self)
     }
 }
 
 impl ChannelModel for AbChannel {
+    #[inline]
     fn issue_earliest(
         &mut self,
         scope: Scope,
@@ -245,6 +248,7 @@ impl ChannelModel for AbChannel {
         AbChannel::issue_earliest(self, cmd, from)
     }
 
+    #[inline]
     fn stats(&self) -> &ChannelStats {
         AbChannel::stats(self)
     }
@@ -266,11 +270,12 @@ impl<M: ChannelModel> Port<M> {
     }
 
     /// Issue `cmd` at the earliest legal cycle at or after `from`.
+    #[inline]
     fn issue(&mut self, scope: Scope, cmd: CmdKind, from: u64) -> Result<Issued, CoreError> {
         let issued = self
             .channel
             .issue_earliest(scope, cmd, from)
-            .map_err(|e| CoreError::Execution(e.to_string()))?;
+            .map_err(refused)?;
         if let Some(c) = self.checker.as_mut() {
             c.observe(issued.issue_cycle, scope, cmd);
         }
@@ -298,6 +303,13 @@ impl<M: ChannelModel> Port<M> {
     }
 }
 
+/// The run error for a command the channel model refused; rendered only
+/// when a replay fails.
+#[cold]
+fn refused(e: IssueError) -> CoreError {
+    CoreError::Execution(e.to_string())
+}
+
 /// An independent checker for this channel when self-auditing is on. The
 /// lockstep invariant only applies to all-bank execution; refresh is
 /// always audited, as the engine always refreshes.
@@ -315,28 +327,92 @@ fn make_checker(cfg: &EngineConfig, ch: usize) -> Option<ProtocolChecker> {
     })
 }
 
-/// Element width/advance for the engine's open-row cursor at a slot.
-fn slot_advance(ins: &crate::isa::Instruction) -> (usize, usize) {
-    use crate::isa::{Instruction as I, Operand};
-    match *ins {
-        I::Dmov {
-            dst: Operand::Srf, ..
+/// The row geometry the engine's open-row cursors count in: a byte offset
+/// into a region is the mixed-radix number (row, column, byte within the
+/// column), with `num_cols` columns of `col_bytes` bytes per row.
+struct RowGeometry {
+    row_bytes: usize,
+    col_bytes: u32,
+    num_cols: u32,
+}
+
+/// A memory slot's open-row cursor, kept decoded into its mixed-radix
+/// digits so a command reads its row and column without dividing. A step
+/// (the bytes one command advances the cursor) is held in the same form,
+/// with `row` counting rows instead of naming one.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowCursor {
+    /// The DRAM row; wider than the `u32` row address so a cursor that
+    /// runs past it is caught when its slot next issues.
+    row: u64,
+    /// Column within the row, below `num_cols`.
+    col: u32,
+    /// Byte within the column, below `col_bytes`.
+    byte: u32,
+}
+
+impl RowGeometry {
+    fn new(hbm: &HbmConfig) -> Self {
+        RowGeometry {
+            row_bytes: hbm.row_bytes(),
+            col_bytes: u32::try_from(hbm.col_bytes).expect("column bytes fit in u32"),
+            num_cols: u32::try_from(hbm.num_cols).expect("columns per row fit in u32"),
         }
-        | I::Dmov {
-            src: Operand::Srf, ..
-        } => (8, 1),
-        I::Dmov { precision, .. } | I::SpMov { precision, .. } => {
-            (precision.bytes(), precision.lanes())
+    }
+
+    /// Decode the byte offset `elems × elem_bytes` from the start of row
+    /// `start_row`: the only division a cursor takes, once per slot and
+    /// replay. An offset past `usize` saturates, and so lands past the row
+    /// address space too.
+    fn decode(&self, start_row: u32, elems: usize, elem_bytes: usize) -> RowCursor {
+        let byte_off = elems.saturating_mul(elem_bytes);
+        let in_row = byte_off % self.row_bytes;
+        let col_bytes = self.col_bytes as usize;
+        RowCursor {
+            row: u64::from(start_row).saturating_add((byte_off / self.row_bytes) as u64),
+            col: (in_row / col_bytes) as u32,
+            byte: (in_row % col_bytes) as u32,
         }
-        I::GthSct {
-            dst: Operand::Bank, ..
-        } => (8, 0), // scatter is random within the open row
-        I::GthSct { precision, .. } => (precision.bytes(), precision.lanes()),
-        I::SpFw { precision, .. } => (precision.bytes(), 3 * precision.lanes()),
-        // Gathers/accumulates address randomly within their (single-row)
-        // region; the cursor stays at the region head.
-        I::IndMov { .. } | I::SpVdv { .. } => (8, 0),
-        _ => (8, 0),
+    }
+
+    /// Every memory slot's open-row cursor at load, decoded against the
+    /// region layout of `mem`.
+    fn slot_cursors(&self, kernel: &Kernel, mem: &BankMemory) -> [RowCursor; MAX_PROGRAM_LEN] {
+        let mut cursors = [RowCursor::default(); MAX_PROGRAM_LEN];
+        let start = kernel.start_cursors();
+        for slot in kernel.memory_slots() {
+            let shape = kernel.shape(slot);
+            let start_row = mem.region(shape.region).start_row();
+            cursors[slot] = self.decode(start_row, start[slot], shape.elem_bytes);
+        }
+        cursors
+    }
+
+    /// The step each memory slot's command advances its cursor by.
+    fn slot_steps(&self, kernel: &Kernel) -> [RowCursor; MAX_PROGRAM_LEN] {
+        let mut steps = [RowCursor::default(); MAX_PROGRAM_LEN];
+        for slot in kernel.memory_slots() {
+            let shape = kernel.shape(slot);
+            steps[slot] = self.decode(0, shape.advance, shape.elem_bytes);
+        }
+        steps
+    }
+
+    /// Advance `cur` by `step`, digit by digit with carries. Each digit
+    /// of both is below its radix, so one carry per digit suffices.
+    #[inline]
+    fn advance(&self, cur: &mut RowCursor, step: &RowCursor) {
+        cur.byte += step.byte;
+        cur.col += step.col;
+        if cur.byte >= self.col_bytes {
+            cur.byte -= self.col_bytes;
+            cur.col += 1;
+        }
+        cur.row = cur.row.saturating_add(step.row);
+        if cur.col >= self.num_cols {
+            cur.col -= self.num_cols;
+            cur.row = cur.row.saturating_add(1);
+        }
     }
 }
 
@@ -344,34 +420,24 @@ fn slot_advance(ins: &crate::isa::Instruction) -> (usize, usize) {
 /// it. Shared by both replay paths so their decode cannot drift apart,
 /// and checked: a cursor that has run past the `u32` row space aborts the
 /// run instead of silently truncating into a bogus row.
-fn decode_slot_addr(
-    start_row: u32,
-    cursor: usize,
-    elem_bytes: usize,
-    row_bytes: usize,
-    col_bytes: usize,
-) -> Result<(u32, u32), CoreError> {
-    let overflow = |byte_off: usize| {
+#[inline]
+fn decode_slot_addr(slot: usize, cur: &RowCursor) -> Result<(u32, u32), CoreError> {
+    let row = u32::try_from(cur.row).map_err(|_| {
         CoreError::Execution(format!(
-            "slot byte offset {byte_off} (cursor {cursor} x {elem_bytes} B from row \
-             {start_row}) overflows the DRAM row address space"
+            "slot {slot}'s cursor reached row {}, past the DRAM row address space",
+            cur.row
         ))
-    };
-    let byte_off = cursor
-        .checked_mul(elem_bytes)
-        .ok_or_else(|| overflow(usize::MAX))?;
-    let want_row = u32::try_from(byte_off / row_bytes)
-        .ok()
-        .and_then(|r| start_row.checked_add(r))
-        .ok_or_else(|| overflow(byte_off))?;
-    let col = u32::try_from((byte_off % row_bytes) / col_bytes)
-        .expect("column index is bounded by columns per row");
-    Ok((want_row, col))
+    })?;
+    Ok((row, cur.col))
 }
 
 /// A parked-slot cache entry meaning "not parked": the next offer must go
 /// through the interpreter.
 const NOT_PARKED: usize = usize::MAX;
+
+/// A parked-slot cache entry meaning "exited": every further offer passes
+/// over the unit.
+const EXITED: usize = usize::MAX - 1;
 
 /// PU stepping front-end with parked-slot predication.
 ///
@@ -380,18 +446,22 @@ const NOT_PARKED: usize = usize::MAX;
 /// fixed by the cyclic command schedule. Most offers are predications, the
 /// point of the execution model (§IV-E): a live unit parked at memory slot
 /// `m` ([`ProcessingUnit::parked_memory_slot`]) offered any `slot != m`
-/// only bumps `predicated_off` and reports `OutOfPhase`. The driver caches
-/// each unit's parked slot and synthesizes that report; an offer that
-/// reaches the parked slot, or goes to a unit that is not parked, steps
-/// the interpreter, which then refreshes the cache.
+/// only bumps `predicated_off` and reports `OutOfPhase`, and a unit that
+/// has exited only bumps `predicated_off` and reports `Exited`. `PuDriver`
+/// caches each unit's parked slot, or that it has exited, and synthesizes
+/// those reports; an offer that reaches the parked slot, or goes to a
+/// unit that is not parked, steps the interpreter, which then refreshes
+/// the cache. Every offer is counted on its unit
+/// ([`ProcessingUnit::note_offer`]), so a validated run can check that
+/// each one was answered exactly once.
 struct PuDriver<'a> {
     kernel: &'a Kernel,
     pus: &'a mut [ProcessingUnit],
     mems: &'a mut [BankMemory],
     /// Units that have not exited.
     live: usize,
-    /// Per-bank parked memory slot, [`NOT_PARKED`] when the next offer
-    /// must step the interpreter.
+    /// Per-bank parked memory slot, [`EXITED`] for an exited unit, or
+    /// [`NOT_PARKED`] when the next offer must step the interpreter.
     parked: Vec<usize>,
 }
 
@@ -407,42 +477,48 @@ impl<'a> PuDriver<'a> {
         }
     }
 
+    /// The cache entry for unit `b` after the interpreter ran it.
+    fn park(&mut self, b: usize) {
+        let pu = &self.pus[b];
+        self.parked[b] = if pu.exited() {
+            self.live -= 1;
+            EXITED
+        } else {
+            pu.parked_memory_slot(self.kernel).unwrap_or(NOT_PARKED)
+        };
+    }
+
     /// Run every unit's free prelude (control/compute instructions before
     /// the first memory slot) and count prelude exits.
     fn prelude(&mut self) {
         for b in 0..self.pus.len() {
             self.pus[b].run_free(self.kernel);
-            if self.pus[b].exited() {
-                self.live -= 1;
-            } else {
-                self.parked[b] = self.pus[b]
-                    .parked_memory_slot(self.kernel)
-                    .unwrap_or(NOT_PARKED);
-            }
+            self.park(b);
         }
     }
 
     /// Offer the command at `slot` to bank `b` and return its report.
     /// Exit-*round* bookkeeping stays with the caller (the two exec modes
     /// time-stamp it differently).
+    #[inline]
     fn step(&mut self, b: usize, slot: usize) -> StepReport {
+        let pu = &mut self.pus[b];
+        pu.note_offer();
         let m = self.parked[b];
-        if m != NOT_PARKED && m != slot {
-            self.pus[b].note_predicated_off();
+        if m != slot && m != NOT_PARKED {
+            pu.note_predicated_off();
             return StepReport {
                 executed: false,
                 pu_cycles: 0,
-                outcome: StepOutcome::OutOfPhase,
+                outcome: if m == EXITED {
+                    StepOutcome::Exited
+                } else {
+                    StepOutcome::OutOfPhase
+                },
             };
         }
-        let was_live = !self.pus[b].exited();
-        let rep = self.pus[b].on_command(self.kernel, slot, &mut self.mems[b]);
-        if was_live && self.pus[b].exited() {
-            self.live -= 1;
-        }
-        self.parked[b] = self.pus[b]
-            .parked_memory_slot(self.kernel)
-            .unwrap_or(NOT_PARKED);
+        let rep = pu.on_command(self.kernel, slot, &mut self.mems[b]);
+        self.park(b);
         rep
     }
 }
@@ -474,8 +550,11 @@ fn run_channel_allbank(
     let kernel = ctx.kernel;
     let program = kernel.program();
     let mut port = Port::new(AbChannel::new(&cfg.hbm), cfg, ch);
-    let row_bytes = cfg.hbm.row_bytes();
-    let col_bytes = cfg.hbm.col_bytes;
+    // Engine-side open-row bookkeeping uses the first bank's layout; all
+    // banks allocate regions identically (equal rows/bank).
+    let geometry = RowGeometry::new(&cfg.hbm);
+    let mut cursors = geometry.slot_cursors(kernel, &mems[0]);
+    let steps = geometry.slot_steps(kernel);
     let nbanks = pus.len();
     let mut driver = PuDriver::new(kernel, pus, mems);
     let mut attr = cfg
@@ -499,7 +578,6 @@ fn run_channel_allbank(
 
     let t_refi = cfg.hbm.timing.t_refi;
     let mut next_refresh = now + t_refi;
-    let mut cursors = kernel.start_cursors();
     let mut open_row: Option<u32> = None;
     let mut rounds = 0u64;
     // Read-latency depth the command pipeline hides: PU consumption of
@@ -529,17 +607,7 @@ fn run_channel_allbank(
                     a.span_all(now, Category::RefreshShadow, driver.pus);
                 }
             }
-            let ins = &program[slot];
-            let binding = kernel.binding(slot);
-            let region_id = binding.region;
-            let (elem_bytes, natural) = slot_advance(ins);
-            let advance = binding.stride.unwrap_or(natural);
-            // Engine-side open-row bookkeeping uses the first bank's
-            // layout; all banks allocate regions identically (equal
-            // rows/bank).
-            let start_row = driver.mems[0].region(region_id).start_row();
-            let (want_row, col) =
-                decode_slot_addr(start_row, cursors[slot], elem_bytes, row_bytes, col_bytes)?;
+            let (want_row, col) = decode_slot_addr(slot, &cursors[slot])?;
             if open_row != Some(want_row) {
                 if open_row.is_some() {
                     now = port.issue(AB, CmdKind::Pre, now)?.issue_cycle;
@@ -552,7 +620,7 @@ fn run_channel_allbank(
                     a.span_all(now, Category::RowSwitchWait, driver.pus);
                 }
             }
-            let kind = if ins.writes_bank() {
+            let kind = if kernel.shape(slot).writes {
                 CmdKind::Wr { col }
             } else {
                 CmdKind::Rd { col }
@@ -580,7 +648,7 @@ fn run_channel_allbank(
             // that falls behind the read latency stalls the bus.
             pu_free = pu_free.max(issued.data_cycle) + max_busy * DRAM_CYCLES_PER_PU_CYCLE;
             now = now.max(pu_free.saturating_sub(pipeline));
-            cursors[slot] += advance;
+            geometry.advance(&mut cursors[slot], &steps[slot]);
             if let Some(a) = attr.as_mut() {
                 a.data_all(issued.issue_cycle, now, &step_buf, rounds, slot);
             }
@@ -626,9 +694,12 @@ fn run_channel_allbank(
 
 /// Per-bank round-robin issue state (one per bank of the channel).
 struct BankCtl {
+    /// The bank's command scope, computed once per replay.
+    scope: Scope,
     sched_idx: usize,
     rounds: u64,
-    cursors: [usize; MAX_PROGRAM_LEN],
+    /// Each memory slot's open-row cursor in this bank's region layout.
+    cursors: [RowCursor; MAX_PROGRAM_LEN],
     open_row: Option<u32>,
     ready: u64,
     pu_free: u64,
@@ -645,42 +716,47 @@ fn run_channel_perbank(
     let program = kernel.program();
     let schedule = kernel.schedule();
     let mut port = Port::new(Channel::new(&cfg.hbm), cfg, ch);
-    let row_bytes = cfg.hbm.row_bytes();
-    let col_bytes = cfg.hbm.col_bytes;
+    let geometry = RowGeometry::new(&cfg.hbm);
+    let steps = geometry.slot_steps(kernel);
     let nbanks = pus.len();
     let banks_per_group = cfg.hbm.banks_per_group;
-    let bank_scope = |b: usize| Scope::OneBank {
-        bg: b / banks_per_group,
-        ba: b % banks_per_group,
-    };
+    let mut ctls: Vec<BankCtl> = mems
+        .iter()
+        .enumerate()
+        .map(|(b, mem)| BankCtl {
+            scope: Scope::OneBank {
+                bg: b / banks_per_group,
+                ba: b % banks_per_group,
+            },
+            sched_idx: 0,
+            rounds: 0,
+            cursors: geometry.slot_cursors(kernel, mem),
+            open_row: None,
+            ready: 0,
+            pu_free: 0,
+        })
+        .collect();
     let mut driver = PuDriver::new(kernel, pus, mems);
     let mut attr = cfg
         .attribute
         .then(|| Attr::new(ch, nbanks, cfg.event_limit));
 
-    // Per-bank setup: each bank's CRF is programmed individually.
+    // Per-bank setup: each bank's CRF is programmed individually, the
+    // banks taking turns command by command.
     let mut now: u64 = 0;
-    let setup_cmds = (2 * psim_dram::mode::SWITCH_SEQUENCE_LEN + program.len()) * nbanks;
-    for i in 0..setup_cmds {
-        now = port
-            .issue(bank_scope(i % nbanks), CmdKind::Mrs, now)?
-            .issue_cycle;
+    for _ in 0..2 * psim_dram::mode::SWITCH_SEQUENCE_LEN + program.len() {
+        for ctl in &ctls {
+            now = port.issue(ctl.scope, CmdKind::Mrs, now)?.issue_cycle;
+        }
     }
     if let Some(a) = attr.as_mut() {
         a.span_all(now, Category::Setup, driver.pus);
     }
 
     let pipeline = cfg.hbm.timing.rl + 1;
-    let mut ctls: Vec<BankCtl> = (0..nbanks)
-        .map(|_| BankCtl {
-            sched_idx: 0,
-            rounds: 0,
-            cursors: kernel.start_cursors(),
-            open_row: None,
-            ready: now,
-            pu_free: 0,
-        })
-        .collect();
+    for ctl in &mut ctls {
+        ctl.ready = now;
+    }
     driver.prelude();
 
     let t_refi = cfg.hbm.timing.t_refi;
@@ -692,10 +768,10 @@ fn run_channel_perbank(
         // every open row, then issue one all-bank REF that stalls all
         // per-bank streams for tRFC.
         if floor >= next_refresh {
-            for (i, ctl) in ctls.iter_mut().enumerate() {
+            for ctl in &mut ctls {
                 if ctl.open_row.is_some() {
                     let p = port
-                        .issue(bank_scope(i), CmdKind::Pre, ctl.ready.max(floor))?
+                        .issue(ctl.scope, CmdKind::Pre, ctl.ready.max(floor))?
                         .issue_cycle;
                     floor = floor.max(p);
                     ctl.open_row = None;
@@ -734,20 +810,8 @@ fn run_channel_perbank(
                 )));
             }
             let slot = schedule[ctl.sched_idx];
-            let ins = &program[slot];
-            let binding = kernel.binding(slot);
-            let region_id = binding.region;
-            let (elem_bytes, natural) = slot_advance(ins);
-            let advance = binding.stride.unwrap_or(natural);
-            let start_row = driver.mems[i].region(region_id).start_row();
-            let (want_row, col) = decode_slot_addr(
-                start_row,
-                ctl.cursors[slot],
-                elem_bytes,
-                row_bytes,
-                col_bytes,
-            )?;
-            let scope = bank_scope(i);
+            let (want_row, col) = decode_slot_addr(slot, &ctl.cursors[slot])?;
+            let scope = ctl.scope;
             let mut t = ctl.ready.max(floor);
             if let Some(a) = attr.as_mut() {
                 // The bank waited for the shared command bus to reach it.
@@ -764,7 +828,7 @@ fn run_channel_perbank(
                 ctl.open_row = Some(want_row);
                 switched_at = Some(t);
             }
-            let kind = if ins.writes_bank() {
+            let kind = if kernel.shape(slot).writes {
                 CmdKind::Wr { col }
             } else {
                 CmdKind::Rd { col }
@@ -776,7 +840,7 @@ fn run_channel_perbank(
             ctl.pu_free =
                 ctl.pu_free.max(issued.data_cycle) + rep.pu_cycles * DRAM_CYCLES_PER_PU_CYCLE;
             ctl.ready = issued.issue_cycle.max(ctl.pu_free.saturating_sub(pipeline));
-            ctl.cursors[slot] += advance;
+            geometry.advance(&mut ctl.cursors[slot], &steps[slot]);
             if let Some(a) = attr.as_mut() {
                 if let Some(ts) = switched_at {
                     a.pu_span(i, ts, Category::RowSwitchWait);
@@ -821,4 +885,53 @@ fn run_channel_perbank(
         .unwrap_or(floor)
         .max(floor);
     Ok(port.finish(end, max_rounds, attr))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Advancing a decoded cursor step by step lands where decoding the
+    /// advanced element offset does, on power-of-two and other row
+    /// geometries, for strides below a column, across columns and across
+    /// whole rows, and a cursor that runs past the `u32` row space is
+    /// refused when it next issues.
+    #[test]
+    fn stepped_cursor_matches_a_fresh_decode() {
+        for (num_cols, col_bytes) in [(64, 16), (48, 16), (64, 24), (7, 3)] {
+            let hbm = HbmConfig {
+                num_cols,
+                col_bytes,
+                ..HbmConfig::default()
+            };
+            let g = RowGeometry::new(&hbm);
+            for (start_row, offset, advance, elem_bytes) in [
+                (0, 0, 4, 8),
+                (3, 5, 1, 8),
+                (9, 2, 32, 1),
+                (1, 7, 96, 8),
+                (0, 11, 1000, 8),
+                (5, 0, 0, 8),
+            ] {
+                let step = g.decode(0, advance, elem_bytes);
+                let mut cur = g.decode(start_row, offset, elem_bytes);
+                for k in 1..200 {
+                    g.advance(&mut cur, &step);
+                    let want = g.decode(start_row, offset + k * advance, elem_bytes);
+                    assert_eq!(
+                        (cur.row, cur.col, cur.byte),
+                        (want.row, want.col, want.byte),
+                        "{num_cols} x {col_bytes} B columns, start row {start_row}, \
+                         offset {offset}, advance {advance} x {elem_bytes} B, step {k}"
+                    );
+                }
+            }
+        }
+        let g = RowGeometry::new(&HbmConfig::default());
+        let mut cur = g.decode(u32::MAX, 0, 8);
+        assert_eq!(decode_slot_addr(0, &cur).unwrap(), (u32::MAX, 0));
+        let row = g.decode(0, g.row_bytes / 8, 8);
+        g.advance(&mut cur, &row);
+        assert!(decode_slot_addr(0, &cur).is_err());
+    }
 }

@@ -3,7 +3,7 @@
 //!
 //! A channel replay is a deterministic function of its inputs: every PU's
 //! start state, the layout of every region in the channel's banks, and the
-//! elements its PUs read. The kernel (program, binding table, command
+//! elements its PUs read. The kernel (program, slot table, command
 //! schedule) and timing are shared by the whole launch, and the channel
 //! index only labels checker and attribution output. A *witness* is a
 //! replayed channel whose PUs fetched no region for a store

@@ -15,10 +15,12 @@
 //! while the host keeps driving the remaining units (§IV-D).
 //!
 //! Every unit of an engine runs the one [`Kernel`] the engine loaded: the
-//! program, its binding table and its command schedule live there, and a
-//! unit holds only its own position in them (program counter, slot
-//! cursors, loop counters) next to its registers and queues. So loading a
-//! unit resets a few fixed-size fields and shares nothing by reference.
+//! program, its slot table (which slots access memory, and how) and its
+//! command schedule live there, and a unit holds only its own position in
+//! them (program counter, slot cursors, loop counters) next to its
+//! registers and queues. So loading a unit resets a few fixed-size fields
+//! and shares nothing by reference, and the interpreter tells a memory
+//! slot from a free instruction by one bit of the kernel's mask.
 //!
 //! The interpreter allocates nothing per step: every DRF holds at most one
 //! datapath pass (`MAX_LANES` elements), so gather buffers, dense
@@ -33,7 +35,7 @@ pub use queue::SpQueue;
 use crate::error::CoreError;
 use crate::isa::program::MAX_PROGRAM_LEN;
 use crate::isa::{BinaryOp, Identity, Instruction, Operand, Program, SetMode, SubQueue};
-use crate::memory::{same_bits, BankMemory, Binding, SENTINEL};
+use crate::memory::{same_bits, BankMemory, Binding, RegionId, SENTINEL};
 use crate::stats::PuStats;
 use psim_sparse::Precision;
 use serde::{Deserialize, Serialize};
@@ -87,21 +89,97 @@ pub struct StepReport {
     pub outcome: StepOutcome,
 }
 
-/// A loaded kernel: the program, the region binding of each program slot
-/// (every memory slot bound) and the host's per-iteration command
-/// schedule. An engine builds one per load and every unit runs it.
+/// A loaded kernel: the program, what each memory slot's command does to
+/// its bank, and the host's per-iteration command schedule. An engine
+/// builds one per load and every unit runs it.
+///
+/// Everything a load fixes is derived here once: which slots are memory
+/// slots (a bit mask) and each memory slot's access shape (its region and
+/// stride, the element width and advance of the engine's open-row cursor,
+/// and whether its command reads or writes the bank). The replays and the
+/// interpreter look these up per command instead of re-deriving them from
+/// the instruction and its binding.
 #[derive(Debug, Clone)]
 pub struct Kernel {
     program: Program,
-    /// Region binding (region, offset, stride) of each program slot.
-    bindings: Box<[Option<Binding>]>,
+    /// Bit `s` is set when slot `s` holds a memory instruction.
+    memory: u64,
+    /// Each memory slot's access shape; other slots hold
+    /// [`SlotShape::NONE`].
+    shapes: [SlotShape; MAX_PROGRAM_LEN],
     /// Each slot's element cursor at load: its binding's offset.
     start: [usize; MAX_PROGRAM_LEN],
     schedule: Vec<usize>,
 }
 
+/// How one memory slot's command touches its bank, fixed when the kernel
+/// loads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SlotShape {
+    /// The region the slot's binding names.
+    pub region: RegionId,
+    /// The binding's stride; `None` advances the unit's own cursor by the
+    /// instruction's natural width.
+    pub stride: Option<usize>,
+    /// Element width of the engine's open-row cursor, in bytes.
+    pub elem_bytes: usize,
+    /// Elements the engine's open-row cursor advances per command.
+    pub advance: usize,
+    /// Whether the command writes the bank (a WR) rather than reads it.
+    pub writes: bool,
+}
+
+impl SlotShape {
+    /// The shape of a slot without a bank access.
+    const NONE: SlotShape = SlotShape {
+        region: RegionId(0),
+        stride: None,
+        elem_bytes: 0,
+        advance: 0,
+        writes: false,
+    };
+
+    /// The shape of memory instruction `ins` bound to `binding`.
+    fn new(ins: &Instruction, binding: Binding) -> Self {
+        let (elem_bytes, natural) = row_cursor_step(ins);
+        SlotShape {
+            region: binding.region,
+            stride: binding.stride,
+            elem_bytes,
+            advance: binding.stride.unwrap_or(natural),
+            writes: ins.writes_bank(),
+        }
+    }
+}
+
+/// Element width and natural advance of the engine's open-row cursor at
+/// a memory instruction's slot.
+fn row_cursor_step(ins: &Instruction) -> (usize, usize) {
+    use Instruction as I;
+    match *ins {
+        I::Dmov {
+            dst: Operand::Srf, ..
+        }
+        | I::Dmov {
+            src: Operand::Srf, ..
+        } => (8, 1),
+        I::Dmov { precision, .. } | I::SpMov { precision, .. } => {
+            (precision.bytes(), precision.lanes())
+        }
+        I::GthSct {
+            dst: Operand::Bank, ..
+        } => (8, 0), // scatter is random within the open row
+        I::GthSct { precision, .. } => (precision.bytes(), precision.lanes()),
+        I::SpFw { precision, .. } => (precision.bytes(), 3 * precision.lanes()),
+        // Gathers/accumulates address randomly within their (single-row)
+        // region; the cursor stays at the region head.
+        _ => (8, 0),
+    }
+}
+
 impl Kernel {
-    /// Check `bindings` against `program` and derive the command schedule.
+    /// Check `bindings` against `program`, derive every memory slot's
+    /// access shape and the command schedule.
     ///
     /// # Errors
     ///
@@ -111,24 +189,28 @@ impl Kernel {
         program: Program,
         bindings: Vec<Option<B>>,
     ) -> Result<Self, CoreError> {
-        let mut bindings: Vec<Option<Binding>> =
-            bindings.into_iter().map(|o| o.map(Into::into)).collect();
-        bindings.resize(program.len(), None);
-        for (slot, ins) in program.instructions().iter().enumerate() {
-            if ins.is_memory() && bindings[slot].is_none() {
-                return Err(CoreError::Binding(format!(
-                    "memory instruction at slot {slot} has no bound region"
-                )));
-            }
-        }
+        let mut bindings = bindings.into_iter().map(|o| o.map(Into::into));
+        let mut memory = 0u64;
+        let mut shapes = [SlotShape::NONE; MAX_PROGRAM_LEN];
         let mut start = [0; MAX_PROGRAM_LEN];
-        for (cursor, binding) in start.iter_mut().zip(&bindings) {
-            *cursor = binding.map_or(0, |b| b.offset);
+        for (slot, ins) in program.instructions().iter().enumerate() {
+            let binding: Option<Binding> = bindings.next().flatten();
+            start[slot] = binding.map_or(0, |b| b.offset);
+            if ins.is_memory() {
+                let binding = binding.ok_or_else(|| {
+                    CoreError::Binding(format!(
+                        "memory instruction at slot {slot} has no bound region"
+                    ))
+                })?;
+                memory |= 1 << slot;
+                shapes[slot] = SlotShape::new(ins, binding);
+            }
         }
         let schedule = program.command_schedule()?;
         Ok(Kernel {
             program,
-            bindings: bindings.into(),
+            memory,
+            shapes,
             start,
             schedule,
         })
@@ -147,9 +229,22 @@ impl Kernel {
         &self.schedule
     }
 
-    /// The region binding of a memory slot.
-    pub(crate) fn binding(&self, slot: usize) -> Binding {
-        self.bindings[slot].expect("memory slots are bound in Kernel::new")
+    /// Whether `slot` (at most the program length) holds a memory
+    /// instruction.
+    #[inline]
+    pub(crate) fn is_memory(&self, slot: usize) -> bool {
+        self.memory >> slot & 1 != 0
+    }
+
+    /// The memory slots, in program order.
+    pub(crate) fn memory_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.program.len()).filter(|&slot| self.is_memory(slot))
+    }
+
+    /// The access shape of memory slot `slot`.
+    #[inline]
+    pub(crate) fn shape(&self, slot: usize) -> &SlotShape {
+        &self.shapes[slot]
     }
 
     /// Every slot's element cursor at load.
@@ -172,6 +267,12 @@ pub struct ProcessingUnit {
     exited: bool,
     exit_armed: bool,
     stats: PuStats,
+    /// Column commands offered since load ([`ProcessingUnit::note_offer`]).
+    offers: u64,
+    /// Whether the unit exited while handling an offer rather than in
+    /// its free prelude: that offer is the one answered by neither a
+    /// memory op nor a predication.
+    exited_on_offer: bool,
 }
 
 impl Default for ProcessingUnit {
@@ -194,12 +295,14 @@ impl ProcessingUnit {
             exited: false,
             exit_armed: false,
             stats: PuStats::new(),
+            offers: 0,
+            exited_on_offer: false,
         }
     }
 
     /// Start the unit on `kernel`: reset its program counter, slot
-    /// cursors, loop counters, exit flags and statistics. Registers and
-    /// queues keep their contents.
+    /// cursors, loop counters, exit flags, statistics and offer count.
+    /// Registers and queues keep their contents.
     pub fn load(&mut self, kernel: &Kernel) {
         self.cursors = kernel.start_cursors();
         self.pc = 0;
@@ -207,6 +310,8 @@ impl ProcessingUnit {
         self.exited = false;
         self.exit_armed = false;
         self.stats = PuStats::new();
+        self.offers = 0;
+        self.exited_on_offer = false;
     }
 
     /// A dense register, mutably (tests set up register states).
@@ -270,7 +375,7 @@ impl ProcessingUnit {
                 break;
             }
             let ins = prog[self.pc];
-            if ins.is_memory() {
+            if kernel.is_memory(self.pc) {
                 if self.pc != slot {
                     // Out of phase: let the command pass.
                     self.stats.predicated_off += 1;
@@ -280,7 +385,7 @@ impl ProcessingUnit {
                         outcome: StepOutcome::OutOfPhase,
                     };
                 }
-                return match self.exec_memory(&ins, kernel.binding(slot), mem) {
+                return match self.exec_memory(&ins, kernel.shape(slot), mem) {
                     outcome @ (ExecOutcome::Done(_) | ExecOutcome::DoneEmpty(_)) => {
                         let (c, step) = match outcome {
                             ExecOutcome::Done(c) => (c, StepOutcome::Executed),
@@ -330,6 +435,7 @@ impl ProcessingUnit {
             }
         }
         self.stats.busy_cycles += cycles;
+        self.exited_on_offer |= self.exited;
         StepReport {
             executed: false,
             pu_cycles: cycles,
@@ -352,10 +458,10 @@ impl ProcessingUnit {
                 self.exited = true;
                 break;
             }
-            let ins = prog[self.pc];
-            if ins.is_memory() {
+            if kernel.is_memory(self.pc) {
                 break;
             }
+            let ins = prog[self.pc];
             match self.exec_free(&ins) {
                 ExecOutcome::Done(c) | ExecOutcome::DoneEmpty(c) => {
                     cycles += c;
@@ -372,8 +478,7 @@ impl ProcessingUnit {
     /// waiting at, if any (diagnostic).
     #[must_use]
     pub fn pending_slot(&self, kernel: &Kernel) -> Option<usize> {
-        let ins = kernel.program.get(self.pc)?;
-        ins.is_memory().then_some(self.pc)
+        (self.pc < kernel.program.len() && kernel.is_memory(self.pc)).then_some(self.pc)
     }
 
     /// The memory slot this live unit is parked at, if any.
@@ -395,8 +500,25 @@ impl ProcessingUnit {
 
     /// Count one offer the engine predicated off without stepping the
     /// interpreter (see [`ProcessingUnit::parked_memory_slot`]).
+    #[inline]
     pub(crate) fn note_predicated_off(&mut self) {
         self.stats.predicated_off += 1;
+    }
+
+    /// Count one column command offered to the unit, however it is
+    /// answered.
+    #[inline]
+    pub(crate) fn note_offer(&mut self) {
+        self.offers += 1;
+    }
+
+    /// Whether every offer since load was answered exactly once: by a
+    /// memory op, by a predication, or by the unit exiting while handling
+    /// it (`None`), or else the offer count and the answers it expected.
+    pub(crate) fn offer_mismatch(&self) -> Option<(u64, u64)> {
+        let s = &self.stats;
+        let answered = s.mem_ops + s.predicated_off + u64::from(self.exited_on_offer);
+        (answered != self.offers).then_some((self.offers, answered))
     }
 
     /// Whether both units hold the same state bit for bit: every register,
@@ -408,6 +530,8 @@ impl ProcessingUnit {
             && self.exit_armed == other.exit_armed
             && self.srf.to_bits() == other.srf.to_bits()
             && self.stats == other.stats
+            && self.offers == other.offers
+            && self.exited_on_offer == other.exited_on_offer
             && self.cursors == other.cursors
             && self.loop_counters == other.loop_counters
             && self
@@ -438,6 +562,8 @@ impl ProcessingUnit {
         self.exited = src.exited;
         self.exit_armed = src.exit_armed;
         self.stats = src.stats;
+        self.offers = src.offers;
+        self.exited_on_offer = src.exited_on_offer;
     }
 
     // ---- internals -----------------------------------------------------
@@ -547,7 +673,7 @@ impl ProcessingUnit {
                 op,
                 set,
                 precision,
-            } if !ins.is_memory() => self.exec_spvdv_regs(dst, src0, src1, op, set, precision),
+            } => self.exec_spvdv_regs(dst, src0, src1, op, set, precision),
             Instruction::SpVSpv {
                 dst,
                 src0,
@@ -751,15 +877,15 @@ impl ProcessingUnit {
     }
 
     /// Execute `ins`, the memory instruction at the program counter,
-    /// against its slot's region `binding`.
+    /// against its slot's `shape`.
     fn exec_memory(
         &mut self,
         ins: &Instruction,
-        binding: Binding,
+        shape: &SlotShape,
         mem: &mut BankMemory,
     ) -> ExecOutcome {
         let slot = self.pc;
-        let region = binding.region;
+        let region = shape.region;
         match *ins {
             Instruction::Dmov {
                 dst,
@@ -774,22 +900,22 @@ impl ProcessingUnit {
                         let dv = &mut self.drf[d as usize];
                         dv.clear();
                         dv.extend((0..lanes).map(|i| r.get(cur + i)));
-                        self.cursors[slot] += binding.stride.unwrap_or(lanes);
+                        self.cursors[slot] += shape.stride.unwrap_or(lanes);
                     }
                     (Operand::Srf, Operand::Bank) => {
                         self.srf = mem.read(region, cur..cur + 1).get(cur);
-                        self.cursors[slot] += binding.stride.unwrap_or(1);
+                        self.cursors[slot] += shape.stride.unwrap_or(1);
                     }
                     (Operand::Bank, Operand::Drf(d)) => {
                         let r = mem.write(region);
                         for (i, v) in self.drf[d as usize].iter().enumerate().take(lanes) {
                             r.set(cur + i, precision.quantize(*v));
                         }
-                        self.cursors[slot] += binding.stride.unwrap_or(lanes);
+                        self.cursors[slot] += shape.stride.unwrap_or(lanes);
                     }
                     (Operand::Bank, Operand::Srf) => {
                         mem.write(region).set(cur, precision.quantize(self.srf));
-                        self.cursors[slot] += binding.stride.unwrap_or(1);
+                        self.cursors[slot] += shape.stride.unwrap_or(1);
                     }
                     _ => unreachable!("non-bank DMOV routed to exec_free"),
                 }
@@ -800,7 +926,7 @@ impl ProcessingUnit {
                 src,
                 sub,
                 precision,
-            } => self.exec_spmov(dst, src, sub, precision, binding, mem),
+            } => self.exec_spmov(dst, src, sub, precision, shape, mem),
             Instruction::IndMov {
                 dst,
                 idx_queue,
@@ -861,7 +987,7 @@ impl ProcessingUnit {
                 src,
                 identity,
                 precision,
-            } => self.exec_gthsct(dst, src, identity, precision, binding, mem),
+            } => self.exec_gthsct(dst, src, identity, precision, shape, mem),
             Instruction::SpVdv {
                 dst: Operand::Bank,
                 src0: Operand::SpVq(s),
@@ -921,7 +1047,7 @@ impl ProcessingUnit {
                 for (i, dv) in dense.iter_mut().enumerate().take(k) {
                     *dv = r.get(cur + i);
                 }
-                self.cursors[slot] += binding.stride.unwrap_or(lanes);
+                self.cursors[slot] += shape.stride.unwrap_or(lanes);
                 for &b in &dense[..k] {
                     let (r, c, v) = self.queues[s as usize].pop().expect("len checked");
                     if r == SENTINEL || c == SENTINEL {
@@ -949,11 +1075,11 @@ impl ProcessingUnit {
         src: Operand,
         sub: SubQueue,
         precision: Precision,
-        binding: Binding,
+        shape: &SlotShape,
         mem: &mut BankMemory,
     ) -> ExecOutcome {
         let slot = self.pc;
-        let region = binding.region;
+        let region = shape.region;
         let lanes = precision.lanes();
         let elem_bytes = precision.bytes();
         match (dst, src) {
@@ -977,7 +1103,7 @@ impl ProcessingUnit {
                     }
                     self.queues[q as usize].push_sub(sub, v);
                 }
-                self.cursors[slot] += binding.stride.unwrap_or(lanes);
+                self.cursors[slot] += shape.stride.unwrap_or(lanes);
                 if saw_sentinel {
                     self.exit_armed = true;
                 }
@@ -1010,11 +1136,11 @@ impl ProcessingUnit {
         src: Operand,
         identity: Identity,
         precision: Precision,
-        binding: Binding,
+        shape: &SlotShape,
         mem: &mut BankMemory,
     ) -> ExecOutcome {
         let slot = self.pc;
-        let region = binding.region;
+        let region = shape.region;
         let lanes = precision.lanes();
         let elem_bytes = precision.bytes();
         match (dst, src) {
@@ -1039,7 +1165,7 @@ impl ProcessingUnit {
                         self.stats.lane_ops += 1;
                     }
                 }
-                self.cursors[slot] += binding.stride.unwrap_or(lanes);
+                self.cursors[slot] += shape.stride.unwrap_or(lanes);
                 ExecOutcome::Done(1)
             }
             // Scatter: sparse queue -> dense region at the col index.

@@ -29,6 +29,7 @@ impl SpQueue {
 
     /// Number of complete `(row, col, value)` elements available.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         self.row.len().min(self.col.len()).min(self.val.len())
     }
@@ -36,6 +37,7 @@ impl SpQueue {
     /// Whether no complete element is available and all sub-queues are
     /// drained.
     #[must_use]
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.row.is_empty() && self.col.is_empty() && self.val.is_empty()
     }
@@ -43,6 +45,7 @@ impl SpQueue {
     /// Whether `n` more elements of width `elem_bytes` fit in *every*
     /// sub-queue.
     #[must_use]
+    #[inline]
     pub fn can_push(&self, n: usize, elem_bytes: usize) -> bool {
         let cap = SUB_QUEUE_BYTES / elem_bytes;
         self.row.len() + n <= cap && self.col.len() + n <= cap && self.val.len() + n <= cap
@@ -50,6 +53,7 @@ impl SpQueue {
 
     /// Whether `n` more elements fit in one sub-queue.
     #[must_use]
+    #[inline]
     pub fn sub_can_push(&self, sub: SubQueue, n: usize, elem_bytes: usize) -> bool {
         let cap = SUB_QUEUE_BYTES / elem_bytes;
         match sub {
@@ -61,6 +65,7 @@ impl SpQueue {
     }
 
     /// Push a complete element.
+    #[inline]
     pub fn push(&mut self, row: f64, col: f64, val: f64) {
         self.row.push_back(row);
         self.col.push_back(col);
@@ -72,6 +77,7 @@ impl SpQueue {
     // `len() == 0` is NOT `is_empty()` here: `len` counts complete
     // triples, `is_empty` requires all sub-queues drained.
     #[allow(clippy::len_zero)]
+    #[inline]
     pub fn pop(&mut self) -> Option<(f64, f64, f64)> {
         if self.len() == 0 {
             return None;
@@ -84,6 +90,7 @@ impl SpQueue {
     }
 
     /// Push into one sub-queue (a 32 B `SpMOV` burst element).
+    #[inline]
     pub fn push_sub(&mut self, sub: SubQueue, v: f64) {
         match sub {
             SubQueue::Row => self.row.push_back(v),
@@ -94,6 +101,7 @@ impl SpQueue {
     }
 
     /// Pop from one sub-queue.
+    #[inline]
     pub fn pop_sub(&mut self, sub: SubQueue) -> Option<f64> {
         match sub {
             SubQueue::Row => self.row.pop_front(),

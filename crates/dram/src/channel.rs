@@ -32,7 +32,11 @@ pub struct Issued {
 }
 
 /// Error returned when a command cannot issue as requested.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Both variants carry only `Copy` data, the refused command and its
+/// scope included, so an issue path returns its `Result` without drop
+/// glue; the message is rendered only when the error is displayed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IssueError {
     /// Issue requested before the earliest legal cycle.
     TooEarly {
@@ -43,7 +47,12 @@ pub enum IssueError {
     },
     /// The command is illegal in the current bank state (e.g. RD on an idle
     /// bank, mismatched open rows under all-bank scope).
-    IllegalState(String),
+    IllegalState {
+        /// The refused command.
+        cmd: CmdKind,
+        /// The scope it was issued with.
+        scope: Scope,
+    },
 }
 
 impl fmt::Display for IssueError {
@@ -56,7 +65,9 @@ impl fmt::Display for IssueError {
                 f,
                 "issue at {requested} precedes earliest legal cycle {earliest}"
             ),
-            IssueError::IllegalState(msg) => write!(f, "illegal command: {msg}"),
+            IssueError::IllegalState { cmd, scope } => {
+                write!(f, "illegal command: {cmd} with {scope}")
+            }
         }
     }
 }
@@ -140,6 +151,7 @@ impl Channel {
             .map_or(u64::MAX, |e| e.max(0) as u64)
     }
 
+    #[inline]
     fn earliest_inner(&self, scope: Scope, cmd: CmdKind, from: i64) -> Option<i64> {
         let t = &self.cfg.timing;
         let mut e = from;
@@ -200,6 +212,7 @@ impl Channel {
 
     /// The bank indices a scope addresses, as a range (all-bank scopes are
     /// contiguous, so no per-call index vector is needed).
+    #[inline]
     fn bank_range(&self, scope: Scope) -> std::ops::Range<usize> {
         match scope {
             Scope::OneBank { bg, ba } => {
@@ -213,6 +226,7 @@ impl Channel {
     /// Apply `cmd` at `at` unconditionally: bank state, channel cursors,
     /// bus slots, stats. Callers must have established legality via
     /// [`Channel::earliest_inner`] first.
+    #[inline]
     fn apply_at(&mut self, scope: Scope, cmd: CmdKind, at: u64) -> Issued {
         let t = self.cfg.timing;
         let at_i = at as i64;
@@ -278,7 +292,7 @@ impl Channel {
     pub fn issue(&mut self, scope: Scope, cmd: CmdKind, at: u64) -> Result<Issued, IssueError> {
         let earliest = self
             .earliest_inner(scope, cmd, 0)
-            .ok_or_else(|| IssueError::IllegalState(format!("{cmd} with {scope}")))?
+            .ok_or(IssueError::IllegalState { cmd, scope })?
             .max(0) as u64;
         if at < earliest {
             return Err(IssueError::TooEarly {
@@ -297,6 +311,7 @@ impl Channel {
     /// # Errors
     ///
     /// [`IssueError::IllegalState`] if the command cannot issue at all.
+    #[inline]
     pub fn issue_earliest(
         &mut self,
         scope: Scope,
@@ -305,7 +320,7 @@ impl Channel {
     ) -> Result<Issued, IssueError> {
         let e = self
             .earliest_inner(scope, cmd, from as i64)
-            .ok_or_else(|| IssueError::IllegalState(format!("{cmd} with {scope}")))?
+            .ok_or(IssueError::IllegalState { cmd, scope })?
             .max(0) as u64;
         Ok(self.apply_at(scope, cmd, e))
     }
@@ -413,7 +428,14 @@ mod tests {
         let err = c
             .issue_earliest(Scope::AllBanks, CmdKind::Rd { col: 0 }, 0)
             .unwrap_err();
-        assert!(matches!(err, IssueError::IllegalState(_)));
+        assert_eq!(
+            err,
+            IssueError::IllegalState {
+                cmd: CmdKind::Rd { col: 0 },
+                scope: Scope::AllBanks
+            }
+        );
+        assert_eq!(err.to_string(), "illegal command: RD(c0) with all-banks");
     }
 
     #[test]

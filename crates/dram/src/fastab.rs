@@ -58,15 +58,16 @@ impl AbChannel {
     /// # Errors
     ///
     /// [`IssueError::IllegalState`] if the command cannot issue at all,
-    /// with the message the full channel produces.
+    /// the error the full channel returns.
+    #[inline]
     pub fn issue_earliest(&mut self, cmd: CmdKind, from: u64) -> Result<Issued, IssueError> {
         let t = &self.timing;
         let mut e = from as i64;
 
-        e =
-            e.max(self.bank.earliest(cmd, t).ok_or_else(|| {
-                IssueError::IllegalState(format!("{cmd} with {}", Scope::AllBanks))
-            })?);
+        e = e.max(self.bank.earliest(cmd, t).ok_or(IssueError::IllegalState {
+            cmd,
+            scope: Scope::AllBanks,
+        })?);
         if matches!(cmd, CmdKind::Rd { .. } | CmdKind::Wr { .. }) {
             // Broadcast columns pace at tCCD_L (every group's datapath is
             // occupied), exactly as the full channel's AllBanks arm.
@@ -187,6 +188,7 @@ mod tests {
             .issue_earliest(Scope::AllBanks, CmdKind::Rd { col: 0 }, 0)
             .unwrap_err();
         let b = fast.issue_earliest(CmdKind::Rd { col: 0 }, 0).unwrap_err();
+        assert_eq!(a, b);
         assert_eq!(format!("{a}"), format!("{b}"));
     }
 

@@ -197,6 +197,38 @@ mod tests {
         assert_eq!(protocol.max_err, 0.0, "checker found violations");
     }
 
+    /// The battery forces validation, so every launch's PU audit runs:
+    /// each PU must have answered every command offered to it exactly once
+    /// (a memory op, a predication, or the offer it exited on), whether
+    /// the interpreter stepped it or the replay answered for a parked or
+    /// exited unit. An audit failure counts in the `protocol` entry.
+    #[test]
+    fn battery_answers_every_offer_once_in_both_modes() {
+        let tiny_per_bank = PimDevice {
+            mode: psyncpim_core::ExecMode::PerBank,
+            ..PimDevice::tiny(2)
+        };
+        for device in [
+            PimDevice::psync_1x(),
+            PimDevice::tiny(2),
+            PimDevice::per_bank(),
+            tiny_per_bank,
+        ] {
+            let results = selftest(&device).expect("simulator ok");
+            for r in &results {
+                assert!(
+                    r.pass,
+                    "{:?} {} cube(s) of {} banks: {} failed with {}",
+                    device.mode,
+                    device.cubes,
+                    device.hbm.total_banks(),
+                    r.kernel,
+                    r.max_err
+                );
+            }
+        }
+    }
+
     #[test]
     fn a_nan_output_fails_its_check() {
         assert!(!check("SpMV", &[1.0, f64::NAN], &[1.0, 2.0], 1e-9).pass);
