@@ -27,6 +27,17 @@
 //!
 //! All-bank ACT is treated as a single super-activation exempt from
 //! tRRD/tFAW, mirroring the documented channel model.
+//!
+//! **Representative bank.** An all-bank command moves every bank of the
+//! channel through the same state, so while every command seen so far is
+//! all-bank the banks are identical and bank 0 stands for all of them, as
+//! it does in [`AbChannel`](crate::AbChannel)'s timing: a clean all-bank
+//! command is checked and applied on bank 0 alone. The first single-bank
+//! command, or the first all-bank command bank 0 would find fault with,
+//! copies bank 0's state into every bank, and from then on each command is
+//! checked bank by bank. Reports are the same either way: the copy happens
+//! before the first per-bank finding, and identical banks cannot diverge
+//! in their lockstep hashes.
 
 use crate::command::{CmdKind, Scope};
 use crate::config::{HbmConfig, Timing};
@@ -203,7 +214,7 @@ impl CheckReport {
 
 /// Independent per-bank replay state (deliberately *not* [`crate::Bank`] —
 /// sharing the implementation under test would defeat the audit).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct BankCheck {
     open_row: Option<u32>,
     last_act: i64,
@@ -241,6 +252,75 @@ impl BankCheck {
         self.seq_hash = h;
         self.seq_len += 1;
     }
+
+    /// The (rule, earliest legal cycle) bounds `cmd` must meet on this
+    /// bank, at most three, in check order; `None` when the bank's state
+    /// forbids the command.
+    #[inline]
+    fn bounds(&self, t: &Timing, cmd: CmdKind) -> Option<[Option<(Rule, i64)>; 3]> {
+        match (cmd, self.open_row) {
+            (CmdKind::Act { .. } | CmdKind::Ref | CmdKind::Mrs, None) => Some([
+                Some((Rule::Trp, self.last_pre + t.t_rp as i64)),
+                Some((Rule::Trfc, self.last_ref + t.t_rfc as i64)),
+                None,
+            ]),
+            (CmdKind::Rd { .. }, Some(_)) => Some([
+                Some((Rule::Trcd, self.last_act + t.t_rcd as i64)),
+                Some((Rule::Twtr, self.last_wr + (t.wl + t.t_wtr) as i64)),
+                None,
+            ]),
+            (CmdKind::Wr { .. }, Some(_)) => Some([
+                Some((Rule::Trcd, self.last_act + t.t_rcd as i64)),
+                Some((Rule::ReadToWrite, self.last_rd + t.rl as i64)),
+                None,
+            ]),
+            (CmdKind::Pre, Some(_)) => Some([
+                Some((Rule::Tras, self.last_act + t.t_ras as i64)),
+                Some((Rule::Trtp, self.last_rd + t.t_rtp as i64)),
+                Some((Rule::Twr, self.last_wr + (t.wl + t.t_wr) as i64)),
+            ]),
+            (CmdKind::Act { .. } | CmdKind::Ref | CmdKind::Mrs, Some(_))
+            | (CmdKind::Rd { .. } | CmdKind::Wr { .. } | CmdKind::Pre, None) => None,
+        }
+    }
+
+    /// Whether `cmd` at cycle `at` is legal on this bank: its state allows
+    /// it and it meets every bound.
+    #[inline]
+    fn admits(&self, t: &Timing, cmd: CmdKind, at: i64) -> bool {
+        self.bounds(t, cmd)
+            .is_some_and(|bounds| bounds.iter().flatten().all(|&(_, earliest)| at >= earliest))
+    }
+
+    /// Apply `cmd`, issued at cycle `at`, to the replay state.
+    #[inline]
+    fn apply(&mut self, cmd: CmdKind, at: i64) {
+        match cmd {
+            CmdKind::Act { row } => {
+                self.open_row = Some(row);
+                self.last_act = at;
+                self.hash_event(1, row);
+            }
+            CmdKind::Rd { .. } => self.last_rd = at,
+            CmdKind::Wr { .. } => self.last_wr = at,
+            CmdKind::Pre => {
+                self.open_row = None;
+                self.last_pre = at;
+                self.hash_event(2, 0);
+            }
+            CmdKind::Ref => self.last_ref = at,
+            CmdKind::Mrs => {}
+        }
+    }
+}
+
+/// Why the bank's state forbids `cmd`.
+#[cold]
+fn state_error(cmd: CmdKind, open_row: Option<u32>) -> String {
+    match open_row {
+        Some(row) => format!("{} while row {row} is open", cmd.mnemonic()),
+        None => format!("{} with no open row", cmd.mnemonic()),
+    }
 }
 
 /// Replays a command trace and re-verifies every protocol constraint from
@@ -252,7 +332,11 @@ pub struct ProtocolChecker {
     banks_per_group: usize,
     policy: CheckPolicy,
     channel: usize,
+    /// Every bank's replay state; while `uniform`, only bank 0's is kept.
     banks: Vec<BankCheck>,
+    /// Every command so far was all-bank and clean on bank 0, so every
+    /// bank's state is bank 0's.
+    uniform: bool,
     bus_cycle: i64,
     bus_count: u32,
     last_col_group: Vec<i64>,
@@ -286,6 +370,7 @@ impl ProtocolChecker {
             banks: (0..cfg.banks_per_channel())
                 .map(|_| BankCheck::new())
                 .collect(),
+            uniform: true,
             bus_cycle: NEVER,
             bus_count: 0,
             last_col_group: vec![NEVER; cfg.num_bankgroups],
@@ -378,16 +463,26 @@ impl ProtocolChecker {
             self.bus_count = 1;
         }
 
-        // Per-bank state + intra-bank timing.
-        let banks = match scope {
-            Scope::OneBank { bg, ba } => {
-                let bi = bg * self.banks_per_group + ba;
-                bi..bi + 1
+        // Per-bank state + intra-bank timing: on bank 0 alone while it
+        // stands for every bank, else bank by bank.
+        if self.uniform {
+            if scope == Scope::AllBanks && self.banks[0].admits(&t, cmd, at) {
+                self.banks[0].apply(cmd, at);
+            } else {
+                self.spread();
             }
-            Scope::AllBanks => 0..self.banks.len(),
-        };
-        for bi in banks {
-            self.check_bank(bi, cycle, scope, cmd);
+        }
+        if !self.uniform {
+            let banks = match scope {
+                Scope::OneBank { bg, ba } => {
+                    let bi = bg * self.banks_per_group + ba;
+                    bi..bi + 1
+                }
+                Scope::AllBanks => 0..self.banks.len(),
+            };
+            for bi in banks {
+                self.check_bank(bi, cycle, scope, cmd);
+            }
         }
 
         // Channel-level (inter-bank) constraints.
@@ -487,58 +582,39 @@ impl ProtocolChecker {
         }
     }
 
+    /// Bank `bi`'s `(bg, ba)`.
+    fn bank_coords(&self, bi: usize) -> (usize, usize) {
+        (bi / self.banks_per_group, bi % self.banks_per_group)
+    }
+
+    /// Copy bank 0's state into every bank: from here on each command is
+    /// checked on the banks it addresses.
+    #[cold]
+    fn spread(&mut self) {
+        let first = self.banks[0];
+        self.banks.fill(first);
+        self.uniform = false;
+    }
+
     fn check_bank(&mut self, bi: usize, cycle: u64, scope: Scope, cmd: CmdKind) {
-        let t = self.timing;
         let at = cycle as i64;
-        let bank = (bi / self.banks_per_group, bi % self.banks_per_group);
-        let b = &self.banks[bi];
-        // The command's (rule, earliest legal cycle) bounds, at most three,
-        // checked in this order; a state error short-circuits without
-        // mutating.
-        let bounds: Result<[Option<(Rule, i64)>; 3], String> = match (cmd, b.open_row) {
-            (CmdKind::Act { .. } | CmdKind::Ref | CmdKind::Mrs, None) => Ok([
-                Some((Rule::Trp, b.last_pre + t.t_rp as i64)),
-                Some((Rule::Trfc, b.last_ref + t.t_rfc as i64)),
-                None,
-            ]),
-            (CmdKind::Rd { .. }, Some(_)) => Ok([
-                Some((Rule::Trcd, b.last_act + t.t_rcd as i64)),
-                Some((Rule::Twtr, b.last_wr + (t.wl + t.t_wtr) as i64)),
-                None,
-            ]),
-            (CmdKind::Wr { .. }, Some(_)) => Ok([
-                Some((Rule::Trcd, b.last_act + t.t_rcd as i64)),
-                Some((Rule::ReadToWrite, b.last_rd + t.rl as i64)),
-                None,
-            ]),
-            (CmdKind::Pre, Some(_)) => Ok([
-                Some((Rule::Tras, b.last_act + t.t_ras as i64)),
-                Some((Rule::Trtp, b.last_rd + t.t_rtp as i64)),
-                Some((Rule::Twr, b.last_wr + (t.wl + t.t_wr) as i64)),
-            ]),
-            (CmdKind::Act { .. } | CmdKind::Ref | CmdKind::Mrs, Some(row)) => {
-                Err(format!("{} while row {row} is open", cmd.mnemonic()))
-            }
-            (CmdKind::Rd { .. } | CmdKind::Wr { .. } | CmdKind::Pre, None) => {
-                Err(format!("{} with no open row", cmd.mnemonic()))
-            }
-        };
-        let bounds = match bounds {
-            Ok(bounds) => bounds,
-            Err(msg) => {
-                self.violate(
-                    cycle,
-                    Rule::BankState,
-                    Some(cmd),
-                    Some(scope),
-                    Some(bank),
-                    msg,
-                );
-                return;
-            }
+        // A state error short-circuits without mutating.
+        let Some(bounds) = self.banks[bi].bounds(&self.timing, cmd) else {
+            let detail = state_error(cmd, self.banks[bi].open_row);
+            let bank = self.bank_coords(bi);
+            self.violate(
+                cycle,
+                Rule::BankState,
+                Some(cmd),
+                Some(scope),
+                Some(bank),
+                detail,
+            );
+            return;
         };
         for (rule, earliest) in bounds.into_iter().flatten() {
             if at < earliest {
+                let bank = self.bank_coords(bi);
                 self.violate(
                     cycle,
                     rule,
@@ -549,35 +625,19 @@ impl ProtocolChecker {
                 );
             }
         }
-        // Apply the command to the replay state.
-        let b = &mut self.banks[bi];
-        match cmd {
-            CmdKind::Act { row } => {
-                b.open_row = Some(row);
-                b.last_act = at;
-                b.hash_event(1, row);
-            }
-            CmdKind::Rd { .. } => b.last_rd = at,
-            CmdKind::Wr { .. } => b.last_wr = at,
-            CmdKind::Pre => {
-                b.open_row = None;
-                b.last_pre = at;
-                b.hash_event(2, 0);
-            }
-            CmdKind::Ref => b.last_ref = at,
-            CmdKind::Mrs => {}
-        }
+        self.banks[bi].apply(cmd, at);
     }
 
     /// Close the trace at `end_cycle` and evaluate the whole-trace
     /// invariants (lockstep, trailing refresh window).
     #[must_use]
     pub fn finish(mut self, end_cycle: u64) -> CheckReport {
-        if self.policy.lockstep && self.commands > 0 {
+        // Uniform banks saw one row sequence: nothing to compare.
+        if self.policy.lockstep && self.commands > 0 && !self.uniform {
             let reference = (self.banks[0].seq_hash, self.banks[0].seq_len);
             for (bi, b) in self.banks.iter().enumerate() {
                 if (b.seq_hash, b.seq_len) != reference {
-                    let bank = (bi / self.banks_per_group, bi % self.banks_per_group);
+                    let bank = self.bank_coords(bi);
                     let detail = format!(
                         "bank({},{}) saw {} ACT/PRE events, bank(0,0) saw {} — \
                          banks diverged from the lockstep row sequence",
@@ -885,6 +945,194 @@ mod tests {
         assert!(report.suppressed > 0);
         assert!(!report.is_clean());
         assert_eq!(report.total_violations(), 4 + report.suppressed);
+    }
+
+    /// A checker that checks every bank from its first command on, with
+    /// no representative bank.
+    impl ProtocolChecker {
+        fn per_bank(cfg: &HbmConfig, policy: CheckPolicy) -> Self {
+            let mut k = Self::with_policy(cfg, policy);
+            k.spread();
+            k
+        }
+    }
+
+    /// splitmix64, the seeded source of the random traces.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    type Cmd = (u64, Scope, CmdKind);
+
+    /// `len` random commands issued through a real channel: all-bank but
+    /// for about `single` per mille single-bank ones, and legal but for
+    /// about `bad` per mille that issue early or in a state that forbids
+    /// them.
+    fn random_trace(cfg: &HbmConfig, rng: &mut Rng, len: usize, single: u64, bad: u64) -> Vec<Cmd> {
+        let mut ch = Channel::new(cfg);
+        let (mut trace, mut now) = (Vec::with_capacity(len), 0);
+        while trace.len() < len {
+            let scope = if rng.below(1000) < single {
+                Scope::OneBank {
+                    bg: rng.below(cfg.num_bankgroups as u64) as usize,
+                    ba: rng.below(cfg.banks_per_group as u64) as usize,
+                }
+            } else {
+                Scope::AllBanks
+            };
+            let cmd = match rng.below(6) {
+                0 => CmdKind::Act {
+                    row: rng.below(4) as u32,
+                },
+                1 => CmdKind::Rd { col: 0 },
+                2 => CmdKind::Wr { col: 1 },
+                3 => CmdKind::Pre,
+                4 => CmdKind::Ref,
+                _ => CmdKind::Mrs,
+            };
+            let faulty = rng.below(1000) < bad;
+            let at = match ch.issue_earliest(scope, cmd, now) {
+                Ok(issued) if faulty => {
+                    issued.issue_cycle.saturating_sub(1 + rng.below(8)).max(now)
+                }
+                Ok(issued) => issued.issue_cycle,
+                Err(_) if faulty => now + rng.below(3),
+                Err(_) => continue,
+            };
+            trace.push((at, scope, cmd));
+            now = at;
+        }
+        trace
+    }
+
+    /// Replay `trace`; also says whether bank 0 still stood for every
+    /// bank at the end.
+    fn replay(mut k: ProtocolChecker, trace: &[Cmd]) -> (CheckReport, bool) {
+        for &(cycle, scope, cmd) in trace {
+            k.observe(cycle, scope, cmd);
+        }
+        let uniform = k.uniform;
+        let end = trace.last().map_or(0, |c| c.0) + 100;
+        (k.finish(end), uniform)
+    }
+
+    /// Catches any representative-bank mutant that changes a report on a
+    /// mixed trace: a missing copy before a single-bank command, a refused
+    /// all-bank command applied to bank 0 only, a finding recorded on
+    /// bank 0 alone, a lockstep comparison of stale banks.
+    #[test]
+    fn representative_bank_reports_equal_per_bank_reports() {
+        let tiny = HbmConfig {
+            num_bankgroups: 2,
+            banks_per_group: 2,
+            ..HbmConfig::default()
+        };
+        let (mut stayed, mut spread_by_finding, mut spread_by_single) = (0, 0, 0);
+        for cfg in [HbmConfig::default(), tiny] {
+            for seed in 0..27u64 {
+                let mut rng = Rng(seed);
+                let single = [0, 3, 30][seed as usize % 3];
+                let bad = [0, 4, 40][seed as usize / 3 % 3];
+                let trace = random_trace(&cfg, &mut rng, 500, single, bad);
+                let has_single = trace.iter().any(|c| c.1 != Scope::AllBanks);
+                for lockstep in [true, false] {
+                    for (expect_refresh, max_violations) in [(false, 64), (true, 5)] {
+                        let policy = CheckPolicy {
+                            lockstep,
+                            expect_refresh,
+                            max_violations,
+                        };
+                        let (fast, uniform) =
+                            replay(ProtocolChecker::with_policy(&cfg, policy), &trace);
+                        let (slow, _) = replay(ProtocolChecker::per_bank(&cfg, policy), &trace);
+                        assert_eq!(fast, slow, "seed {seed}, {policy:?}");
+                        let found = fast.violations.iter().any(|v| v.bank.is_some());
+                        stayed += usize::from(uniform);
+                        spread_by_finding += usize::from(!has_single && found);
+                        spread_by_single += usize::from(has_single && found);
+                    }
+                }
+            }
+        }
+        assert!(stayed > 0 && spread_by_finding > 0 && spread_by_single > 0);
+    }
+
+    /// Catches a finding recorded on bank 0 alone (or a refused command
+    /// applied to bank 0 only) and bank coordinates computed once per
+    /// command instead of per bank.
+    #[test]
+    fn uniform_read_before_trcd_reports_every_bank_in_order() {
+        let c = cfg();
+        let t = c.timing;
+        let p = CheckPolicy {
+            max_violations: 10,
+            ..policy()
+        };
+        let mut k = ProtocolChecker::with_policy(&c, p).for_channel(3);
+        let early = t.t_rcd - 2;
+        k.observe(0, Scope::AllBanks, CmdKind::Act { row: 5 });
+        k.observe(early, Scope::AllBanks, CmdKind::Rd { col: 0 });
+        k.observe(early + t.t_ccd_l, Scope::AllBanks, CmdKind::Rd { col: 1 });
+        let report = k.finish(100);
+        let expected: Vec<Violation> = (0..10)
+            .map(|bi| Violation {
+                channel: 3,
+                cycle: early,
+                rule: Rule::Trcd,
+                cmd: Some(CmdKind::Rd { col: 0 }),
+                scope: Some(Scope::AllBanks),
+                bank: Some((bi / 4, bi % 4)),
+                detail: format!("issued at {early}, earliest legal {}", t.t_rcd),
+            })
+            .collect();
+        assert_eq!(report.violations, expected);
+        assert_eq!(report.suppressed, 6);
+        assert_eq!(report.commands, 3);
+    }
+
+    /// Catches skipping the copy of bank 0's state before the first
+    /// single-bank command: the other banks would keep their initial
+    /// state, and bank (0,1) would be reported as the divergent one.
+    #[test]
+    fn single_bank_act_inside_an_allbank_stream_breaks_lockstep() {
+        let c = cfg();
+        let t = c.timing;
+        let mut k = ProtocolChecker::with_policy(&c, policy());
+        let mut at = 0;
+        let mut row_cycle = |k: &mut ProtocolChecker, scope, row| {
+            k.observe(at, scope, CmdKind::Act { row });
+            at += t.t_ras;
+            k.observe(at, scope, CmdKind::Pre);
+            at += t.t_rp;
+        };
+        row_cycle(&mut k, Scope::AllBanks, 0);
+        row_cycle(&mut k, Scope::AllBanks, 1);
+        row_cycle(&mut k, Scope::OneBank { bg: 2, ba: 1 }, 9);
+        row_cycle(&mut k, Scope::AllBanks, 2);
+        let report = k.finish(1000);
+        assert_eq!(
+            report.violations,
+            vec![Violation {
+                channel: 0,
+                cycle: 1000,
+                rule: Rule::Lockstep,
+                cmd: None,
+                scope: None,
+                bank: Some((2, 1)),
+                detail: "bank(2,1) saw 8 ACT/PRE events, bank(0,0) saw 6 — \
+                         banks diverged from the lockstep row sequence"
+                    .to_string(),
+            }]
+        );
+        assert_eq!(report.suppressed, 0);
     }
 
     #[test]

@@ -246,9 +246,17 @@ impl SptrsvPim {
             host.collect(chunk.len() * ebytes);
             host.broadcast(chunk.len() * ebytes);
             let rt = place_triples(&mut engine, max_nnz, self.precision, streams.banks());
+            // Every bank reserves the scales' rows, but only the banks
+            // holding entries store them: an idle bank's PU exits on its
+            // sentinel pair before it gathers a scale.
             let mut rs = None;
             for bank in 0..nbanks {
-                rs = Some(engine.mem_mut(bank).alloc_copy(ebytes, &scales));
+                let stored: &[f64] = if streams.holds(bank) { &scales } else { &[] };
+                rs = Some(
+                    engine
+                        .mem_mut(bank)
+                        .alloc_reserved(ebytes, scales.len(), stored),
+                );
             }
             let rs = rs.expect("at least one bank");
             let bindings = batched_sparse_bindings(rt, rs, stripe_region, lanes);
@@ -345,6 +353,12 @@ impl BatchStreams {
             }
         }
         Some(longest)
+    }
+
+    /// Whether `bank` holds entries of the batch the last
+    /// [`BatchStreams::fill`] grouped.
+    fn holds(&self, bank: usize) -> bool {
+        self.end[bank] > 0
     }
 
     /// Each touched bank with its entry count and entries.

@@ -122,6 +122,20 @@ impl Csc {
         }
         y
     }
+
+    /// The CSC form of a matrix whose transpose is `t` in CSR form: the
+    /// same arrays.
+    fn from_transpose(t: Csr) -> Self {
+        let (nrows, ncols) = (t.ncols(), t.nrows());
+        let (col_ptr, row_idx, values) = t.into_arrays();
+        Csc {
+            nrows,
+            ncols,
+            col_ptr,
+            row_idx,
+            values,
+        }
+    }
 }
 
 impl fmt::Display for Csc {
@@ -132,27 +146,13 @@ impl fmt::Display for Csc {
 
 impl From<&Coo> for Csc {
     fn from(coo: &Coo) -> Self {
-        let t = Csr::from(&coo.transpose());
-        Csc {
-            nrows: coo.nrows(),
-            ncols: coo.ncols(),
-            col_ptr: t.row_ptr().to_vec(),
-            row_idx: t.col_idx().to_vec(),
-            values: t.values().to_vec(),
-        }
+        Csc::from_transpose(Csr::from(&coo.transpose()))
     }
 }
 
 impl From<&Csr> for Csc {
     fn from(csr: &Csr) -> Self {
-        let t = csr.transpose();
-        Csc {
-            nrows: csr.nrows(),
-            ncols: csr.ncols(),
-            col_ptr: t.row_ptr().to_vec(),
-            row_idx: t.col_idx().to_vec(),
-            values: t.values().to_vec(),
-        }
+        Csc::from_transpose(csr.transpose())
     }
 }
 

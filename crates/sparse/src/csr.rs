@@ -209,6 +209,11 @@ impl Csr {
         }
     }
 
+    /// The row pointers, column indices and values, moved out.
+    pub(crate) fn into_arrays(self) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
+        (self.row_ptr, self.col_idx, self.values)
+    }
+
     /// Permute rows and columns symmetrically: `B[i, j] = A[perm[i], perm[j]]`.
     ///
     /// `perm[i]` gives the *old* index placed at new position `i`.
@@ -265,17 +270,24 @@ impl From<&Coo> for Csr {
             col_idx[dst] = e.col;
             values[dst] = e.val;
         }
-        // Sort columns within each row.
+        // Sort columns within each row, through one buffer for all rows.
+        // The sort is stable, so duplicate entries keep their order, and a
+        // row already in column order stays as it is.
+        let mut pairs: Vec<(u32, f64)> = Vec::new();
         for r in 0..coo.nrows() {
-            let lo = row_ptr[r];
-            let hi = row_ptr[r + 1];
-            let mut pairs: Vec<(u32, f64)> = col_idx[lo..hi]
-                .iter()
-                .copied()
-                .zip(values[lo..hi].iter().copied())
-                .collect();
+            let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
+            if col_idx[lo..hi].is_sorted() {
+                continue;
+            }
+            pairs.clear();
+            pairs.extend(
+                col_idx[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(values[lo..hi].iter().copied()),
+            );
             pairs.sort_by_key(|&(c, _)| c);
-            for (i, (c, v)) in pairs.into_iter().enumerate() {
+            for (i, &(c, v)) in pairs.iter().enumerate() {
                 col_idx[lo + i] = c;
                 values[lo + i] = v;
             }
@@ -307,6 +319,43 @@ mod tests {
     fn conversion_sorts_columns() {
         let m = sample();
         assert_eq!(m.row(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, 2.0)]);
+    }
+
+    #[test]
+    fn conversion_sorts_by_column_and_keeps_duplicates_in_insertion_order() {
+        // Rows out of column order, rows already in order, duplicate
+        // (row, col) entries, a row longer than a small-sort run, and
+        // empty rows; each value is its insertion index.
+        let mut coo = Coo::new(6, 64);
+        let cols: [&[u32]; 6] = [&[5, 1, 5, 0, 1], &[], &[0, 2, 2, 7], &[9, 9, 9], &[], &[]];
+        for (r, row) in cols.iter().enumerate() {
+            for &c in *row {
+                coo.push(r as u32, c, coo.nnz() as f64);
+            }
+        }
+        for k in 0..48u32 {
+            coo.push(5, (k * 37) % 64, coo.nnz() as f64);
+            coo.push(5, (k * 11) % 8, coo.nnz() as f64);
+        }
+        let mut reference: Vec<(u32, u32, f64)> =
+            coo.iter().map(|e| (e.row, e.col, e.val)).collect();
+        reference.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
+        let mut row_ptr = vec![0usize; 7];
+        for &(r, _, _) in &reference {
+            row_ptr[r as usize + 1] += 1;
+        }
+        for r in 0..6 {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        let expected = Csr::from_raw(
+            6,
+            64,
+            row_ptr,
+            reference.iter().map(|e| e.1).collect(),
+            reference.iter().map(|e| e.2).collect(),
+        )
+        .unwrap();
+        assert_eq!(Csr::from(&coo), expected);
     }
 
     #[test]
