@@ -3,7 +3,7 @@
 
 use super::*;
 use crate::isa::assemble;
-use crate::memory::{AllocMark, RegionId, SENTINEL};
+use crate::memory::{RegionId, SENTINEL};
 use crate::trace::Category;
 
 const SPMV_ASM: &str = r"
@@ -787,58 +787,71 @@ CEXIT  SPVQ0
 JUMP   0, 0, 0
 ";
 
+/// The stream regions of a launch sequence: rows, columns and values.
+const STREAMS: [RegionId; 3] = [RegionId(2), RegionId(3), RegionId(4)];
+
+/// What a stream region of an idle bank stores: one burst of padding.
+const IDLE: [[f64; 4]; 3] = [[SENTINEL; 4], [SENTINEL; 4], [0.0; 4]];
+
+/// Elements each stream region reserves: the sequence's longest stream,
+/// 8 entries and a burst of sentinels.
+const STREAM_RESERVED: usize = 12;
+
 /// A twin cube whose banks hold `x` (region 0) and `y` (region 1), which
-/// persist across launches, and the mark above them.
-fn sequence_cube(validate: bool) -> (Engine, AllocMark) {
+/// persist across launches, and the [`STREAMS`], reserved once for every
+/// launch of a sequence and storing the idle image.
+fn sequence_cube(validate: bool) -> Engine {
     let mut engine = Engine::new(twin_cfg(validate));
     let x: Vec<f64> = (0..8).map(|i| 0.5 + f64::from(i)).collect();
     for b in 0..engine.num_banks() {
         let mem = engine.mem_mut(b);
         mem.alloc(8, x.clone());
         mem.alloc_zeroed(8, 8);
+        for idle in &IDLE {
+            mem.alloc_reserved(8, STREAM_RESERVED, idle);
+        }
     }
-    let mark = engine.mem(0).mark();
-    (engine, mark)
+    engine
 }
 
-/// Launch `i` of a sequence: the banks of the `active` channels hold
-/// entries, the rest padding. The triples sit above `mark` and are
-/// released after the run, as SpTRSV's level batches do.
-fn sequence_launch(engine: &mut Engine, mark: AllocMark, i: usize, active: &[usize]) -> RunReport {
+/// Launch `i` of a sequence: the banks of the `previous` launch's active
+/// channels go back to the idle image, then the banks of the `active`
+/// channels store their entries and a burst of sentinels, as SpTRSV's
+/// level batches do.
+fn sequence_launch(
+    engine: &mut Engine,
+    i: usize,
+    active: &[usize],
+    previous: &[usize],
+) -> RunReport {
     let width = engine.config().hbm.banks_per_channel();
-    let per_bank: Vec<Vec<(u32, u32, f64)>> = (0..engine.num_banks())
-        .map(|b| {
-            if !active.contains(&(b / width)) {
-                return Vec::new();
-            }
-            (0..=b % 4 + i)
-                .map(|j| {
-                    let (r, c) = ((b + j) % 8, (3 * b + i + j) % 8);
-                    (r as u32, c as u32, 1.0 + (7 * b + j) as f64)
-                })
-                .collect()
-        })
-        .collect();
-    let len = per_bank
-        .iter()
-        .map(Vec::len)
-        .max()
-        .unwrap_or(0)
-        .div_ceil(4)
-        .max(1)
-        * 4;
-    let mut triples = [RegionId(0); 3];
-    for (b, entries) in per_bank.iter().enumerate() {
-        let mut streams = [vec![SENTINEL; len], vec![SENTINEL; len], vec![0.0; len]];
-        for (k, &(r, c, v)) in entries.iter().enumerate() {
-            streams[0][k] = f64::from(r);
-            streams[1][k] = f64::from(c);
-            streams[2][k] = v;
+    let banks = |channels: &[usize]| -> Vec<usize> {
+        channels
+            .iter()
+            .flat_map(|ch| ch * width..(ch + 1) * width)
+            .collect()
+    };
+    for b in banks(previous) {
+        for (&id, idle) in STREAMS.iter().zip(&IDLE) {
+            engine.mem_mut(b).store(id, idle);
         }
-        let mem = engine.mem_mut(b);
-        triples = streams.map(|s| mem.alloc(8, s));
     }
-    let [rows, cols, vals] = triples.map(Some);
+    for b in banks(active) {
+        let n = b % 4 + i + 1;
+        let len = (n / 4 + 1) * 4;
+        let mut streams = [vec![SENTINEL; len], vec![SENTINEL; len], vec![0.0; len]];
+        let [rows, cols, vals] = &mut streams;
+        let entries = rows.iter_mut().zip(cols.iter_mut()).zip(vals.iter_mut());
+        for (j, ((row, col), val)) in entries.take(n).enumerate() {
+            *row = ((b + j) % 8) as f64;
+            *col = ((3 * b + i + j) % 8) as f64;
+            *val = 1.0 + (7 * b + j) as f64;
+        }
+        for (&id, stream) in STREAMS.iter().zip(&streams) {
+            engine.mem_mut(b).store(id, stream);
+        }
+    }
+    let [rows, cols, vals] = STREAMS.map(Some);
     let bindings = vec![
         rows,
         cols,
@@ -853,11 +866,7 @@ fn sequence_launch(engine: &mut Engine, mark: AllocMark, i: usize, active: &[usi
     engine
         .load_kernel(assemble(SPMV_REDUCE_ASM).unwrap(), bindings)
         .unwrap();
-    let report = engine.run().unwrap();
-    for b in 0..engine.num_banks() {
-        engine.mem_mut(b).truncate(mark);
-    }
-    report
+    engine.run().unwrap()
 }
 
 /// Run launches with the channels `active` on a plain cube and under
@@ -868,14 +877,14 @@ fn sequence_matching_full_replay(
     active: &[&[usize]],
     between: &dyn Fn(usize, &mut Engine),
 ) -> Vec<usize> {
-    let (mut plain, mark) = sequence_cube(false);
-    let (mut full, _) = sequence_cube(true);
+    let (mut plain, mut full) = (sequence_cube(false), sequence_cube(true));
     let mut reused = Vec::new();
     for (i, channels) in active.iter().enumerate() {
+        let previous = if i == 0 { &[][..] } else { active[i - 1] };
         between(i, &mut plain);
         between(i, &mut full);
-        let plain_report = sequence_launch(&mut plain, mark, i, channels);
-        let full_report = sequence_launch(&mut full, mark, i, channels);
+        let plain_report = sequence_launch(&mut plain, i, channels, previous);
+        let full_report = sequence_launch(&mut full, i, channels, previous);
         assert_matches_full_replay(
             (&plain, &plain_report),
             (&full, &full_report),

@@ -45,7 +45,7 @@ pub mod trace;
 pub use engine::{take_engine_wall_s, Engine, EngineConfig, EngineTier, ExecMode, RunReport};
 pub use error::CoreError;
 pub use host::HostController;
-pub use memory::{AllocMark, BankMemory, Region, RegionId};
+pub use memory::{BankMemory, Region, RegionId};
 pub use pu::{Kernel, ProcessingUnit, StepOutcome};
 pub use stats::{Histogram, PuStats};
 pub use trace::{Category, ChannelMetrics, CycleBreakdown, MetricsRegistry, StallEvent};

@@ -12,7 +12,10 @@
 //! read as the quiet zero and drop stores, as elements past a region's end
 //! do. An all-bank launch uses this to give every bank the same rows while
 //! each bank stores only the stream it reads (DESIGN.md §5); a processing
-//! unit never reads the unstored tail, which debug builds assert.
+//! unit never reads the unstored tail, which debug builds assert. The host
+//! replaces a region's stored prefix in place with [`BankMemory::store`],
+//! within the reservation, so one layout serves a sequence of launches
+//! without moving a row.
 //!
 //! Values are carried as `f64` (index streams store their indices as exact
 //! small integers, with `-1.0` as the paper's end-of-data sentinel);
@@ -164,27 +167,15 @@ impl Region {
     }
 }
 
-/// A point in a bank's allocation history, taken with
-/// [`BankMemory::mark`] and rewound to with [`BankMemory::truncate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AllocMark {
-    regions: usize,
-    next_row: u32,
-}
-
 /// One bank's memory: a row-aligned arena of regions.
 ///
-/// Two banks are equal when their layouts and contents are; the storage
-/// kept for reuse and the access log are not part of a bank's value.
+/// Two banks are equal when their layouts and contents are; the access log
+/// is not part of a bank's value.
 #[derive(Debug, Clone, Default)]
 pub struct BankMemory {
     row_bytes: usize,
     next_row: u32,
     regions: Vec<Region>,
-    /// Storage of the regions the last [`BankMemory::truncate`] freed,
-    /// newest first, so [`BankMemory::alloc_copy`] hands it back in
-    /// allocation order.
-    spare: Vec<Vec<f64>>,
     /// Per region id: the span `lo..hi` of elements read through
     /// [`BankMemory::read`] since the last [`BankMemory::clear_accesses`]
     /// (empty when `lo >= hi`; ids past the end were not read).
@@ -254,10 +245,7 @@ impl BankMemory {
         self.alloc(elem_bytes, vec![0.0; len])
     }
 
-    /// Allocate a region holding a copy of `data`, in the storage of a
-    /// region the last [`BankMemory::truncate`] freed when there is one:
-    /// a bank that allocates the same regions after every rewind stops
-    /// allocating.
+    /// Allocate a region holding a copy of `data`.
     pub fn alloc_copy(&mut self, elem_bytes: usize, data: &[f64]) -> RegionId {
         self.alloc_reserved(elem_bytes, data.len(), data)
     }
@@ -274,13 +262,29 @@ impl BankMemory {
             "a region storing {} elements reserves only {reserved}",
             data.len()
         );
-        let mut storage = self.spare.pop().unwrap_or_default();
-        storage.clear();
-        // Grow to fit exactly: amortized doubling would keep up to twice
-        // the largest region this storage ever held.
-        storage.reserve_exact(data.len());
-        storage.extend_from_slice(data);
-        self.push(elem_bytes, reserved, storage)
+        self.push(elem_bytes, reserved, data.to_vec())
+    }
+
+    /// Replace region `id`'s stored prefix with `data`. The region keeps
+    /// its rows and its reservation, so no region moves. Its storage grows
+    /// to fit `data` exactly (amortized doubling would keep up to twice the
+    /// longest prefix it ever held) and does not shrink.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown id, or if `data` is longer than the region's
+    /// reservation.
+    pub fn store(&mut self, id: RegionId, data: &[f64]) {
+        let region = &mut self.regions[id.0];
+        assert!(
+            data.len() <= region.reserved,
+            "storing {} elements in region {id:?} past its reservation of {}",
+            data.len(),
+            region.reserved
+        );
+        region.data.clear();
+        region.data.reserve_exact(data.len());
+        region.data.extend_from_slice(data);
     }
 
     /// Borrow a region.
@@ -386,37 +390,6 @@ impl BankMemory {
     pub fn rows_used(&self) -> u32 {
         self.next_row
     }
-
-    /// The current end of the allocation history.
-    #[must_use]
-    pub fn mark(&self) -> AllocMark {
-        AllocMark {
-            regions: self.regions.len(),
-            next_row: self.next_row,
-        }
-    }
-
-    /// Free every region allocated since `mark` and rewind the row cursor,
-    /// so the next allocations reuse their rows and region ids. Ids handed
-    /// out after the mark are invalid afterwards. The freed storage
-    /// replaces whatever the previous rewind left for
-    /// [`BankMemory::alloc_copy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mark` lies beyond the current allocation history.
-    pub fn truncate(&mut self, mark: AllocMark) {
-        assert!(
-            mark.regions <= self.regions.len() && mark.next_row <= self.next_row,
-            "allocation mark {mark:?} is beyond the bank's history ({} regions, {} rows)",
-            self.regions.len(),
-            self.next_row
-        );
-        self.spare.clear();
-        self.spare
-            .extend(self.regions.drain(mark.regions..).rev().map(|r| r.data));
-        self.next_row = mark.next_row;
-    }
 }
 
 #[cfg(test)]
@@ -458,66 +431,6 @@ mod tests {
         m.region_mut(id).set(99, 9.0); // dropped
         assert_eq!(m.region(id).get(0), 7.0);
         assert_eq!(m.region(id).len(), 2);
-    }
-
-    #[test]
-    fn truncate_rewinds_regions_and_rows_to_the_mark() {
-        let mut m = BankMemory::new(1024);
-        let keep = m.alloc(8, vec![1.0; 200]); // rows 0-1
-        let mark = m.mark();
-        assert_eq!(m.mark(), mark, "marking does not allocate");
-        let a = m.alloc(8, vec![2.0; 10]); // row 2
-        let b = m.alloc(8, vec![3.0; 300]); // rows 3-5
-        assert_eq!((m.num_regions(), m.rows_used()), (3, 6));
-        m.truncate(mark);
-        assert_eq!((m.num_regions(), m.rows_used()), (1, 2));
-        assert_eq!(
-            m.region(keep).data(),
-            &[1.0; 200][..],
-            "regions below the mark stay"
-        );
-        // The next allocation takes the freed id and rows.
-        let c = m.alloc(8, vec![4.0; 5]);
-        assert_eq!(c, a);
-        assert_eq!(m.region(c).start_row(), 2);
-        assert_eq!(m.region(c).data(), &[4.0; 5][..]);
-        assert_ne!(c, b);
-        // Truncating to the current end changes nothing.
-        let end = m.mark();
-        m.truncate(end);
-        assert_eq!((m.num_regions(), m.rows_used()), (2, 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond the bank's history")]
-    fn truncate_past_the_history_panics() {
-        let mut m = BankMemory::new(64);
-        m.alloc(8, vec![0.0; 4]);
-        let mark = m.mark();
-        m.truncate(BankMemory::new(64).mark());
-        m.truncate(mark);
-    }
-
-    #[test]
-    fn alloc_copy_reuses_the_storage_truncate_freed() {
-        let mut m = BankMemory::new(1024);
-        m.alloc(8, vec![1.0; 4]); // row 0
-        let kept = m.clone();
-        let mark = m.mark();
-        let a = m.alloc_copy(8, &[2.0; 300]); // rows 1-3
-        let b = m.alloc_copy(8, &[3.0; 5]); // row 4
-        let storage = |m: &BankMemory, id| m.region(id).data().as_ptr();
-        let (pa, pb) = (storage(&m, a), storage(&m, b));
-        m.truncate(mark);
-        assert_eq!(m, kept, "freed storage is not part of the bank's value");
-        // The next allocations take the freed storage in allocation order.
-        let a2 = m.alloc_copy(8, &[4.0; 200]); // rows 1-2
-        let b2 = m.alloc_copy(8, &[5.0; 2]); // row 3
-        assert_eq!((a2, b2), (a, b));
-        assert_eq!((storage(&m, a2), storage(&m, b2)), (pa, pb));
-        assert_eq!(m.region(a2).data(), &[4.0; 200][..]);
-        assert_eq!(m.region(b2).data(), &[5.0; 2][..]);
-        assert_eq!((m.region(b2).start_row(), m.rows_used()), (3, 4));
     }
 
     #[test]
@@ -591,16 +504,37 @@ mod tests {
     }
 
     #[test]
-    fn truncate_hands_a_reserved_regions_storage_back() {
+    fn store_replaces_the_prefix_and_moves_no_row() {
         let mut m = BankMemory::new(1024);
-        let mark = m.mark();
-        let a = m.alloc_reserved(8, 1000, &[1.0; 12]); // 8 rows
-        let pa = m.region(a).data().as_ptr();
-        m.truncate(mark);
-        assert_eq!(m.rows_used(), 0);
-        let b = m.alloc_copy(8, &[2.0; 12]);
-        assert_eq!(m.region(b).data().as_ptr(), pa);
-        assert_eq!((m.region(b).reserved(), m.rows_used()), (12, 1));
+        let a = m.alloc(8, vec![1.0; 4]); // row 0
+        let b = m.alloc_reserved(8, 300, &[2.0; 24]); // rows 1-3
+        let c = m.alloc_zeroed(8, 5); // row 4
+        let rows = |m: &BankMemory| [a, b, c].map(|id| m.region(id).start_row());
+        let before = (rows(&m), m.rows_used());
+        for len in [300, 0, 24, 120] {
+            let data: Vec<f64> = (0..len).map(|i| i as f64 + 0.5).collect();
+            m.store(b, &data);
+            assert_eq!((rows(&m), m.rows_used()), before, "stored {len}");
+            let r = m.region(b);
+            assert_eq!((r.data(), r.reserved()), (&data[..], 300));
+            // Past the stored prefix, reads see the quiet zero.
+            assert_eq!(r.get(len), 0.0);
+            assert_eq!(r.get(299), if len == 300 { 299.5 } else { 0.0 });
+        }
+        // The neighbours keep their contents.
+        assert_eq!(m.region(a).data(), &[1.0; 4][..]);
+        assert_eq!(m.region(c).data(), &[0.0; 5][..]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "storing 13 elements in region RegionId(0) past its reservation of 12"
+    )]
+    fn storing_past_the_reservation_panics() {
+        let mut m = BankMemory::new(64);
+        let a = m.alloc_reserved(8, 12, &[1.0; 6]);
+        m.store(a, &[2.0; 12]);
+        m.store(a, &[3.0; 13]);
     }
 
     #[test]

@@ -256,7 +256,7 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::{batched_sparse_bindings, place_triples};
+    use crate::device::{batched_sparse_bindings, TriplesLayout};
     use crate::{programs, SpmvPim};
     use psim_sparse::gen;
 
@@ -274,7 +274,9 @@ mod tests {
             for n in 1..=10 * lanes {
                 let mut engine = device.make_engine();
                 let entries = (0..n).map(|k| (0, (k % 4) as u32, 1.0));
-                let rt = place_triples(&mut engine, n, precision, [(0, n, entries)]);
+                let mut triples = TriplesLayout::reserve(&mut engine, n, precision);
+                triples.store(&mut engine, [(0, n, entries)]);
+                let rt = triples.region();
                 let mut regions = None;
                 for b in 0..engine.num_banks() {
                     let mem = engine.mem_mut(b);

@@ -1,7 +1,7 @@
 //! Simulated pSyncPIM device configurations and run reporting, and the
 //! host-side layout the batched sparse stream kernel shares: SpMV waves
-//! and SpTRSV level batches place their triples with `place_triples` and
-//! bind them with [`batched_sparse_bindings`].
+//! and SpTRSV level batches lay out their triples with a `TriplesLayout`
+//! and bind them with [`batched_sparse_bindings`].
 
 use psim_dram::HbmConfig;
 use psim_sparse::Precision;
@@ -280,60 +280,111 @@ impl KernelRun {
     }
 }
 
-/// Lay out one launch's triples for [`crate::programs::sparse_stream_batched`]
-/// in every bank of `engine`, as chunk pairs of `[rowsA|colsA|valsA|rowsB|
-/// colsB|valsB]` blocks of `lanes` elements, the −1 sentinel in every index
-/// slot past a bank's entries. Each listed bank comes with its entry count
-/// `n` (at most `longest`) and its entries.
+/// The triples of [`crate::programs::sparse_stream_batched`] in every bank
+/// of one engine, as chunk pairs of `[rowsA|colsA|valsA|rowsB|colsB|valsB]`
+/// blocks of `lanes` elements, the −1 sentinel in every index slot past a
+/// bank's entries.
 ///
-/// Every bank reserves rows for the `longest` stream ([`triple_pairs`]), so
-/// row numbers, and with them commands and cycles, do not depend on which
-/// banks are listed. A bank stores only what its processing unit reads: the
-/// stream program loads one chunk pair per iteration and exits after the
-/// first pair holding a sentinel, so a listed bank stores
-/// `triple_pairs(n)` pairs and an idle bank one sentinel pair. Idle banks
-/// thus hold bit-identical padding (twin channels, DESIGN.md §14). Returns
-/// the triples' region, the same id in every bank.
-pub(crate) fn place_triples<E>(
-    engine: &mut Engine,
-    longest: usize,
+/// [`TriplesLayout::reserve`] gives every bank rows for the longest stream
+/// the layout will hold ([`triple_pairs`]), so row numbers, and with them
+/// commands and cycles, do not depend on which banks a launch lists. A
+/// bank stores only what its processing unit reads: the stream program
+/// loads one chunk pair per iteration and exits after the first pair
+/// holding a sentinel, so a listed bank with `n` entries stores
+/// `triple_pairs(n)` pairs and every other bank the *idle image*, one
+/// sentinel pair. Idle banks thus hold bit-identical padding (twin
+/// channels, DESIGN.md §14), and a launch writes only the banks it lists
+/// and the banks the previous launch listed ([`TriplesLayout::store`]).
+pub(crate) struct TriplesLayout {
+    /// The triples' region, the same id in every bank.
+    region: RegionId,
     precision: Precision,
-    banks: impl IntoIterator<Item = (usize, usize, E)>,
-) -> RegionId
-where
-    E: IntoIterator<Item = (u32, u32, f64)>,
-{
-    use psyncpim_core::memory::SENTINEL;
-    let lanes = precision.lanes();
-    let reserved = triple_pairs(longest, lanes) * 6 * lanes;
-    let mut padding = vec![0.0f64; reserved];
-    for half in padding.chunks_exact_mut(3 * lanes) {
-        half[..2 * lanes].fill(SENTINEL); // rows, cols
-    }
-    let stored = |n| &padding[..triple_pairs(n, lanes) * 6 * lanes];
-    let mut listed = vec![false; engine.num_banks()];
-    let mut triples = None;
-    for (bank, n, entries) in banks {
-        let mem = engine.mem_mut(bank);
-        let id = mem.alloc_reserved(precision.bytes(), reserved, stored(n));
-        let data = mem.region_mut(id).data_mut();
-        for (k, (r, c, v)) in entries.into_iter().enumerate() {
-            let chunk = k / lanes;
-            let lane = k % lanes;
-            let base = (chunk / 2) * 6 * lanes + (chunk % 2) * 3 * lanes;
-            data[base + lane] = f64::from(r);
-            data[base + lanes + lane] = f64::from(c);
-            data[base + 2 * lanes + lane] = precision.quantize(v);
+    /// Sentinel padding for the longest stream; its first pair is the idle
+    /// image.
+    padding: Vec<f64>,
+    /// The banks the last [`TriplesLayout::store`] listed, in listing
+    /// order.
+    listed: Vec<usize>,
+}
+
+impl TriplesLayout {
+    /// Reserve the triples region in every bank of `engine`, after its
+    /// last region, for streams of up to `longest` entries; every bank
+    /// stores the idle image.
+    pub(crate) fn reserve(engine: &mut Engine, longest: usize, precision: Precision) -> Self {
+        use psyncpim_core::memory::SENTINEL;
+        let lanes = precision.lanes();
+        let mut padding = vec![0.0f64; triple_pairs(longest, lanes) * 6 * lanes];
+        for half in padding.chunks_exact_mut(3 * lanes) {
+            half[..2 * lanes].fill(SENTINEL); // rows, cols
         }
-        debug_assert!(!listed[bank], "bank {bank} is listed twice");
-        listed[bank] = true;
-        triples = Some(id);
+        let idle = &padding[..6 * lanes];
+        let mut region = None;
+        for bank in 0..engine.num_banks() {
+            let mem = engine.mem_mut(bank);
+            region = Some(mem.alloc_reserved(precision.bytes(), padding.len(), idle));
+        }
+        TriplesLayout {
+            region: region.expect("an engine has at least one bank"),
+            precision,
+            padding,
+            listed: Vec::new(),
+        }
     }
-    for (bank, _) in listed.iter().enumerate().filter(|(_, &l)| !l) {
-        let mem = engine.mem_mut(bank);
-        triples = Some(mem.alloc_reserved(precision.bytes(), reserved, stored(0)));
+
+    /// The triples' region, the same id in every bank.
+    pub(crate) fn region(&self) -> RegionId {
+        self.region
     }
-    triples.expect("an engine has at least one bank")
+
+    /// The banks the last [`TriplesLayout::store`] listed, in listing
+    /// order.
+    pub(crate) fn listed(&self) -> &[usize] {
+        &self.listed
+    }
+
+    /// Store one launch's streams: put the banks the previous store listed
+    /// back to the idle image, then store each listed bank's stream, given
+    /// as the bank, its entry count `n` and its entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bank is listed twice (its second stream would silently
+    /// replace the first) or holds more entries than the layout reserves.
+    pub(crate) fn store<E>(
+        &mut self,
+        engine: &mut Engine,
+        banks: impl IntoIterator<Item = (usize, usize, E)>,
+    ) where
+        E: IntoIterator<Item = (u32, u32, f64)>,
+    {
+        let lanes = self.precision.lanes();
+        for bank in self.listed.drain(..) {
+            engine
+                .mem_mut(bank)
+                .store(self.region, &self.padding[..6 * lanes]);
+        }
+        for (bank, n, entries) in banks {
+            assert!(!self.listed.contains(&bank), "bank {bank} is listed twice");
+            self.listed.push(bank);
+            let len = triple_pairs(n, lanes) * 6 * lanes;
+            assert!(
+                len <= self.padding.len(),
+                "bank {bank} streams {n} entries, more than the layout reserves"
+            );
+            let mem = engine.mem_mut(bank);
+            mem.store(self.region, &self.padding[..len]);
+            let data = mem.region_mut(self.region).data_mut();
+            for (k, (r, c, v)) in entries.into_iter().enumerate() {
+                let chunk = k / lanes;
+                let lane = k % lanes;
+                let base = (chunk / 2) * 6 * lanes + (chunk % 2) * 3 * lanes;
+                data[base + lane] = f64::from(r);
+                data[base + lanes + lane] = f64::from(c);
+                data[base + 2 * lanes + lane] = self.precision.quantize(v);
+            }
+        }
+    }
 }
 
 /// Chunk pairs needed for `n` entries (at least one, and one extra pair of
@@ -425,32 +476,151 @@ mod tests {
         assert_eq!(a.phases, 3);
     }
 
+    /// Store `listed` (bank, entry count) streams of ones into `layout`.
+    fn store_ones(engine: &mut Engine, layout: &mut TriplesLayout, listed: &[(usize, usize)]) {
+        layout.store(
+            engine,
+            listed
+                .iter()
+                .map(|&(bank, n)| (bank, n, (0..n).map(|k| (0, k as u32, 1.0)))),
+        );
+    }
+
     #[test]
-    fn place_triples_reserves_the_longest_stream_and_stores_each_banks_own() {
+    fn the_triples_layout_reserves_the_longest_stream_and_stores_each_banks_own() {
         let precision = Precision::Fp64;
         let (lanes, pair) = (precision.lanes(), 6 * precision.lanes());
         let device = PimDevice::psync_1x();
         let mut engine = device.make_engine();
-        let listed = [(3, 1), (70, 300), (200, 17)];
-        let rt = place_triples(
-            &mut engine,
-            300,
-            precision,
-            listed.map(|(bank, n)| (bank, n, (0..n).map(|k| (0, k as u32, 1.0)))),
-        );
+        let mut layout = TriplesLayout::reserve(&mut engine, 300, precision);
+        let rt = layout.region();
         let row_bytes = device.hbm.row_bytes();
         let (start, rows) = {
             let r = engine.mem(0).region(rt);
             (r.start_row(), r.rows_spanned(row_bytes))
         };
         assert_eq!(rows, 8, "39 pairs of 24 FP64 elements");
-        for bank in 0..engine.num_banks() {
-            let r = engine.mem(bank).region(rt);
-            assert_eq!((r.start_row(), r.rows_spanned(row_bytes)), (start, rows));
-            assert_eq!(r.reserved(), triple_pairs(300, lanes) * pair);
-            match listed.iter().find(|&&(b, _)| b == bank) {
-                Some(&(_, n)) => assert_eq!(r.len(), triple_pairs(n, lanes) * pair, "bank {bank}"),
-                None => assert_eq!(r.len(), pair, "idle bank {bank} stores one sentinel pair"),
+        // The second store lists other banks: the first one's go back to
+        // the idle image, and bank 200 stores its new stream.
+        let launches: [&[(usize, usize)]; 2] =
+            [&[(3, 1), (70, 300), (200, 17)], &[(200, 40), (9, 0)]];
+        for listed in launches {
+            store_ones(&mut engine, &mut layout, listed);
+            let banks: Vec<usize> = listed.iter().map(|&(b, _)| b).collect();
+            assert_eq!(layout.listed(), banks);
+            for bank in 0..engine.num_banks() {
+                let r = engine.mem(bank).region(rt);
+                assert_eq!((r.start_row(), r.rows_spanned(row_bytes)), (start, rows));
+                assert_eq!(r.reserved(), triple_pairs(300, lanes) * pair);
+                let n = listed.iter().find(|&&(b, _)| b == bank).map(|&(_, n)| n);
+                assert_eq!(
+                    r.len(),
+                    triple_pairs(n.unwrap_or(0), lanes) * pair,
+                    "bank {bank}"
+                );
+                let entries = r
+                    .data()
+                    .chunks(3 * lanes)
+                    .flat_map(|c| &c[lanes..2 * lanes]);
+                let cols = entries
+                    .take_while(|&&c| c != psyncpim_core::memory::SENTINEL)
+                    .count();
+                assert_eq!(cols, n.unwrap_or(0), "bank {bank}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bank 5 is listed twice")]
+    fn a_bank_listed_twice_panics() {
+        let mut engine = PimDevice::tiny(2).make_engine();
+        let mut layout = TriplesLayout::reserve(&mut engine, 8, Precision::Fp64);
+        store_ones(&mut engine, &mut layout, &[(5, 2), (1, 8), (5, 3)]);
+    }
+
+    /// One launch of the batched stream program on a fresh engine of
+    /// `device`, every reservation `slack` elements longer than the launch
+    /// needs: an SpMV wave (triples, then `x` and `y` in every bank) or an
+    /// SpTRSV level batch (stripes, then triples, then scales stored in the
+    /// listed banks). Returns the report, every bank's output bits and the
+    /// first row of the region after the triples.
+    fn stream_launch(
+        device: &PimDevice,
+        sptrsv: bool,
+        slack: usize,
+    ) -> (RunReport, Vec<Vec<u64>>, u32) {
+        let precision = Precision::Fp64;
+        let ebytes = precision.bytes();
+        let acc = if sptrsv { "RSUB" } else { "ADD" };
+        let text = crate::programs::sparse_stream_batched(precision, "MUL", acc);
+        let program = crate::programs::compiled(&text).unwrap();
+        // Banks 1, 2 and 6 stream 3, 13 and 8 entries into 8 output rows
+        // from 5 vector elements.
+        let entries = |b: usize, n: usize| {
+            (0..n).map(move |k| {
+                let (r, c) = ((b + k) % 8, (3 * k + b) % 5);
+                (r as u32, c as u32, 0.5 + (7 * b + k) as f64)
+            })
+        };
+        let vector = [1.0, 1.25, -0.5, 2.0, 0.75];
+        let mut engine = device.make_engine();
+        let banks = 0..engine.num_banks();
+        let alloc = |engine: &mut Engine, reserved: usize, data: &[f64]| {
+            let each = banks
+                .clone()
+                .map(|b| engine.mem_mut(b).alloc_reserved(ebytes, reserved, data));
+            each.last().unwrap()
+        };
+        let stripes = sptrsv.then(|| alloc(&mut engine, 8, &[0.125; 8]));
+        let mut triples = TriplesLayout::reserve(&mut engine, 13 + slack, precision);
+        triples.store(
+            &mut engine,
+            [(1, 3), (2, 13), (6, 8)].map(|(b, n)| (b, n, entries(b, n))),
+        );
+        let (input, output) = if let Some(stripes) = stripes {
+            let scales = alloc(&mut engine, vector.len() + slack, &[]);
+            for &b in triples.listed() {
+                engine.mem_mut(b).store(scales, &vector);
+            }
+            (scales, stripes)
+        } else {
+            let x = alloc(&mut engine, vector.len(), &vector);
+            (x, alloc(&mut engine, 8, &[0.0; 8]))
+        };
+        let lanes = precision.lanes();
+        let bindings = batched_sparse_bindings(triples.region(), input, output, lanes);
+        engine.load_verified(&program, bindings).unwrap();
+        let report = engine.run().unwrap();
+        let outputs = banks
+            .map(|b| {
+                let data = engine.mem(b).region(output).data();
+                data.iter().map(|v| v.to_bits()).collect()
+            })
+            .collect();
+        (report, outputs, engine.mem(0).region(input).start_row())
+    }
+
+    #[test]
+    fn reservations_do_not_change_timing() {
+        // DESIGN.md §5: a launch compares row numbers only for equality, so
+        // reserving its regions rows longer changes no cycle, command or
+        // value. An SpTRSV diagonal block relies on it: every batch shares
+        // the block's reservation.
+        for mode in [ExecMode::AllBank, ExecMode::PerBank] {
+            let device = PimDevice {
+                mode,
+                ..PimDevice::tiny(2)
+            };
+            for sptrsv in [false, true] {
+                let what = format!("{mode:?}, sptrsv {sptrsv}");
+                let (exact, outputs, row) = stream_launch(&device, sptrsv, 0);
+                let (longer, longer_outputs, longer_row) = stream_launch(&device, sptrsv, 1000);
+                assert!(longer_row >= row + 8, "{what}: rows {row} and {longer_row}");
+                assert!(exact.dram_cycles > 0 && exact.pu.mem_ops > 0, "{what}");
+                assert_eq!(longer, exact, "{what}");
+                let energy = |r: &RunReport| r.energy.total_j().to_bits();
+                assert_eq!(energy(&longer), energy(&exact), "{what}");
+                assert_eq!(longer_outputs, outputs, "{what}");
             }
         }
     }

@@ -17,9 +17,11 @@
 //! The runner executes a crate-private `WavePlan` (partition, per-bank
 //! wave queues, each launch's banks), the plan
 //! [`crate::CostModel::spmv_layout`] prices. A launch lays out its triples
-//! with `device::place_triples`, as SpTRSV's level batches do.
+//! with a `device::TriplesLayout`, as SpTRSV's level batches do: reserved
+//! for the launch's longest stream on the launch's fresh engine, then
+//! stored once.
 
-use crate::device::{batched_sparse_bindings, place_triples, KernelRun, PimDevice};
+use crate::device::{batched_sparse_bindings, KernelRun, PimDevice, TriplesLayout};
 use crate::programs;
 use crate::spmm::{SpmmResult, MAX_SPMM_WIDTH};
 use psim_sparse::partition::{BankPartition, PartitionConfig, PartitionStats, SubMatrix};
@@ -259,10 +261,10 @@ impl SpmvPim {
                 // the cube's widest output and input slice; the sentinel
                 // pair still closes it.
                 let mut engine = self.device.make_engine();
-                let rt = place_triples(
+                let mut triples =
+                    TriplesLayout::reserve(&mut engine, width * max_nnz, self.precision);
+                triples.store(
                     &mut engine,
-                    width * max_nnz,
-                    self.precision,
                     launch.clone().map(|(b, s)| {
                         let stream = (0..width).flat_map(move |v| {
                             let (dr, dc) = ((v * max_out) as u32, (v * max_in) as u32);
@@ -273,6 +275,7 @@ impl SpmvPim {
                         (b, width * s.nnz(), stream)
                     }),
                 );
+                let rt = triples.region();
                 let (x0, y0) = (vec![0.0; width * max_in], vec![identity; width * max_out]);
                 let mut regions = None;
                 for b in 0..engine.num_banks() {

@@ -21,10 +21,14 @@
 //!
 //! A level batch holds as many columns as one DRAM row holds scales at the
 //! runner's precision (128 for FP64, 256 for FP32). Each batch is one
-//! launch of SpMV's stream program, and its triples are laid out by the
-//! same `device::place_triples` as an SpMV wave.
+//! launch of SpMV's stream program, its triples laid out by the same
+//! `device::TriplesLayout` as an SpMV wave. A diagonal block lays out its
+//! regions once: after the stripes, every bank reserves the triples for
+//! the block's longest stream and the scales for its widest batch. A batch
+//! then writes only the banks it lists and the banks the previous batch
+//! listed, which go back to the idle image (one sentinel pair, no scales).
 
-use crate::device::{batched_sparse_bindings, place_triples, triple_pairs, KernelRun, PimDevice};
+use crate::device::{batched_sparse_bindings, KernelRun, PimDevice, TriplesLayout};
 use crate::programs;
 use crate::spmv::SpmvPim;
 use psim_sparse::triangular::UnitTriangular;
@@ -188,22 +192,16 @@ impl SptrsvPim {
         // Pre-bucket entries by column for fast per-level stream building.
         let csc = psim_sparse::Csc::from(block.strict());
 
-        // Each level batch allocates its triples and scales above this mark
-        // and releases them after its launch, so a bank holds its stripe
-        // plus one batch however many levels the block has. Every bank
-        // holds just its equal-length stripe here, so bank 0's mark is
-        // every bank's. Cycles do not depend on which rows a batch reuses:
+        // The block's other regions are reserved once, after the stripes:
+        // the triples for the block's longest stream and the scales for its
+        // widest batch, in every bank, so every launch finds every region at
+        // the same rows in every bank. Cycles do not depend on those rows:
         // each launch replays on a fresh channel, which only compares row
-        // numbers within the launch. A batch touches the banks owning its
-        // entries' rows; every other bank stores one sentinel pair, so the
-        // engine replays a channel of padding once and its twins take that
-        // outcome (DESIGN.md §14).
-        let batch_mark = engine.mem(0).mark();
-
-        // Every batch copies into the storage the previous one released.
-        // Size it once, for the block's largest batch: storage grown batch
-        // by batch would leave outgrown buffers scattered between live
-        // ones and raise the peak footprint. The sizing pass only counts;
+        // numbers within the launch (DESIGN.md §5). A batch stores entries
+        // and scales only in the banks owning its entries' rows; every
+        // other bank holds the idle image, one sentinel pair and no scales,
+        // so the engine replays a channel of padding once and its twins
+        // take that outcome (DESIGN.md §14). The sizing pass only counts;
         // each launch groups its batch once.
         let mut streams = BatchStreams::new(nbanks);
         let level_batches = || {
@@ -220,21 +218,20 @@ impl SptrsvPim {
             }
         }
         streams.entries.reserve_exact(most);
-        let triples_len = triple_pairs(longest, lanes) * 6 * lanes;
+        let mut triples = TriplesLayout::reserve(&mut engine, longest, self.precision);
+        let mut scales_region = None;
         for bank in 0..nbanks {
-            let mem = engine.mem_mut(bank);
-            mem.alloc(ebytes, Vec::with_capacity(triples_len));
-            mem.alloc(ebytes, Vec::with_capacity(widest));
-            mem.truncate(batch_mark);
+            scales_region = Some(engine.mem_mut(bank).alloc_reserved(ebytes, widest, &[]));
         }
+        let scales_region = scales_region.expect("at least one bank");
 
         let mut scales: Vec<f64> = Vec::with_capacity(widest);
         let mut batches = 0u64;
         for chunk in level_batches() {
             batches += 1;
-            let Some(max_nnz) = streams.fill(&csc, chunk, stripe) else {
+            if !streams.fill(&csc, chunk, stripe) {
                 continue;
-            };
+            }
             // Scales: read the just-finalized x values from their owner
             // banks (SB mode), then broadcast to every bank. A batch with
             // no entries never launches, and no bank reads its scales.
@@ -245,26 +242,19 @@ impl SptrsvPim {
             }));
             host.collect(chunk.len() * ebytes);
             host.broadcast(chunk.len() * ebytes);
-            let rt = place_triples(&mut engine, max_nnz, self.precision, streams.banks());
-            // Every bank reserves the scales' rows, but only the banks
-            // holding entries store them: an idle bank's PU exits on its
-            // sentinel pair before it gathers a scale.
-            let mut rs = None;
-            for bank in 0..nbanks {
-                let stored: &[f64] = if streams.holds(bank) { &scales } else { &[] };
-                rs = Some(
-                    engine
-                        .mem_mut(bank)
-                        .alloc_reserved(ebytes, scales.len(), stored),
-                );
+            // Only the listed banks store the scales: an idle bank's PU
+            // exits on its sentinel pair before it gathers a scale.
+            for &bank in triples.listed() {
+                engine.mem_mut(bank).store(scales_region, &[]);
             }
-            let rs = rs.expect("at least one bank");
-            let bindings = batched_sparse_bindings(rt, rs, stripe_region, lanes);
+            triples.store(&mut engine, streams.banks());
+            for &bank in triples.listed() {
+                engine.mem_mut(bank).store(scales_region, &scales);
+            }
+            let bindings =
+                batched_sparse_bindings(triples.region(), scales_region, stripe_region, lanes);
             engine.load_verified(&program, bindings)?;
             let report = engine.run()?;
-            for bank in 0..nbanks {
-                engine.mem_mut(bank).truncate(batch_mark);
-            }
             run.absorb_launch(&report);
         }
 
@@ -332,10 +322,12 @@ impl BatchStreams {
         self.touched.iter().map(|&b| self.end[b]).sum()
     }
 
-    /// Group the batch `chunk` of `csc`'s columns; returns the longest
-    /// bank stream, `None` when the batch has no entries.
-    fn fill(&mut self, csc: &psim_sparse::Csc, chunk: &[usize], stripe: usize) -> Option<usize> {
-        let longest = self.count(csc, chunk, stripe)?;
+    /// Group the batch `chunk` of `csc`'s columns; returns whether the
+    /// batch has entries.
+    fn fill(&mut self, csc: &psim_sparse::Csc, chunk: &[usize], stripe: usize) -> bool {
+        if self.count(csc, chunk, stripe).is_none() {
+            return false;
+        }
         // Counts become start offsets, which the fill advances to ends.
         let mut start = 0;
         for &bank in &self.touched {
@@ -352,13 +344,7 @@ impl BatchStreams {
                 self.end[bank] += 1;
             }
         }
-        Some(longest)
-    }
-
-    /// Whether `bank` holds entries of the batch the last
-    /// [`BatchStreams::fill`] grouped.
-    fn holds(&self, bank: usize) -> bool {
-        self.end[bank] > 0
+        true
     }
 
     /// Each touched bank with its entry count and entries.

@@ -171,18 +171,42 @@ impl Coo {
         self.entries.sort_by_key(|e| (e.col, e.row));
     }
 
-    /// Sum duplicate entries at the same coordinate and drop explicit zeros.
+    /// Sort entries row-major, sum duplicate entries at the same coordinate
+    /// in insertion order and drop explicit zeros.
+    ///
+    /// The order is [`Coo::sort_row_major`]'s, built without comparing
+    /// rows: a stable counting pass buckets the entries by row, then a
+    /// stable sort orders each row by column.
     pub fn coalesce(&mut self) {
-        self.sort_row_major();
-        let mut out: Vec<Entry> = Vec::with_capacity(self.entries.len());
-        for e in self.entries.drain(..) {
-            match out.last_mut() {
-                Some(last) if last.row == e.row && last.col == e.col => last.val += e.val,
-                _ => out.push(e),
-            }
+        let mut start = vec![0usize; self.nrows + 1];
+        for e in &self.entries {
+            start[e.row as usize + 1] += 1;
         }
-        out.retain(|e| e.val != 0.0);
-        self.entries = out;
+        for r in 0..self.nrows {
+            start[r + 1] += start[r];
+        }
+        // The scatter advances each row's start to its end.
+        let mut sorted = vec![Entry::new(0, 0, 0.0); self.entries.len()];
+        for e in &self.entries {
+            let slot = &mut start[e.row as usize];
+            sorted[*slot] = *e;
+            *slot += 1;
+        }
+        let mut lo = 0;
+        for &hi in &start[..self.nrows] {
+            sorted[lo..hi].sort_by_key(|e| e.col);
+            lo = hi;
+        }
+        // `dedup_by` hands each entry with the last one kept.
+        sorted.dedup_by(|e, last| {
+            let same = e.row == last.row && e.col == last.col;
+            if same {
+                last.val += e.val;
+            }
+            same
+        });
+        sorted.retain(|e| e.val != 0.0);
+        self.entries = sorted;
     }
 
     /// Transpose (swap rows/columns of every entry).
@@ -399,6 +423,51 @@ mod tests {
         m.coalesce();
         assert_eq!(m.nnz(), 1);
         assert_eq!(m.entries()[0], Entry::new(0, 0, 3.0));
+    }
+
+    #[test]
+    fn coalesce_matches_a_comparison_sort() {
+        // The reference: a stable sort by (row, col), then duplicates
+        // summed in insertion order and zeros dropped.
+        fn reference(m: &Coo) -> Vec<Entry> {
+            let mut entries = m.entries().to_vec();
+            entries.sort_by_key(|e| (e.row, e.col));
+            let mut out: Vec<Entry> = Vec::new();
+            for e in entries {
+                match out.last_mut() {
+                    Some(last) if last.row == e.row && last.col == e.col => last.val += e.val,
+                    _ => out.push(e),
+                }
+            }
+            out.retain(|e| e.val != 0.0);
+            out
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for case in 0..200 {
+            let (nrows, ncols) = (1 + next(40) as usize, 1 + next(40) as usize);
+            let mut m = Coo::new(nrows, ncols);
+            // Few distinct rows and columns, so duplicates and empty rows
+            // are common; values repeat, so sums cancel to explicit zeros
+            // and depend on their order.
+            let rows = 1 + next(nrows as u64);
+            let cols = 1 + next(ncols as u64);
+            for _ in 0..next(120) {
+                let val = [0.0, 1.0, -1.0, 0.1, 0.2, -0.3, 1e16, -0.0][next(8) as usize];
+                m.push(next(rows) as u32, next(cols) as u32, val);
+            }
+            let want = reference(&m);
+            m.coalesce();
+            let bits = |es: &[Entry]| -> Vec<(u32, u32, u64)> {
+                es.iter().map(|e| (e.row, e.col, e.val.to_bits())).collect()
+            };
+            assert_eq!(bits(m.entries()), bits(&want), "case {case}");
+        }
     }
 
     #[test]
