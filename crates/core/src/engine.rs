@@ -16,11 +16,18 @@
 //! the loaded [`Kernel`] and the channel's own bank slice; [`Engine::run`]
 //! replays the channels in order and merges their outcomes. The engine
 //! holds the one kernel every PU runs, so a load builds it once and resets
-//! only each PU's position in it. A plain all-bank run skips the replay of
-//! a channel whose inputs equal, bit for bit, those of an earlier channel
+//! only each PU's position in it, and loading the same program with the
+//! same bindings again keeps it. Predication makes a PU's actions depend
+//! only on its own state and bank, never on the timing, so an all-bank
+//! replay runs each PU to its exit first and then issues the commands
+//! with the timing those runs imply, keeping the buffers of its per-PU
+//! phase across launches. A plain all-bank run skips the replay of a
+//! channel whose inputs equal, bit for bit, those of an earlier channel
 //! that wrote no bank element, takes that channel's outcome instead, and
 //! reads its PU states from that channel's slots until it replays or
-//! [`Engine::pu_mut`] reaches it (`twins`, DESIGN.md §14). Modeling notes
+//! [`Engine::pu_mut`] reaches it (`twins`, DESIGN.md §14); within a
+//! replayed channel, a bank whose inputs equal an earlier bank's takes
+//! that bank's run the same way (its *leader*). Modeling notes
 //! (see DESIGN.md §8): the engine tracks open rows with its own
 //! non-stalling cursor per program slot (banks that predicate off catch up
 //! within later iterations of the same rows), and host completion
@@ -40,7 +47,7 @@ use serde::{Deserialize, Serialize};
 mod channel;
 mod twins;
 
-use channel::{run_channel, ChannelCtx};
+use channel::{run_channel, ChannelCtx, Units};
 use twins::{PuSlots, Twins};
 
 /// All-bank (pSyncPIM) vs per-bank (PB baseline) execution.
@@ -84,6 +91,17 @@ pub struct EngineConfig {
     /// overflow is counted in the registry's `events_dropped`, never
     /// silently truncated.
     pub event_limit: usize,
+}
+
+impl EngineConfig {
+    /// Whether a run may take an earlier replay's outcome for inputs equal
+    /// to its inputs bit for bit: twin channels and follower banks. Plain
+    /// all-bank runs only; validated and attributed runs label their
+    /// findings per channel and bank, and per-bank runs give every bank a
+    /// timeline of its own, so these replay everything.
+    pub(crate) fn reuses(&self) -> bool {
+        self.mode == ExecMode::AllBank && !self.validate && !self.attribute
+    }
 }
 
 impl Default for EngineConfig {
@@ -191,6 +209,8 @@ pub struct Engine {
     /// The loaded kernel, which every PU runs.
     kernel: Option<Kernel>,
     twins: Twins,
+    /// The all-bank replay's per-unit phase and its buffers.
+    units: Units,
 }
 
 impl Engine {
@@ -204,6 +224,7 @@ impl Engine {
             pus: PuSlots::new(cfg.hbm.num_pseudo_channels, cfg.hbm.banks_per_channel()),
             kernel: None,
             twins: Twins::default(),
+            units: Units::default(),
             cfg,
         }
     }
@@ -273,7 +294,9 @@ impl Engine {
     /// Program a kernel that already passed psim-lint into every PU. The
     /// engine builds one [`Kernel`] from the verified program, so a load
     /// costs one binding check and one schedule walk whatever the bank
-    /// count. Same layout contract as [`Engine::load_kernel`].
+    /// count; loading the program it already runs, with bindings that fix
+    /// the same slot table, keeps that kernel and only restarts the PUs.
+    /// Same layout contract as [`Engine::load_kernel`].
     ///
     /// # Errors
     ///
@@ -291,9 +314,8 @@ impl Engine {
         program: Program,
         bindings: Vec<Option<B>>,
     ) -> Result<(), CoreError> {
-        let kernel = Kernel::new(program, bindings)?;
-        self.pus.sources_mut().for_each(|pu| pu.load(&kernel));
-        self.kernel = Some(kernel);
+        let kernel = Kernel::reload(&mut self.kernel, program, bindings)?;
+        self.pus.sources_mut().for_each(|pu| pu.load(kernel));
         Ok(())
     }
 
@@ -330,9 +352,12 @@ impl Engine {
             cfg: &self.cfg,
             kernel,
         };
-        let reuse = self.cfg.mode == ExecMode::AllBank && !self.cfg.validate && !self.cfg.attribute;
         self.twins
-            .classify(reuse, banks_per_channel, &self.pus, &self.mems);
+            .classify(self.cfg.reuses(), banks_per_channel, &self.pus, &self.mems);
+        #[cfg(test)]
+        {
+            (self.units.followed, self.units.refused) = (0, 0);
+        }
 
         let mut per_channel_cycles = Vec::with_capacity(channels);
         let mut commands = ChannelStats::default();
@@ -349,7 +374,8 @@ impl Engine {
                     let banks = ch * banks_per_channel..(ch + 1) * banks_per_channel;
                     let mems = &mut self.mems[banks];
                     mems.iter_mut().for_each(BankMemory::clear_accesses);
-                    let outcome = run_channel(&ctx, ch, self.pus.channel_mut(ch), mems)?;
+                    let outcome =
+                        run_channel(&ctx, ch, self.pus.channel_mut(ch), mems, &mut self.units)?;
                     self.twins.record(ch, mems, &outcome);
                     outcome
                 }
@@ -426,6 +452,13 @@ impl Engine {
     #[cfg(test)]
     pub(crate) fn reused_channels(&self) -> usize {
         self.twins.reused
+    }
+
+    /// Banks of the last run that took their leader's run, and banks that
+    /// had a leader but ran themselves.
+    #[cfg(test)]
+    pub(crate) fn followers(&self) -> (usize, usize) {
+        (self.units.followed, self.units.refused)
     }
 
     /// Cross-check the PU-level invariants of a completed run: every PU

@@ -8,12 +8,22 @@
 //! the channels in order and merges their [`ChannelOutcome`]s. Because a
 //! replay depends on nothing else, a plain all-bank run hands a channel
 //! whose inputs equal an earlier, non-writing channel's that channel's
-//! outcome instead of replaying it ([`super::twins`]). The processing
-//! units reach bank data only through the logging
-//! [`BankMemory`] accessors; the replay itself reads bank 0's region
-//! layout for row decode. Host parallelism lives a level up: the
-//! `psim-sched` executor runs whole lanes (device shards) on separate
-//! threads, each with its own engine.
+//! outcome instead of replaying it ([`super::twins`]).
+//!
+//! An all-bank replay runs units first, then timing. The cyclic command
+//! schedule fixes which offer each unit sees and the timing only when it
+//! issues, so phase 1 ([`Units`]) runs every unit to its exit on its own,
+//! and a bank whose start state, layout and read elements equal an
+//! earlier bank's of the channel takes that bank's run. Phase 2 issues
+//! the commands, reading from phase 1 each offer's slowest unit and the
+//! offer the last unit exits on. A per-bank replay gives every bank its
+//! own command stream and steps its units in its issue loop. Both offer
+//! commands through [`ProcessingUnit::offer`]. The processing units
+//! reach bank data only through the logging [`BankMemory`] accessors; the
+//! all-bank replay itself reads bank 0's region layout for row decode.
+//! Host parallelism lives a level up: the `psim-sched` executor runs
+//! whole lanes (device shards) on separate threads, each with its own
+//! engine.
 
 use super::{EngineConfig, ExecMode};
 use crate::error::CoreError;
@@ -25,6 +35,7 @@ use psim_dram::{
     AbChannel, Channel, ChannelStats, CheckPolicy, CheckReport, CmdKind, HbmConfig, IssueError,
     Issued, ProtocolChecker, Scope,
 };
+use std::ops::Range;
 
 /// Safety bound on kernel loop iterations per channel (per bank in
 /// per-bank mode): a kernel that has not exited by then fails with
@@ -103,11 +114,12 @@ impl Attr {
     }
 
     /// Advance every cursor to `to` (all-bank lockstep spans): the bus
-    /// gets `cat`; a PU that has already exited idles post-CEXIT instead.
-    fn span_all(&mut self, to: u64, cat: Category, pus: &[ProcessingUnit]) {
+    /// gets `cat`; a PU that has already exited (`exited(i)`) idles
+    /// post-CEXIT instead.
+    fn span_all(&mut self, to: u64, cat: Category, exited: impl Fn(usize) -> bool) {
         self.bus_span(to, cat);
-        for (i, pu) in pus.iter().enumerate() {
-            let c = if pu.exited() {
+        for i in 0..self.pu.len() {
+            let c = if exited(i) {
                 Category::PostExitIdle
             } else {
                 cat
@@ -431,119 +443,306 @@ fn decode_slot_addr(slot: usize, cur: &RowCursor) -> Result<(u32, u32), CoreErro
     Ok((row, cur.col))
 }
 
-/// A parked-slot cache entry meaning "not parked": the next offer must go
-/// through the interpreter.
-const NOT_PARKED: usize = usize::MAX;
-
-/// A parked-slot cache entry meaning "exited": every further offer passes
-/// over the unit.
-const EXITED: usize = usize::MAX - 1;
-
-/// PU stepping front-end with parked-slot predication.
-///
-/// Under partially synchronous execution the timing loop decides *when*
-/// commands issue, never *which* PU steps next: every offer a bank sees is
-/// fixed by the cyclic command schedule. Most offers are predications, the
-/// point of the execution model (§IV-E): a live unit parked at memory slot
-/// `m` ([`ProcessingUnit::parked_memory_slot`]) offered any `slot != m`
-/// only bumps `predicated_off` and reports `OutOfPhase`, and a unit that
-/// has exited only bumps `predicated_off` and reports `Exited`. `PuDriver`
-/// caches each unit's parked slot, or that it has exited, and synthesizes
-/// those reports; an offer that reaches the parked slot, or goes to a
-/// unit that is not parked, steps the interpreter, which then refreshes
-/// the cache. Every offer is counted on its unit
-/// ([`ProcessingUnit::note_offer`]), so a validated run can check that
-/// each one was answered exactly once.
-struct PuDriver<'a> {
-    kernel: &'a Kernel,
-    pus: &'a mut [ProcessingUnit],
-    mems: &'a mut [BankMemory],
-    /// Units that have not exited.
-    live: usize,
-    /// Per-bank parked memory slot, [`EXITED`] for an exited unit, or
-    /// [`NOT_PARKED`] when the next offer must step the interpreter.
-    parked: Vec<usize>,
+/// The error for a kernel some unit of which never exits.
+#[cold]
+fn unbounded() -> CoreError {
+    CoreError::Execution(format!(
+        "kernel exceeded {MAX_ROUNDS} rounds without exiting"
+    ))
 }
 
-impl<'a> PuDriver<'a> {
-    fn new(kernel: &'a Kernel, pus: &'a mut [ProcessingUnit], mems: &'a mut [BankMemory]) -> Self {
-        let n = pus.len();
-        PuDriver {
-            kernel,
-            pus,
-            mems,
-            live: n,
-            parked: vec![NOT_PARKED; n],
+/// One offer the interpreter answered, as attribution and the follower
+/// check read it back.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Answer {
+    /// The offer's index in the channel's command stream, from 0.
+    offer: u64,
+    report: StepReport,
+}
+
+/// Phase 1's record of one unit of the channel in replay.
+#[derive(Debug, Clone, Default)]
+struct UnitRun {
+    /// The earlier bank of the channel this unit may follow; itself when
+    /// it leads.
+    leader: usize,
+    /// Offers the unit saw up to and including the one it exited on; 0
+    /// when it exited in its prelude.
+    exit_at: u64,
+    /// Its interpreted answers in [`Units::answers`], when recorded.
+    answers: Range<usize>,
+}
+
+/// Run `pu` over `mem` through `kernel`'s cyclic command schedule, from
+/// its start state until it exits. A parked unit passes the offers before
+/// the next one serving its slot in one [`ProcessingUnit::pass`]; every
+/// other offer goes to the interpreter ([`ProcessingUnit::offer`]), and
+/// `answer(offer, report)` sees its report.
+/// Returns the offers the unit saw up to and including the one it exited
+/// on, 0 when it exits in its prelude.
+fn run_unit(
+    kernel: &Kernel,
+    pu: &mut ProcessingUnit,
+    mem: &mut BankMemory,
+    mut answer: impl FnMut(u64, StepReport),
+) -> Result<u64, CoreError> {
+    pu.run_free(kernel);
+    let schedule = kernel.schedule();
+    let len = schedule.len();
+    let limit = MAX_ROUNDS.saturating_mul(len as u64);
+    let (mut offer, mut pos) = (0u64, 0usize);
+    while !pu.exited() {
+        if let Some(m) = pu.parked_memory_slot(kernel) {
+            let skip = kernel.offers_until(m, pos).ok_or_else(unbounded)?;
+            pu.pass(skip);
+            offer += skip;
+            pos += skip as usize;
+            if pos >= len {
+                pos -= len;
+            }
+        }
+        if offer >= limit {
+            return Err(unbounded());
+        }
+        let report = pu.offer(kernel, schedule[pos], mem);
+        answer(offer, report);
+        offer += 1;
+        pos += 1;
+        if pos == len {
+            pos = 0;
         }
     }
-
-    /// The cache entry for unit `b` after the interpreter ran it.
-    fn park(&mut self, b: usize) {
-        let pu = &self.pus[b];
-        self.parked[b] = if pu.exited() {
-            self.live -= 1;
-            EXITED
-        } else {
-            pu.parked_memory_slot(self.kernel).unwrap_or(NOT_PARKED)
-        };
+    if offer > 0 {
+        pu.mark_exit_round((offer - 1) / len as u64 + 1);
     }
+    Ok(offer)
+}
 
-    /// Run every unit's free prelude (control/compute instructions before
-    /// the first memory slot) and count prelude exits.
-    fn prelude(&mut self) {
-        for b in 0..self.pus.len() {
-            self.pus[b].run_free(self.kernel);
-            self.park(b);
-        }
-    }
+/// Phase 1 of the all-bank replay, and the buffers it keeps across
+/// channels and launches, so a warm launch allocates nothing here.
+///
+/// Under partially synchronous execution the timing loop decides *when*
+/// commands issue, never *which* unit sees which offer: offer `k` of a
+/// channel serves the schedule's slot `k mod len` whatever the timing. A
+/// unit's run is therefore a function of the kernel, its start state, its
+/// bank's layout and the elements it reads, and the channel's timing
+/// depends on its units only through each offer's slowest unit and the
+/// offer its last unit exits on. [`Units::run`] runs each unit on its
+/// own to its exit and keeps exactly that: per offer, the most PU cycles
+/// a unit spent on it, and per unit, the offer it exited on.
+///
+/// A plain all-bank run lets a bank *follow* an earlier bank of its
+/// channel with the same PU start state and bank layout, its *leader*:
+/// when the leader stored nothing and the follower's bank holds the same
+/// bits in every span the leader read, the follower would run exactly as
+/// the leader did, so it takes the leader's end state, exit offer and
+/// access log instead of running.
+#[derive(Debug, Clone, Default)]
+pub(super) struct Units {
+    /// Per offer of the channel in replay: the most PU cycles any of its
+    /// units spent on it. A unit spends at most 160 on one offer (128 free
+    /// instructions and a 32-lane gather), so `u16` holds it. At `u64` a
+    /// long SpMV channel's 16,384 offers took 128 KiB, glibc's mmap
+    /// threshold, and freeing that buffer with its engine raised the
+    /// threshold and `spmv_suite`'s peak RSS by 1.15 MiB.
+    busy: Vec<u16>,
+    /// Per unit of the channel in replay.
+    runs: Vec<UnitRun>,
+    /// Interpreted answers, unit after unit: recorded for attribution and,
+    /// in debug builds, for the follower check.
+    answers: Vec<Answer>,
+    /// Per unit: attribution's read position in its answers.
+    cursor: Vec<usize>,
+    /// A copy of a follower and its bank, run to check it.
+    #[cfg(debug_assertions)]
+    check: (ProcessingUnit, BankMemory, Vec<Answer>),
+    /// Banks of the last run that took their leader's run.
+    #[cfg(test)]
+    pub(super) followed: usize,
+    /// Banks of the last run that had a leader but ran themselves.
+    #[cfg(test)]
+    pub(super) refused: usize,
+}
 
-    /// Offer the command at `slot` to bank `b` and return its report.
-    /// Exit-*round* bookkeeping stays with the caller (the two exec modes
-    /// time-stamp it differently).
-    #[inline]
-    fn step(&mut self, b: usize, slot: usize) -> StepReport {
-        let pu = &mut self.pus[b];
-        pu.note_offer();
-        let m = self.parked[b];
-        if m != slot && m != NOT_PARKED {
-            pu.note_predicated_off();
-            return StepReport {
-                executed: false,
-                pu_cycles: 0,
-                outcome: if m == EXITED {
-                    StepOutcome::Exited
-                } else {
-                    StepOutcome::OutOfPhase
-                },
+impl Units {
+    /// Run every unit of a channel through the cyclic schedule to its
+    /// exit, letting banks follow their leaders when `follow` is set and
+    /// recording every interpreted answer for attribution when `record`
+    /// is. Each unit also counts the offers the channel issues after it
+    /// exits, so it is offered every command of the channel. Returns the
+    /// offers the channel issues: up to and including the one its last
+    /// unit exits on.
+    fn run(
+        &mut self,
+        kernel: &Kernel,
+        follow: bool,
+        record: bool,
+        pus: &mut [ProcessingUnit],
+        mems: &mut [BankMemory],
+    ) -> Result<u64, CoreError> {
+        let record = record || cfg!(debug_assertions);
+        self.busy.clear();
+        self.answers.clear();
+        self.runs.clear();
+        for b in 0..pus.len() {
+            let leads = |a: &usize| {
+                self.runs[*a].leader == *a
+                    && mems[*a].same_layout(&mems[b])
+                    && pus[*a].same_state(&pus[b])
             };
+            let leader = if follow { (0..b).find(leads) } else { None };
+            self.runs.push(UnitRun {
+                leader: leader.unwrap_or(b),
+                ..UnitRun::default()
+            });
         }
-        let rep = pu.on_command(self.kernel, slot, &mut self.mems[b]);
-        self.park(b);
-        rep
+        for b in 0..pus.len() {
+            let a = self.runs[b].leader;
+            let from = self.answers.len();
+            if a != b && !mems[a].wrote() && mems[a].same_reads(&mems[b]) {
+                #[cfg(debug_assertions)]
+                self.check_follower(kernel, a, (&pus[b], &mems[b]), (&pus[a], &mems[a]));
+                let (leaders, rest) = pus.split_at_mut(b);
+                rest[0].copy_state_from(&leaders[a]);
+                let (leaders, rest) = mems.split_at_mut(b);
+                rest[0].copy_accesses_from(&leaders[a]);
+                self.runs[b].exit_at = self.runs[a].exit_at;
+                self.runs[b].answers = from..from;
+                #[cfg(test)]
+                {
+                    self.followed += 1;
+                }
+                continue;
+            }
+            #[cfg(test)]
+            {
+                self.refused += usize::from(a != b);
+            }
+            let (busy, answers) = (&mut self.busy, &mut self.answers);
+            self.runs[b].exit_at = run_unit(kernel, &mut pus[b], &mut mems[b], |offer, report| {
+                let k = offer as usize;
+                if busy.len() <= k {
+                    busy.resize(k + 1, 0);
+                }
+                let cycles =
+                    u16::try_from(report.pu_cycles).expect("an offer takes under 2^16 PU cycles");
+                busy[k] = busy[k].max(cycles);
+                if record {
+                    answers.push(Answer { offer, report });
+                }
+            })?;
+            self.runs[b].answers = from..self.answers.len();
+        }
+        // A unit exits on an offer the interpreter answers, so the last
+        // exit offer has a slot in `busy`.
+        let offers = self.runs.iter().map(|r| r.exit_at).max().unwrap_or(0);
+        debug_assert_eq!(self.busy.len() as u64, offers);
+        let rounds = match offers {
+            0 => 0,
+            n => (n - 1) / kernel.schedule().len() as u64 + 1,
+        };
+        for (pu, run) in pus.iter_mut().zip(&self.runs) {
+            pu.pass(offers - run.exit_at);
+            pu.mark_exit_round(rounds);
+        }
+        self.cursor.clear();
+        if record {
+            self.cursor
+                .extend(self.runs.iter().map(|r| r.answers.start));
+        }
+        Ok(offers)
+    }
+
+    /// Whether unit `b` had exited before offer `offer`.
+    fn exited_before(&self, b: usize, offer: u64) -> bool {
+        self.runs[b].exit_at <= offer
+    }
+
+    /// Unit `b`'s answer to offer `offer`, read back from its recorded
+    /// run: its interpreted answer, a predication while it was parked, or
+    /// `Exited` once it has exited. Each unit's offers are asked in order.
+    fn answer(&mut self, b: usize, offer: u64) -> StepReport {
+        let passed = |outcome| StepReport {
+            executed: false,
+            pu_cycles: 0,
+            outcome,
+        };
+        if self.exited_before(b, offer) {
+            return passed(StepOutcome::Exited);
+        }
+        let i = &mut self.cursor[b];
+        match self.answers[*i..self.runs[b].answers.end].first() {
+            Some(a) if a.offer == offer => {
+                *i += 1;
+                a.report
+            }
+            _ => passed(StepOutcome::OutOfPhase),
+        }
+    }
+
+    /// Run follower `start` on a copy of its start state and bank, and
+    /// check that it ends where it takes its leader's run to end: the
+    /// leader's end state (`led`), exit offer and answers, its own bank
+    /// unchanged, and the leader's access log.
+    #[cfg(debug_assertions)]
+    fn check_follower(
+        &mut self,
+        kernel: &Kernel,
+        leader: usize,
+        start: (&ProcessingUnit, &BankMemory),
+        led: (&ProcessingUnit, &BankMemory),
+    ) {
+        let (pu, mem, answers) = &mut self.check;
+        pu.copy_state_from(start.0);
+        mem.copy_from(start.1);
+        answers.clear();
+        let exit_at = run_unit(kernel, pu, mem, |offer, report| {
+            answers.push(Answer { offer, report });
+        });
+        let run = &self.runs[leader];
+        debug_assert_eq!(exit_at.ok(), Some(run.exit_at), "a follower's exit offer");
+        debug_assert!(pu.same_state(led.0), "a follower's end state");
+        debug_assert!(
+            answers[..] == self.answers[run.answers.clone()],
+            "a follower's answers"
+        );
+        debug_assert!(
+            *mem == *start.1 && mem.same_accesses(led.1),
+            "a follower's bank and access log"
+        );
     }
 }
 
 /// Replay channel `ch` of the kernel to completion over this channel's
 /// banks. `pus`/`mems` are the channel's slice of the cube (bank `i` of
-/// the channel at index `i`); no state outside the slices is touched, so
-/// disjoint channels may run concurrently.
+/// the channel at index `i`); no state outside the slices and the phase-1
+/// buffers `units` is touched, so disjoint channels may run concurrently
+/// with buffers of their own.
 pub(super) fn run_channel(
     ctx: &ChannelCtx<'_>,
     ch: usize,
     pus: &mut [ProcessingUnit],
     mems: &mut [BankMemory],
+    units: &mut Units,
 ) -> Result<ChannelOutcome, CoreError> {
     match ctx.cfg.mode {
-        ExecMode::AllBank => run_channel_allbank(ctx, ch, pus, mems),
+        ExecMode::AllBank => run_channel_allbank(ctx, ch, pus, mems, units),
         ExecMode::PerBank => run_channel_perbank(ctx, ch, pus, mems),
     }
 }
 
+/// The all-bank replay, in two phases. Phase 1 ([`Units::run`]) runs every
+/// unit to its exit on its own. Phase 2 issues the channel's commands
+/// (setup, REF, ACT, PRE, the RD or WR of each offer, a status poll per
+/// round) with the timing of the lockstep model: an offer holds the bus
+/// until its slowest unit has drained, read from phase 1, and the stream
+/// ends with the offer the last unit exits on.
 fn run_channel_allbank(
     ctx: &ChannelCtx<'_>,
     ch: usize,
     pus: &mut [ProcessingUnit],
     mems: &mut [BankMemory],
+    units: &mut Units,
 ) -> Result<ChannelOutcome, CoreError> {
     const AB: Scope = Scope::AllBanks;
     let cfg = ctx.cfg;
@@ -556,7 +755,6 @@ fn run_channel_allbank(
     let mut cursors = geometry.slot_cursors(kernel, &mems[0]);
     let steps = geometry.slot_steps(kernel);
     let nbanks = pus.len();
-    let mut driver = PuDriver::new(kernel, pus, mems);
     let mut attr = cfg
         .attribute
         .then(|| Attr::new(ch, nbanks, cfg.event_limit));
@@ -571,10 +769,10 @@ fn run_channel_allbank(
         now = port.issue(AB, CmdKind::Mrs, now)?.issue_cycle;
     }
     if let Some(a) = attr.as_mut() {
-        a.span_all(now, Category::Setup, driver.pus);
+        a.span_all(now, Category::Setup, |i| pus[i].exited());
     }
 
-    driver.prelude();
+    let offers = units.run(kernel, cfg.reuses(), cfg.attribute, pus, mems)?;
 
     let t_refi = cfg.hbm.timing.t_refi;
     let mut next_refresh = now + t_refi;
@@ -584,17 +782,10 @@ fn run_channel_allbank(
     // burst k overlaps issue of burst k+1.
     let pipeline = cfg.hbm.timing.rl + 1;
     let mut pu_free: u64 = 0;
+    let mut offer = 0u64;
 
-    'outer: loop {
-        if driver.live == 0 {
-            break;
-        }
+    'outer: while offer < offers {
         rounds += 1;
-        if rounds > MAX_ROUNDS {
-            return Err(CoreError::Execution(format!(
-                "kernel exceeded {MAX_ROUNDS} rounds without exiting"
-            )));
-        }
         for &slot in kernel.schedule() {
             if now >= next_refresh {
                 if open_row.is_some() {
@@ -604,7 +795,9 @@ fn run_channel_allbank(
                 now = port.issue(AB, CmdKind::Ref, now)?.issue_cycle;
                 next_refresh = now + t_refi;
                 if let Some(a) = attr.as_mut() {
-                    a.span_all(now, Category::RefreshShadow, driver.pus);
+                    a.span_all(now, Category::RefreshShadow, |i| {
+                        units.exited_before(i, offer)
+                    });
                 }
             }
             let (want_row, col) = decode_slot_addr(slot, &cursors[slot])?;
@@ -617,7 +810,9 @@ fn run_channel_allbank(
                     .issue_cycle;
                 open_row = Some(want_row);
                 if let Some(a) = attr.as_mut() {
-                    a.span_all(now, Category::RowSwitchWait, driver.pus);
+                    a.span_all(now, Category::RowSwitchWait, |i| {
+                        units.exited_before(i, offer)
+                    });
                 }
             }
             let kind = if kernel.shape(slot).writes {
@@ -628,32 +823,21 @@ fn run_channel_allbank(
             let issued = port.issue(AB, kind, now)?;
             now = issued.issue_cycle;
 
-            let mut max_busy = 0u64;
-            if attr.is_some() {
-                step_buf.clear();
-            }
-            for b in 0..nbanks {
-                let was_exited = driver.pus[b].exited();
-                let rep = driver.step(b, slot);
-                max_busy = max_busy.max(rep.pu_cycles);
-                if !was_exited && driver.pus[b].exited() {
-                    driver.pus[b].mark_exit_round(rounds);
-                }
-                if attr.is_some() {
-                    step_buf.push(rep);
-                }
-            }
             // Lockstep back-pressure with pipelining: the slowest PU
             // consumes burst k while burst k+1 is in flight; only a PU
             // that falls behind the read latency stalls the bus.
-            pu_free = pu_free.max(issued.data_cycle) + max_busy * DRAM_CYCLES_PER_PU_CYCLE;
+            pu_free = pu_free.max(issued.data_cycle)
+                + u64::from(units.busy[offer as usize]) * DRAM_CYCLES_PER_PU_CYCLE;
             now = now.max(pu_free.saturating_sub(pipeline));
             geometry.advance(&mut cursors[slot], &steps[slot]);
             if let Some(a) = attr.as_mut() {
+                step_buf.clear();
+                step_buf.extend((0..nbanks).map(|i| units.answer(i, offer)));
                 a.data_all(issued.issue_cycle, now, &step_buf, rounds, slot);
             }
 
-            if driver.live == 0 {
+            offer += 1;
+            if offer == offers {
                 break 'outer;
             }
         }
@@ -667,14 +851,7 @@ fn run_channel_allbank(
         };
         now = port.issue(AB, poll, now)?.issue_cycle;
         if let Some(a) = attr.as_mut() {
-            a.span_all(now, Category::HostSync, driver.pus);
-        }
-    }
-    // PUs that exited during the free prelude never went through the
-    // in-round exit bookkeeping; mark_exit_round is idempotent.
-    for pu in driver.pus.iter_mut() {
-        if pu.exited() {
-            pu.mark_exit_round(rounds);
+            a.span_all(now, Category::HostSync, |i| units.exited_before(i, offer));
         }
     }
     if open_row.is_some() {
@@ -686,8 +863,8 @@ fn run_channel_allbank(
     }
     if let Some(a) = attr.as_mut() {
         // Teardown precharge + SB switch: bus does setup work, every PU
-        // (all exited by now) idles post-CEXIT via span_all.
-        a.span_all(now, Category::Setup, driver.pus);
+        // (all exited by now) idles post-CEXIT.
+        a.span_all(now, Category::Setup, |_| true);
     }
     Ok(port.finish(now, rounds, attr))
 }
@@ -736,7 +913,6 @@ fn run_channel_perbank(
             pu_free: 0,
         })
         .collect();
-    let mut driver = PuDriver::new(kernel, pus, mems);
     let mut attr = cfg
         .attribute
         .then(|| Attr::new(ch, nbanks, cfg.event_limit));
@@ -750,14 +926,16 @@ fn run_channel_perbank(
         }
     }
     if let Some(a) = attr.as_mut() {
-        a.span_all(now, Category::Setup, driver.pus);
+        a.span_all(now, Category::Setup, |i| pus[i].exited());
     }
 
     let pipeline = cfg.hbm.timing.rl + 1;
     for ctl in &mut ctls {
         ctl.ready = now;
     }
-    driver.prelude();
+    for pu in pus.iter_mut() {
+        pu.run_free(kernel);
+    }
 
     let t_refi = cfg.hbm.timing.t_refi;
     let mut next_refresh = now + t_refi;
@@ -789,7 +967,7 @@ fn run_channel_perbank(
             if let Some(a) = attr.as_mut() {
                 a.bus_span(floor, Category::RefreshShadow);
                 for (i, ctl) in ctls.iter().enumerate() {
-                    let c = if driver.pus[i].exited() {
+                    let c = if pus[i].exited() {
                         Category::PostExitIdle
                     } else {
                         Category::RefreshShadow
@@ -800,7 +978,7 @@ fn run_channel_perbank(
         }
         let mut any_active = false;
         for (i, ctl) in ctls.iter_mut().enumerate() {
-            if driver.pus[i].exited() {
+            if pus[i].exited() {
                 continue;
             }
             any_active = true;
@@ -836,7 +1014,7 @@ fn run_channel_perbank(
             let issued = port.issue(scope, kind, t)?;
             floor = floor.max(issued.issue_cycle);
 
-            let rep = driver.step(i, slot);
+            let rep = pus[i].offer(kernel, slot, &mut mems[i]);
             ctl.pu_free =
                 ctl.pu_free.max(issued.data_cycle) + rep.pu_cycles * DRAM_CYCLES_PER_PU_CYCLE;
             ctl.ready = issued.issue_cycle.max(ctl.pu_free.saturating_sub(pipeline));
@@ -862,8 +1040,8 @@ fn run_channel_perbank(
                 ctl.rounds += 1;
                 max_rounds = max_rounds.max(ctl.rounds);
             }
-            if driver.pus[i].exited() {
-                driver.pus[i].mark_exit_round(ctl.rounds);
+            if pus[i].exited() {
+                pus[i].mark_exit_round(ctl.rounds);
             }
         }
         if !any_active {
@@ -873,7 +1051,7 @@ fn run_channel_perbank(
     // PUs that exited during the free prelude were skipped by the issue
     // loop and never recorded an exit round; mark_exit_round is
     // idempotent.
-    for (pu, ctl) in driver.pus.iter_mut().zip(ctls.iter()) {
+    for (pu, ctl) in pus.iter_mut().zip(ctls.iter()) {
         if pu.exited() {
             pu.mark_exit_round(ctl.rounds);
         }

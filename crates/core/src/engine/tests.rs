@@ -940,3 +940,189 @@ fn pu_mut_gives_a_twin_channel_its_own_states() {
     };
     assert_eq!(sequence_matching_full_replay(&SEQUENCE, &poke)[0], 1);
 }
+
+/// Build a twin cube, let `place` store its operands and return the
+/// bindings, load `asm`, and run it.
+fn launch(
+    validate: bool,
+    asm: &str,
+    place: &dyn Fn(&mut Engine) -> Vec<Option<RegionId>>,
+) -> (Engine, RunReport) {
+    let mut engine = Engine::new(twin_cfg(validate));
+    let bindings = place(&mut engine);
+    engine
+        .load_kernel(assemble(asm).unwrap(), bindings)
+        .unwrap();
+    let report = engine.run().unwrap();
+    (engine, report)
+}
+
+/// Run a launch plainly and under validation, check that both leave the
+/// same bits, and return the plain run's followed banks, banks that had a
+/// leader but ran themselves, and channels taken from a twin.
+fn follow_matching_full_replay(
+    asm: &str,
+    place: &dyn Fn(&mut Engine) -> Vec<Option<RegionId>>,
+) -> (usize, usize, usize) {
+    let (plain, plain_report) = launch(false, asm, place);
+    let (full, full_report) = launch(true, asm, place);
+    assert_matches_full_replay((&plain, &plain_report), (&full, &full_report), "one launch");
+    assert_eq!(full.followers(), (0, 0), "validated runs run every bank");
+    let (followed, refused) = plain.followers();
+    (followed, refused, plain.reused_channels())
+}
+
+/// A kernel that reads triples without storing: it gathers `x` at each
+/// burst's columns and sums the gathered values into the scalar register,
+/// and drops every entry (their rows are padding). `CEXIT` precedes the
+/// gather, so the queue is empty there only once the stream has drained.
+const READ_ONLY_ASM: &str = r"
+SPMOV  SPVQ0, BANK, ROW, FP64
+SPMOV  SPVQ0, BANK, COL, FP64
+SPMOV  SPVQ0, BANK, VAL, FP64
+CEXIT  SPVQ0
+INDMOV DRF2, SPVQ0, FP64
+REDUCE DRF2, ADD, FP64
+SPVDV  SPVQ1, SPVQ0, DRF2, MUL, INTER, FP64
+JUMP   0, 0, 0
+";
+
+/// Three bursts of triples with padding rows and real columns for the
+/// read-only kernel on every bank, and `x`; returns its bindings.
+fn place_read_only(engine: &mut Engine, cols: &dyn Fn(usize) -> Vec<f64>) -> Vec<Option<RegionId>> {
+    let x: Vec<f64> = (0..8).map(|i| 0.5 + f64::from(i)).collect();
+    let mut bindings = Vec::new();
+    for b in 0..engine.num_banks() {
+        let mem = engine.mem_mut(b);
+        let rows = mem.alloc(8, vec![SENTINEL; 12]);
+        let cols = mem.alloc(8, cols(b));
+        let vals = mem.alloc(8, (0..12).map(f64::from).collect());
+        let x = mem.alloc(8, x.clone());
+        bindings = vec![
+            Some(rows),
+            Some(cols),
+            Some(vals),
+            None,
+            Some(x),
+            None,
+            None,
+            None,
+        ];
+    }
+    bindings
+}
+
+#[test]
+fn a_follower_whose_reads_differ_runs_itself() {
+    // (a) Every bank reads three bursts of triples and stores nothing.
+    // Bank 1's third burst, first read in round 3, holds one other column
+    // than bank 0's; every other bank equals bank 0. Bank 1 fails its
+    // leader's read check and runs itself; banks 2 and 3 follow bank 0.
+    // Channel 1 is no twin of channel 0 (bank 1 differs), so it replays
+    // and its banks follow bank 4; channel 2 takes channel 1's outcome.
+    let cols = |b: usize| {
+        let mut cols: Vec<f64> = (0..12).map(|i| f64::from(i % 8)).collect();
+        if b == 1 {
+            cols[9] = 5.0;
+        }
+        cols
+    };
+    let place = |e: &mut Engine| place_read_only(e, &cols);
+    let (plain, report) = launch(false, READ_ONLY_ASM, &place);
+    assert_eq!(report.rounds, 4, "three bursts and the drained one");
+    assert_ne!(plain.pu(1).srf().to_bits(), plain.pu(0).srf().to_bits());
+    assert_eq!(
+        follow_matching_full_replay(READ_ONLY_ASM, &place),
+        (2 + 3, 1, 1)
+    );
+}
+
+#[test]
+fn followers_of_a_storing_leader_run_themselves() {
+    // (b) The four banks of channel 0 hold the same entries, so they
+    // start alike and read alike, but bank 0's scatter stores into `y`:
+    // banks 1 to 3 run themselves. Channels 1 and 2 hold only padding.
+    let mut per_bank = vec![Vec::new(); 12];
+    for entries in per_bank.iter_mut().take(4) {
+        *entries = vec![(1, 2, 3.0), (5, 6, 7.0), (2, 3, 4.0)];
+    }
+    let x: Vec<f64> = (0..8).map(|i| 0.5 + f64::from(i)).collect();
+    let place = |e: &mut Engine| setup_spmv(e, &per_bank, &x, 8);
+    assert_eq!(follow_matching_full_replay(SPMV_ASM, &place), (3, 3, 1));
+}
+
+#[test]
+fn units_that_exit_in_their_prelude_follow_too() {
+    // (c) A kernel without a memory instruction: every unit exits before
+    // the first offer, and the launch runs 0 rounds.
+    let place = |_: &mut Engine| vec![None; 2];
+    let (_, report) = launch(false, "NOP\nEXIT\n", &place);
+    assert_eq!(report.rounds, 0);
+    assert_eq!(report.pu.exit_round, 0);
+    assert_eq!(
+        follow_matching_full_replay("NOP\nEXIT\n", &place),
+        (3, 0, 2)
+    );
+}
+
+#[test]
+fn a_twin_channel_is_compared_with_its_witness_followers_reads() {
+    // (d) Every bank holds padding; the banks of channels 1 and 2 also
+    // gather x[3]. Channel 1 replays: bank 4 leads and banks 5 to 7 take
+    // its run and its access log. Channel 2 starts like channel 1, so it
+    // takes channel 1's outcome when every bank of it holds the elements
+    // channel 1's banks read, followers included.
+    let per_bank = vec![Vec::new(); 12];
+    let x: Vec<f64> = (0..8).map(|i| 0.5 + f64::from(i)).collect();
+    let gathers = |e: &mut Engine| {
+        let bindings = setup_spmv(e, &per_bank, &x, 8);
+        for b in 4..12 {
+            gather_only(e, b);
+        }
+        bindings
+    };
+    assert_eq!(follow_matching_full_replay(SPMV_ASM, &gathers), (6, 0, 1));
+    // Bank 9 reads another x[3] than bank 5 does: channel 2 replays, and
+    // bank 9 runs itself.
+    let differs = |e: &mut Engine| {
+        let bindings = gathers(e);
+        e.mem_mut(TWIN + 1).region_mut(X).set(3, -1.5);
+        bindings
+    };
+    assert_eq!(
+        follow_matching_full_replay(SPMV_ASM, &differs),
+        (3 + 3 + 2, 1, 0)
+    );
+}
+
+#[test]
+fn reloading_the_running_program_keeps_its_kernel() {
+    // Loading the program the engine runs, with bindings that fix the
+    // same slot table, keeps the kernel and only restarts the PUs; a
+    // binding with another stride builds a new one. Every run reports the
+    // same, as the stride equals the slot's natural advance.
+    let n = 16;
+    let x: Vec<f64> = (0..n).map(|i| 0.25 * i as f64).collect();
+    let verified = VerifiedProgram::new(assemble(SPMV_ASM).unwrap()).unwrap();
+    let mut engine = Engine::new(small_cfg(ExecMode::AllBank));
+    let per_bank = per_bank_entries(engine.num_banks(), n);
+    let bindings: Vec<Option<Binding>> = setup_spmv(&mut engine, &per_bank, &x, n)
+        .into_iter()
+        .map(|r| r.map(Binding::new))
+        .collect();
+    let schedule = |e: &Engine| e.kernel.as_ref().unwrap().schedule().as_ptr();
+    engine.load_verified(&verified, bindings.clone()).unwrap();
+    let (kernel, first) = (schedule(&engine), engine.run().unwrap());
+    engine.load_verified(&verified, bindings.clone()).unwrap();
+    assert_eq!(schedule(&engine), kernel, "the kernel stays");
+    assert_eq!(engine.run().unwrap(), first);
+    let mut strided = bindings;
+    strided[0] = strided[0].map(|b| Binding::strided(b.region, 0, 4));
+    engine.load_verified(&verified, strided).unwrap();
+    assert_ne!(
+        schedule(&engine),
+        kernel,
+        "another slot table builds a new kernel"
+    );
+    assert_eq!(engine.run().unwrap(), first);
+}

@@ -28,10 +28,16 @@
 //! spans its interpreter read ([`BankMemory::read`]). No caller says which
 //! channels are idle: reuse follows from the comparison alone.
 //!
-//! Validated and attributed runs replay every channel, because the checker
-//! and attribution label their findings per channel; they are the
-//! reference the tests compare against. Per-bank runs replay every channel
-//! too, so in all three every channel stays its own source.
+//! Within a replayed channel, banks reuse runs the same way: a bank whose
+//! PU start state, layout and read elements equal an earlier bank's takes
+//! that bank's run, and its access log with it, so a witness's log covers
+//! every bank whether it ran or followed (`channel::Units`).
+//!
+//! Validated and attributed runs replay every channel and run every bank,
+//! because the checker and attribution label their findings per channel
+//! and bank; they are the reference the tests compare against. Per-bank
+//! runs replay every channel too, so in all three every channel stays its
+//! own source.
 
 use super::channel::ChannelOutcome;
 use crate::memory::BankMemory;

@@ -10,10 +10,11 @@
 //!   (union/intersection skip logic), per-JUMP loop counters, predicated
 //!   execution and conditional exit (paper §IV),
 //! * the bank [`memory`] model (named data regions spanning DRAM rows),
-//! * the partially synchronous [`engine`]: an all-bank command loop where
-//!   every column command steps every PU in lockstep while each PU may
-//!   predicate off or exit early; a per-bank variant reproduces the PB
-//!   baseline (paper §III-B),
+//! * the partially synchronous [`engine`]: all-bank execution where every
+//!   column command reaches every PU in lockstep while each PU may
+//!   predicate off or exit early (the replay runs each PU on its own, then
+//!   times the commands); a per-bank variant reproduces the PB baseline
+//!   (paper §III-B),
 //! * the [`host`] controller: the external-bus ledger for vector
 //!   broadcast and partial-output accumulation (the engine itself issues
 //!   the SB/AB/AB-PIM mode switches, kernel programming and completion

@@ -348,6 +348,34 @@ impl BankMemory {
         self.wrote = false;
     }
 
+    /// Make this bank's access log equal to `other`'s.
+    pub(crate) fn copy_accesses_from(&mut self, other: &BankMemory) {
+        self.reads.clone_from(&other.reads);
+        self.wrote = other.wrote;
+    }
+
+    /// Whether both banks logged the same accesses.
+    #[cfg(debug_assertions)]
+    pub(crate) fn same_accesses(&self, other: &BankMemory) -> bool {
+        self.reads == other.reads && self.wrote == other.wrote
+    }
+
+    /// Make this bank equal to `src`, access log included, reusing its
+    /// own buffers (no allocation once they have grown to `src`'s sizes).
+    #[cfg(debug_assertions)]
+    pub(crate) fn copy_from(&mut self, src: &BankMemory) {
+        self.row_bytes = src.row_bytes;
+        self.next_row = src.next_row;
+        self.regions.truncate(src.regions.len());
+        for (d, s) in self.regions.iter_mut().zip(&src.regions) {
+            (d.start_row, d.elem_bytes, d.reserved) = (s.start_row, s.elem_bytes, s.reserved);
+            d.data.clone_from(&s.data);
+        }
+        let n = self.regions.len();
+        self.regions.extend_from_slice(&src.regions[n..]);
+        self.copy_accesses_from(src);
+    }
+
     /// Whether [`BankMemory::write`] was called since the last clear.
     pub(crate) fn wrote(&self) -> bool {
         self.wrote

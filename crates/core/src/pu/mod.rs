@@ -22,11 +22,17 @@
 //! and shares nothing by reference, and the interpreter tells a memory
 //! slot from a free instruction by one bit of the kernel's mask.
 //!
+//! A unit parked at another memory slot, or one that has exited, lets a
+//! command pass and only counts it. Since that depends on the unit alone,
+//! a run of offers known to pass is counted at once
+//! (`ProcessingUnit::pass`), so the all-bank replay runs each unit
+//! through the command schedule on its own and interprets only the
+//! offers that reach it (`ProcessingUnit::offer`).
+//!
 //! The interpreter allocates nothing per step: every DRF holds at most one
 //! datapath pass (`MAX_LANES` elements), so gather buffers, dense
 //! operands and merge windows live on the stack or update registers in
-//! place. An all-bank command steps every PU of a channel, so this is the
-//! simulator's innermost loop.
+//! place. It is the simulator's innermost loop.
 
 mod queue;
 
@@ -102,6 +108,18 @@ pub struct StepReport {
 #[derive(Debug, Clone)]
 pub struct Kernel {
     program: Program,
+    slots: SlotTable,
+    schedule: Vec<usize>,
+    /// The schedule's positions grouped by the slot they serve: slot `s`
+    /// is served at `positions[first[s]..first[s + 1]]`, in ascending
+    /// order.
+    positions: Vec<usize>,
+    first: [usize; MAX_PROGRAM_LEN + 1],
+}
+
+/// What a load's bindings fix per program slot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SlotTable {
     /// Bit `s` is set when slot `s` holds a memory instruction.
     memory: u64,
     /// Each memory slot's access shape; other slots hold
@@ -109,7 +127,35 @@ pub struct Kernel {
     shapes: [SlotShape; MAX_PROGRAM_LEN],
     /// Each slot's element cursor at load: its binding's offset.
     start: [usize; MAX_PROGRAM_LEN],
-    schedule: Vec<usize>,
+}
+
+impl SlotTable {
+    /// Check `bindings` against `program` and derive every slot's entry.
+    fn new<B: Into<Binding>>(
+        program: &Program,
+        bindings: Vec<Option<B>>,
+    ) -> Result<Self, CoreError> {
+        let mut bindings = bindings.into_iter().map(|o| o.map(Into::into));
+        let mut table = SlotTable {
+            memory: 0,
+            shapes: [SlotShape::NONE; MAX_PROGRAM_LEN],
+            start: [0; MAX_PROGRAM_LEN],
+        };
+        for (slot, ins) in program.instructions().iter().enumerate() {
+            let binding: Option<Binding> = bindings.next().flatten();
+            table.start[slot] = binding.map_or(0, |b| b.offset);
+            if ins.is_memory() {
+                let binding = binding.ok_or_else(|| {
+                    CoreError::Binding(format!(
+                        "memory instruction at slot {slot} has no bound region"
+                    ))
+                })?;
+                table.memory |= 1 << slot;
+                table.shapes[slot] = SlotShape::new(ins, binding);
+            }
+        }
+        Ok(table)
+    }
 }
 
 /// How one memory slot's command touches its bank, fixed when the kernel
@@ -189,31 +235,56 @@ impl Kernel {
         program: Program,
         bindings: Vec<Option<B>>,
     ) -> Result<Self, CoreError> {
-        let mut bindings = bindings.into_iter().map(|o| o.map(Into::into));
-        let mut memory = 0u64;
-        let mut shapes = [SlotShape::NONE; MAX_PROGRAM_LEN];
-        let mut start = [0; MAX_PROGRAM_LEN];
-        for (slot, ins) in program.instructions().iter().enumerate() {
-            let binding: Option<Binding> = bindings.next().flatten();
-            start[slot] = binding.map_or(0, |b| b.offset);
-            if ins.is_memory() {
-                let binding = binding.ok_or_else(|| {
-                    CoreError::Binding(format!(
-                        "memory instruction at slot {slot} has no bound region"
-                    ))
-                })?;
-                memory |= 1 << slot;
-                shapes[slot] = SlotShape::new(ins, binding);
-            }
-        }
+        let slots = SlotTable::new(&program, bindings)?;
+        Kernel::with_slots(program, slots)
+    }
+
+    fn with_slots(program: Program, slots: SlotTable) -> Result<Self, CoreError> {
         let schedule = program.command_schedule()?;
+        let mut first = [0; MAX_PROGRAM_LEN + 1];
+        for &slot in &schedule {
+            first[slot + 1] += 1;
+        }
+        for s in 0..MAX_PROGRAM_LEN {
+            first[s + 1] += first[s];
+        }
+        let mut positions = vec![0; schedule.len()];
+        let mut next = first;
+        for (pos, &slot) in schedule.iter().enumerate() {
+            positions[next[slot]] = pos;
+            next[slot] += 1;
+        }
         Ok(Kernel {
             program,
-            memory,
-            shapes,
-            start,
+            slots,
             schedule,
+            positions,
+            first,
         })
+    }
+
+    /// Load `program` with `bindings` into `loaded`, the slot holding an
+    /// engine's kernel: a kernel that runs the same program with the same
+    /// slot table stays, so loading it again costs one binding check and
+    /// no schedule walk; anything else is built anew. On an error the slot
+    /// keeps what it held.
+    ///
+    /// # Errors
+    ///
+    /// As [`Kernel::new`].
+    pub(crate) fn reload<B: Into<Binding>>(
+        loaded: &mut Option<Kernel>,
+        program: Program,
+        bindings: Vec<Option<B>>,
+    ) -> Result<&Kernel, CoreError> {
+        let slots = SlotTable::new(&program, bindings)?;
+        let same = loaded
+            .as_ref()
+            .is_some_and(|k| k.slots == slots && k.program == program);
+        if !same {
+            *loaded = Some(Kernel::with_slots(program, slots)?);
+        }
+        Ok(loaded.as_ref().expect("a kernel is loaded"))
     }
 
     /// The program.
@@ -233,7 +304,7 @@ impl Kernel {
     /// instruction.
     #[inline]
     pub(crate) fn is_memory(&self, slot: usize) -> bool {
-        self.memory >> slot & 1 != 0
+        self.slots.memory >> slot & 1 != 0
     }
 
     /// The memory slots, in program order.
@@ -244,12 +315,26 @@ impl Kernel {
     /// The access shape of memory slot `slot`.
     #[inline]
     pub(crate) fn shape(&self, slot: usize) -> &SlotShape {
-        &self.shapes[slot]
+        &self.slots.shapes[slot]
     }
 
     /// Every slot's element cursor at load.
     pub(crate) fn start_cursors(&self) -> [usize; MAX_PROGRAM_LEN] {
-        self.start
+        self.slots.start
+    }
+
+    /// How many offers pass from schedule position `pos` until one serves
+    /// `slot` (0 when the offer at `pos` does), wrapping around the cyclic
+    /// schedule; `None` when no offer ever serves it.
+    #[inline]
+    pub(crate) fn offers_until(&self, slot: usize, pos: usize) -> Option<u64> {
+        let at = &self.positions[self.first[slot]..self.first[slot + 1]];
+        let i = at.partition_point(|&p| p < pos);
+        let next = match at.get(i) {
+            Some(&p) => p,
+            None => *at.first()? + self.schedule.len(),
+        };
+        Some((next - pos) as u64)
     }
 }
 
@@ -267,7 +352,8 @@ pub struct ProcessingUnit {
     exited: bool,
     exit_armed: bool,
     stats: PuStats,
-    /// Column commands offered since load ([`ProcessingUnit::note_offer`]).
+    /// Column commands offered since load ([`ProcessingUnit::offer`],
+    /// [`ProcessingUnit::pass`]).
     offers: u64,
     /// Whether the unit exited while handling an offer rather than in
     /// its free prelude: that offer is the one answered by neither a
@@ -489,8 +575,7 @@ impl ProcessingUnit {
     /// inside those calls). Offering any *other* slot to a parked unit is
     /// a pure predication: [`ProcessingUnit::on_command`] would only bump
     /// `predicated_off` and report `{executed: false, pu_cycles: 0,
-    /// OutOfPhase}`, so the engine synthesizes that report instead of
-    /// stepping the interpreter. `None` for an exited or stalled unit.
+    /// OutOfPhase}`. `None` for an exited or stalled unit.
     pub(crate) fn parked_memory_slot(&self, kernel: &Kernel) -> Option<usize> {
         if self.exited {
             return None;
@@ -498,18 +583,30 @@ impl ProcessingUnit {
         self.pending_slot(kernel)
     }
 
-    /// Count one offer the engine predicated off without stepping the
-    /// interpreter (see [`ProcessingUnit::parked_memory_slot`]).
+    /// Answer one column command offered at `kernel`'s `slot`: count the
+    /// offer and run the interpreter, which lets the command pass with one
+    /// `predicated_off` when the unit is parked at another memory slot or
+    /// has exited. Both replays offer commands through here;
+    /// [`ProcessingUnit::pass`] counts a run of offers known to pass
+    /// without running the interpreter on each.
     #[inline]
-    pub(crate) fn note_predicated_off(&mut self) {
-        self.stats.predicated_off += 1;
+    pub(crate) fn offer(
+        &mut self,
+        kernel: &Kernel,
+        slot: usize,
+        mem: &mut BankMemory,
+    ) -> StepReport {
+        self.offers += 1;
+        self.on_command(kernel, slot, mem)
     }
 
-    /// Count one column command offered to the unit, however it is
-    /// answered.
+    /// Count `n` offers that pass over the unit, as
+    /// [`ProcessingUnit::offer`] would answer each: the unit is parked at
+    /// a memory slot none of them serves, or has exited.
     #[inline]
-    pub(crate) fn note_offer(&mut self) {
-        self.offers += 1;
+    pub(crate) fn pass(&mut self, n: u64) {
+        self.offers += n;
+        self.stats.predicated_off += n;
     }
 
     /// Whether every offer since load was answered exactly once: by a
