@@ -9,6 +9,9 @@ cargo build --release --workspace --locked
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> core and kernels unit tests in release (the configuration the benchmark runs: no follower reruns, no forced answer recording, no rechecked shortcuts)"
+cargo test -q --release -p psyncpim-core -p psim-kernels --lib
+
 echo "==> perfbench tests --locked (a dependency edit must not rewrite perfbench/Cargo.lock; passes repeat their simulated figures exactly; tracing leaves the simulation unchanged)"
 cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
 

@@ -223,7 +223,7 @@ impl Engine {
             mems: (0..banks).map(|_| BankMemory::new(row_bytes)).collect(),
             pus: PuSlots::new(cfg.hbm.num_pseudo_channels, cfg.hbm.banks_per_channel()),
             kernel: None,
-            twins: Twins::default(),
+            twins: Twins::new(cfg.hbm.num_pseudo_channels, cfg.hbm.banks_per_channel()),
             units: Units::default(),
             cfg,
         }
@@ -247,8 +247,12 @@ impl Engine {
         &self.mems[bank]
     }
 
-    /// A bank's memory, mutably (host-side data placement).
+    /// A bank's memory, mutably (host-side data placement). This is the
+    /// only way a bank's layout changes, so the next launch compares the
+    /// layouts of this bank's channel again instead of keeping the last
+    /// launch's verdict (DESIGN.md §14).
     pub fn mem_mut(&mut self, bank: usize) -> &mut BankMemory {
+        self.twins.mark(bank);
         &mut self.mems[bank]
     }
 
@@ -353,7 +357,7 @@ impl Engine {
             kernel,
         };
         self.twins
-            .classify(self.cfg.reuses(), banks_per_channel, &self.pus, &self.mems);
+            .classify(self.cfg.reuses(), &self.pus, &self.mems);
         #[cfg(test)]
         {
             (self.units.followed, self.units.refused) = (0, 0);

@@ -941,6 +941,117 @@ fn pu_mut_gives_a_twin_channel_its_own_states() {
     assert_eq!(sequence_matching_full_replay(&SEQUENCE, &poke)[0], 1);
 }
 
+/// Store the idle image, padded to `len` elements, in bank `b`'s streams:
+/// its processing unit still reads one burst of padding and exits, but
+/// its layout differs from an idle bank's unless `len` is 4.
+fn store_idle(engine: &mut Engine, b: usize, len: usize) {
+    for (&id, idle) in STREAMS.iter().zip(&IDLE) {
+        engine.mem_mut(b).store(id, &vec![idle[0]; len]);
+    }
+}
+
+/// Channel 0 works in the first two launches; channels 1 and 2 stay idle,
+/// so channel 2 is a twin of channel 1 unless a layout parts them.
+const LAYOUT_SEQUENCE: [&[usize]; 5] = [&[0], &[0], &[], &[], &[]];
+
+/// Host stores of other lengths between the launches of
+/// [`LAYOUT_SEQUENCE`]: before launch 1 into a bank of the twin, channel
+/// 2 (and back before launch 2); before launch 3 into a bank of channel 0,
+/// which is of another class; before launch 4 into a bank of channel 1,
+/// the first channel of the twin's class.
+fn store_lengths(i: usize, e: &mut Engine) {
+    match i {
+        1 => store_idle(e, TWIN + 1, 8),
+        2 => store_idle(e, TWIN + 1, 4),
+        3 => store_idle(e, 2, 8),
+        4 => store_idle(e, 4 + 3, 8),
+        _ => {}
+    }
+}
+
+/// What each launch of [`LAYOUT_SEQUENCE`] under [`store_lengths`] takes
+/// from a witness: at launch 1 the twin's stored bank parts it from
+/// channel 1; at launch 2 its restored layout rejoins it; at launch 3
+/// neither channel of the pair was stored into since, so the pair keeps
+/// its verdict while channel 0's store parts only channel 0; at launch 4
+/// the store into channel 1 parts the pair again.
+const LAYOUT_REUSE: [usize; 5] = [1, 0, 1, 1, 0];
+
+#[test]
+fn host_stores_end_kept_layout_verdicts_in_a_launch_sequence() {
+    // The SRF seed of `shared_pu_states_follow_a_launch_sequence`, here
+    // before launch 3, changes no class: channel 0's stored bank keeps it
+    // apart, and channels 1 and 2 share their states.
+    let seed = |i: usize, e: &mut Engine| {
+        if i == 3 {
+            e.set_srf_all(0.25);
+        }
+        store_lengths(i, e);
+    };
+    assert_eq!(
+        sequence_matching_full_replay(&LAYOUT_SEQUENCE, &seed),
+        LAYOUT_REUSE
+    );
+}
+
+#[test]
+fn pu_mut_and_host_stores_in_a_launch_sequence() {
+    // After launch 3 channel 2 reads channel 1's states. Writing one of its
+    // PUs before launch 4 changes that bank alone, as in
+    // `pu_mut_gives_a_twin_channel_its_own_states`; launch 4 parts the
+    // pair in layout and in state.
+    let bank = TWIN + 2;
+    let poke = |i: usize, e: &mut Engine| {
+        store_lengths(i, e);
+        if i != 4 {
+            return;
+        }
+        let pus = |e: &Engine| -> Vec<String> {
+            (0..e.num_banks())
+                .map(|b| format!("{:?}", e.pu(b)))
+                .collect()
+        };
+        let before = pus(e);
+        e.pu_mut(bank).set_srf(0.75);
+        for (b, (now, was)) in pus(e).iter().zip(&before).enumerate() {
+            assert_eq!(now != was, b == bank, "bank {b}");
+        }
+    };
+    assert_eq!(
+        sequence_matching_full_replay(&LAYOUT_SEQUENCE, &poke),
+        LAYOUT_REUSE
+    );
+}
+
+/// Move the column stream of bank `b` to `row`: the rows stream's row 2,
+/// where its reads hit the open row, or back to its own row 3. On a
+/// channel's first bank, whose layout the replay decodes rows from, this
+/// changes the channel's commands and cycles.
+fn move_cols(e: &mut Engine, b: usize, row: u32) {
+    e.mem_mut(b).set_start_row(STREAMS[1], row);
+}
+
+#[test]
+fn host_row_moves_end_kept_layout_verdicts_bit_for_bit() {
+    // The layout changes of `store_lengths`, made as row moves on the
+    // channels' first banks, so a verdict kept past one would hand a
+    // channel another channel's cycles: before launch 1 into the twin,
+    // channel 2 (back before launch 2); before launch 3 into channel 0,
+    // of another class; before launch 4 into channel 1, the first
+    // channel of the twin's class.
+    let moves = |i: usize, e: &mut Engine| match i {
+        1 => move_cols(e, TWIN, 2),
+        2 => move_cols(e, TWIN, 3),
+        3 => move_cols(e, 0, 2),
+        4 => move_cols(e, 4, 2),
+        _ => {}
+    };
+    assert_eq!(
+        sequence_matching_full_replay(&LAYOUT_SEQUENCE, &moves),
+        LAYOUT_REUSE
+    );
+}
+
 /// Build a twin cube, let `place` store its operands and return the
 /// bindings, load `asm`, and run it.
 fn launch(

@@ -28,6 +28,17 @@
 //! spans its interpreter read ([`BankMemory::read`]). No caller says which
 //! channels are idle: reuse follows from the comparison alone.
 //!
+//! Two proofs are cheap without being weaker. Regions that hold one
+//! stored image, as every idle bank of a sparse stream launch does, are
+//! equal in every span without a comparison, since a write first gives a
+//! region storage of its own (`crate::memory`). And a layout verdict
+//! outlives launches that leave its banks alone: only the host changes a
+//! layout, through [`Engine::mem_mut`](super::Engine::mem_mut), which
+//! marks the bank's channel ([`Twins::mark`]). So a channel that had an
+//! earlier channel's layouts at the last launch, with neither marked
+//! since, has them still, and [`Twins::classify`] compares only PU states
+//! for it. Debug builds compare the layouts anyway.
+//!
 //! Within a replayed channel, banks reuse runs the same way: a bank whose
 //! PU start state, layout and read elements equal an earlier bank's takes
 //! that bank's run, and its access log with it, so a witness's log covers
@@ -54,15 +65,23 @@ pub(super) struct Witness {
     rounds: u64,
 }
 
-/// Twin-channel bookkeeping for one launch; the buffers live as long as
-/// the engine, so a launch allocates nothing here.
-#[derive(Debug, Clone, Default)]
+/// Twin-channel bookkeeping for one launch, and the layout verdicts the
+/// next launch keeps; the buffers live as long as the engine, so a launch
+/// allocates nothing here.
+#[derive(Debug, Clone)]
 pub(super) struct Twins {
     /// Banks per channel.
     width: usize,
     /// Per channel: the first channel with bit-identical PU start states
     /// and bank layouts. Empty when this launch replays every channel.
     class: Vec<usize>,
+    /// The previous launch's `class`, when it classified: each channel
+    /// had its class's bank layouts then, and still has them unless the
+    /// host has borrowed a bank of either channel since (`marked`).
+    kept: Vec<usize>,
+    /// Per channel: whether [`Twins::mark`] reached one of its banks since
+    /// the last [`Twins::classify`].
+    marked: Vec<bool>,
     /// This launch's witnesses, in channel order.
     witnesses: Vec<Witness>,
     /// Channels of the last run that took a witness's outcome.
@@ -71,22 +90,38 @@ pub(super) struct Twins {
 }
 
 impl Twins {
+    /// Bookkeeping for `channels` channels of `width` banks.
+    pub(super) fn new(channels: usize, width: usize) -> Self {
+        Twins {
+            width,
+            class: Vec::with_capacity(channels),
+            kept: Vec::with_capacity(channels),
+            marked: vec![false; channels],
+            witnesses: Vec::new(),
+            #[cfg(test)]
+            reused: 0,
+        }
+    }
+
     fn banks(&self, ch: usize) -> Range<usize> {
         ch * self.width..(ch + 1) * self.width
     }
 
-    /// Start a launch over channels of `width` banks. With `enabled`,
-    /// group the channels by start state; otherwise every channel replays.
-    /// Channels with one source hold one PU state, so only their bank
-    /// layouts are compared.
-    pub(super) fn classify(
-        &mut self,
-        enabled: bool,
-        width: usize,
-        pus: &PuSlots,
-        mems: &[BankMemory],
-    ) {
-        self.width = width;
+    /// Note that the host may change bank `bank`'s layout.
+    pub(super) fn mark(&mut self, bank: usize) {
+        self.marked[bank / self.width] = true;
+    }
+
+    /// Start a launch. With `enabled`, group the channels by start state;
+    /// otherwise every channel replays, and the next launch keeps no
+    /// verdict. Channels with one source hold one PU state, so only their
+    /// bank layouts are compared. A channel whose class at the last launch
+    /// was an earlier channel `p`, with no bank of either marked since,
+    /// still has `p`'s layouts, which have `p`'s class's this launch: its
+    /// class is that one if their PU states agree, so no layout is compared
+    /// (debug builds compare them anyway).
+    pub(super) fn classify(&mut self, enabled: bool, pus: &PuSlots, mems: &[BankMemory]) {
+        std::mem::swap(&mut self.class, &mut self.kept);
         self.class.clear();
         self.witnesses.clear();
         #[cfg(test)]
@@ -94,27 +129,44 @@ impl Twins {
             self.reused = 0;
         }
         if !enabled {
+            self.kept.clear();
+            self.marked.fill(false);
             return;
         }
-        for ch in 0..mems.len() / width {
+        for ch in 0..mems.len() / self.width {
             let (own_pus, own_mems) = (pus.channel(ch), &mems[self.banks(ch)]);
-            let class = (0..ch)
-                .filter(|&r| self.class[r] == r)
-                .find(|&r| {
-                    (pus.same_source(r, ch)
-                        || pus
-                            .channel(r)
-                            .iter()
-                            .zip(own_pus)
-                            .all(|(a, b)| a.same_state(b)))
-                        && mems[self.banks(r)]
-                            .iter()
-                            .zip(own_mems)
-                            .all(|(a, b)| a.same_layout(b))
-                })
-                .unwrap_or(ch);
+            let same_state = |r: usize| {
+                pus.same_source(r, ch)
+                    || pus
+                        .channel(r)
+                        .iter()
+                        .zip(own_pus)
+                        .all(|(a, b)| a.same_state(b))
+            };
+            let same_layout = |r: usize| {
+                mems[self.banks(r)]
+                    .iter()
+                    .zip(own_mems)
+                    .all(|(a, b)| a.same_layout(b))
+            };
+            let kept = self
+                .kept
+                .get(ch)
+                .filter(|&&p| p < ch && !self.marked[p] && !self.marked[ch])
+                .map(|&p| self.class[p]);
+            let class = match kept {
+                Some(r) if same_state(r) => {
+                    debug_assert!(same_layout(r), "a kept layout verdict");
+                    r
+                }
+                _ => (0..ch)
+                    .filter(|&r| self.class[r] == r)
+                    .find(|&r| same_state(r) && same_layout(r))
+                    .unwrap_or(ch),
+            };
             self.class.push(class);
         }
+        self.marked.fill(false);
     }
 
     /// A witness whose replay channel `ch` would repeat: same class, and

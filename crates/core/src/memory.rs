@@ -13,9 +13,20 @@
 //! do. An all-bank launch uses this to give every bank the same rows while
 //! each bank stores only the stream it reads (DESIGN.md §5); a processing
 //! unit never reads the unstored tail, which debug builds assert. The host
-//! replaces a region's stored prefix in place with [`BankMemory::store`],
-//! within the reservation, so one layout serves a sequence of launches
-//! without moving a row.
+//! replaces a region's stored prefix with [`BankMemory::store`], within
+//! the reservation, so one layout serves a sequence of launches without
+//! moving a row.
+//!
+//! A stored prefix is an `Rc<[f64]>`, so regions of many banks may hold
+//! one *image*: [`BankMemory::store_shared`] and
+//! [`BankMemory::alloc_shared`] give a region the caller's image without
+//! copying it, as every idle bank of a sparse stream launch holds the same
+//! padding. Every write first makes the region's storage its own (a copy
+//! when the image is shared), so a write into one bank never reaches
+//! another: the processing unit's `BankMemory::write` once per call, the
+//! host's [`Region::set`] and [`Region::data_mut`] likewise. Two regions
+//! that hold one image hold equal elements, which the engine's read
+//! comparison (`BankMemory::same_reads`) takes without comparing them.
 //!
 //! Values are carried as `f64` (index streams store their indices as exact
 //! small integers, with `-1.0` as the paper's end-of-data sentinel);
@@ -29,6 +40,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+use std::rc::Rc;
 
 /// Handle to a region within one bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -93,7 +105,8 @@ pub struct Region {
     elem_bytes: usize,
     /// Elements the region's rows are reserved for; at least `data.len()`.
     reserved: usize,
-    data: Vec<f64>,
+    /// The stored prefix, possibly one image with other regions'.
+    data: Rc<[f64]>,
 }
 
 impl Region {
@@ -134,9 +147,10 @@ impl Region {
         &self.data
     }
 
-    /// Mutably borrow the contents.
+    /// Mutably borrow the contents, first making them the region's own
+    /// (a copy when its image is shared).
     pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
+        Rc::make_mut(&mut self.data)
     }
 
     /// Element at `idx`, or 0 past the stored prefix (reads beyond it
@@ -146,10 +160,11 @@ impl Region {
         self.data.get(idx).copied().unwrap_or(0.0)
     }
 
-    /// Store at `idx`; silently dropped past the stored prefix.
+    /// Store at `idx`; silently dropped past the stored prefix. A stored
+    /// element first makes the contents the region's own.
     pub fn set(&mut self, idx: usize, v: f64) {
-        if let Some(slot) = self.data.get_mut(idx) {
-            *slot = v;
+        if idx < self.data.len() {
+            self.data_mut()[idx] = v;
         }
     }
 
@@ -164,6 +179,25 @@ impl Region {
     #[must_use]
     pub fn row_of(&self, idx: usize, row_bytes: usize) -> u32 {
         self.start_row + (idx * self.elem_bytes / row_bytes) as u32
+    }
+}
+
+/// The processing unit's view of a region it stores into: the region's
+/// own stored prefix. Past it, reads see the quiet zero and stores drop.
+#[derive(Debug)]
+pub(crate) struct RegionWriter<'a>(&'a mut [f64]);
+
+impl RegionWriter<'_> {
+    /// Element at `idx`, or 0 past the stored prefix.
+    pub(crate) fn get(&self, idx: usize) -> f64 {
+        self.0.get(idx).copied().unwrap_or(0.0)
+    }
+
+    /// Store at `idx`; silently dropped past the stored prefix.
+    pub(crate) fn set(&mut self, idx: usize, v: f64) {
+        if let Some(slot) = self.0.get_mut(idx) {
+            *slot = v;
+        }
     }
 }
 
@@ -199,6 +233,14 @@ pub(crate) fn same_bits(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// Refuse a region storing `len` elements in rows reserved for fewer.
+fn assert_fits(len: usize, reserved: usize) {
+    assert!(
+        len <= reserved,
+        "a region storing {len} elements reserves only {reserved}"
+    );
+}
+
 impl BankMemory {
     /// Empty memory with the given DRAM row size.
     ///
@@ -222,12 +264,12 @@ impl BankMemory {
 
     /// Allocate a region holding `data`, rounded up to whole rows.
     pub fn alloc(&mut self, elem_bytes: usize, data: Vec<f64>) -> RegionId {
-        self.push(elem_bytes, data.len(), data)
+        self.push(elem_bytes, data.len(), data.into())
     }
 
     /// Place a region storing `data` in rows reserved for `reserved`
     /// elements, after the last region.
-    fn push(&mut self, elem_bytes: usize, reserved: usize, data: Vec<f64>) -> RegionId {
+    fn push(&mut self, elem_bytes: usize, reserved: usize, data: Rc<[f64]>) -> RegionId {
         let region = Region {
             start_row: self.next_row,
             elem_bytes,
@@ -242,7 +284,7 @@ impl BankMemory {
 
     /// Allocate a zero-filled region of `len` elements.
     pub fn alloc_zeroed(&mut self, elem_bytes: usize, len: usize) -> RegionId {
-        self.alloc(elem_bytes, vec![0.0; len])
+        self.push(elem_bytes, len, std::iter::repeat_n(0.0, len).collect())
     }
 
     /// Allocate a region holding a copy of `data`.
@@ -257,34 +299,66 @@ impl BankMemory {
     ///
     /// Panics if `data` is longer than `reserved`.
     pub fn alloc_reserved(&mut self, elem_bytes: usize, reserved: usize, data: &[f64]) -> RegionId {
-        assert!(
-            data.len() <= reserved,
-            "a region storing {} elements reserves only {reserved}",
-            data.len()
-        );
-        self.push(elem_bytes, reserved, data.to_vec())
+        assert_fits(data.len(), reserved);
+        self.push(elem_bytes, reserved, data.into())
+    }
+
+    /// [`BankMemory::alloc_reserved`] for a region that stores `image`
+    /// itself, not a copy: it holds one image with every region given the
+    /// same `Rc` until a write makes its storage its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` is longer than `reserved`.
+    pub fn alloc_shared(
+        &mut self,
+        elem_bytes: usize,
+        reserved: usize,
+        image: &Rc<[f64]>,
+    ) -> RegionId {
+        assert_fits(image.len(), reserved);
+        self.push(elem_bytes, reserved, Rc::clone(image))
     }
 
     /// Replace region `id`'s stored prefix with `data`. The region keeps
-    /// its rows and its reservation, so no region moves. Its storage grows
-    /// to fit `data` exactly (amortized doubling would keep up to twice the
-    /// longest prefix it ever held) and does not shrink.
+    /// its rows and its reservation, so no region moves. Storage the region
+    /// holds alone and of `data`'s length is overwritten in place; any
+    /// other (a shared image, another length) is replaced by a fresh
+    /// allocation of exactly `data`'s length.
     ///
     /// # Panics
     ///
     /// Panics on an unknown id, or if `data` is longer than the region's
     /// reservation.
     pub fn store(&mut self, id: RegionId, data: &[f64]) {
+        let region = self.storable(id, data.len());
+        match Rc::get_mut(&mut region.data) {
+            Some(own) if own.len() == data.len() => own.copy_from_slice(data),
+            _ => region.data = data.into(),
+        }
+    }
+
+    /// [`BankMemory::store`] of `image` itself, not a copy: region `id`
+    /// then holds one image with every region given the same `Rc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown id, or if `image` is longer than the region's
+    /// reservation.
+    pub fn store_shared(&mut self, id: RegionId, image: &Rc<[f64]>) {
+        self.storable(id, image.len()).data = Rc::clone(image);
+    }
+
+    /// Region `id`, once checked that its reservation holds `len` stored
+    /// elements.
+    fn storable(&mut self, id: RegionId, len: usize) -> &mut Region {
         let region = &mut self.regions[id.0];
         assert!(
-            data.len() <= region.reserved,
-            "storing {} elements in region {id:?} past its reservation of {}",
-            data.len(),
+            len <= region.reserved,
+            "storing {len} elements in region {id:?} past its reservation of {}",
             region.reserved
         );
-        region.data.clear();
-        region.data.reserve_exact(data.len());
-        region.data.extend_from_slice(data);
+        region
     }
 
     /// Borrow a region.
@@ -328,11 +402,12 @@ impl BankMemory {
         &self.regions[id.0]
     }
 
-    /// The processing unit's store path: borrow a region mutably and log
-    /// a write, whether or not an element is then stored.
-    pub(crate) fn write(&mut self, id: RegionId) -> &mut Region {
+    /// The processing unit's store path: log a write, whether or not an
+    /// element is then stored, and make the region's storage its own (a
+    /// copy when its image is shared), once per call.
+    pub(crate) fn write(&mut self, id: RegionId) -> RegionWriter<'_> {
         self.wrote = true;
-        &mut self.regions[id.0]
+        RegionWriter(self.regions[id.0].data_mut())
     }
 
     /// Move a region to another start row (tests build layouts that
@@ -360,19 +435,13 @@ impl BankMemory {
         self.reads == other.reads && self.wrote == other.wrote
     }
 
-    /// Make this bank equal to `src`, access log included, reusing its
-    /// own buffers (no allocation once they have grown to `src`'s sizes).
+    /// Make this bank equal to `src`, access log included: its regions
+    /// hold `src`'s images, which a write into either bank then copies.
     #[cfg(debug_assertions)]
     pub(crate) fn copy_from(&mut self, src: &BankMemory) {
         self.row_bytes = src.row_bytes;
         self.next_row = src.next_row;
-        self.regions.truncate(src.regions.len());
-        for (d, s) in self.regions.iter_mut().zip(&src.regions) {
-            (d.start_row, d.elem_bytes, d.reserved) = (s.start_row, s.elem_bytes, s.reserved);
-            d.data.clone_from(&s.data);
-        }
-        let n = self.regions.len();
-        self.regions.extend_from_slice(&src.regions[n..]);
+        self.regions.clone_from(&src.regions);
         self.copy_accesses_from(src);
     }
 
@@ -396,14 +465,20 @@ impl BankMemory {
     }
 
     /// Whether `other` holds bit-identical contents in every element span
-    /// this bank logged a read of. Assumes [`BankMemory::same_layout`].
+    /// this bank logged a read of. Regions that hold one image are equal
+    /// without a comparison (debug builds compare them anyway). Assumes
+    /// [`BankMemory::same_layout`].
     pub(crate) fn same_reads(&self, other: &BankMemory) -> bool {
         self.reads.iter().enumerate().all(|(id, &(lo, hi))| {
-            lo >= hi
-                || same_bits(
-                    &self.regions[id].data[lo..hi],
-                    &other.regions[id].data[lo..hi],
-                )
+            let (a, b) = (&self.regions[id].data, &other.regions[id].data);
+            if lo >= hi {
+                true
+            } else if Rc::ptr_eq(a, b) {
+                debug_assert!(same_bits(&a[lo..hi], &b[lo..hi]));
+                true
+            } else {
+                same_bits(&a[lo..hi], &b[lo..hi])
+            }
         })
     }
 
@@ -574,6 +649,55 @@ mod tests {
         let _ = m.read(a, 0..6);
         let _ = m.read(a, 12..16); // past the reservation: the quiet zero
         let _ = m.read(a, 4..8);
+    }
+
+    #[test]
+    fn banks_sharing_an_image_write_their_own_copies() {
+        // Two banks hold one image. Each way of writing into one of them
+        // (a PU write, a host set, a host slice, a store of the same
+        // length) leaves the other holding the image, bit for bit.
+        type Write = dyn Fn(&mut BankMemory, RegionId);
+        let image: Rc<[f64]> = Rc::from([1.0, 2.0, 3.0, 4.0]);
+        let bank = || {
+            let mut m = BankMemory::new(64);
+            let id = m.alloc_shared(8, 8, &image);
+            (m, id)
+        };
+        let writes: [(&str, &Write); 4] = [
+            ("a PU write", &|m, id| m.write(id).set(1, -0.0)),
+            ("a host set", &|m, id| m.region_mut(id).set(1, -0.0)),
+            ("a host slice", &|m, id| {
+                m.region_mut(id).data_mut()[1] = -0.0;
+            }),
+            ("a store", &|m, id| m.store(id, &[1.0, -0.0, 3.0, 4.0])),
+        ];
+        let bits = |data: &[f64]| -> Vec<u64> { data.iter().map(|v| v.to_bits()).collect() };
+        for (what, write) in writes {
+            let ((mut a, id), (b, _)) = (bank(), bank());
+            let _ = a.read(id, 0..4);
+            assert!(a.same_reads(&b), "{what}: one image");
+            write(&mut a, id);
+            assert_eq!(bits(b.region(id).data()), bits(&image), "{what}");
+            assert!(Rc::ptr_eq(&b.region(id).data, &image), "{what}");
+            assert_eq!(a.region(id).get(1).to_bits(), (-0.0f64).to_bits(), "{what}");
+            assert!(!a.same_reads(&b), "{what}: -0.0 differs from 2.0");
+        }
+        // A store of another length replaces only that bank's storage, and
+        // storing the image back shares it again.
+        let ((mut a, id), (b, _)) = (bank(), bank());
+        a.store(id, &[5.0; 8]);
+        assert_eq!(b.region(id).data(), &image[..]);
+        assert_eq!(a.region(id).data(), &[5.0; 8][..]);
+        a.store_shared(id, &image);
+        assert!(Rc::ptr_eq(&a.region(id).data, &b.region(id).data));
+    }
+
+    #[test]
+    #[should_panic(expected = "storing 3 elements in region RegionId(0) past its reservation of 2")]
+    fn storing_a_shared_image_past_the_reservation_panics() {
+        let mut m = BankMemory::new(64);
+        let a = m.alloc_zeroed(8, 2);
+        m.store_shared(a, &Rc::from([1.0; 3]));
     }
 
     #[test]

@@ -1004,7 +1004,7 @@ impl ProcessingUnit {
                         self.cursors[slot] += shape.stride.unwrap_or(1);
                     }
                     (Operand::Bank, Operand::Drf(d)) => {
-                        let r = mem.write(region);
+                        let mut r = mem.write(region);
                         for (i, v) in self.drf[d as usize].iter().enumerate().take(lanes) {
                             r.set(cur + i, precision.quantize(*v));
                         }
@@ -1066,7 +1066,7 @@ impl ProcessingUnit {
                 let mut cur = self.cursors[slot];
                 let start = cur;
                 while let Some((r, c, v)) = self.queues[src as usize].pop() {
-                    let reg = mem.write(region);
+                    let mut reg = mem.write(region);
                     reg.set(cur, r);
                     reg.set(cur + 1, c);
                     reg.set(cur + 2, precision.quantize(v));

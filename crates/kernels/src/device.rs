@@ -10,6 +10,7 @@ use psyncpim_core::{
     RegionId, RunReport,
 };
 use serde::{Deserialize, Serialize};
+use std::rc::Rc;
 
 /// Default stall-event buffer capacity when tracing is on.
 pub const DEFAULT_TRACE_EVENTS: usize = 4096;
@@ -292,16 +293,21 @@ impl KernelRun {
 /// loads one chunk pair per iteration and exits after the first pair
 /// holding a sentinel, so a listed bank with `n` entries stores
 /// `triple_pairs(n)` pairs and every other bank the *idle image*, one
-/// sentinel pair. Idle banks thus hold bit-identical padding (twin
-/// channels, DESIGN.md §14), and a launch writes only the banks it lists
-/// and the banks the previous launch listed ([`TriplesLayout::store`]).
+/// sentinel pair. The layout builds the idle image once, and every idle
+/// bank holds that one image, not a copy
+/// ([`psyncpim_core::memory::BankMemory::store_shared`]): idle banks hold
+/// bit-identical padding, which the engine sees without comparing it
+/// (twin channels and follower banks, DESIGN.md §14). A launch writes only
+/// the banks it lists and the banks the previous launch listed
+/// ([`TriplesLayout::store`]).
 pub(crate) struct TriplesLayout {
     /// The triples' region, the same id in every bank.
     region: RegionId,
     precision: Precision,
-    /// Sentinel padding for the longest stream; its first pair is the idle
-    /// image.
+    /// Sentinel padding for the longest stream.
     padding: Vec<f64>,
+    /// The idle image, one sentinel pair, which every idle bank holds.
+    idle: Rc<[f64]>,
     /// The banks the last [`TriplesLayout::store`] listed, in listing
     /// order.
     listed: Vec<usize>,
@@ -318,16 +324,17 @@ impl TriplesLayout {
         for half in padding.chunks_exact_mut(3 * lanes) {
             half[..2 * lanes].fill(SENTINEL); // rows, cols
         }
-        let idle = &padding[..6 * lanes];
+        let idle: Rc<[f64]> = padding[..6 * lanes].into();
         let mut region = None;
         for bank in 0..engine.num_banks() {
             let mem = engine.mem_mut(bank);
-            region = Some(mem.alloc_reserved(precision.bytes(), padding.len(), idle));
+            region = Some(mem.alloc_shared(precision.bytes(), padding.len(), &idle));
         }
         TriplesLayout {
             region: region.expect("an engine has at least one bank"),
             precision,
             padding,
+            idle,
             listed: Vec::new(),
         }
     }
@@ -360,9 +367,7 @@ impl TriplesLayout {
     {
         let lanes = self.precision.lanes();
         for bank in self.listed.drain(..) {
-            engine
-                .mem_mut(bank)
-                .store(self.region, &self.padding[..6 * lanes]);
+            engine.mem_mut(bank).store_shared(self.region, &self.idle);
         }
         for (bank, n, entries) in banks {
             assert!(!self.listed.contains(&bank), "bank {bank} is listed twice");

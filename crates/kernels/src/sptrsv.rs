@@ -34,6 +34,7 @@ use crate::spmv::SpmvPim;
 use psim_sparse::triangular::UnitTriangular;
 use psim_sparse::{BlockPlan, BlockStep, LevelSchedule, Precision};
 use psyncpim_core::{CoreError, RegionId};
+use std::rc::Rc;
 
 /// SpTRSV kernel runner.
 #[derive(Debug, Clone)]
@@ -152,7 +153,9 @@ impl SptrsvPim {
     ) -> Result<u64, CoreError> {
         let m = hi - lo;
         let block = t.diagonal_block(lo, hi);
-        let sched = LevelSchedule::analyze(&block);
+        // One CSC gives the level schedule and each batch's entries.
+        let csc = psim_sparse::Csc::from(block.strict());
+        let sched = LevelSchedule::from_columns(&csc, block.triangle());
         let nbanks = self.device.hbm.total_banks();
         let stripe = m.div_ceil(nbanks).max(1);
         let lanes = self.precision.lanes();
@@ -189,9 +192,6 @@ impl SptrsvPim {
         // Upload of the block's b slice (the stripes).
         host.broadcast(m * ebytes);
 
-        // Pre-bucket entries by column for fast per-level stream building.
-        let csc = psim_sparse::Csc::from(block.strict());
-
         // The block's other regions are reserved once, after the stripes:
         // the triples for the block's longest stream and the scales for its
         // widest batch, in every bank, so every launch finds every region at
@@ -219,9 +219,12 @@ impl SptrsvPim {
         }
         streams.entries.reserve_exact(most);
         let mut triples = TriplesLayout::reserve(&mut engine, longest, self.precision);
+        // Idle banks store no scales, all as one empty image.
+        let no_scales: Rc<[f64]> = Rc::from([]);
         let mut scales_region = None;
         for bank in 0..nbanks {
-            scales_region = Some(engine.mem_mut(bank).alloc_reserved(ebytes, widest, &[]));
+            let mem = engine.mem_mut(bank);
+            scales_region = Some(mem.alloc_shared(ebytes, widest, &no_scales));
         }
         let scales_region = scales_region.expect("at least one bank");
 
@@ -245,7 +248,7 @@ impl SptrsvPim {
             // Only the listed banks store the scales: an idle bank's PU
             // exits on its sentinel pair before it gathers a scale.
             for &bank in triples.listed() {
-                engine.mem_mut(bank).store(scales_region, &[]);
+                engine.mem_mut(bank).store_shared(scales_region, &no_scales);
             }
             triples.store(&mut engine, streams.banks());
             for &bank in triples.listed() {

@@ -3,6 +3,7 @@
 //! The SpTRSV column-sweep kernel (paper Algorithm 3) walks the matrix
 //! column-by-column; host-side planning for it uses CSC.
 
+use crate::csr::compress;
 use crate::{Coo, Csr, SparseError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -144,9 +145,19 @@ impl fmt::Display for Csc {
     }
 }
 
+/// One counting pass over the columns: entries grouped by column in their
+/// order, each column's rows sorted stably (duplicates keep their order).
 impl From<&Coo> for Csc {
     fn from(coo: &Coo) -> Self {
-        Csc::from_transpose(Csr::from(&coo.transpose()))
+        let entries = coo.iter().map(|e| (e.col, e.row, e.val));
+        let (col_ptr, row_idx, values) = compress(coo.ncols(), coo.nnz(), entries);
+        Csc {
+            nrows: coo.nrows(),
+            ncols: coo.ncols(),
+            col_ptr,
+            row_idx,
+            values,
+        }
     }
 }
 

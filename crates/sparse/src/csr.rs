@@ -253,45 +253,8 @@ impl fmt::Display for Csr {
 
 impl From<&Coo> for Csr {
     fn from(coo: &Coo) -> Self {
-        let mut row_ptr = vec![0usize; coo.nrows() + 1];
-        for e in coo.iter() {
-            row_ptr[e.row as usize + 1] += 1;
-        }
-        for i in 0..coo.nrows() {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let nnz = coo.nnz();
-        let mut col_idx = vec![0u32; nnz];
-        let mut values = vec![0.0; nnz];
-        let mut cursor = row_ptr.clone();
-        for e in coo.iter() {
-            let dst = cursor[e.row as usize];
-            cursor[e.row as usize] += 1;
-            col_idx[dst] = e.col;
-            values[dst] = e.val;
-        }
-        // Sort columns within each row, through one buffer for all rows.
-        // The sort is stable, so duplicate entries keep their order, and a
-        // row already in column order stays as it is.
-        let mut pairs: Vec<(u32, f64)> = Vec::new();
-        for r in 0..coo.nrows() {
-            let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-            if col_idx[lo..hi].is_sorted() {
-                continue;
-            }
-            pairs.clear();
-            pairs.extend(
-                col_idx[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(values[lo..hi].iter().copied()),
-            );
-            pairs.sort_by_key(|&(c, _)| c);
-            for (i, &(c, v)) in pairs.iter().enumerate() {
-                col_idx[lo + i] = c;
-                values[lo + i] = v;
-            }
-        }
+        let entries = coo.iter().map(|e| (e.row, e.col, e.val));
+        let (row_ptr, col_idx, values) = compress(coo.nrows(), coo.nnz(), entries);
         Csr {
             nrows: coo.nrows(),
             ncols: coo.ncols(),
@@ -300,6 +263,56 @@ impl From<&Coo> for Csr {
             values,
         }
     }
+}
+
+/// Compress `nnz` entries `(major, minor, value)` into `majors` segments:
+/// the pointer array, and each segment's minor indices and values. A
+/// counting pass buckets the entries by major index in their order, then a
+/// stable sort orders each segment by minor index, so duplicate entries
+/// keep their order; a segment already in order is left as it is. CSR
+/// passes rows as majors, CSC columns.
+pub(crate) fn compress(
+    majors: usize,
+    nnz: usize,
+    entries: impl Iterator<Item = (u32, u32, f64)> + Clone,
+) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
+    let mut ptr = vec![0usize; majors + 1];
+    for (major, _, _) in entries.clone() {
+        ptr[major as usize + 1] += 1;
+    }
+    for i in 0..majors {
+        ptr[i + 1] += ptr[i];
+    }
+    let mut idx = vec![0u32; nnz];
+    let mut values = vec![0.0; nnz];
+    let mut cursor = ptr.clone();
+    for (major, minor, v) in entries {
+        let dst = cursor[major as usize];
+        cursor[major as usize] += 1;
+        idx[dst] = minor;
+        values[dst] = v;
+    }
+    // Sort each segment through one buffer for all of them.
+    let mut pairs: Vec<(u32, f64)> = Vec::new();
+    for m in 0..majors {
+        let (lo, hi) = (ptr[m], ptr[m + 1]);
+        if idx[lo..hi].is_sorted() {
+            continue;
+        }
+        pairs.clear();
+        pairs.extend(
+            idx[lo..hi]
+                .iter()
+                .copied()
+                .zip(values[lo..hi].iter().copied()),
+        );
+        pairs.sort_by_key(|&(i, _)| i);
+        for (k, &(i, v)) in pairs.iter().enumerate() {
+            idx[lo + k] = i;
+            values[lo + k] = v;
+        }
+    }
+    (ptr, idx, values)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! Reordering") so each all-bank PIM launch covers one level.
 
 use crate::triangular::{Triangle, UnitTriangular};
-use crate::Csr;
+use crate::Csc;
 use serde::{Deserialize, Serialize};
 
 /// The level schedule of a triangular matrix.
@@ -20,31 +20,46 @@ pub struct LevelSchedule {
 }
 
 impl LevelSchedule {
-    /// Compute the schedule for a unit triangular matrix.
-    ///
-    /// For a lower triangle, `level(i) = 1 + max(level(j))` over stored
-    /// entries `(i, j)`; independent rows get level 0. The upper triangle is
-    /// analyzed in reverse row order.
+    /// Compute the schedule for a unit triangular matrix: the column
+    /// sweep of [`LevelSchedule::from_columns`] over its strict part.
     #[must_use]
     pub fn analyze(t: &UnitTriangular) -> Self {
-        let n = t.dim();
-        let csr = Csr::from(t.strict());
+        Self::from_columns(&Csc::from(t.strict()), t.triangle())
+    }
+
+    /// The schedule of the unit triangle whose strict part, in `triangle`,
+    /// is `strict`.
+    ///
+    /// For a lower triangle, `level(i) = 1 + max(level(j))` over stored
+    /// entries `(i, j)`; independent rows get level 0. A sweep over the
+    /// columns in order finds it: each column `j` is final when the sweep
+    /// reaches it, as its row's entries lie in earlier columns, and it
+    /// raises the level of every row it holds an entry in. The upper
+    /// triangle is swept in reverse column order. Every entry of `strict`
+    /// must lie strictly inside `triangle`, as a [`UnitTriangular`]'s
+    /// strict part does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `strict` is not square.
+    #[must_use]
+    pub fn from_columns(strict: &Csc, triangle: Triangle) -> Self {
+        let n = strict.ncols();
+        assert_eq!(strict.nrows(), n, "a triangle's strict part is square");
         let mut level_of = vec![0usize; n];
-        let order: Box<dyn Iterator<Item = usize>> = match t.triangle() {
-            Triangle::Lower => Box::new(0..n),
-            Triangle::Upper => Box::new((0..n).rev()),
-        };
-        let mut max_level = 0usize;
-        for i in order {
-            let mut lvl = 0usize;
-            for (j, _) in csr.row(i) {
-                lvl = lvl.max(level_of[j] + 1);
+        for k in 0..n {
+            let j = match triangle {
+                Triangle::Lower => k,
+                Triangle::Upper => n - 1 - k,
+            };
+            let next = level_of[j] + 1;
+            for (i, _) in strict.col(j) {
+                level_of[i] = level_of[i].max(next);
             }
-            level_of[i] = lvl;
-            max_level = max_level.max(lvl);
         }
+        let max_level = level_of.iter().copied().max().unwrap_or(0);
         let mut levels = vec![Vec::new(); max_level + 1];
-        match t.triangle() {
+        match triangle {
             Triangle::Lower => {
                 for (i, &l) in level_of.iter().enumerate() {
                     levels[l].push(i);
@@ -241,6 +256,111 @@ mod tests {
         }
         for (g, w) in x.iter().zip(&want) {
             assert!((g - w).abs() < 1e-12);
+        }
+    }
+
+    /// The level of every row by a row sweep over the CSR, the route the
+    /// column sweep replaced.
+    fn levels_by_rows(t: &UnitTriangular) -> Vec<usize> {
+        let (n, csr) = (t.dim(), crate::Csr::from(t.strict()));
+        let mut level_of = vec![0usize; n];
+        let rows: Vec<usize> = match t.triangle() {
+            Triangle::Lower => (0..n).collect(),
+            Triangle::Upper => (0..n).rev().collect(),
+        };
+        for i in rows {
+            level_of[i] = csr.row(i).map(|(j, _)| level_of[j] + 1).max().unwrap_or(0);
+        }
+        level_of
+    }
+
+    /// A random strict triangle of dimension `n` from `seed`: about `n`
+    /// entries in arbitrary order, some repeated at one coordinate, some
+    /// explicit zeros, and (every third row) rows left empty.
+    fn random_triangle(n: usize, triangle: Triangle, seed: u64) -> UnitTriangular {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        let mut s = Coo::new(n, n);
+        for _ in 0..2 * n {
+            let (a, b) = (next(n), next(n));
+            if a == b {
+                continue;
+            }
+            let (lo, hi) = (a.min(b), a.max(b));
+            let (r, c) = match triangle {
+                Triangle::Lower => (hi, lo),
+                Triangle::Upper => (lo, hi),
+            };
+            if r % 3 == 1 {
+                continue;
+            }
+            let v = if next(5) == 0 {
+                0.0
+            } else {
+                0.25 + next(100) as f64
+            };
+            s.push(r as u32, c as u32, v);
+            if next(4) == 0 {
+                s.push(r as u32, c as u32, -v);
+            }
+        }
+        UnitTriangular::from_strict(triangle, s).unwrap()
+    }
+
+    #[test]
+    fn one_csc_build_and_column_sweep_match_the_transpose_and_row_routes() {
+        for triangle in [Triangle::Lower, Triangle::Upper] {
+            for (n, seed) in [(0, 1), (1, 2), (2, 3), (9, 4), (40, 5), (300, 6), (300, 7)] {
+                let t = random_triangle(n, triangle, seed);
+                let what = format!("{triangle:?} n={n} seed={seed}");
+                if n == 300 {
+                    let mut coords: Vec<(u32, u32)> =
+                        t.strict().iter().map(|e| (e.row, e.col)).collect();
+                    coords.sort_unstable();
+                    assert!(
+                        coords.windows(2).any(|w| w[0] == w[1]),
+                        "{what}: a duplicate"
+                    );
+                    assert!(t.strict().iter().any(|e| e.val == 0.0), "{what}: a zero");
+                    assert!(t.strict().row_counts().contains(&0), "{what}: an empty row");
+                }
+                // CSC arrays: the same as the CSR of the transposed COO.
+                let (csc, via) = (
+                    Csc::from(t.strict()),
+                    crate::Csr::from(&t.strict().transpose()),
+                );
+                assert_eq!(csc.col_ptr(), via.row_ptr(), "{what}");
+                for c in 0..n {
+                    let bits = |it: &mut dyn Iterator<Item = (usize, f64)>| -> Vec<(usize, u64)> {
+                        it.map(|(r, v)| (r, v.to_bits())).collect()
+                    };
+                    assert_eq!(
+                        bits(&mut csc.col(c)),
+                        bits(&mut via.row(c)),
+                        "{what}, col {c}"
+                    );
+                }
+                // The schedule: every row's level, and the levels' rows.
+                let sched = LevelSchedule::analyze(&t);
+                let want = levels_by_rows(&t);
+                let got: Vec<usize> = (0..n).map(|i| sched.level_of(i)).collect();
+                assert_eq!(got, want, "{what}");
+                let levels = want.iter().copied().max().map_or(0, |l| l + 1);
+                assert_eq!(sched.num_levels(), levels, "{what}");
+                let perm = sched.reorder_permutation();
+                let mut order: Vec<usize> = match triangle {
+                    Triangle::Lower => (0..n).collect(),
+                    Triangle::Upper => (0..n).rev().collect(),
+                };
+                order.sort_by_key(|&i| want[i]);
+                assert_eq!(perm, order, "{what}");
+                assert!(sched.respects_dependencies(&t, &perm), "{what}");
+            }
         }
     }
 
